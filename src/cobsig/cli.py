@@ -37,12 +37,10 @@ class RunConfig:
 
     command: str
     args: argparse.Namespace
-    threads: int
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        threads = int(os.environ.get("COBSIG_THREADS", "0")) or os.cpu_count() or 1
-        cfg = cls(command=args.command, args=args, threads=threads)
+        cfg = cls(command=args.command, args=args)
         cfg.check()
         return cfg
 

@@ -10,6 +10,12 @@ Complexes are immutable after construction and safe for concurrent reads.
 ``build_complex`` checks structural well-formedness only; the cobordism
 invariants live in ``validate`` so that deliberately broken instances can be
 constructed and inspected.
+
+What depends only on (simplices, signs) -- the facet incidence, the boundary
+facets and the structural half of ``validate`` (non-manifold facets and
+inconsistent orientation) -- is computed once by ``build_complex`` and shared
+by every relabeling made with ``with_labels``, which checks only the new
+labels.  ``validate`` then runs only the label checks on top of it.
 """
 
 from __future__ import annotations
@@ -65,15 +71,13 @@ class CobordismComplex:
     labels : dict mapping region tag to frozenset of facet tuples
     """
 
-    def __init__(self, vertices, simplices, signs, labels, facet_incidence):
+    def __init__(self, vertices, simplices, signs, labels, structure):
         self.vertices = vertices
         self.simplices = simplices
         self.signs = signs
         self.labels = labels
-        self._facet_incidence = facet_incidence
-        self.boundary_facets = frozenset(
-            f for f, inc in facet_incidence.items() if len(inc) == 1
-        )
+        self._structure = structure
+        self.boundary_facets = structure.boundary_facets
 
     # -- basic queries ----------------------------------------------------
 
@@ -92,16 +96,6 @@ class CobordismComplex:
     @property
     def n_simplices(self) -> int:
         return self.simplices.shape[0]
-
-    def facet_incidence(self, facet: Facet):
-        """List of (simplex index, omitted position) pairs incident to a facet."""
-        return self._facet_incidence[facet]
-
-    @property
-    def interior_facets(self) -> frozenset:
-        return frozenset(
-            f for f, inc in self._facet_incidence.items() if len(inc) == 2
-        )
 
     def edges(self) -> np.ndarray:
         """All 1-skeleton edges as a (ne, 2) array of sorted pairs, lexsorted."""
@@ -142,8 +136,11 @@ class CobordismComplex:
     # -- derived labelings -------------------------------------------------
 
     def with_labels(self, labels) -> "CobordismComplex":
-        """Same geometry with a different region labeling."""
-        return build_complex(self.vertices, self.simplices, labels, self.signs)
+        """Same geometry and structure with a different region labeling."""
+        return CobordismComplex(
+            self.vertices, self.simplices, self.signs,
+            _clean_labels(labels, self.dim, self._structure), self._structure,
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -242,50 +239,82 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
         if sgn.shape != (len(simp),) or not np.all(np.abs(sgn) == 1):
             raise MeshError("signs must be +-1, one per top simplex")
 
-    incidence: dict[Facet, list] = {}
-    for t, s in enumerate(simp):
-        for omit in range(d + 1):
-            f = _sorted_tuple(np.delete(s, omit))
-            incidence.setdefault(f, []).append((t, omit))
+    structure = _Structure(simp, sgn)
+    clean_labels = _clean_labels(labels, d, structure)
+    verts.flags.writeable = False
+    simp.flags.writeable = False
+    sgn.flags.writeable = False
+    return CobordismComplex(verts, simp, sgn, clean_labels, structure)
 
-    boundary = {f for f, inc in incidence.items() if len(inc) == 1}
 
-    clean_labels: dict[str, frozenset] = {}
+class _Structure:
+    """The part of a complex fixed by its simplices and signs alone.
+
+    ``incidence`` maps each facet to its (simplex index, omitted position)
+    pairs, and ``violations`` holds the label-independent findings of
+    ``validate``.
+    """
+
+    def __init__(self, simp: np.ndarray, sgn: np.ndarray):
+        incidence: dict[Facet, list] = {}
+        for t, s in enumerate(simp):
+            for omit in range(len(s)):
+                f = _sorted_tuple(np.delete(s, omit))
+                incidence.setdefault(f, []).append((t, omit))
+
+        bad = []
+        for f, inc in incidence.items():
+            if len(inc) > 2:
+                bad.append(("nonmanifold-facet", f"{f} borders {len(inc)} simplices"))
+            elif len(inc) == 2:
+                # each interior facet must be induced with opposite
+                # orientations by its two incident top simplices
+                (t1, o1), (t2, o2) = inc
+                f1 = tuple(np.delete(simp[t1], o1))
+                f2 = tuple(np.delete(simp[t2], o2))
+                m1 = int(sgn[t1]) * (-1) ** o1
+                m2 = int(sgn[t2]) * (-1) ** o2
+                if m1 * m2 * _perm_parity(f1, f2) != -1:
+                    bad.append(("inconsistent-orientation",
+                                f"facet {f} between simplices {t1},{t2}"))
+
+        self.incidence = incidence
+        self.boundary_facets = frozenset(
+            f for f, inc in incidence.items() if len(inc) == 1
+        )
+        self.violations = tuple(bad)
+
+
+def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:
+    """Canonical labels, each facet checked to be a boundary facet."""
     labels = dict(labels)
     for tag in labels:
         if tag not in REGION_TAGS:
             raise MeshError(f"unknown region tag {tag!r}")
+    clean: dict[str, frozenset] = {}
     for tag in REGION_TAGS:
         facets = set()
         for f in labels.get(tag, ()):
             ft = _sorted_tuple(f)
             if len(ft) != d or len(set(ft)) != d:
                 raise MeshError(f"label {tag}: {ft} is not a (d-1)-simplex")
-            if ft not in incidence:
+            if ft not in structure.incidence:
                 raise MeshError(f"label {tag}: {ft} is not a facet of the complex")
-            if ft not in boundary:
+            if ft not in structure.boundary_facets:
                 raise MeshError(f"label {tag}: {ft} is not a boundary facet")
             facets.add(ft)
-        clean_labels[tag] = frozenset(facets)
-
-    verts.flags.writeable = False
-    simp.flags.writeable = False
-    sgn.flags.writeable = False
-    return CobordismComplex(verts, simp, sgn, clean_labels, incidence)
+        clean[tag] = frozenset(facets)
+    return clean
 
 
 def validate(cx: CobordismComplex) -> ValidationReport:
     """Check every cobordism invariant; violations are data, not errors."""
-    bad: list[tuple[str, str]] = []
+    bad: list[tuple[str, str]] = list(cx._structure.violations)
 
     labeled: dict[Facet, list[str]] = {}
     for tag in REGION_TAGS:
         for f in cx.labels[tag]:
             labeled.setdefault(f, []).append(tag)
-
-    for f, inc in cx._facet_incidence.items():
-        if len(inc) > 2:
-            bad.append(("nonmanifold-facet", f"{f} borders {len(inc)} simplices"))
 
     for f in sorted(cx.boundary_facets):
         tags = labeled.get(f, [])
@@ -311,21 +340,6 @@ def validate(cx: CobordismComplex) -> ValidationReport:
 
     if cx.labels["A"] and cx.labels["X"] and not cx.corner_faces("A", "X"):
         bad.append(("A-X-corner-empty", "no shared (d-2)-face between A and X"))
-
-    # Orientation: each interior facet must be induced with opposite
-    # orientations by its two incident top simplices.
-    for f, inc in cx._facet_incidence.items():
-        if len(inc) != 2:
-            continue
-        (t1, o1), (t2, o2) = inc
-        f1 = tuple(np.delete(cx.simplices[t1], o1))
-        f2 = tuple(np.delete(cx.simplices[t2], o2))
-        m1 = int(cx.signs[t1]) * (-1) ** o1
-        m2 = int(cx.signs[t2]) * (-1) ** o2
-        if m1 * m2 * _perm_parity(f1, f2) != -1:
-            bad.append(
-                ("inconsistent-orientation", f"facet {f} between simplices {t1},{t2}")
-            )
 
     bad.sort()
     return ValidationReport(ok=not bad, violations=tuple(bad))

@@ -6,6 +6,12 @@ metric volume; the transform exchanges the roles of the region pairs
 distance to X instead.  Both integrals use lumped vertex quadrature by
 default; the barycentric form is kept as a cross-check (the two sums are
 rearrangements of each other).
+
+The transform changes only the labels: the relabeled signal shares its
+source's complex structure (checked once, when the complex was built),
+metric and cache.  Region fields are cached by facet set, so the source's
+distance-to-X field is the transformed signal's distance-to-A field, found
+without any search or copy.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 from .errors import CobsigError
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_field
 from .metric import lumped_vertex_volume
-from .signal import Signal, make_signal, swap_hints
+from .signal import Signal, require_valid, swap_hints
 
 #: Label permutation applied by the transform: new tag -> old tag.
 FOURIER_PERMUTATION = {"X": "A", "Y": "B", "A": "X", "B": "Y"}
@@ -48,38 +54,20 @@ def energy_barycentric(signal: Signal,
 def fourier_relabel(signal: Signal) -> Signal:
     """Exchange the region roles: new X/Y/A/B come from old A/B/X/Y.
 
-    Geometry and metric are untouched, hints are renamed accordingly, and
+    Geometry, metric and cache are shared, hints are renamed accordingly, and
     the relabeled signal must itself validate (the old X and Y become the
     new A and B, so they must not touch).  Applying the transform twice
     restores the original labels exactly.
     """
     cx = signal.complex
-    new_labels = {new: cx.labels[old] for new, old in FOURIER_PERMUTATION.items()}
+    relabeled = cx.with_labels(
+        {new: cx.labels[old] for new, old in FOURIER_PERMUTATION.items()}
+    )
     try:
-        out = make_signal(cx.with_labels(new_labels), signal.metric,
-                          swap_hints(signal.hints))
+        require_valid(relabeled)
     except CobsigError as exc:
         raise CobsigError(f"relabeled signal fails validation: {exc}") from exc
-    _share_caches(signal, out)
-    return out
-
-
-def _share_caches(src: Signal, dst: Signal) -> None:
-    # The refined graphs, vertex fields and quadrature weights depend only
-    # on geometry and metric, which the relabeled signal shares; region
-    # fields transfer under the label permutation.
-    for key, value in src._cache.items():
-        kind = key[0]
-        if kind in ("volumes", "lumped", "vfield"):
-            dst._cache.setdefault(key, value)
-        elif kind == "graph" and key[2] is None:
-            dst._cache.setdefault(key, value)
-        elif kind in ("graph", "field"):
-            tag = key[1] if kind == "field" else key[2]
-            new_tag = {v: k for k, v in FOURIER_PERMUTATION.items()}[tag]
-            new_key = (kind, new_tag, key[2]) if kind == "field" else (
-                kind, key[1], new_tag)
-            dst._cache.setdefault(new_key, value)
+    return Signal(relabeled, signal.metric, swap_hints(signal.hints), signal._cache)
 
 
 def fourier_energy(signal: Signal, steiner_level: int = DEFAULT_STEINER_LEVEL) -> float:

@@ -281,7 +281,8 @@ def _region_graph(signal, tag: str, s: int) -> _SteinerGraph:
         lengths = signal.metric.pair_lengths(edges)
         cells = np.array(sorted(cx.labels[tag]), dtype=np.int64)
         return _build_graph(cx.n_vertices, edges, lengths, cells, s)
-    return signal.cached(("graph", s, tag), build)
+    # keyed by the facet set, not the tag: relabelings share the graph
+    return signal.cached(("graph", s, signal.complex.labels[tag]), build)
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
@@ -346,7 +347,7 @@ def distance_field(signal, region: str,
             )
         return ScalarField(dist)
 
-    return signal.cached(("field", region, s), compute)
+    return signal.cached(("field", signal.complex.labels[region], s), compute)
 
 
 def distance_to_vertex(signal, p: int,

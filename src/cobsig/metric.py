@@ -56,14 +56,6 @@ class MetricField:
         self._codes = e[:, 0] * np.int64(nv + 1) + e[:, 1]
         self._nv_plus = np.int64(nv + 1)
 
-    @property
-    def edge_lengths(self) -> dict:
-        """Mapping from (u, v) pairs (u < v) to lengths."""
-        return {
-            (int(u), int(v)): float(l)
-            for (u, v), l in zip(self.edges, self.lengths)
-        }
-
     def length(self, u: int, v: int) -> float:
         return float(self.pair_lengths(np.array([[u, v]], dtype=np.int64))[0])
 

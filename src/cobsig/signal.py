@@ -1,9 +1,12 @@
 """The signal: a labeled cobordism complex paired with a metric.
 
 Signals are the unit every operation acts on.  They are immutable; derived
-artifacts (refined graphs, distance fields, quadrature weights) are memoized
-on a private cache keyed by their parameters, which is safe because neither
-the complex nor the metric can change.
+artifacts (volumes, refined graphs, distance fields, quadrature weights) are
+memoized through ``Signal.cached`` on a private cache keyed by what they
+depend on: the metric alone, or the metric and a region's facet set, never a
+region tag.  A relabeling of the same geometry and metric therefore shares
+its source's cache as is, and each region field is found under its facets
+whatever the region is called.
 """
 
 from __future__ import annotations
@@ -47,10 +50,9 @@ class Signal:
         return self.complex.dim
 
     def simplex_volumes(self) -> np.ndarray:
-        key = ("volumes",)
-        if key not in self._cache:
-            self._cache[key] = simplex_volumes(self.metric, self.complex.simplices)
-        return self._cache[key]
+        return self.cached(
+            ("volumes",), lambda: simplex_volumes(self.metric, self.complex.simplices)
+        )
 
     def cached(self, key, compute):
         if key not in self._cache:
@@ -65,15 +67,20 @@ def make_signal(cx: CobordismComplex, metric: MetricField | None = None,
     Raises CobsigError when the complex fails validation, and MetricError
     when any top simplex is degenerate under the metric.
     """
-    report = validate(cx)
-    if not report.ok:
-        names = ", ".join(sorted({v[0] for v in report.violations}))
-        raise CobsigError(f"complex fails validation: {names}")
+    require_valid(cx)
     if metric is None:
         metric = induced_metric(cx)
     sig = Signal(cx, metric, dict(hints or {}))
     sig.simplex_volumes()  # force the nondegeneracy check
     return sig
+
+
+def require_valid(cx: CobordismComplex) -> None:
+    """Raise CobsigError naming every invariant the complex violates."""
+    report = validate(cx)
+    if not report.ok:
+        names = ", ".join(sorted({v[0] for v in report.violations}))
+        raise CobsigError(f"complex fails validation: {names}")
 
 
 def swap_hints(hints: dict) -> dict:

@@ -200,11 +200,9 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
     try:
         sub_cx = build_complex(cx.vertices[used], new_simp, relabeled,
                                cx.signs[kept])
-        sub_edges_orig = np.array(
-            [[used[u], used[v]] for u, v in sub_cx.edges()], dtype=np.int64
-        )
+        sub_edges = sub_cx.edges()
         sub_metric = MetricField(
-            sub_cx.edges(), signal.metric.pair_lengths(sub_edges_orig),
+            sub_edges, signal.metric.pair_lengths(used[sub_edges]),
             signal.metric.source,
         )
         out = make_signal(sub_cx, sub_metric, hints={})
@@ -324,18 +322,15 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
         edges = merged.edges()
         # left lengths win on glued edges; both sides agree within tolerance
         # for induced metrics because the glued coordinates agree
-        left_codes = {
-            (int(u), int(v)) for u, v in left.metric.edges
-        }
+        base = np.int64(merged_vertices.shape[0] + 1)
+        left_edges = left.metric.edges
+        on_left = np.isin(edges[:, 0] * base + edges[:, 1],
+                          left_edges[:, 0] * base + left_edges[:, 1])
         lengths = np.empty(len(edges))
         right_back = np.full(merged_vertices.shape[0], -1, dtype=np.int64)
         right_back[offset_map] = np.arange(rcx.n_vertices)
-        for k, (u, v) in enumerate(edges):
-            if (int(u), int(v)) in left_codes:
-                lengths[k] = left.metric.length(int(u), int(v))
-            else:
-                ru, rv = int(right_back[u]), int(right_back[v])
-                lengths[k] = right.metric.length(ru, rv)
+        lengths[on_left] = left.metric.pair_lengths(edges[on_left])
+        lengths[~on_left] = right.metric.pair_lengths(right_back[edges[~on_left]])
         metric = MetricField(edges, lengths, "induced"
                              if left.metric.source == right.metric.source ==
                              "induced" else "deformed")

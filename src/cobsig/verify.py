@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy, fourier_energy
+from .energy import energy, energy_ratio, fourier_energy
 from .errors import CobsigError, FilterError
-from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_to_vertex,
-                      injectivity_radius)
+from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_field,
+                      distance_to_vertex, injectivity_radius)
 from .metric import lumped_vertex_volume, region_volume, total_volume
 from .signal import Signal
 from .signalops import NoiseSpec, apply_noise, compose
@@ -192,16 +192,12 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
     if len(eps_arr) > 1 and np.any(np.diff(eps_arr) >= 0):
         raise ValueError("eps values must be strictly descending")
 
-    from .energy import energy_ratio
-
     d = signal.dim
     expo = d / 2.0  # (k + 2) / 2 with d = k + 2
     rho_p = distance_to_vertex(signal, spec_base.center, steiner_level).values
     inside = rho_p <= spec_base.delta0
     outside = ~inside
     base_ratio = energy_ratio(signal, steiner_level)
-
-    from .geodesy import distance_field
 
     rows = []
     for eps in eps_arr:
@@ -506,7 +502,7 @@ def refinement_study(kind: str, params: dict, resolutions,
         rows.append(row)
         prev_e, prev_ef = e, ef
 
-    def order(first, last, r_first, r_last, key):
+    def order(r_first, r_last, key):
         lo = max(rows[0][key], 1e-18)
         hi = max(rows[-1][key], 1e-18)
         return float(np.log(lo / hi) / np.log(r_last / r_first))
@@ -514,6 +510,6 @@ def refinement_study(kind: str, params: dict, resolutions,
     return ConvergenceReport(
         rows=tuple(rows),
         oracle=oracle,
-        observed_order_E=order(rows[0], rows[-1], res_list[0], res_list[-1], "err_E"),
-        observed_order_EF=order(rows[0], rows[-1], res_list[0], res_list[-1], "err_EF"),
+        observed_order_E=order(res_list[0], res_list[-1], "err_E"),
+        observed_order_EF=order(res_list[0], res_list[-1], "err_EF"),
     )

@@ -95,11 +95,15 @@ def test_build_rejects_interior_facet_label():
     labels["A"] = [(0, 2)]  # the shared diagonal is interior
     with pytest.raises(MeshError):
         build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels)
+    with pytest.raises(MeshError):
+        unit_square().with_labels(labels)
 
 
 def test_build_rejects_unknown_tag():
     with pytest.raises(MeshError):
         build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, {"Q": [(0, 1)]})
+    with pytest.raises(MeshError):
+        unit_square().with_labels({"Q": [(0, 1)]})
 
 
 def test_build_rejects_unsupported_dimension():
@@ -115,9 +119,12 @@ def test_orientation_mismatch_reported():
         [(0, 1, 2), (0, 3, 2)],
         UNIT_SQUARE_LABELS,
     )
-    report = validate(cx)
-    names = {v[0] for v in report.violations}
-    assert "inconsistent-orientation" in names
+    # the structural finding is shared by relabelings, not lost
+    relabeled = cx.with_labels({"X": [(2, 3)], "Y": [(0, 1)],
+                                "A": [(1, 2)], "B": [(0, 3)]})
+    for c in (cx, relabeled):
+        names = {v[0] for v in validate(c).violations}
+        assert "inconsistent-orientation" in names
 
 
 def test_orientation_sign_flag_restores_consistency():

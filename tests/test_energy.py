@@ -9,6 +9,7 @@ import cobsig as cs
 from cobsig.energy import (energy, energy_barycentric, energy_ratio,
                            fourier_energy, fourier_relabel)
 from cobsig.errors import CobsigError
+from cobsig.geodesy import distance_field
 from cobsig.metric import conformal_scale
 from cobsig.signal import Signal
 
@@ -52,6 +53,28 @@ def test_fourier_relabel_involution(square8, shell16):
         for tag in "XYAB":
             assert twice.complex.labels[tag] == sig.complex.labels[tag]
         assert twice.hints == sig.hints
+
+
+def test_fourier_relabel_shares_region_fields(square8):
+    assert distance_field(fourier_relabel(square8), "A") is distance_field(square8, "X")
+
+
+def test_energy_ratio_after_both_energies_starts_no_search(monkeypatch):
+    import cobsig.geodesy as geodesy
+    searches = []
+    real = geodesy.dijkstra
+
+    def counted(*args, **kwargs):
+        searches.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geodesy, "dijkstra", counted)
+    sig = cs.gen_square(4)
+    energy(sig)
+    fourier_energy(sig)
+    assert len(searches) == 2  # one multi-source search per region field
+    energy_ratio(sig)
+    assert len(searches) == 2
 
 
 def test_fourier_relabel_swaps_hints(shell16):
