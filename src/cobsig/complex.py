@@ -133,6 +133,14 @@ class CobordismComplex:
         }
         return frozenset(faces_a & faces_b)
 
+    def cached(self, key, compute):
+        """Memoize a value fixed by the structure (and any facet set in the
+        key); every relabeling and every signal on this complex shares it."""
+        cache = self._structure.cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
     # -- derived labelings -------------------------------------------------
 
     def with_labels(self, labels) -> "CobordismComplex":
@@ -235,7 +243,7 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     if signs is None:
         sgn = np.ones(len(simp), dtype=np.int64)
     else:
-        sgn = np.asarray(signs, dtype=np.int64)
+        sgn = np.array(signs, dtype=np.int64)
         if sgn.shape != (len(simp),) or not np.all(np.abs(sgn) == 1):
             raise MeshError("signs must be +-1, one per top simplex")
 
@@ -252,7 +260,8 @@ class _Structure:
 
     ``incidence`` maps each facet to its (simplex index, omitted position)
     pairs, and ``violations`` holds the label-independent findings of
-    ``validate``.
+    ``validate``.  ``cache`` holds what ``CobordismComplex.cached`` derives
+    from the structure, such as refined-graph patterns.
     """
 
     def __init__(self, simp: np.ndarray, sgn: np.ndarray):
@@ -283,6 +292,7 @@ class _Structure:
             f for f, inc in incidence.items() if len(inc) == 1
         )
         self.violations = tuple(bad)
+        self.cache: dict = {}
 
 
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:

@@ -54,9 +54,8 @@ def signal_from_dict(data: dict) -> Signal:
         edges.sort(axis=1)
         lengths = np.array([m["length"] for m in data["metric"]])
         metric = MetricField(edges, lengths, "deformed")
-        expected = {tuple(e) for e in cx.edges().tolist()}
-        got = {tuple(e) for e in metric.edges.tolist()}
-        if expected != got:
+        # both are canonical and lexsorted, so a repeated edge shows
+        if not np.array_equal(metric.edges, cx.edges()):
             raise CobsigError("metric edge set does not match the complex")
     else:
         metric = induced_metric(cx)

@@ -11,6 +11,17 @@ bit-identical weights (sub-edge lengths are exact halvings, coarse chords
 reappear with the same endpoints), so distance fields are exactly
 non-increasing in s.  Results are upper bounds on the true geodesic
 distances and are deterministic across runs.
+
+A graph is built in two parts.  Its pattern -- node layout, the node pairs
+of every sub-edge and chord, how repeated pairs group, and the CSR
+``indptr``/``indices`` -- depends only on the complex's structure, the cell
+set (all top simplices, or one region's facets) and s.  It is built once
+and kept on the structure that noise, relabelings and every signal on the
+complex share.  Each metric then only refills the weights: chord lengths
+from the cells' flat embeddings, a per-pair minimum and a scatter into the
+shared pattern, with no sort and no COO conversion.  The scheme is the
+Steiner-point discretization of Lanthier, Maheshwari and Sack (Algorithmica
+30, 2001).
 """
 
 from __future__ import annotations
@@ -73,7 +84,6 @@ def _chord_template(q: int, s: int):
     common edge are omitted because sub-edge chains already cover them.
     """
     slots = list(itertools.combinations(range(q + 1), 2))
-    interior = 2**s - 1
     # descriptor: ("v", position) or ("e", slot_index, m)
     nodes = [("v", i) for i in range(q + 1)]
     for si in range(len(slots)):
@@ -92,7 +102,7 @@ def _chord_template(q: int, s: int):
                 continue
             pairs.append((a, b))
     pairs_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return slots, nodes, pairs_arr, interior
+    return slots, nodes, pairs_arr
 
 
 def _embed_cells(sq: np.ndarray, q: int) -> np.ndarray:
@@ -121,25 +131,72 @@ def _embed_cells(sq: np.ndarray, q: int) -> np.ndarray:
     return P
 
 
-class _SteinerGraph:
-    """Refined 1-skeleton graph with vertex nodes first.
+class _Pattern:
+    """Metric-free part of a refined graph: node layout and CSR structure.
 
     Node layout: indices 0..nv-1 are the original vertices; the interior
     points of edge row k occupy nv + k*(2**s - 1) .. in parameter order
     (measured from the smaller-index endpoint).
+
+    The graph's raw entries are, in order, the sub-edges of every level
+    t = 0..s (kept as skip edges so refinement can only shorten paths) and
+    then each cell's chords.  A node pair may occur twice: a 3D chord on a
+    facet shared by two tetrahedra.  ``first`` holds the first raw entry of
+    each distinct pair, ``dup_group``/``dup_raw`` the (pair, raw entry) of
+    every repeat, and ``slot_pair`` the pair behind each slot of the
+    canonical CSR ``indptr``/``indices`` of the symmetric matrix.
     """
 
-    def __init__(self, nv, s, edges, lengths, matrix=None):
+    def __init__(self, nv: int, edges: np.ndarray, cells: np.ndarray, s: int):
         self.nv = nv
         self.s = s
         self.edges = edges
-        self.lengths = lengths
-        self.matrix = matrix
-        self.n_nodes = matrix.shape[0] if matrix is not None else 0
+        ne = len(edges)
         self._interior = 2**s - 1
-        nmax = int(edges.max()) + 1 if len(edges) else 1
+        self.n_nodes = nv + ne * self._interior
+        nmax = int(edges.max()) + 1 if ne else 1
         self._code_base = np.int64(nmax + 1)
         self._codes = edges[:, 0] * self._code_base + edges[:, 1]
+
+        q = cells.shape[1] - 1
+        self._q = q if q >= 2 and len(cells) else 0
+        self.cell_rows = None  # edge row of each cell edge, in slot order
+        if self._q:
+            slots = _chord_template(q, s)[0]
+            self.cell_rows = np.stack(
+                [self.edge_rows(cells[:, [i, j]]) for i, j in slots], axis=1
+            ).astype(np.int32)
+        code = self._raw_pairs(cells)
+        self.n_raw = len(code)
+        self.first, self.dup_group, self.dup_raw, code = _group_pairs(code)
+        self.indptr, self.indices, self.slot_pair = _csr_pattern(code, self.n_nodes)
+
+    def _raw_pairs(self, cells: np.ndarray) -> np.ndarray:
+        """Node pair code lo * n_nodes + hi of every raw entry, in order."""
+        s, ne = self.s, len(self.edges)
+        src, dst = [], []
+        rows = np.arange(ne, dtype=np.int64)
+        for t in range(s + 1):
+            step = 2 ** (s - t)
+            for j in range(2**t):
+                src.append(self.node_ids(rows, np.full(ne, j * step)))
+                dst.append(self.node_ids(rows, np.full(ne, (j + 1) * step)))
+        if self._q:
+            slots, nodes, pairs = _chord_template(self._q, s)
+            gids = np.empty((len(cells), len(nodes)), dtype=np.int64)
+            for k, desc in enumerate(nodes):
+                if desc[0] == "v":
+                    gids[:, k] = cells[:, desc[1]]
+                else:
+                    si, m = desc[1], desc[2]
+                    i, j = slots[si]
+                    m_global = np.where(cells[:, i] > cells[:, j], 2**s - m, m)
+                    gids[:, k] = self.node_ids(self.cell_rows[:, si], m_global)
+            src.append(gids[:, pairs[:, 0]].ravel())
+            dst.append(gids[:, pairs[:, 1]].ravel())
+        i = np.concatenate(src)
+        j = np.concatenate(dst)
+        return np.minimum(i, j) * np.int64(self.n_nodes) + np.maximum(i, j)
 
     def node_ids(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Graph node for parameter m/2**s along edge rows (m in 0..2**s)."""
@@ -171,6 +228,97 @@ class _SteinerGraph:
         base = self.nv + np.asarray(rows, dtype=np.int64)[:, None] * self._interior
         return (base + np.arange(self._interior)[None, :]).ravel()
 
+    def _chord_lengths(self, lengths: np.ndarray) -> np.ndarray:
+        """Chord lengths per cell, from each cell's flat embedding."""
+        q, s = self._q, self.s
+        slots, nodes, pairs = _chord_template(q, s)
+        sq = np.zeros((len(self.cell_rows), q + 1, q + 1), dtype=np.float64)
+        for si, (i, j) in enumerate(slots):
+            l = lengths[self.cell_rows[:, si]]
+            sq[:, i, j] = l * l
+            sq[:, j, i] = sq[:, i, j]
+        P = _embed_cells(sq, q).transpose(2, 0, 1)  # (axis, cell, vertex)
+        coords = np.empty((q, len(self.cell_rows), len(nodes)), dtype=np.float64)
+        for k, desc in enumerate(nodes):
+            if desc[0] == "v":
+                coords[:, :, k] = P[:, :, desc[1]]
+            else:
+                i, j = slots[desc[1]]
+                t = np.float64(desc[2]) / np.float64(2**s)
+                coords[:, :, k] = P[:, :, i] * (1.0 - t) + P[:, :, j] * t
+        # summed axis by axis in the order np.sum takes: lengths stay bit-identical
+        total = 0.0
+        for x in coords:
+            d = x[:, pairs[:, 0]] - x[:, pairs[:, 1]]
+            total = total + d * d
+        return np.sqrt(total).ravel()
+
+    def fill(self, lengths: np.ndarray) -> csr_matrix:
+        """The symmetric weight matrix for per-edge ``lengths``.
+
+        Each node pair keeps the minimum weight over its raw entries: the
+        first entry's weight, folded with the repeats by ``np.minimum.at``.
+        That minimum is exact, so it does not depend on which cell a chord
+        came from.  No sort and no COO conversion runs here.
+        """
+        ne = len(self.edges)
+        w = np.empty(self.n_raw, dtype=np.float64)
+        pos = 0
+        for t in range(self.s + 1):
+            seg_w = lengths / np.float64(2**t)
+            for _ in range(2**t):
+                w[pos:pos + ne] = seg_w
+                pos += ne
+        if self._q:
+            w[pos:] = self._chord_lengths(lengths)
+        pair_w = w[self.first]
+        np.minimum.at(pair_w, self.dup_group, w[self.dup_raw])
+        return csr_matrix((pair_w[self.slot_pair], self.indices, self.indptr),
+                          shape=(self.n_nodes, self.n_nodes))
+
+
+def _group_pairs(code: np.ndarray):
+    """Group equal raw pair codes.
+
+    Returns the first raw entry of each distinct code, the (group, raw
+    entry) of every repeat, and the distinct codes in ascending order.
+    """
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    new = np.ones(len(code), dtype=bool)
+    new[1:] = code[1:] != code[:-1]
+    first = order[new].astype(np.int32)
+    dup_group = (np.cumsum(new)[~new] - 1).astype(np.int32)
+    dup_raw = order[~new].astype(np.int32)
+    return first, dup_group, dup_raw, code[new]
+
+
+def _csr_pattern(code: np.ndarray, n: int):
+    """Canonical CSR structure of the symmetric matrix on distinct pairs.
+
+    Every pair lo * n + hi fills slots (lo, hi) and (hi, lo); rows and the
+    columns within a row ascend.  Returns ``indptr``, ``indices`` and the
+    pair behind each slot.
+    """
+    n64 = np.int64(n)
+    both = np.concatenate([code, (code % n64) * n64 + code // n64])
+    perm = np.argsort(both)
+    both = both[perm]
+    slot_pair = (perm % len(code)).astype(np.int32)
+    indices = (both % n64).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(both // n64, minlength=n), out=indptr[1:])
+    return indptr, indices, slot_pair
+
+
+class _SteinerGraph:
+    """A refined graph: a shared pattern weighted by one metric."""
+
+    def __init__(self, pattern: _Pattern, lengths: np.ndarray):
+        self.pattern = pattern
+        self.nv = pattern.nv
+        self.matrix = pattern.fill(lengths)
+
 
 def _build_graph(nv: int, edges: np.ndarray, lengths: np.ndarray,
                  cells: np.ndarray, s: int) -> _SteinerGraph:
@@ -178,111 +326,32 @@ def _build_graph(nv: int, edges: np.ndarray, lengths: np.ndarray,
 
     ``cells`` may be top simplices (bulk geodesics) or region facets
     (intrinsic region geodesics); cells with fewer than 3 vertices add no
-    chords.  Edge weights at every coarser level are kept as skip edges so
-    refinement can only shorten paths.
+    chords.
     """
-    ne = len(edges)
-    interior = 2**s - 1
-    n_nodes = nv + ne * interior
-    graph = _SteinerGraph(nv, s, edges, lengths, None)
-
-    src, dst, wgt = [], [], []
-    rows = np.arange(ne, dtype=np.int64)
-    for t in range(s + 1):
-        step = 2 ** (s - t)
-        seg_w = lengths / np.float64(2**t)
-        for j in range(2**t):
-            a = graph.node_ids(rows, np.full(ne, j * step, dtype=np.int64))
-            b = graph.node_ids(rows, np.full(ne, (j + 1) * step, dtype=np.int64))
-            src.append(a)
-            dst.append(b)
-            wgt.append(seg_w)
-
-    q = cells.shape[1] - 1 if len(cells) else 0
-    if q >= 2 and len(cells):
-        slots, nodes, pairs, _ = _chord_template(q, s)
-        sq = np.zeros((len(cells), q + 1, q + 1), dtype=np.float64)
-        for i, j in itertools.combinations(range(q + 1), 2):
-            # pair lengths looked up through the edge rows of this graph
-            r = graph.edge_rows(cells[:, [i, j]])
-            l = lengths[r]
-            sq[:, i, j] = l * l
-            sq[:, j, i] = sq[:, i, j]
-        P = _embed_cells(sq, q)
-
-        # local coordinates and global ids for every template node
-        coords = np.empty((len(cells), len(nodes), q), dtype=np.float64)
-        gids = np.empty((len(cells), len(nodes)), dtype=np.int64)
-        slot_rows = {}
-        slot_flip = {}
-        for si, (i, j) in enumerate(slots):
-            slot_rows[si] = graph.edge_rows(cells[:, [i, j]])
-            slot_flip[si] = cells[:, i] > cells[:, j]
-        for k, desc in enumerate(nodes):
-            if desc[0] == "v":
-                coords[:, k, :] = P[:, desc[1], :]
-                gids[:, k] = cells[:, desc[1]]
-            else:
-                si, m = desc[1], desc[2]
-                i, j = slots[si]
-                t = np.float64(m) / np.float64(2**s)
-                coords[:, k, :] = P[:, i, :] * (1.0 - t) + P[:, j, :] * t
-                m_global = np.where(slot_flip[si], 2**s - m, m)
-                gids[:, k] = graph.node_ids(slot_rows[si], m_global)
-
-        diff = coords[:, pairs[:, 0], :] - coords[:, pairs[:, 1], :]
-        clen = np.sqrt(np.sum(diff * diff, axis=2))
-        src.append(gids[:, pairs[:, 0]].ravel())
-        dst.append(gids[:, pairs[:, 1]].ravel())
-        wgt.append(clen.ravel())
-
-    i = np.concatenate(src)
-    j = np.concatenate(dst)
-    w = np.concatenate(wgt)
-
-    # Deduplicate node pairs, keeping the minimum weight.  Duplicates occur
-    # when two tetrahedra share a facet and both embed the same chord; exact
-    # arithmetic would agree, floats may differ in the last ulp.
-    lo = np.minimum(i, j)
-    hi = np.maximum(i, j)
-    code = lo * np.int64(n_nodes) + hi
-    order = np.lexsort((w, code))
-    code_sorted = code[order]
-    first = np.empty(len(order), dtype=bool)
-    if len(order):
-        first[0] = True
-        first[1:] = code_sorted[1:] != code_sorted[:-1]
-    keep = order[first]
-    lo, hi, w = lo[keep], hi[keep], w[keep]
-
-    mat = csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(n_nodes, n_nodes),
-    )
-    graph.matrix = mat
-    graph.n_nodes = n_nodes
-    return graph
+    return _SteinerGraph(_Pattern(nv, edges, cells, s), lengths)
 
 
-def _full_graph(signal, s: int) -> _SteinerGraph:
+def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
+    """Refined graph of the whole complex (``tag`` None) or of a region.
+
+    The pattern depends on the structure, the cell set and ``s`` alone, so
+    it is kept on the complex's shared structure, keyed by the region's
+    facet set: noise, relabelings and every later metric reuse it and only
+    refill the weights.
+    """
+    cx = signal.complex
+    facets = None if tag is None else cx.labels[tag]
+
+    def pattern():
+        if tag is None:
+            return _Pattern(cx.n_vertices, cx.edges(), cx.simplices, s)
+        cells = np.array(sorted(facets), dtype=np.int64)
+        return _Pattern(cx.n_vertices, cx.facet_edges(tag), cells, s)
+
     def build():
-        m = signal.metric
-        return _build_graph(
-            signal.complex.n_vertices, m.edges, m.lengths,
-            signal.complex.simplices, s,
-        )
-    return signal.cached(("graph", s, None), build)
-
-
-def _region_graph(signal, tag: str, s: int) -> _SteinerGraph:
-    def build():
-        cx = signal.complex
-        edges = cx.facet_edges(tag)
-        lengths = signal.metric.pair_lengths(edges)
-        cells = np.array(sorted(cx.labels[tag]), dtype=np.int64)
-        return _build_graph(cx.n_vertices, edges, lengths, cells, s)
-    # keyed by the facet set, not the tag: relabelings share the graph
-    return signal.cached(("graph", s, signal.complex.labels[tag]), build)
+        pat = cx.cached(("pattern", s, facets), pattern)
+        return _SteinerGraph(pat, signal.metric.pair_lengths(pat.edges))
+    return signal.cached(("graph", s, facets), build)
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
@@ -290,9 +359,8 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
     verts = region_vertices(signal.complex, tag)
     if len(verts) == 0:
         raise RegionError(f"region {tag!r} is empty")
-    sub_edges = signal.complex.facet_edges(tag)
-    rows = graph.edge_rows(sub_edges)
-    steiner = graph.steiner_ids_of_rows(rows)
+    rows = graph.pattern.edge_rows(signal.complex.facet_edges(tag))
+    steiner = graph.pattern.steiner_ids_of_rows(rows)
     return np.concatenate([verts, steiner])
 
 
@@ -336,7 +404,7 @@ def distance_field(signal, region: str,
         raise GeodesyError("steiner_level must be >= 0")
 
     def compute():
-        graph = _full_graph(signal, s)
+        graph = _graph(signal, s)
         sources = _region_sources(signal, graph, region)
         dist = _min_distances(graph, sources)[: graph.nv]
         if np.any(np.isinf(dist)):
@@ -359,7 +427,7 @@ def distance_to_vertex(signal, p: int,
     s = int(steiner_level)
 
     def compute():
-        graph = _full_graph(signal, s)
+        graph = _graph(signal, s)
         dist = _min_distances(graph, np.array([p], dtype=np.int64))[: graph.nv]
         if np.any(np.isinf(dist)):
             raise GeodesyError(f"complex is disconnected from vertex {p}")
@@ -378,10 +446,10 @@ def diameter(signal, subset: str = "M",
     """
     s = int(steiner_level)
     if subset in ("M", "all"):
-        graph = _full_graph(signal, s)
+        graph = _graph(signal, s)
         verts = np.arange(signal.complex.n_vertices, dtype=np.int64)
     elif subset in REGION_TAGS:
-        graph = _region_graph(signal, subset, s)
+        graph = _graph(signal, s, subset)
         verts = region_vertices(signal.complex, subset)
         if len(verts) == 0:
             raise RegionError(f"region {subset!r} is empty")
@@ -436,11 +504,11 @@ def injectivity_radius(signal, region: str,
 
     s = int(steiner_level)
     f = distance_field(signal, region, s).values
-    graph = _full_graph(signal, s)
+    graph = _graph(signal, s)
     region_ids = region_vertices(signal.complex, region)
     all_verts = np.arange(graph.nv, dtype=np.int64)
     feet = _distances_to_vertices(graph, region_ids, all_verts)
-    rgraph = _region_graph(signal, region, s)
+    rgraph = _graph(signal, s, region)
     intra = _distances_to_vertices(rgraph, region_ids, region_ids)
     est = _first_cut_estimate(f, feet, intra, region_ids)
     if est is None:

@@ -227,6 +227,18 @@ def test_load_rejects_metric_edge_mismatch(tmp_path):
         load_signal(path)
 
 
+def test_load_rejects_duplicated_metric_edge(tmp_path):
+    from cobsig.errors import CobsigError
+    from cobsig.fileio import signal_to_dict
+    data = signal_to_dict(cs.gen_square(2), include_metric=True)
+    # every complex edge is listed, one of them twice with another length
+    data["metric"].append({"edge": data["metric"][0]["edge"], "length": 5.0})
+    path = tmp_path / "dup_metric.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CobsigError, match="metric edge set does not match"):
+        load_signal(path)
+
+
 def test_cli_unbuildable_mesh_exits_1(tmp_path, capsys):
     from cobsig.fileio import signal_to_dict
     data = signal_to_dict(cs.gen_square(2))

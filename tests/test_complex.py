@@ -106,6 +106,16 @@ def test_build_rejects_unknown_tag():
         unit_square().with_labels({"Q": [(0, 1)]})
 
 
+def test_build_leaves_caller_signs_writeable():
+    signs = np.ones(2, dtype=np.int64)
+    cx = build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, UNIT_SQUARE_LABELS,
+                       signs)
+    assert signs.flags.writeable
+    assert not cx.signs.flags.writeable
+    signs[0] = -1
+    assert cx.signs[0] == 1
+
+
 def test_build_rejects_unsupported_dimension():
     with pytest.raises(MeshError):
         build_complex([(0.0,), (1.0,)], [(0, 1)], {})

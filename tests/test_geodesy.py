@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cobsig as cs
+from cobsig import geodesy
 from cobsig.errors import GeodesyError, RegionError
-from cobsig.geodesy import (_build_graph, _first_cut_estimate, diameter,
-                            distance_field, distance_to_vertex,
+from cobsig.fileio import signal_from_dict, signal_to_dict
+from cobsig.geodesy import (_build_graph, _first_cut_estimate, _graph,
+                            diameter, distance_field, distance_to_vertex,
                             injectivity_radius)
 from cobsig.metric import conformal_scale
 from cobsig.signal import Signal
+from cobsig.signalops import NoiseSpec, apply_noise
+from cobsig.verify import eps_sweep
 
 
 def test_square_distance_to_left_edge_is_x(square16):
@@ -175,3 +179,62 @@ def test_scalar_field_json_round_trip(square8):
     data = json.loads(json.dumps(f.tolist()))
     assert data == f.tolist()
     assert len(data) == square8.complex.n_vertices
+
+
+# Noise balls that change edge lengths on the region named with them: on the
+# square the ball reaches the right edge B, on the shell it sits on the
+# outer wall Y; both avoid A and X as noise requires.
+NOISE_CASES = {
+    "square8": ((0.75, 0.5), 0.125, 0.375, "B"),
+    "shell16": ((1.2, 0.0, 0.5), 0.05, 0.15, "Y"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_CASES))
+@pytest.mark.parametrize("whole", [True, False])
+def test_noise_refills_the_shared_pattern(request, name, whole):
+    sig = request.getfixturevalue(name)
+    centre, delta0, delta, region = NOISE_CASES[name]
+    p = cs.vertex_at(sig, centre, tol=1e-6)
+    noisy = apply_noise(sig, NoiseSpec(p, delta0, delta, 0.5))
+    tag = None if whole else region
+    base = _graph(sig, 2, tag)
+    graph = _graph(noisy, 2, tag)
+    assert graph.pattern is base.pattern
+    assert graph.matrix.indptr is base.matrix.indptr
+    assert np.shares_memory(graph.matrix.indices, base.matrix.indices)
+    assert not np.array_equal(graph.matrix.data, base.matrix.data)
+
+    # a complex loaded afresh shares no pattern, and builds the same graph
+    fresh = signal_from_dict(signal_to_dict(noisy, include_metric=True))
+    ref = _graph(fresh, 2, tag)
+    assert ref.pattern is not base.pattern
+    for key in ("data", "indices", "indptr"):
+        got, want = getattr(graph.matrix, key), getattr(ref.matrix, key)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_repeated_chords_keep_the_exact_minimum(shell16):
+    # a chord on a facet shared by two tets is built by both, possibly one
+    # ulp apart; the graph keeps the smaller weight whatever the cell order
+    cx, m = shell16.complex, shell16.metric
+    fwd = _build_graph(cx.n_vertices, m.edges, m.lengths, cx.simplices, 2)
+    rev = _build_graph(cx.n_vertices, m.edges, m.lengths, cx.simplices[::-1], 2)
+    assert fwd.matrix.data.tobytes() == rev.matrix.data.tobytes()
+    assert len(fwd.pattern.dup_raw) > 0
+
+
+def test_eps_sweep_builds_one_full_pattern(monkeypatch):
+    sig = cs.gen_square(8)  # a fresh complex: no pattern is stored yet
+    built = []
+    make = geodesy._Pattern
+
+    def counting(nv, edges, cells, s):
+        built.append(cells.shape[1])
+        return make(nv, edges, cells, s)
+
+    monkeypatch.setattr(geodesy, "_Pattern", counting)
+    p = cs.vertex_at(sig, (0.75, 0.5))
+    eps_sweep(sig, NoiseSpec(p, 0.125, 0.375, 0.5), [0.4, 0.2, 0.1, 0.05])
+    assert built.count(3) == 1  # triangles: the full graph
