@@ -11,11 +11,16 @@ Complexes are immutable after construction and safe for concurrent reads.
 invariants live in ``validate`` so that deliberately broken instances can be
 constructed and inspected.
 
-What depends only on (simplices, signs) -- the facet incidence, the boundary
-facets and the structural half of ``validate`` (non-manifold facets and
-inconsistent orientation) -- is computed once by ``build_complex`` and shared
-by every relabeling made with ``with_labels``, which checks only the new
-labels.  ``validate`` then runs only the label checks on top of it.
+What depends only on (simplices, signs) is the complex's topology, and one
+``_Structure`` owns it: the facet table, the boundary facets, the structural
+half of ``validate`` (non-manifold facets and inconsistent orientation), the
+canonical edge table that ``edges()`` returns, and ``simplex_edge_rows``, the
+edge-table row of every edge of every top simplex.  ``build_complex`` builds
+it once, with array operations, and every relabeling made with
+``with_labels`` shares it; ``with_labels`` checks only the new labels and
+``validate`` adds only the label checks.  Other modules index these tables
+and derive no topology of their own; ``edge_rows`` is the one lookup from
+vertex pairs to edge rows.
 """
 
 from __future__ import annotations
@@ -32,30 +37,6 @@ REGION_TAGS = ("X", "Y", "A", "B")
 Facet = tuple[int, ...]
 
 
-def _sorted_tuple(verts) -> Facet:
-    return tuple(sorted(int(v) for v in verts))
-
-
-def _perm_parity(a, b) -> int:
-    """Sign of the permutation taking ordering ``a`` to ordering ``b``."""
-    index = {v: i for i, v in enumerate(b)}
-    perm = [index[v] for v in a]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        cycle_len = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle_len += 1
-        if cycle_len % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class CobordismComplex:
     """Immutable d-complex with ambient coordinates and region labels.
 
@@ -69,6 +50,10 @@ class CobordismComplex:
     simplices : (nt, d+1) int array, read-only
     signs : (nt,) int array of +-1, read-only
     labels : dict mapping region tag to frozenset of facet tuples
+    boundary_facets : frozenset of the facet tuples with one simplex
+    simplex_edge_rows : (nt, d(d+1)/2) int array, read-only
+        Row in ``edges()`` of each simplex's edge (i, j), i < j, in
+        ``itertools.combinations`` order.
     """
 
     def __init__(self, vertices, simplices, signs, labels, structure):
@@ -78,6 +63,7 @@ class CobordismComplex:
         self.labels = labels
         self._structure = structure
         self.boundary_facets = structure.boundary_facets
+        self.simplex_edge_rows = structure.simplex_edge_rows
 
     # -- basic queries ----------------------------------------------------
 
@@ -98,26 +84,9 @@ class CobordismComplex:
         return self.simplices.shape[0]
 
     def edges(self) -> np.ndarray:
-        """All 1-skeleton edges as a (ne, 2) array of sorted pairs, lexsorted."""
-        d = self.dim
-        pairs = []
-        for i, j in itertools.combinations(range(d + 1), 2):
-            pairs.append(self.simplices[:, [i, j]])
-        e = np.vstack(pairs)
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
-
-    def facet_edges(self, tag: str) -> np.ndarray:
-        """Edges of the subcomplex spanned by the facets labeled ``tag``."""
-        facets = sorted(self.labels[tag])
-        if not facets:
-            raise RegionError(f"region {tag!r} has no facets")
-        pairs = []
-        for f in facets:
-            for u, v in itertools.combinations(f, 2):
-                pairs.append((u, v))
-        e = np.array(pairs, dtype=np.int64)
-        return np.unique(e, axis=0)
+        """All 1-skeleton edges as a read-only (ne, 2) array of sorted pairs,
+        lexsorted: the structure's edge table, which metrics are aligned to."""
+        return self._structure.edges
 
     def corner_faces(self, tag_a: str, tag_b: str) -> frozenset:
         """(d-2)-faces shared between facets of two regions."""
@@ -236,9 +205,11 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     nv = verts.shape[0]
     if simp.min() < 0 or simp.max() >= nv:
         raise MeshError("simplex vertex index out of range")
-    for k, s in enumerate(simp):
-        if len(set(s.tolist())) != d + 1:
-            raise MeshError(f"simplex {k} repeats a vertex: {tuple(s)}")
+    ordered = np.sort(simp, axis=1)
+    repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    if np.any(repeats):
+        k = int(np.argmax(repeats))
+        raise MeshError(f"simplex {k} repeats a vertex: {tuple(simp[k].tolist())}")
 
     if signs is None:
         sgn = np.ones(len(simp), dtype=np.int64)
@@ -256,43 +227,91 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
 
 
 class _Structure:
-    """The part of a complex fixed by its simplices and signs alone.
+    """The topology of a complex, fixed by its simplices and signs alone.
 
-    ``incidence`` maps each facet to its (simplex index, omitted position)
-    pairs, and ``violations`` holds the label-independent findings of
-    ``validate``.  ``cache`` holds what ``CobordismComplex.cached`` derives
-    from the structure, such as refined-graph patterns.
+    ``facets`` is the lexsorted table of distinct facets, ``boundary_facets``
+    the set of those with one incident simplex, and ``violations`` the
+    label-independent findings of ``validate``.  ``edges`` is the lexsorted
+    table of distinct edges, and ``simplex_edge_rows`` holds, per top
+    simplex, the row of its edge (i, j) for each vertex-position pair i < j
+    in ``itertools.combinations`` order.  ``cache`` holds what
+    ``CobordismComplex.cached`` derives from the structure, such as
+    refined-graph patterns.
     """
 
     def __init__(self, simp: np.ndarray, sgn: np.ndarray):
-        incidence: dict[Facet, list] = {}
-        for t, s in enumerate(simp):
-            for omit in range(len(s)):
-                f = _sorted_tuple(np.delete(s, omit))
-                incidence.setdefault(f, []).append((t, omit))
+        nt, k = simp.shape
+        d = k - 1
+        # row t * k + o is simplex t without its vertex at position o
+        omit = np.array([[j for j in range(k) if j != o] for o in range(k)])
+        faces = simp[:, omit].reshape(-1, d)
+        inversions = sum((faces[:, i] > faces[:, j]).astype(np.int64)
+                         for i, j in itertools.combinations(range(d), 2))
+        # the orientation simplex t induces on its face o, relative to the
+        # face's sorted vertex order
+        orient = (np.repeat(sgn, k) * np.tile((-1) ** np.arange(k), nt)
+                  * (1 - 2 * (inversions % 2)))
+        facets, group, order = _group_rows(np.sort(faces, axis=1))
+        count = np.bincount(group, minlength=len(facets))
+        # an interior facet must be induced with opposite orientations by
+        # its two simplices; equal rows keep their order, so t1 < t2
+        net = np.bincount(group, weights=orient, minlength=len(facets))
+        twisted = np.flatnonzero((count == 2) & (net != 0))
+        first = (np.cumsum(count) - count)[twisted]
+        crowded = count > 2
+        bad = [("nonmanifold-facet", f"{tuple(f)} borders {c} simplices")
+               for f, c in zip(facets[crowded].tolist(), count[crowded].tolist())]
+        bad += [("inconsistent-orientation", f"facet {tuple(f)} between simplices {t1},{t2}")
+                for f, t1, t2 in zip(facets[twisted].tolist(),
+                                     (order[first] // k).tolist(),
+                                     (order[first + 1] // k).tolist())]
 
-        bad = []
-        for f, inc in incidence.items():
-            if len(inc) > 2:
-                bad.append(("nonmanifold-facet", f"{f} borders {len(inc)} simplices"))
-            elif len(inc) == 2:
-                # each interior facet must be induced with opposite
-                # orientations by its two incident top simplices
-                (t1, o1), (t2, o2) = inc
-                f1 = tuple(np.delete(simp[t1], o1))
-                f2 = tuple(np.delete(simp[t2], o2))
-                m1 = int(sgn[t1]) * (-1) ** o1
-                m2 = int(sgn[t2]) * (-1) ** o2
-                if m1 * m2 * _perm_parity(f1, f2) != -1:
-                    bad.append(("inconsistent-orientation",
-                                f"facet {f} between simplices {t1},{t2}"))
-
-        self.incidence = incidence
-        self.boundary_facets = frozenset(
-            f for f, inc in incidence.items() if len(inc) == 1
-        )
+        slots = np.array(list(itertools.combinations(range(k), 2)))
+        self.edges, rows, _ = _group_rows(np.sort(simp[:, slots], axis=2).reshape(-1, 2))
+        self.simplex_edge_rows = rows.reshape(nt, len(slots))
+        self.facets = facets
+        self.boundary_facets = frozenset(map(tuple, facets[count == 1].tolist()))
         self.violations = tuple(bad)
         self.cache: dict = {}
+        for table in (self.edges, self.simplex_edge_rows, self.facets):
+            table.flags.writeable = False
+
+
+def _group_rows(rows: np.ndarray):
+    """Distinct rows of an int array by one stable lexsort.
+
+    Returns the distinct rows in lexicographic order, the group of each
+    input row, and the sort order, in which equal rows keep their input
+    order.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return ordered[new], group, order
+
+
+def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
+    """Row of each vertex pair (either order) in a canonical, lexsorted edge
+    table such as ``CobordismComplex.edges()``, or -1 where it is no edge.
+
+    A pair is coded lo * base + hi, with base one more than the table's
+    largest vertex; pairs outside [0, base) are no edge and get no code, so
+    codes stay below base**2 and cannot overflow for any mesh that fits in
+    memory.
+    """
+    p = np.asarray(pairs, dtype=np.int64)
+    lo = np.minimum(p[..., 0], p[..., 1])
+    hi = np.maximum(p[..., 0], p[..., 1])
+    if len(edges) == 0:
+        return np.full(lo.shape, -1, dtype=np.int64)
+    base = np.int64(edges.max()) + 1
+    table = edges[:, 0] * base + edges[:, 1]
+    codes = np.where((lo >= 0) & (hi < base), lo * base + hi, -1)
+    rows = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return np.where(table[rows] == codes, rows, -1)
 
 
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:
@@ -305,12 +324,12 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
     for tag in REGION_TAGS:
         facets = set()
         for f in labels.get(tag, ()):
-            ft = _sorted_tuple(f)
+            ft = tuple(sorted(int(v) for v in f))
             if len(ft) != d or len(set(ft)) != d:
                 raise MeshError(f"label {tag}: {ft} is not a (d-1)-simplex")
-            if ft not in structure.incidence:
-                raise MeshError(f"label {tag}: {ft} is not a facet of the complex")
             if ft not in structure.boundary_facets:
+                if not np.any(np.all(structure.facets == ft, axis=1)):
+                    raise MeshError(f"label {tag}: {ft} is not a facet of the complex")
                 raise MeshError(f"label {tag}: {ft} is not a boundary facet")
             facets.add(ft)
         clean[tag] = frozenset(facets)

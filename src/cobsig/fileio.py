@@ -54,9 +54,6 @@ def signal_from_dict(data: dict) -> Signal:
         edges.sort(axis=1)
         lengths = np.array([m["length"] for m in data["metric"]])
         metric = MetricField(edges, lengths, "deformed")
-        # both are canonical and lexsorted, so a repeated edge shows
-        if not np.array_equal(metric.edges, cx.edges()):
-            raise CobsigError("metric edge set does not match the complex")
     else:
         metric = induced_metric(cx)
     hints = {k: float(v) for k, v in data.get("hints", {}).items()}

@@ -32,18 +32,12 @@ def _grid_signal(width: float, height: float, nx: int, ny: int,
     def vid(ix, iy):
         return iy * (nx + 1) + ix
 
-    verts = np.empty(((nx + 1) * (ny + 1), 2))
-    for iy in range(ny + 1):
-        for ix in range(nx + 1):
-            verts[vid(ix, iy)] = (xs[ix], ys[iy])
-
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
-            v11, v01 = vid(ix + 1, iy + 1), vid(ix, iy + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
+    verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    # per cell, row by row: (v00, v10, v11) and (v00, v11, v01)
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    v00 = vid(ix, iy)
+    v11 = vid(ix + 1, iy + 1)
+    tris = np.stack([v00, v00 + 1, v11, v00, v11, v11 - 1], axis=1).reshape(-1, 3)
 
     labels = {
         "X": [(vid(i, 0), vid(i + 1, 0)) for i in range(nx)],
@@ -51,7 +45,7 @@ def _grid_signal(width: float, height: float, nx: int, ny: int,
         "A": [(vid(0, j), vid(0, j + 1)) for j in range(ny)],
         "B": [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)],
     }
-    cx = build_complex(verts, np.array(tris, dtype=np.int64), labels)
+    cx = build_complex(verts, tris, labels)
     return make_signal(cx, hints=hints)
 
 
@@ -150,25 +144,19 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
     def vid(it, jr, kz):
         return (it % nt) * (nr + 1) * (nz + 1) + jr * (nz + 1) + kz
 
-    verts = np.empty((nt * (nr + 1) * (nz + 1), 3))
-    for it in range(nt):
-        ct, st = math.cos(thetas[it]), math.sin(thetas[it])
-        for jr in range(nr + 1):
-            for kz in range(nz + 1):
-                verts[vid(it, jr, kz)] = (rs[jr] * ct, rs[jr] * st, zs[kz])
+    # math.cos/math.sin per angle: numpy's may differ in the last ulp
+    ct = np.array([math.cos(t) for t in thetas])[:, None, None]
+    st = np.array([math.sin(t) for t in thetas])[:, None, None]
+    shape = (nt, nr + 1, nz + 1)
+    verts = np.stack([np.broadcast_to(rs[None, :, None] * ct, shape),
+                      np.broadcast_to(rs[None, :, None] * st, shape),
+                      np.broadcast_to(zs[None, None, :], shape)], axis=-1).reshape(-1, 3)
 
-    tets = []
-    for it in range(nt):
-        for jr in range(nr):
-            for kz in range(nz):
-                corner = {}
-                for a in (0, 1):
-                    for b in (0, 1):
-                        for c in (0, 1):
-                            corner[(a, b, c)] = vid(it + a, jr + b, kz + c)
-                for path in _KUHN:
-                    tets.append([corner[p] for p in path])
-    tets = np.array(tets, dtype=np.int64)
+    # per cell (it, jr, kz), its six path tetrahedra in _KUHN order
+    cell = np.stack(np.meshgrid(np.arange(nt), np.arange(nr), np.arange(nz),
+                                indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    corner = cell + np.array(_KUHN)
+    tets = vid(corner[..., 0], corner[..., 1], corner[..., 2]).reshape(-1, 4)
 
     # orient every tetrahedron positively in ambient coordinates
     p = verts[tets]
@@ -179,24 +167,17 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
         raise MeshError("degenerate tetrahedron in shell construction")
 
     bare = build_complex(verts, tets, {})
-    radii = np.hypot(verts[:, 0], verts[:, 1])
+    facets = np.array(sorted(bare.boundary_facets), dtype=np.int64)
+    fr = np.hypot(verts[:, 0], verts[:, 1])[facets]
+    fz = verts[facets, 2]
     tol = 1e-9 * max(r1, height)
-    labels = {"X": [], "Y": [], "A": [], "B": []}
-    for f in sorted(bare.boundary_facets):
-        fr = radii[list(f)]
-        fz = verts[list(f), 2]
-        if np.all(np.abs(fr - r0) < tol):
-            labels["X"].append(f)
-        elif np.all(np.abs(fr - r1) < tol):
-            labels["Y"].append(f)
-        elif np.all(np.abs(fz) < tol):
-            labels["A"].append(f)
-        elif np.all(np.abs(fz - height) < tol):
-            labels["B"].append(f)
-        else:
-            raise MeshError(f"unclassifiable boundary facet {f}")
-
-    cx = bare.with_labels(labels)
+    on = [np.all(np.abs(fr - r0) < tol, axis=1), np.all(np.abs(fr - r1) < tol, axis=1),
+          np.all(np.abs(fz) < tol, axis=1), np.all(np.abs(fz - height) < tol, axis=1)]
+    # the first matching wall wins, in X, Y, A, B order
+    tag = np.select(on, [0, 1, 2, 3], default=-1)
+    if np.any(tag < 0):
+        raise MeshError(f"unclassifiable boundary facet {tuple(facets[tag < 0][0].tolist())}")
+    cx = bare.with_labels({t: facets[tag == k] for k, t in enumerate("XYAB")})
 
     # closed-form values for the smooth shell
     vol = math.pi * (r1 * r1 - r0 * r0) * height

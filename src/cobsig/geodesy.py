@@ -15,13 +15,16 @@ distances and are deterministic across runs.
 A graph is built in two parts.  Its pattern -- node layout, the node pairs
 of every sub-edge and chord, how repeated pairs group, and the CSR
 ``indptr``/``indices`` -- depends only on the complex's structure, the cell
-set (all top simplices, or one region's facets) and s.  It is built once
-and kept on the structure that noise, relabelings and every signal on the
-complex share.  Each metric then only refills the weights: chord lengths
-from the cells' flat embeddings, a per-pair minimum and a scatter into the
-shared pattern, with no sort and no COO conversion.  The scheme is the
-Steiner-point discretization of Lanthier, Maheshwari and Sack (Algorithmica
-30, 2001).
+set (all top simplices, or one region's facets) and s.  It reads its edge
+table and the edge rows of its cells from the structure (``edges()`` and
+``simplex_edge_rows`` for the whole complex; a region keeps a compact table
+of its own edges, found once through ``edge_rows``), and is kept on the
+structure that noise, relabelings and every signal on the complex share.
+Each metric then only refills the weights from ``lengths[rows]``: chord
+lengths from the cells' flat embeddings, a per-pair minimum and a scatter
+into the shared pattern, with no search, no sort and no COO conversion.
+The scheme is the Steiner-point discretization of Lanthier, Maheshwari and
+Sack (Algorithmica 30, 2001).
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .complex import REGION_TAGS, region_vertices
+from .complex import REGION_TAGS, edge_rows, region_vertices
 from .errors import GeodesyError, RegionError
 from .fields import ScalarField
+from .metric import squared_lengths
 
 __all__ = [
     "ScalarField",
@@ -134,6 +138,8 @@ def _embed_cells(sq: np.ndarray, q: int) -> np.ndarray:
 class _Pattern:
     """Metric-free part of a refined graph: node layout and CSR structure.
 
+    ``edges`` is the pattern's edge table and ``cell_rows`` the row in it of
+    each cell edge, in slot order; both come from the complex's structure.
     Node layout: indices 0..nv-1 are the original vertices; the interior
     points of edge row k occupy nv + k*(2**s - 1) .. in parameter order
     (measured from the smaller-index endpoint).
@@ -147,25 +153,16 @@ class _Pattern:
     canonical CSR ``indptr``/``indices`` of the symmetric matrix.
     """
 
-    def __init__(self, nv: int, edges: np.ndarray, cells: np.ndarray, s: int):
+    def __init__(self, nv: int, edges: np.ndarray, cells: np.ndarray,
+                 cell_rows: np.ndarray, s: int):
         self.nv = nv
         self.s = s
         self.edges = edges
-        ne = len(edges)
         self._interior = 2**s - 1
-        self.n_nodes = nv + ne * self._interior
-        nmax = int(edges.max()) + 1 if ne else 1
-        self._code_base = np.int64(nmax + 1)
-        self._codes = edges[:, 0] * self._code_base + edges[:, 1]
-
+        self.n_nodes = nv + len(edges) * self._interior
         q = cells.shape[1] - 1
         self._q = q if q >= 2 and len(cells) else 0
-        self.cell_rows = None  # edge row of each cell edge, in slot order
-        if self._q:
-            slots = _chord_template(q, s)[0]
-            self.cell_rows = np.stack(
-                [self.edge_rows(cells[:, [i, j]]) for i, j in slots], axis=1
-            ).astype(np.int32)
+        self.cell_rows = cell_rows
         code = self._raw_pairs(cells)
         self.n_raw = len(code)
         self.first, self.dup_group, self.dup_raw, code = _group_pairs(code)
@@ -207,20 +204,6 @@ class _Pattern:
         out = np.where(m == 2**self.s, self.edges[rows, 1], out)
         return out
 
-    def edge_rows(self, pairs: np.ndarray) -> np.ndarray:
-        p = np.asarray(pairs, dtype=np.int64)
-        lo = np.minimum(p[:, 0], p[:, 1])
-        hi = np.maximum(p[:, 0], p[:, 1])
-        codes = lo * self._code_base + hi
-        idx = np.searchsorted(self._codes, codes)
-        bad = (idx >= len(self._codes)) | (
-            self._codes[np.minimum(idx, len(self._codes) - 1)] != codes
-        )
-        if np.any(bad):
-            k = int(np.argwhere(bad).ravel()[0])
-            raise GeodesyError(f"pair {int(lo[k]), int(hi[k])} is not a skeleton edge")
-        return idx
-
     def steiner_ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """All interior refinement nodes of the given edge rows."""
         if self._interior == 0 or len(rows) == 0:
@@ -232,11 +215,7 @@ class _Pattern:
         """Chord lengths per cell, from each cell's flat embedding."""
         q, s = self._q, self.s
         slots, nodes, pairs = _chord_template(q, s)
-        sq = np.zeros((len(self.cell_rows), q + 1, q + 1), dtype=np.float64)
-        for si, (i, j) in enumerate(slots):
-            l = lengths[self.cell_rows[:, si]]
-            sq[:, i, j] = l * l
-            sq[:, j, i] = sq[:, i, j]
+        sq = squared_lengths(lengths[self.cell_rows], q)
         P = _embed_cells(sq, q).transpose(2, 0, 1)  # (axis, cell, vertex)
         coords = np.empty((q, len(self.cell_rows), len(nodes)), dtype=np.float64)
         for k, desc in enumerate(nodes):
@@ -320,17 +299,6 @@ class _SteinerGraph:
         self.matrix = pattern.fill(lengths)
 
 
-def _build_graph(nv: int, edges: np.ndarray, lengths: np.ndarray,
-                 cells: np.ndarray, s: int) -> _SteinerGraph:
-    """Assemble the refined graph for one edge set and one cell set.
-
-    ``cells`` may be top simplices (bulk geodesics) or region facets
-    (intrinsic region geodesics); cells with fewer than 3 vertices add no
-    chords.
-    """
-    return _SteinerGraph(_Pattern(nv, edges, cells, s), lengths)
-
-
 def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
     """Refined graph of the whole complex (``tag`` None) or of a region.
 
@@ -344,14 +312,29 @@ def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
 
     def pattern():
         if tag is None:
-            return _Pattern(cx.n_vertices, cx.edges(), cx.simplices, s)
-        cells = np.array(sorted(facets), dtype=np.int64)
-        return _Pattern(cx.n_vertices, cx.facet_edges(tag), cells, s)
+            return None, _Pattern(cx.n_vertices, cx.edges(), cx.simplices,
+                                  cx.simplex_edge_rows, s)
+        cells, cell_rows = _region_cells(cx, tag)
+        rows, local = np.unique(cell_rows, return_inverse=True)
+        return rows, _Pattern(cx.n_vertices, cx.edges()[rows], cells,
+                              local.reshape(cell_rows.shape), s)
 
     def build():
-        pat = cx.cached(("pattern", s, facets), pattern)
-        return _SteinerGraph(pat, signal.metric.pair_lengths(pat.edges))
+        rows, pat = cx.cached(("pattern", s, facets), pattern)
+        lengths = signal.metric.lengths
+        return _SteinerGraph(pat, lengths if rows is None else lengths[rows])
     return signal.cached(("graph", s, facets), build)
+
+
+def _region_cells(cx, tag: str):
+    """A region's facets, sorted, and the edge-table row of each facet edge
+    in slot order."""
+    facets = sorted(cx.labels[tag])
+    if not facets:
+        raise RegionError(f"region {tag!r} has no facets")
+    cells = np.array(facets, dtype=np.int64)
+    slots = np.array(_chord_template(cells.shape[1] - 1, 0)[0])
+    return cells, edge_rows(cx.edges(), cells[:, slots])
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
@@ -359,7 +342,7 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
     verts = region_vertices(signal.complex, tag)
     if len(verts) == 0:
         raise RegionError(f"region {tag!r} is empty")
-    rows = graph.pattern.edge_rows(signal.complex.facet_edges(tag))
+    rows = np.unique(_region_cells(signal.complex, tag)[1])
     steiner = graph.pattern.steiner_ids_of_rows(rows)
     return np.concatenate([verts, steiner])
 
@@ -442,23 +425,32 @@ def diameter(signal, subset: str = "M",
 
     ``subset`` is "M" for the whole complex or a region tag, in which case
     paths are restricted to the region's own facet subcomplex (the intrinsic
-    diameter).  The value upper-bounds the smooth diameter.
+    diameter).  The value upper-bounds the smooth diameter.  It is cached on
+    the signal, keyed like the region's graph.
     """
     s = int(steiner_level)
     if subset in ("M", "all"):
-        graph = _graph(signal, s)
-        verts = np.arange(signal.complex.n_vertices, dtype=np.int64)
+        tag = None
     elif subset in REGION_TAGS:
-        graph = _graph(signal, s, subset)
-        verts = region_vertices(signal.complex, subset)
-        if len(verts) == 0:
-            raise RegionError(f"region {subset!r} is empty")
+        tag = subset
     else:
         raise RegionError(f"unknown subset {subset!r}")
-    sub = _distances_to_vertices(graph, verts, verts)
-    if np.any(np.isinf(sub)):
-        raise GeodesyError(f"subset {subset!r} is disconnected")
-    return float(sub.max())
+
+    def compute():
+        graph = _graph(signal, s, tag)
+        if tag is None:
+            verts = np.arange(signal.complex.n_vertices, dtype=np.int64)
+        else:
+            verts = region_vertices(signal.complex, tag)
+            if len(verts) == 0:
+                raise RegionError(f"region {tag!r} is empty")
+        sub = _distances_to_vertices(graph, verts, verts)
+        if np.any(np.isinf(sub)):
+            raise GeodesyError(f"subset {subset!r} is disconnected")
+        return float(sub.max())
+
+    facets = None if tag is None else signal.complex.labels[tag]
+    return signal.cached(("diam", s, facets), compute)
 
 
 def _first_cut_estimate(f: np.ndarray, feet: np.ndarray, intra: np.ndarray,

@@ -6,6 +6,12 @@ simplex determined by its edge lengths, volumes come from the Cayley-Menger
 determinant, and conformal deformation rescales edges by the square root of
 the endpoint-averaged conformal factor.
 
+A metric on a complex is aligned to the complex's edge table: its
+``edges`` equal ``CobordismComplex.edges()`` row for row, which every
+``Signal`` checks, so per-simplex quantities gather ``lengths`` through the
+structure's ``simplex_edge_rows`` and search nothing.  Metrics derived from
+one another share the table.
+
 All metric fields are immutable after construction; the volume computations
 are pure functions.
 """
@@ -17,7 +23,7 @@ import math
 
 import numpy as np
 
-from .complex import CobordismComplex, REGION_TAGS
+from .complex import CobordismComplex, REGION_TAGS, edge_rows
 from .errors import MetricError, RegionError
 from .fields import ScalarField
 
@@ -30,49 +36,55 @@ class MetricField:
 
     Rows of ``edges`` are canonical (u < v) and lexsorted; ``source`` is
     "induced" for ambient-Euclidean metrics and "deformed" after conformal
-    scaling.
+    scaling.  The constructor canonicalises any edge order, as read from a
+    file; metrics built on a complex's edge table share it as is.
     """
 
     def __init__(self, edges, lengths, source: str):
         e = np.array(edges, dtype=np.int64).reshape(-1, 2)
         if np.any(e[:, 0] >= e[:, 1]):
             raise MetricError("edges must be canonical (u, v) pairs with u < v")
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        e = e[order]
-        ln = np.array(lengths, dtype=np.float64)[order]
+        ln = np.array(lengths, dtype=np.float64)
         if len(ln) != len(e):
             raise MetricError("one length per edge required")
-        if np.any(~np.isfinite(ln)) or np.any(ln <= 0.0):
-            k = int(np.argmin(ln))
-            raise MetricError(
-                f"nonpositive length {ln[k]!r} on edge {tuple(e[k])}"
-            )
+        order = np.lexsort((e[:, 1], e[:, 0]))
+        e = e[order]
         e.flags.writeable = False
-        ln.flags.writeable = False
-        self.edges = e
-        self.lengths = ln
+        self._set(e, ln[order], source)
+
+    @classmethod
+    def _on_table(cls, edges: np.ndarray, lengths: np.ndarray, source: str):
+        """A metric on an edge table that is already canonical, such as a
+        complex's: the table is shared, not copied or sorted again."""
+        metric = cls.__new__(cls)
+        metric._set(edges, lengths, source)
+        return metric
+
+    def _set(self, edges, lengths, source):
+        if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0.0):
+            k = int(np.argmin(lengths))
+            raise MetricError(
+                f"nonpositive length {float(lengths[k])!r} on edge "
+                f"{tuple(edges[k].tolist())}"
+            )
+        lengths.flags.writeable = False
+        self.edges = edges
+        self.lengths = lengths
         self.source = source
-        nv = int(e.max()) + 1 if len(e) else 0
-        self._codes = e[:, 0] * np.int64(nv + 1) + e[:, 1]
-        self._nv_plus = np.int64(nv + 1)
 
     def length(self, u: int, v: int) -> float:
         return float(self.pair_lengths(np.array([[u, v]], dtype=np.int64))[0])
 
     def pair_lengths(self, pairs: np.ndarray) -> np.ndarray:
-        """Lengths for an (m, 2) array of vertex pairs (any order)."""
+        """Lengths for an (..., 2) array of vertex pairs (any order)."""
         p = np.asarray(pairs, dtype=np.int64)
-        lo = np.minimum(p[..., 0], p[..., 1])
-        hi = np.maximum(p[..., 0], p[..., 1])
-        codes = lo * self._nv_plus + hi
-        idx = np.searchsorted(self._codes, codes)
-        ok = (idx < len(self._codes)) & (
-            self._codes[np.minimum(idx, len(self._codes) - 1)] == codes
-        )
-        if not np.all(ok):
-            k = np.argwhere(~ok).ravel()[0]
-            raise MetricError(f"edge {int(lo.flat[k]), int(hi.flat[k])} not in metric")
-        return self.lengths[idx]
+        rows = edge_rows(self.edges, p)
+        missing = rows < 0
+        if np.any(missing):
+            u, v = sorted(p[missing][0].tolist())
+            raise MetricError(f"edge {u, v} not in metric")
+        return self.lengths[rows]
+
 
 def induced_metric(cx: CobordismComplex) -> MetricField:
     """Edge lengths induced by the ambient Euclidean embedding."""
@@ -82,9 +94,9 @@ def induced_metric(cx: CobordismComplex) -> MetricField:
     if np.any(lengths <= 0.0):
         k = int(np.argmin(lengths))
         raise MetricError(
-            f"coincident vertices on edge {tuple(edges[k])}: zero length"
+            f"coincident vertices on edge {tuple(edges[k].tolist())}: zero length"
         )
-    return MetricField(edges, lengths, "induced")
+    return MetricField._on_table(edges, lengths, "induced")
 
 
 def conformal_scale(metric: MetricField, factor) -> MetricField:
@@ -98,7 +110,8 @@ def conformal_scale(metric: MetricField, factor) -> MetricField:
     if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
         raise MetricError("conformal factor must be positive and finite")
     mean = (a[metric.edges[:, 0]] + a[metric.edges[:, 1]]) / 2.0
-    return MetricField(metric.edges, metric.lengths * np.sqrt(mean), "deformed")
+    return MetricField._on_table(metric.edges, metric.lengths * np.sqrt(mean),
+                                 "deformed")
 
 
 def _cayley_menger_vol2(sq: np.ndarray, q: int) -> np.ndarray:
@@ -112,15 +125,9 @@ def _cayley_menger_vol2(sq: np.ndarray, q: int) -> np.ndarray:
     return coeff * det
 
 
-def _squared_length_matrix(metric: MetricField, simplices: np.ndarray) -> np.ndarray:
-    simp = np.asarray(simplices, dtype=np.int64)
-    m, qp1 = simp.shape
-    sq = np.zeros((m, qp1, qp1), dtype=np.float64)
-    for i, j in itertools.combinations(range(qp1), 2):
-        l = metric.pair_lengths(simp[:, [i, j]])
-        sq[:, i, j] = l * l
-        sq[:, j, i] = sq[:, i, j]
-    return sq
+def _slots(q: int) -> np.ndarray:
+    """The vertex-position pairs i < j of a q-simplex, in slot order."""
+    return np.array(list(itertools.combinations(range(q + 1), 2)))
 
 
 def simplex_volumes(metric: MetricField, simplices) -> np.ndarray:
@@ -133,28 +140,43 @@ def simplex_volumes(metric: MetricField, simplices) -> np.ndarray:
     simp = np.asarray(simplices, dtype=np.int64)
     if simp.ndim == 1:
         simp = simp[None, :]
-    q = simp.shape[1] - 1
-    if q == 1:
+    if simp.shape[1] == 2:
         return metric.pair_lengths(simp)
-    sq = _squared_length_matrix(metric, simp)
-    vol2 = _cayley_menger_vol2(sq, q)
+    return slot_volumes(metric.pair_lengths(simp[:, _slots(simp.shape[1] - 1)]), simp)
+
+
+def squared_lengths(lengths: np.ndarray, q: int) -> np.ndarray:
+    """Symmetric (m, q+1, q+1) squared lengths from each q-simplex's edge
+    lengths in slot order."""
+    sq = np.zeros((len(lengths), q + 1, q + 1), dtype=np.float64)
+    for k, (i, j) in enumerate(_slots(q).tolist()):
+        sq[:, i, j] = lengths[:, k] * lengths[:, k]
+        sq[:, j, i] = sq[:, i, j]
+    return sq
+
+
+def slot_volumes(lengths: np.ndarray, simp: np.ndarray) -> np.ndarray:
+    """Cayley-Menger volumes from each simplex's edge lengths in slot order,
+    as ``simplex_volumes`` checks them; ``simp`` names the simplices in
+    errors."""
+    q = simp.shape[1] - 1
+    vol2 = _cayley_menger_vol2(squared_lengths(lengths, q), q)
     if np.any(vol2 <= 0.0):
         k = int(np.argmin(vol2))
         raise MetricError(
-            f"simplex {tuple(simp[k])} has nonpositive squared volume "
+            f"simplex {tuple(simp[k].tolist())} has nonpositive squared volume "
             f"{vol2[k]:.3e}: metric violates the simplex inequalities"
         )
     vol = np.sqrt(vol2)
-    n_edges = q * (q + 1) // 2
     mean_len = np.zeros(len(simp))
-    for i, j in itertools.combinations(range(q + 1), 2):
-        mean_len += metric.pair_lengths(simp[:, [i, j]])
-    mean_len /= n_edges
+    for k in range(lengths.shape[1]):
+        mean_len += lengths[:, k]
+    mean_len /= lengths.shape[1]
     floor = EPS_VOL * mean_len**q
     if np.any(vol < floor):
         k = int(np.argmin(vol - floor))
         raise MetricError(
-            f"simplex {tuple(simp[k])} is degenerate: volume {vol[k]:.3e} "
+            f"simplex {tuple(simp[k].tolist())} is degenerate: volume {vol[k]:.3e} "
             f"below threshold {floor[k]:.3e}"
         )
     return vol

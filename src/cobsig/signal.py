@@ -1,12 +1,14 @@
 """The signal: a labeled cobordism complex paired with a metric.
 
-Signals are the unit every operation acts on.  They are immutable; derived
-artifacts (volumes, refined graphs, distance fields, quadrature weights) are
-memoized through ``Signal.cached`` on a private cache keyed by what they
-depend on: the metric alone, or the metric and a region's facet set, never a
-region tag.  A relabeling of the same geometry and metric therefore shares
-its source's cache as is, and each region field is found under its facets
-whatever the region is called.
+Signals are the unit every operation acts on.  Every signal checks that its
+metric's edges are its complex's edge table, so lengths can be gathered
+through the structure's edge rows.  Signals are immutable; derived
+artifacts (volumes, refined graphs, distance fields, diameters, quadrature
+weights) are memoized through ``Signal.cached`` on a private cache keyed by
+what they depend on: the metric alone, or the metric and a region's facet
+set, never a region tag.  A relabeling of the same geometry and metric
+therefore shares its source's cache as is, and each region field is found
+under its facets whatever the region is called.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex import CobordismComplex, validate
-from .errors import CobsigError
-from .metric import MetricField, induced_metric, simplex_volumes
+from .errors import CobsigError, MetricError
+from .metric import MetricField, induced_metric, slot_volumes
 
 #: Hint keys swapped when the X/Y and A/B roles are exchanged.
 HINT_SWAP = {
@@ -45,14 +47,19 @@ class Signal:
     hints: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # the metric's lengths are read through the structure's edge rows
+        if not np.array_equal(self.metric.edges, self.complex.edges()):
+            raise MetricError("metric edge set does not match the complex")
+
     @property
     def dim(self) -> int:
         return self.complex.dim
 
     def simplex_volumes(self) -> np.ndarray:
-        return self.cached(
-            ("volumes",), lambda: simplex_volumes(self.metric, self.complex.simplices)
-        )
+        cx = self.complex
+        return self.cached(("volumes",), lambda: slot_volumes(
+            self.metric.lengths[cx.simplex_edge_rows], cx.simplices))
 
     def cached(self, key, compute):
         if key not in self._cache:

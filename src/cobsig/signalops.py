@@ -10,12 +10,13 @@ correspondence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .complex import build_complex, region_vertices
+from .complex import build_complex, edge_rows, region_vertices
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
 from .fields import ScalarField
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_to_vertex
@@ -124,24 +125,12 @@ def keep_by_predicate(signal: Signal, predicate) -> np.ndarray:
 
 def _connected(simplices: np.ndarray) -> bool:
     """Connectivity of the kept simplices through shared facets or vertices."""
-    n = len(simplices)
-    if n <= 1:
-        return True
-    vert_to_simp: dict[int, list] = {}
-    for k, s in enumerate(simplices):
-        for v in s:
-            vert_to_simp.setdefault(int(v), []).append(k)
-    seen = np.zeros(n, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        k = queue.popleft()
-        for v in simplices[k]:
-            for other in vert_to_simp[int(v)]:
-                if not seen[other]:
-                    seen[other] = True
-                    queue.append(other)
-    return bool(seen.all())
+    n, k = simplices.shape
+    verts, inv = np.unique(simplices.ravel(), return_inverse=True)
+    # a graph linking each simplex (nodes 0..n-1) to its vertices
+    links = coo_matrix((np.ones(n * k), (np.repeat(np.arange(n), k), n + inv)),
+                       shape=(n + len(verts),) * 2)
+    return connected_components(links, directed=False, return_labels=False) == 1
 
 
 def extract_filter(signal: Signal, kept_simplices) -> Signal:
@@ -164,44 +153,30 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
     if not _connected(sub_simplices):
         raise FilterError("kept simplices are not connected")
 
-    # boundary facets of the subcomplex, in original vertex ids
-    incidence: dict[tuple, int] = {}
-    for s in sub_simplices:
-        for omit in range(cx.dim + 1):
-            f = tuple(sorted(np.delete(s, omit).tolist()))
-            incidence[f] = incidence.get(f, 0) + 1
-    sub_boundary = {f for f, c in incidence.items() if c == 1}
-
-    for f in cx.labels["A"]:
-        if f not in sub_boundary:
-            raise FilterError(f"filter drops part of region A (facet {f})")
-
-    new_labels = {"X": set(), "Y": set(), "A": set(), "B": set()}
-    for f in sub_boundary:
-        if f in cx.labels["A"]:
-            new_labels["A"].add(f)
-        elif f in cx.labels["X"]:
-            new_labels["X"].add(f)
-        elif f in cx.labels["Y"]:
-            new_labels["Y"].add(f)
-        else:
-            # old B facets stay in B; cut facets (previously interior) join B
-            new_labels["B"].add(f)
-
-    # renumber vertices
+    # renumber vertices; ``used`` ascends, so sorted facets stay sorted
     used = np.unique(sub_simplices)
     remap = -np.ones(cx.n_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    new_simp = remap[sub_simplices]
-    relabeled = {
-        tag: [tuple(remap[list(f)]) for f in facets]
-        for tag, facets in new_labels.items()
-    }
     try:
-        sub_cx = build_complex(cx.vertices[used], new_simp, relabeled,
-                               cx.signs[kept])
+        bare = build_complex(cx.vertices[used], remap[sub_simplices], {},
+                             cx.signs[kept])
+    except CobsigError as exc:
+        raise FilterError(f"filter boundary fails validation: {exc}") from exc
+
+    # label the sub-boundary by its facets' tags in original vertex ids
+    sub_boundary = {tuple(used[list(f)].tolist()): f for f in bare.boundary_facets}
+    for f in cx.labels["A"]:
+        if f not in sub_boundary:
+            raise FilterError(f"filter drops part of region A (facet {f})")
+    new_labels = {"X": [], "Y": [], "A": [], "B": []}
+    for f, sub_f in sub_boundary.items():
+        # old B facets stay in B; cut facets (previously interior) join B
+        tag = next((t for t in ("A", "X", "Y") if f in cx.labels[t]), "B")
+        new_labels[tag].append(sub_f)
+    try:
+        sub_cx = bare.with_labels(new_labels)
         sub_edges = sub_cx.edges()
-        sub_metric = MetricField(
+        sub_metric = MetricField._on_table(
             sub_edges, signal.metric.pair_lengths(used[sub_edges]),
             signal.metric.source,
         )
@@ -236,16 +211,15 @@ def make_correspondence(left: Signal, right: Signal,
         raise CompositionError(
             f"cannot match {len(ly)} Y-vertices with {len(rx)} X-vertices"
         )
-    rx_coords = right.complex.vertices[rx]
-    pairs = []
-    for v in ly:
-        d = np.linalg.norm(rx_coords - left.complex.vertices[v], axis=1)
-        k = int(np.argmin(d))
-        if d[k] > tolerance:
-            raise CompositionError(
-                f"no right X-vertex within {tolerance} of left vertex {int(v)}"
-            )
-        pairs.append((int(v), int(rx[k])))
+    from scipy.spatial import cKDTree  # imported on use: it adds 6 MB to every process
+
+    gap, nearest = cKDTree(right.complex.vertices[rx]).query(left.complex.vertices[ly])
+    far = np.flatnonzero(gap > tolerance)
+    if len(far):
+        raise CompositionError(
+            f"no right X-vertex within {tolerance} of left vertex {int(ly[far[0]])}"
+        )
+    pairs = list(zip(ly.tolist(), rx[nearest].tolist()))
     if len({b for _, b in pairs}) != len(pairs):
         raise CompositionError("coordinate matching is not one-to-one")
     return Correspondence(tuple(pairs), tolerance)
@@ -282,27 +256,26 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
     if mapped_y != set(rcx.labels["X"]):
         raise CompositionError("Y facets do not map onto right X facets")
 
-    # interiors must be disjoint: only glued vertices may coincide
+    from scipy.spatial import cKDTree  # imported on use, as in make_correspondence
+
+    # interiors must be disjoint: only glued vertices may come within tol
     tol = max(corr.tolerance, 1e-12)
-    keys = {tuple(np.round(p / tol).astype(np.int64)): i
-            for i, p in enumerate(lcx.vertices)}
-    for j, p in enumerate(rcx.vertices):
-        if j in inv:
-            continue
-        if tuple(np.round(p / tol).astype(np.int64)) in keys:
-            raise CompositionError(
-                f"right vertex {j} coincides with the left signal "
-                "outside the glued region"
-            )
+    glued = np.zeros(rcx.n_vertices, dtype=bool)
+    glued[list(inv)] = True
+    loose = np.flatnonzero(~glued)
+    near = cKDTree(lcx.vertices).query_ball_point(rcx.vertices[loose], tol,
+                                                  return_length=True)
+    if np.any(near):
+        raise CompositionError(
+            f"right vertex {int(loose[np.argmax(near > 0)])} coincides with the "
+            "left signal outside the glued region"
+        )
 
     # merge vertex sets: left vertices keep their ids
-    extra = [j for j in range(rcx.n_vertices) if j not in inv]
     offset_map = np.empty(rcx.n_vertices, dtype=np.int64)
-    for j, a in inv.items():
-        offset_map[j] = a
-    for k, j in enumerate(extra):
-        offset_map[j] = lcx.n_vertices + k
-    merged_vertices = np.vstack([lcx.vertices, rcx.vertices[extra]])
+    offset_map[list(inv)] = list(inv.values())
+    offset_map[loose] = lcx.n_vertices + np.arange(len(loose))
+    merged_vertices = np.vstack([lcx.vertices, rcx.vertices[loose]])
     merged_simplices = np.vstack([lcx.simplices, offset_map[rcx.simplices]])
     merged_signs = np.concatenate([lcx.signs, rcx.signs])
 
@@ -322,18 +295,16 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
         edges = merged.edges()
         # left lengths win on glued edges; both sides agree within tolerance
         # for induced metrics because the glued coordinates agree
-        base = np.int64(merged_vertices.shape[0] + 1)
-        left_edges = left.metric.edges
-        on_left = np.isin(edges[:, 0] * base + edges[:, 1],
-                          left_edges[:, 0] * base + left_edges[:, 1])
+        left_rows = edge_rows(left.metric.edges, edges)
+        on_left = left_rows >= 0
         lengths = np.empty(len(edges))
         right_back = np.full(merged_vertices.shape[0], -1, dtype=np.int64)
         right_back[offset_map] = np.arange(rcx.n_vertices)
-        lengths[on_left] = left.metric.pair_lengths(edges[on_left])
+        lengths[on_left] = left.metric.lengths[left_rows[on_left]]
         lengths[~on_left] = right.metric.pair_lengths(right_back[edges[~on_left]])
-        metric = MetricField(edges, lengths, "induced"
-                             if left.metric.source == right.metric.source ==
-                             "induced" else "deformed")
+        metric = MetricField._on_table(edges, lengths, "induced"
+                                       if left.metric.source == right.metric.source ==
+                                       "induced" else "deformed")
         return make_signal(merged, metric, hints={})
     except CobsigError as exc:
         raise CompositionError(f"composed signal fails validation: {exc}") from exc

@@ -7,6 +7,8 @@ import cobsig as cs
 from cobsig.complex import build_complex, region_vertices, validate
 from cobsig.errors import MeshError, RegionError
 
+STRUCTURAL = ("nonmanifold-facet", "inconsistent-orientation")
+
 UNIT_SQUARE_VERTS = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 UNIT_SQUARE_TRIS = [(0, 1, 2), (0, 2, 3)]
 UNIT_SQUARE_LABELS = {
@@ -88,6 +90,10 @@ def test_build_rejects_bad_indices():
 def test_build_rejects_repeated_vertex():
     with pytest.raises(MeshError):
         build_complex(UNIT_SQUARE_VERTS, [(0, 1, 1), (0, 2, 3)], {})
+    # the first bad simplex is named, in plain ints
+    with pytest.raises(MeshError) as err:
+        build_complex(UNIT_SQUARE_VERTS, [(0, 1, 2), (3, 0, 3), (1, 1, 2)], {})
+    assert str(err.value) == "simplex 1 repeats a vertex: (3, 0, 3)"
 
 
 def test_build_rejects_interior_facet_label():
@@ -221,3 +227,82 @@ def test_orientation_mismatch_reported_3d(shell16):
                             cx.signs)
     names = {v[0] for v in validate(flipped).violations}
     assert "inconsistent-orientation" in names
+
+
+def test_nonmanifold_facet_reported():
+    # three triangles on the edge (0, 1)
+    cx = build_complex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0)],
+                       [(0, 1, 2), (1, 0, 3), (0, 1, 4)], {})
+    assert ("nonmanifold-facet", "(0, 1) borders 3 simplices") in validate(cx).violations
+    assert (0, 1) not in cx.boundary_facets
+
+
+def _reference_structure(simp, sgn):
+    """Boundary facets and structural violations by the per-facet loop that
+    the array build replaced; kept as the reference it must match."""
+    def sorted_tuple(verts):
+        return tuple(sorted(int(v) for v in verts))
+
+    def perm_parity(a, b):
+        index = {v: i for i, v in enumerate(b)}
+        perm = [index[v] for v in a]
+        sign = 1
+        seen = [False] * len(perm)
+        for i in range(len(perm)):
+            if seen[i]:
+                continue
+            j = i
+            cycle_len = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                cycle_len += 1
+            if cycle_len % 2 == 0:
+                sign = -sign
+        return sign
+
+    incidence = {}
+    for t, s in enumerate(simp):
+        for omit in range(len(s)):
+            incidence.setdefault(sorted_tuple(np.delete(s, omit)), []).append((t, omit))
+    bad = []
+    for f, inc in incidence.items():
+        if len(inc) > 2:
+            bad.append(("nonmanifold-facet", f"{f} borders {len(inc)} simplices"))
+        elif len(inc) == 2:
+            (t1, o1), (t2, o2) = inc
+            m1 = int(sgn[t1]) * (-1) ** o1
+            m2 = int(sgn[t2]) * (-1) ** o2
+            f1 = tuple(np.delete(simp[t1], o1))
+            f2 = tuple(np.delete(simp[t2], o2))
+            if m1 * m2 * perm_parity(f1, f2) != -1:
+                bad.append(("inconsistent-orientation",
+                            f"facet {f} between simplices {t1},{t2}"))
+    boundary = frozenset(f for f, inc in incidence.items() if len(inc) == 1)
+    return boundary, sorted(bad)
+
+
+def test_structure_matches_reference_loop(square16, shell16):
+    cases = []
+    for sig in (square16, shell16):
+        cx = sig.complex
+        for seed in range(4):
+            signs = cx.signs.copy()
+            rng = np.random.default_rng(seed)
+            signs[rng.choice(cx.n_simplices, size=5 * seed, replace=False)] *= -1
+            cases.append((cx.vertices, cx.simplices, cx.labels, signs))
+    # square16 with a fin on an interior edge: a non-manifold facet, and
+    # the fin's other edges join the boundary
+    cx = square16.complex
+    u, v = cx.edges()[len(cx.edges()) // 2]
+    verts = np.vstack([cx.vertices, [(2.0, 2.0)]])
+    simp = np.vstack([cx.simplices, [(u, v, cx.n_vertices)]])
+    cases.append((verts, simp, {}, np.ones(len(simp), dtype=np.int64)))
+
+    for verts, simp, labels, signs in cases:
+        built = build_complex(verts, simp, labels, signs)
+        boundary, bad = _reference_structure(simp, signs)
+        assert built.boundary_facets == boundary
+        got = [v for v in validate(built).violations if v[0] in STRUCTURAL]
+        assert got == bad
+    assert any(name == "nonmanifold-facet" for name, _ in bad)

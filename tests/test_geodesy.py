@@ -10,9 +10,9 @@ import cobsig as cs
 from cobsig import geodesy
 from cobsig.errors import GeodesyError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
-from cobsig.geodesy import (_build_graph, _first_cut_estimate, _graph,
-                            diameter, distance_field, distance_to_vertex,
-                            injectivity_radius)
+from cobsig.geodesy import (_Pattern, _SteinerGraph, _first_cut_estimate,
+                            _graph, diameter, distance_field,
+                            distance_to_vertex, injectivity_radius)
 from cobsig.metric import conformal_scale
 from cobsig.signal import Signal
 from cobsig.signalops import NoiseSpec, apply_noise
@@ -80,7 +80,7 @@ def test_disconnected_graph_raises():
     edges = np.array([[0, 1], [2, 3]], dtype=np.int64)
     lengths = np.array([1.0, 1.0])
     cells = np.empty((0, 3), dtype=np.int64)
-    graph = _build_graph(4, edges, lengths, cells, 1)
+    graph = _SteinerGraph(_Pattern(4, edges, cells, cells, 1), lengths)
     from scipy.sparse.csgraph import dijkstra
     dist = dijkstra(graph.matrix, directed=True,
                     indices=np.array([0]), min_only=True)
@@ -219,8 +219,11 @@ def test_repeated_chords_keep_the_exact_minimum(shell16):
     # a chord on a facet shared by two tets is built by both, possibly one
     # ulp apart; the graph keeps the smaller weight whatever the cell order
     cx, m = shell16.complex, shell16.metric
-    fwd = _build_graph(cx.n_vertices, m.edges, m.lengths, cx.simplices, 2)
-    rev = _build_graph(cx.n_vertices, m.edges, m.lengths, cx.simplices[::-1], 2)
+    rows = cx.simplex_edge_rows
+    fwd = _SteinerGraph(_Pattern(cx.n_vertices, m.edges, cx.simplices, rows, 2),
+                        m.lengths)
+    rev = _SteinerGraph(_Pattern(cx.n_vertices, m.edges, cx.simplices[::-1],
+                                 rows[::-1], 2), m.lengths)
     assert fwd.matrix.data.tobytes() == rev.matrix.data.tobytes()
     assert len(fwd.pattern.dup_raw) > 0
 
@@ -230,9 +233,9 @@ def test_eps_sweep_builds_one_full_pattern(monkeypatch):
     built = []
     make = geodesy._Pattern
 
-    def counting(nv, edges, cells, s):
+    def counting(nv, edges, cells, cell_rows, s):
         built.append(cells.shape[1])
-        return make(nv, edges, cells, s)
+        return make(nv, edges, cells, cell_rows, s)
 
     monkeypatch.setattr(geodesy, "_Pattern", counting)
     p = cs.vertex_at(sig, (0.75, 0.5))

@@ -42,6 +42,10 @@ def test_triangle_inequality_violation_rejected():
 def test_nonpositive_length_rejected():
     with pytest.raises(MetricError):
         MetricField([(0, 1)], [0.0], "induced")
+    # messages print plain numbers, not numpy reprs
+    with pytest.raises(MetricError) as err:
+        MetricField([(1, 2), (0, 1)], [1.0, -0.5], "induced")
+    assert str(err.value) == "nonpositive length -0.5 on edge (0, 1)"
 
 
 def test_induced_metric_square_lengths(square8):
@@ -144,6 +148,18 @@ def test_shell_region_volumes(shell32):
 def test_missing_edge_raises(square8):
     with pytest.raises(MetricError):
         square8.metric.length(0, square8.complex.n_vertices - 1)
+
+
+def test_signal_rejects_metric_on_another_edge_set(square8):
+    cx, m = square8.complex, square8.metric
+    fewer = MetricField(m.edges[1:], m.lengths[1:], "deformed")
+    more = MetricField(np.vstack([m.edges, [(0, cx.n_vertices - 1)]]),
+                       np.append(m.lengths, 2.0), "deformed")
+    for metric in (fewer, more):
+        with pytest.raises(MetricError, match="metric edge set does not match"):
+            cs.Signal(cx, metric)
+        with pytest.raises(MetricError, match="metric edge set does not match"):
+            cs.make_signal(cx, metric)
 
 
 def test_shell_radial_edge_length(shell16):

@@ -206,3 +206,19 @@ def test_compose_rejects_overlapping_interiors():
     with pytest.raises(CompositionError):
         compose(a, b, make_correspondence(a, cs.gen_rectangle(1.0, 1.0, 4,
                                                               origin=(0.0, 1.0))))
+
+
+def test_compose_rejects_near_coincidence_across_rounding_cells():
+    # a right vertex 0.4 tol from a left vertex that is not glued: on a
+    # tol-spaced rounding grid the two fall in different cells
+    tol = 2.0**-10
+    lower = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.3 * tol, 0.0))
+    upper = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.3 * tol, 1.0))
+    cx = upper.complex
+    verts = cx.vertices.copy()
+    left = lower.complex.vertices[cs.vertex_at(lower, (0.5 + 0.3 * tol, 0.5))]
+    verts[cs.vertex_at(upper, (1.0 + 0.3 * tol, 2.0))] = left + (0.4 * tol, 0.0)
+    moved = cs.make_signal(cs.build_complex(verts, cx.simplices, cx.labels, cx.signs))
+    corr = make_correspondence(lower, moved, tolerance=tol)
+    with pytest.raises(CompositionError, match="coincides with the left signal"):
+        compose(lower, moved, corr)

@@ -46,6 +46,23 @@ def test_thm1_heuristic_inputs_still_hold(square16):
     assert rep.inputs["diam_M"][1] == "computed"
 
 
+def test_thm1_without_hints_computes_diam_m_once(square8, monkeypatch):
+    from cobsig import geodesy
+    all_pairs = []
+    search = geodesy._distances_to_vertices
+
+    def counting(graph, sources, columns, *args):
+        if len(sources) == len(columns) == graph.nv:
+            all_pairs.append(graph)
+        return search(graph, sources, columns, *args)
+
+    monkeypatch.setattr(geodesy, "_distances_to_vertices", counting)
+    rep = check_thm1_bounds(Signal(square8.complex, square8.metric, hints={}))
+    assert rep.inputs["diam_M"][1] == "computed"
+    assert rep.inputs["i_A"][1] == rep.inputs["i_X"][1] == "heuristic"
+    assert len(all_pairs) == 1
+
+
 def test_thm1_symmetric_signal_brackets_unity(square16):
     rep = check_thm1_bounds(square16)
     assert rep.lower_bound <= 1.0 <= rep.upper_bound
