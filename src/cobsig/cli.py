@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import fileio
 from .complex import validate
@@ -31,36 +30,23 @@ USAGE_ERROR = 2
 OPERATION_ERROR = 1
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: command, paths, numeric parameters, format."""
-
-    command: str
-    args: argparse.Namespace
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(command=args.command, args=args)
-        cfg.check()
-        return cfg
-
-    def check(self) -> None:
-        a = self.args
-        if getattr(a, "resolution", None) is not None and a.resolution < 2:
-            raise UsageError("resolution must be at least 2")
-        if getattr(a, "eps", None) is not None:
-            values = _parse_eps(a.eps)
-            if any(not 0 < e < 1 for e in values):
-                raise UsageError("eps values must lie in (0, 1)")
-            if sorted(values, reverse=True) != values:
-                raise UsageError("eps values must be strictly descending")
-        if getattr(a, "delta0", None) is not None and getattr(a, "delta", None) is not None:
-            if not 0 < a.delta0 < a.delta:
-                raise UsageError("need 0 < delta0 < delta")
-
-
 class UsageError(Exception):
     pass
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject parameter values argparse cannot check on its own."""
+    if getattr(args, "resolution", None) is not None and args.resolution < 2:
+        raise UsageError("resolution must be at least 2")
+    if getattr(args, "eps", None) is not None:
+        values = _parse_eps(args.eps)
+        if any(not 0 < e < 1 for e in values):
+            raise UsageError("eps values must lie in (0, 1)")
+        if sorted(values, reverse=True) != values:
+            raise UsageError("eps values must be strictly descending")
+    delta0, delta = getattr(args, "delta0", None), getattr(args, "delta", None)
+    if delta0 is not None and delta is not None and not 0 < delta0 < delta:
+        raise UsageError("need 0 < delta0 < delta")
 
 
 def _parse_eps(text: str) -> list:
@@ -127,31 +113,30 @@ def _load(path):
 # -- subcommand implementations ---------------------------------------------
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    a = cfg.args
-    if a.kind == "square":
-        sig = gen_square(a.resolution)
-    elif a.kind == "rectangle":
-        sig = gen_rectangle(a.width, a.height, a.resolution)
-    elif a.kind == "annular_shell":
-        sig = gen_annular_shell(a.r0, a.r1, a.height, a.resolution)
+def cmd_generate(args: argparse.Namespace) -> int:
+    if args.kind == "square":
+        sig = gen_square(args.resolution)
+    elif args.kind == "rectangle":
+        sig = gen_rectangle(args.width, args.height, args.resolution)
+    elif args.kind == "annular_shell":
+        sig = gen_annular_shell(args.r0, args.r1, args.height, args.resolution)
     else:
-        raise UsageError(f"unknown kind {a.kind!r}")
-    fileio.save_signal(sig, a.out)
+        raise UsageError(f"unknown kind {args.kind!r}")
+    fileio.save_signal(sig, args.out)
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    if not os.path.exists(cfg.args.path):
-        raise UsageError(f"cannot read {cfg.args.path}")
+def cmd_validate(args: argparse.Namespace) -> int:
+    if not os.path.exists(args.path):
+        raise UsageError(f"cannot read {args.path}")
     try:
-        data = json.loads(open(cfg.args.path).read())
+        data = json.loads(open(args.path).read())
         sig_report = validate(fileio.signal_from_dict(data).complex)
     except CobsigError as exc:
         # structurally unbuildable counts as failed validation, not usage
-        _emit({"ok": False, "violations": [["unbuildable", str(exc)]]}, cfg.args)
+        _emit({"ok": False, "violations": [["unbuildable", str(exc)]]}, args)
         return OPERATION_ERROR
-    _emit(sig_report.to_dict(), cfg.args)
+    _emit(sig_report.to_dict(), args)
     return 0 if sig_report.ok else OPERATION_ERROR
 
 
@@ -165,98 +150,91 @@ def _energy_payload(sig, steiner_level: int) -> dict:
     }
 
 
-def cmd_energy(cfg: RunConfig) -> int:
-    sig = _load(cfg.args.path)
-    _emit(_energy_payload(sig, cfg.args.steiner_level), cfg.args)
+def cmd_energy(args: argparse.Namespace) -> int:
+    sig = _load(args.path)
+    _emit(_energy_payload(sig, args.steiner_level), args)
     return 0
 
 
-def cmd_fourier(cfg: RunConfig) -> int:
-    sig = fourier_relabel(_load(cfg.args.path))
-    if cfg.args.transformed_out:
-        fileio.save_signal(sig, cfg.args.transformed_out)
-    _emit(_energy_payload(sig, cfg.args.steiner_level), cfg.args)
+def cmd_fourier(args: argparse.Namespace) -> int:
+    sig = fourier_relabel(_load(args.path))
+    if args.transformed_out:
+        fileio.save_signal(sig, args.transformed_out)
+    _emit(_energy_payload(sig, args.steiner_level), args)
     return 0
 
 
-def cmd_noise(cfg: RunConfig) -> int:
-    a = cfg.args
-    sig = _load(a.path)
-    spec = NoiseSpec(a.center_vertex, a.delta0, a.delta, a.epsilon)
-    noisy = apply_noise(sig, spec, a.steiner_level)
-    fileio.save_signal(noisy, a.out)
-    _emit(_energy_payload(noisy, a.steiner_level), a)
+def cmd_noise(args: argparse.Namespace) -> int:
+    sig = _load(args.path)
+    spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, args.epsilon)
+    noisy = apply_noise(sig, spec, args.steiner_level)
+    fileio.save_signal(noisy, args.out)
+    _emit(_energy_payload(noisy, args.steiner_level), args)
     return 0
 
 
-def cmd_filter(cfg: RunConfig) -> int:
-    a = cfg.args
-    sig = _load(a.path)
-    if not os.path.exists(a.keep):
-        raise UsageError(f"cannot read {a.keep}")
-    keep_spec = fileio.load_keep_spec(a.keep)
+def cmd_filter(args: argparse.Namespace) -> int:
+    sig = _load(args.path)
+    if not os.path.exists(args.keep):
+        raise UsageError(f"cannot read {args.keep}")
+    keep_spec = fileio.load_keep_spec(args.keep)
     kept = fileio.kept_simplices_from_spec(sig, keep_spec)
     filt = extract_filter(sig, kept)
-    fileio.save_signal(filt, a.out)
-    _emit(_energy_payload(filt, a.steiner_level), a)
+    fileio.save_signal(filt, args.out)
+    _emit(_energy_payload(filt, args.steiner_level), args)
     return 0
 
 
-def cmd_compose(cfg: RunConfig) -> int:
-    a = cfg.args
-    left = _load(a.left)
-    right = _load(a.right)
-    if not os.path.exists(a.corr):
-        raise UsageError(f"cannot read {a.corr}")
-    corr = fileio.load_correspondence(a.corr)
+def cmd_compose(args: argparse.Namespace) -> int:
+    left = _load(args.left)
+    right = _load(args.right)
+    if not os.path.exists(args.corr):
+        raise UsageError(f"cannot read {args.corr}")
+    corr = fileio.load_correspondence(args.corr)
     glued = compose(left, right, corr)
-    fileio.save_signal(glued, a.out)
-    _emit(_energy_payload(glued, a.steiner_level), a)
+    fileio.save_signal(glued, args.out)
+    _emit(_energy_payload(glued, args.steiner_level), args)
     return 0
 
 
-def cmd_verify_thm1(cfg: RunConfig) -> int:
-    sig = _load(cfg.args.path)
-    report = check_thm1_bounds(sig, cfg.args.steiner_level)
-    _emit(report.to_dict(), cfg.args)
+def cmd_verify_thm1(args: argparse.Namespace) -> int:
+    sig = _load(args.path)
+    report = check_thm1_bounds(sig, args.steiner_level)
+    _emit(report.to_dict(), args)
     return 0 if report.holds else OPERATION_ERROR
 
 
-def cmd_verify_thm2(cfg: RunConfig) -> int:
-    a = cfg.args
-    left = _load(a.left)
-    right = _load(a.right)
-    if not os.path.exists(a.corr):
-        raise UsageError(f"cannot read {a.corr}")
-    corr = fileio.load_correspondence(a.corr)
-    report = check_composition(left, right, corr, a.steiner_level)
-    _emit(report.to_dict(), a)
+def cmd_verify_thm2(args: argparse.Namespace) -> int:
+    left = _load(args.left)
+    right = _load(args.right)
+    if not os.path.exists(args.corr):
+        raise UsageError(f"cannot read {args.corr}")
+    corr = fileio.load_correspondence(args.corr)
+    report = check_composition(left, right, corr, args.steiner_level)
+    _emit(report.to_dict(), args)
     return 0 if report.holds else OPERATION_ERROR
 
 
-def cmd_sweep_eps(cfg: RunConfig) -> int:
-    a = cfg.args
-    sig = _load(a.path)
-    spec = NoiseSpec(a.center_vertex, a.delta0, a.delta, 0.5)
-    report = eps_sweep(sig, spec, _parse_eps(a.eps), a.steiner_level)
-    _emit(report.to_dict(), a)
+def cmd_sweep_eps(args: argparse.Namespace) -> int:
+    sig = _load(args.path)
+    spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, 0.5)
+    report = eps_sweep(sig, spec, _parse_eps(args.eps), args.steiner_level)
+    _emit(report.to_dict(), args)
     return 0
 
 
-def cmd_refine_study(cfg: RunConfig) -> int:
-    a = cfg.args
-    params = {"width": a.width, "height": a.height, "r0": a.r0, "r1": a.r1}
-    resolutions = [int(x) for x in a.resolutions.split(",")]
-    report = refinement_study(a.kind, params, resolutions, a.steiner_level,
-                              a.oracle_resolution)
-    _emit(report.to_dict(), a)
+def cmd_refine_study(args: argparse.Namespace) -> int:
+    params = {"width": args.width, "height": args.height, "r0": args.r0, "r1": args.r1}
+    resolutions = [int(x) for x in args.resolutions.split(",")]
+    report = refinement_study(args.kind, params, resolutions, args.steiner_level,
+                              args.oracle_resolution)
+    _emit(report.to_dict(), args)
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    a = cfg.args
-    params = {"width": a.width, "height": a.height, "r0": a.r0, "r1": a.r1}
-    _emit(grid_oracle(a.kind, params, a.fine_resolution), a)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    params = {"width": args.width, "height": args.height, "r0": args.r0, "r1": args.r1}
+    _emit(grid_oracle(args.kind, params, args.fine_resolution), args)
     return 0
 
 
@@ -409,8 +387,8 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig.from_args(args)
-        return COMMANDS[args.command](cfg)
+        _check_args(args)
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -50,6 +50,8 @@ class CobordismComplex:
     simplices : (nt, d+1) int array, read-only
     signs : (nt,) int array of +-1, read-only
     labels : dict mapping region tag to frozenset of facet tuples
+    facets : (nf, d) int array, read-only
+        Every distinct facet once, vertices ascending, rows lexsorted.
     boundary_facets : frozenset of the facet tuples with one simplex
     simplex_edge_rows : (nt, d(d+1)/2) int array, read-only
         Row in ``edges()`` of each simplex's edge (i, j), i < j, in
@@ -62,6 +64,7 @@ class CobordismComplex:
         self.signs = signs
         self.labels = labels
         self._structure = structure
+        self.facets = structure.facets
         self.boundary_facets = structure.boundary_facets
         self.simplex_edge_rows = structure.simplex_edge_rows
 
@@ -382,14 +385,9 @@ def region_vertices(cx: CobordismComplex, tag: str) -> np.ndarray:
     vertices belong to every incident closed region.
     """
     if tag in REGION_TAGS:
-        out = set()
-        for f in cx.labels[tag]:
-            out.update(f)
-        return np.array(sorted(out), dtype=np.int64)
-    if len(tag) == 2 and tag[0] in REGION_TAGS and tag[1] in REGION_TAGS:
+        faces = cx.labels[tag]
+    elif len(tag) == 2 and tag[0] in REGION_TAGS and tag[1] in REGION_TAGS:
         faces = cx.corner_faces(tag[0], tag[1])
-        out = set()
-        for f in faces:
-            out.update(f)
-        return np.array(sorted(out), dtype=np.int64)
-    raise RegionError(f"unknown region tag {tag!r}")
+    else:
+        raise RegionError(f"unknown region tag {tag!r}")
+    return np.unique(np.array(list(faces), dtype=np.int64))

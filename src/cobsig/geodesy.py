@@ -1,30 +1,36 @@
 """Geodesic distance fields, diameters, and boundary injectivity radii.
 
 Distances are graph shortest paths on a Steiner-refined 1-skeleton: every
-edge is split into 2**s sub-edges, and for s >= 1 each top simplex gains
-chords between refinement points sitting on different edges.  Chord lengths
-come from the flat simplex determined by the metric's edge lengths, so the
-construction works for deformed (non-embedded) metrics and in any dimension.
+edge is split into 2**s sub-edges, and for s >= 1 chords join refinement
+points sitting on different edges of a common simplex.  Every node pair has
+one owner, the smallest face holding both nodes: a triangle owns the chords
+between its edges, and in 3D a tetrahedron owns only those between the
+interior points of its opposite edges, so each chord is built once, from
+its owner's flat embedding.  Chord lengths come from the flat simplex
+determined by the metric's edge lengths, so the construction works for
+deformed (non-embedded) metrics.
 
 The refined graph at level s+1 contains the level-s graph edge-for-edge with
 bit-identical weights (sub-edge lengths are exact halvings, coarse chords
-reappear with the same endpoints), so distance fields are exactly
+reappear with the same endpoints and owner), so distance fields are exactly
 non-increasing in s.  Results are upper bounds on the true geodesic
 distances and are deterministic across runs.
 
-A graph is built in two parts.  Its pattern -- node layout, the node pairs
-of every sub-edge and chord, how repeated pairs group, and the CSR
-``indptr``/``indices`` -- depends only on the complex's structure, the cell
-set (all top simplices, or one region's facets) and s.  It reads its edge
-table and the edge rows of its cells from the structure (``edges()`` and
-``simplex_edge_rows`` for the whole complex; a region keeps a compact table
-of its own edges, found once through ``edge_rows``), and is kept on the
-structure that noise, relabelings and every signal on the complex share.
-Each metric then only refills the weights from ``lengths[rows]``: chord
-lengths from the cells' flat embeddings, a per-pair minimum and a scatter
-into the shared pattern, with no search, no sort and no COO conversion.
-The scheme is the Steiner-point discretization of Lanthier, Maheshwari and
-Sack (Algorithmica 30, 2001).
+A graph is built in two parts.  Its pattern -- node layout, the node pair
+of every sub-edge and chord, and the CSR ``indptr``/``indices`` -- depends
+only on the complex's structure, the owner faces (the top simplices, and in
+3D the facet table; or one region's facets) and s.  It reads its edge
+table and the edge rows of its faces from the structure (``edges()``,
+``simplex_edge_rows`` and ``facets`` for the whole complex; a region keeps
+a compact table of its own edges, found once through ``edge_rows``), and is
+kept on the structure that noise, relabelings and every signal on the
+complex share.  Since no raw entry repeats a pair, scipy's COO -> CSR
+conversion builds it.  Each metric then only refills the weights from
+``lengths[rows]``: chord lengths from the faces' flat embeddings and one
+scatter into the shared pattern, with no search, no sort and no COO
+conversion.  The scheme is the Steiner-point discretization of Lanthier,
+Maheshwari and Sack (Algorithmica 30, 2001) and of Aleksandrov, Maheshwari
+and Sack (JACM 52(1), 2005).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .complex import REGION_TAGS, edge_rows, region_vertices
@@ -81,11 +87,16 @@ class InjectivityEstimate:
 
 @lru_cache(maxsize=None)
 def _chord_template(q: int, s: int):
-    """Canonical refinement nodes of a q-simplex and the chord pairs to add.
+    """Canonical refinement nodes of a q-simplex (q >= 2) and the chords it
+    owns.
 
     Nodes are the q+1 vertices plus the 2**s - 1 interior points of each of
-    the q(q+1)/2 edges.  Chords connect nodes on different edges; pairs on a
-    common edge are omitted because sub-edge chains already cover them.
+    the q(q+1)/2 edges.  A node's carrier is its vertex, or its edge's two
+    end vertices.  A node pair belongs to the smallest face that holds both
+    nodes, so the q-simplex keeps a pair only when the two carriers together
+    span all q+1 vertices: for q = 2 every pair on different edges, for
+    q = 3 only interior points of opposite edges.  No kept pair lies on a
+    common edge, whose sub-edge chain already covers it.
     """
     slots = list(itertools.combinations(range(q + 1), 2))
     # descriptor: ("v", position) or ("e", slot_index, m)
@@ -94,17 +105,11 @@ def _chord_template(q: int, s: int):
         for m in range(1, 2**s):
             nodes.append(("e", si, m))
 
-    def on_edges(desc):
-        if desc[0] == "v":
-            return {si for si, (i, j) in enumerate(slots) if desc[1] in (i, j)}
-        return {desc[1]}
+    def carrier(desc):
+        return {desc[1]} if desc[0] == "v" else set(slots[desc[1]])
 
-    pairs = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            if on_edges(nodes[a]) & on_edges(nodes[b]):
-                continue
-            pairs.append((a, b))
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(nodes)), 2)
+             if len(carrier(nodes[a]) | carrier(nodes[b])) == q + 1]
     pairs_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return slots, nodes, pairs_arr
 
@@ -138,38 +143,46 @@ def _embed_cells(sq: np.ndarray, q: int) -> np.ndarray:
 class _Pattern:
     """Metric-free part of a refined graph: node layout and CSR structure.
 
-    ``edges`` is the pattern's edge table and ``cell_rows`` the row in it of
-    each cell edge, in slot order; both come from the complex's structure.
-    Node layout: indices 0..nv-1 are the original vertices; the interior
-    points of edge row k occupy nv + k*(2**s - 1) .. in parameter order
-    (measured from the smaller-index endpoint).
+    ``edges`` is the pattern's edge table and ``cells`` a list of
+    (faces, rows) pairs, one per face dimension: each face's vertices and
+    the row in ``edges`` of each face edge, in slot order.  Both come from
+    the complex's structure.  Faces below dimension 2 own no chords.  Node
+    layout: indices 0..nv-1 are the original vertices; the interior points
+    of edge row k occupy nv + k*(2**s - 1) .. in parameter order (measured
+    from the smaller-index endpoint).
 
     The graph's raw entries are, in order, the sub-edges of every level
     t = 0..s (kept as skip edges so refinement can only shorten paths) and
-    then each cell's chords.  A node pair may occur twice: a 3D chord on a
-    facet shared by two tetrahedra.  ``first`` holds the first raw entry of
-    each distinct pair, ``dup_group``/``dup_raw`` the (pair, raw entry) of
-    every repeat, and ``slot_pair`` the pair behind each slot of the
-    canonical CSR ``indptr``/``indices`` of the symmetric matrix.
+    then the chords of each face, group by group.  Every node pair has one
+    owner: the edge it lies on, or else the smallest face holding both
+    nodes (``_chord_template``).  With each face listed once, every raw
+    entry is a distinct pair, so scipy's COO -> CSR conversion, with the raw
+    entry as payload, gives the canonical ``indptr``/``indices`` of the
+    symmetric matrix, and ``slot_raw`` is the raw entry behind each slot.
     """
 
-    def __init__(self, nv: int, edges: np.ndarray, cells: np.ndarray,
-                 cell_rows: np.ndarray, s: int):
+    def __init__(self, nv: int, edges: np.ndarray, cells: list, s: int):
         self.nv = nv
         self.s = s
         self.edges = edges
         self._interior = 2**s - 1
         self.n_nodes = nv + len(edges) * self._interior
-        q = cells.shape[1] - 1
-        self._q = q if q >= 2 and len(cells) else 0
-        self.cell_rows = cell_rows
-        code = self._raw_pairs(cells)
-        self.n_raw = len(code)
-        self.first, self.dup_group, self.dup_raw, code = _group_pairs(code)
-        self.indptr, self.indices, self.slot_pair = _csr_pattern(code, self.n_nodes)
+        self.cells = [(faces, rows) for faces, rows in cells if faces.shape[1] > 2]
+        i, j = self._raw_pairs()
+        self.n_raw = len(i)
+        # payload raw + 1, so that no stored value is an explicit zero
+        raw = np.arange(1, self.n_raw + 1, dtype=np.int32)
+        m = coo_matrix((np.concatenate([raw, raw]),
+                        (np.concatenate([i, j]), np.concatenate([j, i]))),
+                       shape=(self.n_nodes, self.n_nodes)).tocsr()
+        m.sort_indices()
+        # the conversion sums a repeated pair, which only a repeated simplex makes
+        if m.nnz != 2 * self.n_raw:
+            raise GeodesyError("the complex lists a top simplex twice")
+        self.indptr, self.indices, self.slot_raw = m.indptr, m.indices, m.data - 1
 
-    def _raw_pairs(self, cells: np.ndarray) -> np.ndarray:
-        """Node pair code lo * n_nodes + hi of every raw entry, in order."""
+    def _raw_pairs(self):
+        """Node pair (i, j) of every raw entry, in order, as int32 arrays."""
         s, ne = self.s, len(self.edges)
         src, dst = [], []
         rows = np.arange(ne, dtype=np.int64)
@@ -178,22 +191,20 @@ class _Pattern:
             for j in range(2**t):
                 src.append(self.node_ids(rows, np.full(ne, j * step)))
                 dst.append(self.node_ids(rows, np.full(ne, (j + 1) * step)))
-        if self._q:
-            slots, nodes, pairs = _chord_template(self._q, s)
-            gids = np.empty((len(cells), len(nodes)), dtype=np.int64)
+        for faces, face_rows in self.cells:
+            slots, nodes, pairs = _chord_template(faces.shape[1] - 1, s)
+            gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
             for k, desc in enumerate(nodes):
                 if desc[0] == "v":
-                    gids[:, k] = cells[:, desc[1]]
+                    gids[:, k] = faces[:, desc[1]]
                 else:
                     si, m = desc[1], desc[2]
                     i, j = slots[si]
-                    m_global = np.where(cells[:, i] > cells[:, j], 2**s - m, m)
-                    gids[:, k] = self.node_ids(self.cell_rows[:, si], m_global)
+                    m_global = np.where(faces[:, i] > faces[:, j], 2**s - m, m)
+                    gids[:, k] = self.node_ids(face_rows[:, si], m_global)
             src.append(gids[:, pairs[:, 0]].ravel())
             dst.append(gids[:, pairs[:, 1]].ravel())
-        i = np.concatenate(src)
-        j = np.concatenate(dst)
-        return np.minimum(i, j) * np.int64(self.n_nodes) + np.maximum(i, j)
+        return np.concatenate(src, dtype=np.int32), np.concatenate(dst, dtype=np.int32)
 
     def node_ids(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Graph node for parameter m/2**s along edge rows (m in 0..2**s)."""
@@ -211,35 +222,10 @@ class _Pattern:
         base = self.nv + np.asarray(rows, dtype=np.int64)[:, None] * self._interior
         return (base + np.arange(self._interior)[None, :]).ravel()
 
-    def _chord_lengths(self, lengths: np.ndarray) -> np.ndarray:
-        """Chord lengths per cell, from each cell's flat embedding."""
-        q, s = self._q, self.s
-        slots, nodes, pairs = _chord_template(q, s)
-        sq = squared_lengths(lengths[self.cell_rows], q)
-        P = _embed_cells(sq, q).transpose(2, 0, 1)  # (axis, cell, vertex)
-        coords = np.empty((q, len(self.cell_rows), len(nodes)), dtype=np.float64)
-        for k, desc in enumerate(nodes):
-            if desc[0] == "v":
-                coords[:, :, k] = P[:, :, desc[1]]
-            else:
-                i, j = slots[desc[1]]
-                t = np.float64(desc[2]) / np.float64(2**s)
-                coords[:, :, k] = P[:, :, i] * (1.0 - t) + P[:, :, j] * t
-        # summed axis by axis in the order np.sum takes: lengths stay bit-identical
-        total = 0.0
-        for x in coords:
-            d = x[:, pairs[:, 0]] - x[:, pairs[:, 1]]
-            total = total + d * d
-        return np.sqrt(total).ravel()
-
     def fill(self, lengths: np.ndarray) -> csr_matrix:
-        """The symmetric weight matrix for per-edge ``lengths``.
-
-        Each node pair keeps the minimum weight over its raw entries: the
-        first entry's weight, folded with the repeats by ``np.minimum.at``.
-        That minimum is exact, so it does not depend on which cell a chord
-        came from.  No sort and no COO conversion runs here.
-        """
+        """The symmetric weight matrix for per-edge ``lengths``: the weight
+        of every raw entry, scattered into the shared pattern.  No sort and
+        no COO conversion runs here."""
         ne = len(self.edges)
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
@@ -248,46 +234,35 @@ class _Pattern:
             for _ in range(2**t):
                 w[pos:pos + ne] = seg_w
                 pos += ne
-        if self._q:
-            w[pos:] = self._chord_lengths(lengths)
-        pair_w = w[self.first]
-        np.minimum.at(pair_w, self.dup_group, w[self.dup_raw])
-        return csr_matrix((pair_w[self.slot_pair], self.indices, self.indptr),
+        for faces, face_rows in self.cells:
+            chords = _chord_lengths(lengths[face_rows], faces.shape[1] - 1, self.s)
+            w[pos:pos + len(chords)] = chords
+            pos += len(chords)
+        return csr_matrix((w[self.slot_raw], self.indices, self.indptr),
                           shape=(self.n_nodes, self.n_nodes))
 
 
-def _group_pairs(code: np.ndarray):
-    """Group equal raw pair codes.
-
-    Returns the first raw entry of each distinct code, the (group, raw
-    entry) of every repeat, and the distinct codes in ascending order.
-    """
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    new = np.ones(len(code), dtype=bool)
-    new[1:] = code[1:] != code[:-1]
-    first = order[new].astype(np.int32)
-    dup_group = (np.cumsum(new)[~new] - 1).astype(np.int32)
-    dup_raw = order[~new].astype(np.int32)
-    return first, dup_group, dup_raw, code[new]
-
-
-def _csr_pattern(code: np.ndarray, n: int):
-    """Canonical CSR structure of the symmetric matrix on distinct pairs.
-
-    Every pair lo * n + hi fills slots (lo, hi) and (hi, lo); rows and the
-    columns within a row ascend.  Returns ``indptr``, ``indices`` and the
-    pair behind each slot.
-    """
-    n64 = np.int64(n)
-    both = np.concatenate([code, (code % n64) * n64 + code // n64])
-    perm = np.argsort(both)
-    both = both[perm]
-    slot_pair = (perm % len(code)).astype(np.int32)
-    indices = (both % n64).astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(both // n64, minlength=n), out=indptr[1:])
-    return indptr, indices, slot_pair
+def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
+    """Chord lengths of q-faces, from each face's flat embedding, in
+    ``_chord_template`` pair order; ``face_lengths`` holds each face's edge
+    lengths in slot order."""
+    slots, nodes, pairs = _chord_template(q, s)
+    sq = squared_lengths(face_lengths, q)
+    P = _embed_cells(sq, q).transpose(2, 0, 1)  # (axis, face, vertex)
+    coords = np.empty((q, len(face_lengths), len(nodes)), dtype=np.float64)
+    for k, desc in enumerate(nodes):
+        if desc[0] == "v":
+            coords[:, :, k] = P[:, :, desc[1]]
+        else:
+            i, j = slots[desc[1]]
+            t = np.float64(desc[2]) / np.float64(2**s)
+            coords[:, :, k] = P[:, :, i] * (1.0 - t) + P[:, :, j] * t
+    # summed axis by axis in the order np.sum takes: lengths stay bit-identical
+    total = 0.0
+    for x in coords:
+        d = x[:, pairs[:, 0]] - x[:, pairs[:, 1]]
+        total = total + d * d
+    return np.sqrt(total).ravel()
 
 
 class _SteinerGraph:
@@ -302,22 +277,26 @@ class _SteinerGraph:
 def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
     """Refined graph of the whole complex (``tag`` None) or of a region.
 
-    The pattern depends on the structure, the cell set and ``s`` alone, so
-    it is kept on the complex's shared structure, keyed by the region's
-    facet set: noise, relabelings and every later metric reuse it and only
-    refill the weights.
+    The whole complex's chord owners are its top simplices, and in 3D also
+    every facet of its facet table; a region's are its own facets.  The
+    pattern depends on the structure, the cell set and ``s`` alone, so it
+    is kept on the complex's shared structure, keyed by the region's facet
+    set: noise, relabelings and every later metric reuse it and only refill
+    the weights.
     """
     cx = signal.complex
     facets = None if tag is None else cx.labels[tag]
 
     def pattern():
         if tag is None:
-            return None, _Pattern(cx.n_vertices, cx.edges(), cx.simplices,
-                                  cx.simplex_edge_rows, s)
-        cells, cell_rows = _region_cells(cx, tag)
-        rows, local = np.unique(cell_rows, return_inverse=True)
-        return rows, _Pattern(cx.n_vertices, cx.edges()[rows], cells,
-                              local.reshape(cell_rows.shape), s)
+            cells = [(cx.simplices, cx.simplex_edge_rows)]
+            if cx.dim == 3:
+                cells.append(_facet_cells(cx))
+            return None, _Pattern(cx.n_vertices, cx.edges(), cells, s)
+        faces, face_rows = _facet_cells(cx, tag)
+        rows, local = np.unique(face_rows, return_inverse=True)
+        return rows, _Pattern(cx.n_vertices, cx.edges()[rows],
+                              [(faces, local.reshape(face_rows.shape))], s)
 
     def build():
         rows, pat = cx.cached(("pattern", s, facets), pattern)
@@ -326,15 +305,17 @@ def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
     return signal.cached(("graph", s, facets), build)
 
 
-def _region_cells(cx, tag: str):
-    """A region's facets, sorted, and the edge-table row of each facet edge
-    in slot order."""
-    facets = sorted(cx.labels[tag])
-    if not facets:
-        raise RegionError(f"region {tag!r} has no facets")
-    cells = np.array(facets, dtype=np.int64)
-    slots = np.array(_chord_template(cells.shape[1] - 1, 0)[0])
-    return cells, edge_rows(cx.edges(), cells[:, slots])
+def _facet_cells(cx, tag: str | None = None):
+    """Facets and the edge-table row of each facet edge in slot order: the
+    complex's facet table (``tag`` None) or a region's facets, sorted."""
+    if tag is None:
+        faces = cx.facets
+    else:
+        if not cx.labels[tag]:
+            raise RegionError(f"region {tag!r} has no facets")
+        faces = np.array(sorted(cx.labels[tag]), dtype=np.int64)
+    slots = np.array(list(itertools.combinations(range(faces.shape[1]), 2)))
+    return faces, edge_rows(cx.edges(), faces[:, slots])
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
@@ -342,7 +323,7 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
     verts = region_vertices(signal.complex, tag)
     if len(verts) == 0:
         raise RegionError(f"region {tag!r} is empty")
-    rows = np.unique(_region_cells(signal.complex, tag)[1])
+    rows = np.unique(_facet_cells(signal.complex, tag)[1])
     steiner = graph.pattern.steiner_ids_of_rows(rows)
     return np.concatenate([verts, steiner])
 
@@ -485,8 +466,10 @@ def injectivity_radius(signal, region: str,
     Generator-provided analytic values win when present.  Otherwise a
     first-cut-locus heuristic runs: a vertex flags a cut when its two nearest
     region vertices are far apart inside the region itself; the estimate is
-    the smallest flagged distance, falling back to diam(M) when no vertex
-    flags.  The heuristic is advisory and tagged as such.
+    the smallest flagged distance, or the largest distance to the region,
+    max f_R, when no vertex flags.  Both are sound caps, since the normal
+    collar of R cannot reach past the farthest point from R:
+    i_R <= sup f_R <= diam(M).  The heuristic is advisory and tagged as such.
     """
     if region not in ("A", "X"):
         raise RegionError(f"injectivity radius defined for A or X, got {region!r}")
@@ -504,8 +487,5 @@ def injectivity_radius(signal, region: str,
     intra = _distances_to_vertices(rgraph, region_ids, region_ids)
     est = _first_cut_estimate(f, feet, intra, region_ids)
     if est is None:
-        if "diam_M" in signal.hints:
-            est = float(signal.hints["diam_M"])
-        else:
-            est = diameter(signal, "M", s)
+        est = float(f.max())
     return InjectivityEstimate(est, "heuristic", region)

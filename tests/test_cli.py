@@ -90,6 +90,18 @@ def test_cli_verify_thm1_exit_zero(tmp_path, capsys):
     assert json.loads(out)["holds"] is True
 
 
+def test_cli_verify_thm1_thin_shell_without_hints(tmp_path, capsys, shell16):
+    # the no-hints injectivity estimate is max f_R (0.2 for X), not diam(M)
+    mesh = tmp_path / "shell.json"
+    save_signal(cs.Signal(shell16.complex, shell16.metric, hints={}), mesh)
+    code, out, _ = run(capsys, "verify-thm1", str(mesh))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["holds"] is True
+    assert rep["inputs"]["i_X"]["source"] == "heuristic"
+    assert rep["inputs"]["i_X"]["value"] == pytest.approx(0.2, rel=1e-12)
+
+
 def test_cli_noise_filter(tmp_path, capsys):
     mesh = str(tmp_path / "sq.json")
     run(capsys, "generate", "--kind", "square", "--resolution", "16",

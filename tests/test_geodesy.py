@@ -10,10 +10,10 @@ import cobsig as cs
 from cobsig import geodesy
 from cobsig.errors import GeodesyError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
-from cobsig.geodesy import (_Pattern, _SteinerGraph, _first_cut_estimate,
-                            _graph, diameter, distance_field,
-                            distance_to_vertex, injectivity_radius)
-from cobsig.metric import conformal_scale
+from cobsig.geodesy import (_first_cut_estimate, _graph, diameter,
+                            distance_field, distance_to_vertex,
+                            injectivity_radius)
+from cobsig.metric import conformal_scale, induced_metric
 from cobsig.signal import Signal
 from cobsig.signalops import NoiseSpec, apply_noise
 from cobsig.verify import eps_sweep
@@ -76,15 +76,23 @@ def test_distance_to_vertex_zero_at_center(square8):
 
 
 def test_disconnected_graph_raises():
-    # two disjoint segments at the graph level
-    edges = np.array([[0, 1], [2, 3]], dtype=np.int64)
-    lengths = np.array([1.0, 1.0])
-    cells = np.empty((0, 3), dtype=np.int64)
-    graph = _SteinerGraph(_Pattern(4, edges, cells, cells, 1), lengths)
-    from scipy.sparse.csgraph import dijkstra
-    dist = dijkstra(graph.matrix, directed=True,
-                    indices=np.array([0]), min_only=True)
-    assert np.isinf(dist[2])
+    # two disjoint triangles; region A is an edge of the first only
+    cx = cs.build_complex([(0, 0), (1, 0), (0, 1), (3, 0), (4, 0), (3, 1)],
+                          [(0, 1, 2), (3, 4, 5)], {"A": [(0, 2)]})
+    sig = Signal(cx, induced_metric(cx))
+    with pytest.raises(GeodesyError, match="unreachable from region 'A'"):
+        distance_field(sig, "A")
+
+
+def test_repeated_simplex_raises():
+    # a triangle listed twice would give its chords two raw entries, which
+    # the CSR conversion would sum; the pattern refuses it instead
+    cx = cs.build_complex([(0, 0), (1, 0), (0, 1), (1, 1)],
+                          [(0, 1, 2), (1, 3, 2), (1, 3, 2)],
+                          {"A": [(0, 2)], "X": [(0, 1)]}, signs=[1, 1, -1])
+    sig = Signal(cx, induced_metric(cx))
+    with pytest.raises(GeodesyError, match="lists a top simplex twice"):
+        distance_field(sig, "A", 1)
 
 
 def test_diameter_square(square16):
@@ -127,12 +135,24 @@ def test_injectivity_analytic_from_hints(square16, shell16):
     assert est_x.value == pytest.approx(0.2)
 
 
-def test_injectivity_heuristic_falls_back_to_diameter(square8):
-    stripped = Signal(square8.complex, square8.metric, hints={})
-    est = injectivity_radius(stripped, "A")
-    assert est.method == "heuristic"
-    # no cut locus on the square: the stated fallback is diam(M)
-    assert est.value == pytest.approx(diameter(stripped, "M", 2), rel=1e-12)
+INJECTIVITY_CASES = {
+    "square": lambda: cs.gen_square(16),
+    "rectangle": lambda: cs.gen_rectangle(2.0, 1.0, 16),
+    "thin-shell": lambda: cs.gen_annular_shell(1.0, 1.2, 1.0, 16),
+    "shell": lambda: cs.gen_annular_shell(1.0, 2.0, 2.0, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIVITY_CASES))
+def test_injectivity_without_hints_matches_analytic(name):
+    # no vertex flags a cut on these geometries, so the estimate is max f_R,
+    # which the radial (or straight) edges make the analytic i_R to rounding
+    sig = INJECTIVITY_CASES[name]()
+    stripped = Signal(sig.complex, sig.metric, hints={})
+    for region in ("A", "X"):
+        est = injectivity_radius(stripped, region)
+        assert est.method == "heuristic"
+        assert est.value == pytest.approx(sig.hints[f"i_{region}"], rel=1e-12)
 
 
 def test_injectivity_unknown_region(square8):
@@ -215,17 +235,51 @@ def test_noise_refills_the_shared_pattern(request, name, whole):
         assert got.tobytes() == want.tobytes()
 
 
-def test_repeated_chords_keep_the_exact_minimum(shell16):
-    # a chord on a facet shared by two tets is built by both, possibly one
-    # ulp apart; the graph keeps the smaller weight whatever the cell order
-    cx, m = shell16.complex, shell16.metric
-    rows = cx.simplex_edge_rows
-    fwd = _SteinerGraph(_Pattern(cx.n_vertices, m.edges, cx.simplices, rows, 2),
-                        m.lengths)
-    rev = _SteinerGraph(_Pattern(cx.n_vertices, m.edges, cx.simplices[::-1],
-                                 rows[::-1], 2), m.lengths)
-    assert fwd.matrix.data.tobytes() == rev.matrix.data.tobytes()
-    assert len(fwd.pattern.dup_raw) > 0
+@pytest.mark.parametrize("name", ["square8", "shell16"])
+def test_every_raw_entry_is_a_distinct_pair(request, name):
+    # each node pair has one owner, so no raw entry repeats a pair
+    sig = request.getfixturevalue(name)
+    for s in range(4):
+        for tag in (None, "A", "X"):
+            graph = _graph(sig, s, tag)
+            assert graph.matrix.nnz == 2 * graph.pattern.n_raw
+
+
+def _global_nodes(pattern, rows, nodes):
+    """Full-graph ids of a region graph's nodes; ``rows`` are the region's
+    rows in the complex's edge table."""
+    k = pattern._interior
+    inner = nodes >= pattern.nv
+    local = np.where(inner, nodes - pattern.nv, 0)
+    return np.where(inner, pattern.nv + rows[local // k] * k + local % k, nodes)
+
+
+def test_full_graph_weights_on_a_facet_match_the_region_graph(shell16):
+    # a facet's chords come from the facet's own embedding, in the full 3D
+    # graph as in the region graph, so both carry the same bytes
+    cx = shell16.complex
+    for s in (1, 2):
+        full = _graph(shell16, s).matrix
+        for tag in ("A", "X"):
+            region = _graph(shell16, s, tag)
+            rows = np.unique(geodesy._facet_cells(cx, tag)[1])
+            coo = region.matrix.tocoo()
+            i = _global_nodes(region.pattern, rows, coo.row)
+            j = _global_nodes(region.pattern, rows, coo.col)
+            got = np.asarray(full[i, j]).ravel()
+            assert np.all(got > 0)
+            assert got.tobytes() == coo.data.tobytes()
+
+
+def test_reversed_tet_order_gives_the_same_weights(shell16):
+    cx = shell16.complex
+    rev = cs.build_complex(cx.vertices, cx.simplices[::-1], cx.labels,
+                           cx.signs[::-1])
+    fwd_graph = _graph(shell16, 2).matrix
+    rev_graph = _graph(Signal(rev, induced_metric(rev)), 2).matrix
+    for key in ("data", "indices", "indptr"):
+        assert (getattr(fwd_graph, key).tobytes()
+                == getattr(rev_graph, key).tobytes())
 
 
 def test_eps_sweep_builds_one_full_pattern(monkeypatch):
@@ -233,9 +287,9 @@ def test_eps_sweep_builds_one_full_pattern(monkeypatch):
     built = []
     make = geodesy._Pattern
 
-    def counting(nv, edges, cells, cell_rows, s):
-        built.append(cells.shape[1])
-        return make(nv, edges, cells, cell_rows, s)
+    def counting(nv, edges, cells, s):
+        built.append(cells[0][0].shape[1])
+        return make(nv, edges, cells, s)
 
     monkeypatch.setattr(geodesy, "_Pattern", counting)
     p = cs.vertex_at(sig, (0.75, 0.5))
