@@ -6,15 +6,16 @@ points sitting on different edges of a common simplex.  Every node pair has
 one owner, the smallest face holding both nodes: a triangle owns the chords
 between its edges, and in 3D a tetrahedron owns only those between the
 interior points of its opposite edges, so each chord is built once, from
-its owner's flat embedding.  Chord lengths come from the flat simplex
-determined by the metric's edge lengths, so the construction works for
-deformed (non-embedded) metrics.
+its owner's edge lengths.  A chord's squared length is a fixed linear
+combination of its owner's squared edge lengths (the Cayley-Menger / Gram
+identity, with exact dyadic coefficients), so no face is embedded and the
+construction works for deformed (non-embedded) metrics.
 
 The refined graph at level s+1 contains the level-s graph edge-for-edge with
 bit-identical weights (sub-edge lengths are exact halvings, coarse chords
-reappear with the same endpoints and owner), so distance fields are exactly
-non-increasing in s.  Results are upper bounds on the true geodesic
-distances and are deterministic across runs.
+reappear with the same endpoints, owner and coefficients), so distance
+fields are exactly non-increasing in s.  Results are upper bounds on the
+true geodesic distances and are deterministic across runs.
 
 A graph is built in two parts.  Its pattern -- node layout, the node pair
 of every sub-edge and chord, and the CSR ``indptr``/``indices`` -- depends
@@ -26,11 +27,11 @@ a compact table of its own edges, found once through ``edge_rows``), and is
 kept on the structure that noise, relabelings and every signal on the
 complex share.  Since no raw entry repeats a pair, scipy's COO -> CSR
 conversion builds it.  Each metric then only refills the weights from
-``lengths[rows]``: chord lengths from the faces' flat embeddings and one
-scatter into the shared pattern, with no search, no sort and no COO
-conversion.  The scheme is the Steiner-point discretization of Lanthier,
-Maheshwari and Sack (Algorithmica 30, 2001) and of Aleksandrov, Maheshwari
-and Sack (JACM 52(1), 2005).
+``lengths[rows]``: chord lengths from one constant coefficient table per
+face dimension and s, and one scatter into the shared pattern, with no
+search, no sort and no COO conversion.  The scheme is the Steiner-point
+discretization of Lanthier, Maheshwari and Sack (Algorithmica 30, 2001)
+and of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from scipy.sparse.csgraph import dijkstra
 from .complex import REGION_TAGS, edge_rows, region_vertices
 from .errors import GeodesyError, RegionError
 from .fields import ScalarField
-from .metric import squared_lengths
 
 __all__ = [
     "ScalarField",
@@ -61,6 +61,9 @@ DEFAULT_STEINER_LEVEL = 2
 
 #: Relative margin used by the first-cut-locus heuristic.
 CUT_TAU = 0.05
+
+#: Sources per Dijkstra call when all pairwise distances are kept.
+SEARCH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -114,30 +117,25 @@ def _chord_template(q: int, s: int):
     return slots, nodes, pairs_arr
 
 
-def _embed_cells(sq: np.ndarray, q: int) -> np.ndarray:
-    """Local flat coordinates of each cell's vertices from squared lengths.
-
-    Returns an (m, q+1, q) array; the layout is v0 at the origin, v1 on the
-    first axis, and so on (a Cholesky-style unrolling of the Gram matrix).
-    Degenerate cells surface as zero heights, which the metric volume checks
-    reject upstream.
-    """
-    m = sq.shape[0]
-    P = np.zeros((m, q + 1, q), dtype=np.float64)
-    l01 = np.sqrt(sq[:, 0, 1])
-    P[:, 1, 0] = l01
-    x2 = (sq[:, 0, 1] + sq[:, 0, 2] - sq[:, 1, 2]) / (2.0 * l01)
-    y2 = np.sqrt(np.maximum(sq[:, 0, 2] - x2 * x2, 0.0))
-    P[:, 2, 0] = x2
-    P[:, 2, 1] = y2
-    if q == 3:
-        x3 = (sq[:, 0, 1] + sq[:, 0, 3] - sq[:, 1, 3]) / (2.0 * l01)
-        y3 = (sq[:, 0, 2] + sq[:, 0, 3] - sq[:, 2, 3] - 2.0 * x2 * x3) / (2.0 * y2)
-        z3 = np.sqrt(np.maximum(sq[:, 0, 3] - x3 * x3 - y3 * y3, 0.0))
-        P[:, 3, 0] = x3
-        P[:, 3, 1] = y3
-        P[:, 3, 2] = z3
-    return P
+@lru_cache(maxsize=None)
+def _chord_coefficients(q: int, s: int) -> np.ndarray:
+    """(n_slots, n_pairs) table taking a q-face's squared edge lengths to
+    its squared chords: for barycentric w = a - b, |a - b|^2 =
+    -sum_{i<j} w_i w_j l_ij^2 (the Gram identity behind the volumes).  Node
+    coordinates are multiples of 2**-s, so every entry is exact."""
+    slots, nodes, pairs = _chord_template(q, s)
+    bary = np.zeros((len(nodes), q + 1), dtype=np.float64)
+    for k, desc in enumerate(nodes):
+        if desc[0] == "v":
+            bary[k, desc[1]] = 1.0
+        else:
+            i, j = slots[desc[1]]
+            t = desc[2] / 2**s
+            bary[k, i], bary[k, j] = 1.0 - t, t
+    w = bary[pairs[:, 0]] - bary[pairs[:, 1]]
+    coef = np.array([-w[:, i] * w[:, j] for i, j in slots])
+    coef.flags.writeable = False
+    return coef
 
 
 class _Pattern:
@@ -224,8 +222,10 @@ class _Pattern:
 
     def fill(self, lengths: np.ndarray) -> csr_matrix:
         """The symmetric weight matrix for per-edge ``lengths``: the weight
-        of every raw entry, scattered into the shared pattern.  No sort and
-        no COO conversion runs here."""
+        of every raw entry, scattered into the shared pattern.  Sub-edges
+        weigh ``lengths / 2**t``; chords come from each face's squared edge
+        lengths through ``_chord_coefficients``.  No sort and no COO
+        conversion runs here."""
         ne = len(self.edges)
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
@@ -243,26 +243,17 @@ class _Pattern:
 
 
 def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
-    """Chord lengths of q-faces, from each face's flat embedding, in
-    ``_chord_template`` pair order; ``face_lengths`` holds each face's edge
-    lengths in slot order."""
-    slots, nodes, pairs = _chord_template(q, s)
-    sq = squared_lengths(face_lengths, q)
-    P = _embed_cells(sq, q).transpose(2, 0, 1)  # (axis, face, vertex)
-    coords = np.empty((q, len(face_lengths), len(nodes)), dtype=np.float64)
-    for k, desc in enumerate(nodes):
-        if desc[0] == "v":
-            coords[:, :, k] = P[:, :, desc[1]]
-        else:
-            i, j = slots[desc[1]]
-            t = np.float64(desc[2]) / np.float64(2**s)
-            coords[:, :, k] = P[:, :, i] * (1.0 - t) + P[:, :, j] * t
-    # summed axis by axis in the order np.sum takes: lengths stay bit-identical
-    total = 0.0
-    for x in coords:
-        d = x[:, pairs[:, 0]] - x[:, pairs[:, 1]]
-        total = total + d * d
-    return np.sqrt(total).ravel()
+    """Chord lengths of q-faces, in ``_chord_template`` pair order;
+    ``face_lengths`` holds each face's edge lengths in slot order.  Summed
+    slot by slot in one order for every s (no matmul), so a coarse chord
+    reappears bit-identical at level s+1; rounding below 0 clamps to 0."""
+    coef = _chord_coefficients(q, s)
+    sq = face_lengths * face_lengths
+    total = np.zeros((len(sq), coef.shape[1]), dtype=np.float64)
+    term = np.empty_like(total)
+    for k in range(len(coef)):
+        total += np.multiply(sq[:, k, None], coef[k], out=term)
+    return np.sqrt(np.maximum(total, 0.0, out=total), out=total).ravel()
 
 
 class _SteinerGraph:
@@ -299,6 +290,7 @@ def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
                               [(faces, local.reshape(face_rows.shape))], s)
 
     def build():
+        signal.simplex_volumes()  # raises MetricError for a degenerate metric
         rows, pat = cx.cached(("pattern", s, facets), pattern)
         lengths = signal.metric.lengths
         return _SteinerGraph(pat, lengths if rows is None else lengths[rows])
@@ -333,17 +325,17 @@ def _min_distances(graph: _SteinerGraph, sources: np.ndarray) -> np.ndarray:
 
 
 def _distances_to_vertices(graph: _SteinerGraph, sources: np.ndarray,
-                           columns: np.ndarray, block: int = 64) -> np.ndarray:
+                           columns: np.ndarray) -> np.ndarray:
     """Pairwise distances from each source to the given vertex columns.
 
-    Runs the searches in blocks so only a (block, n_nodes) slab is ever
-    materialized; the full per-node matrix would not fit for fine meshes.
+    Runs the searches in blocks so only a (SEARCH_BLOCK, n_nodes) slab is
+    ever materialized; the full per-node matrix would not fit for fine meshes.
     """
     out = np.empty((len(sources), len(columns)), dtype=np.float64)
-    for start in range(0, len(sources), block):
-        chunk = sources[start:start + block]
+    for start in range(0, len(sources), SEARCH_BLOCK):
+        chunk = sources[start:start + SEARCH_BLOCK]
         dist = dijkstra(graph.matrix, directed=True, indices=chunk)
-        out[start:start + block] = dist[:, columns]
+        out[start:start + SEARCH_BLOCK] = dist[:, columns]
     return out
 
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import cobsig as cs
 from cobsig import geodesy
-from cobsig.errors import GeodesyError, RegionError
+from cobsig.errors import GeodesyError, MetricError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
-from cobsig.geodesy import (_first_cut_estimate, _graph, diameter,
+from cobsig.geodesy import (_chord_lengths, _chord_template,
+                            _first_cut_estimate, _graph, diameter,
                             distance_field, distance_to_vertex,
                             injectivity_radius)
-from cobsig.metric import conformal_scale, induced_metric
+from cobsig.metric import MetricField, conformal_scale, induced_metric
 from cobsig.signal import Signal
 from cobsig.signalops import NoiseSpec, apply_noise
 from cobsig.verify import eps_sweep
@@ -82,6 +83,79 @@ def test_disconnected_graph_raises():
     sig = Signal(cx, induced_metric(cx))
     with pytest.raises(GeodesyError, match="unreachable from region 'A'"):
         distance_field(sig, "A")
+
+
+def test_simplex_violating_metric_gets_no_graph():
+    # the longest edge of a triangle stretched past the other two together
+    sig = cs.gen_square(4)
+    lengths = sig.metric.lengths.copy()
+    lengths[np.argmax(lengths)] *= 3.0
+    bad = Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed"))
+    with pytest.raises(MetricError, match="simplex inequalities"):
+        distance_field(bad, "A")
+
+
+def _embedded_chords(points, s):
+    """Euclidean chord lengths of one embedded simplex, in template pair
+    order, from the interpolated ambient points."""
+    q = len(points) - 1
+    slots, nodes, pairs = _chord_template(q, s)
+    at = []
+    for desc in nodes:
+        if desc[0] == "v":
+            at.append(points[desc[1]])
+        else:
+            i, j = slots[desc[1]]
+            t = desc[2] / 2**s
+            at.append((1.0 - t) * points[i] + t * points[j])
+    at = np.array(at)
+    return np.linalg.norm(at[pairs[:, 0]] - at[pairs[:, 1]], axis=1)
+
+
+def _well_shaped(rng, q, ambient, count):
+    """Random well-shaped simplices: a corner simplex with its corner
+    pulled back (so no angle is right), jittered, rotated, scaled and
+    moved."""
+    base = np.vstack([np.zeros(ambient), np.eye(ambient)])[: q + 1]
+    base[0] = -0.3
+    out = []
+    for _ in range(count):
+        rot, _ = np.linalg.qr(rng.normal(size=(ambient, ambient)))
+        pts = base + rng.uniform(-0.15, 0.15, size=base.shape)
+        out.append(rng.uniform(0.01, 100.0) * pts @ rot + rng.normal(size=ambient))
+    return out
+
+
+@pytest.mark.parametrize("q, ambient", [(2, 2), (2, 3), (3, 3)])
+def test_chord_lengths_match_embedded_distances(q, ambient):
+    rng = np.random.default_rng(7)
+    slots = _chord_template(q, 1)[0]
+    simplices = _well_shaped(rng, q, ambient, 50)
+    lengths = np.array([[np.linalg.norm(p[i] - p[j]) for i, j in slots]
+                        for p in simplices])
+    for s in (1, 2, 3):
+        got = _chord_lengths(lengths, q, s).reshape(len(simplices), -1)
+        want = np.array([_embedded_chords(p, s) for p in simplices])
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_chords_reappear_bit_identical_at_the_next_level(shell16, q):
+    cx = shell16.complex
+    rows = cx.simplex_edge_rows if q == 3 else geodesy._facet_cells(cx)[1]
+    lengths = shell16.metric.lengths[rows]
+    for s in (1, 2, 3):
+        coarse_nodes, coarse_pairs = _chord_template(q, s)[1:]
+        fine_nodes, fine_pairs = _chord_template(q, s + 1)[1:]
+        # node m/2**s of an edge is node 2m/2**(s+1)
+        index = {d: k for k, d in enumerate(fine_nodes)}
+        lift = [index[d if d[0] == "v" else (d[0], d[1], 2 * d[2])]
+                for d in coarse_nodes]
+        fine_at = {(a, b): k for k, (a, b) in enumerate(fine_pairs.tolist())}
+        at = [fine_at[(lift[a], lift[b])] for a, b in coarse_pairs.tolist()]
+        coarse = _chord_lengths(lengths, q, s).reshape(len(lengths), -1)
+        fine = _chord_lengths(lengths, q, s + 1).reshape(len(lengths), -1)
+        assert coarse.tobytes() == fine[:, at].tobytes()
 
 
 def test_repeated_simplex_raises():
@@ -255,8 +329,8 @@ def _global_nodes(pattern, rows, nodes):
 
 
 def test_full_graph_weights_on_a_facet_match_the_region_graph(shell16):
-    # a facet's chords come from the facet's own embedding, in the full 3D
-    # graph as in the region graph, so both carry the same bytes
+    # a facet's chords come from the facet's own edge lengths, in the full
+    # 3D graph as in the region graph, so both carry the same bytes
     cx = shell16.complex
     for s in (1, 2):
         full = _graph(shell16, s).matrix
