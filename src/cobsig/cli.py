@@ -17,11 +17,14 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import fileio
 from .complex import validate
 from .energy import energy, energy_ratio, fourier_energy, fourier_relabel
 from .errors import CobsigError
 from .generators import gen_annular_shell, gen_rectangle, gen_square
+from .geodesy import distance_to_vertex
 from .signalops import NoiseSpec, apply_noise, compose, extract_filter
 from .verify import (check_composition, check_thm1_bounds, eps_sweep,
                      grid_oracle, refinement_study)
@@ -220,6 +223,16 @@ def cmd_sweep_eps(args: argparse.Namespace) -> int:
     spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, 0.5)
     report = eps_sweep(sig, spec, _parse_eps(args.eps), args.steiner_level)
     _emit(report.to_dict(), args)
+    # the sweep has cached this field; ball membership of a vertex within a
+    # few ulp of a radius rests on rounding
+    rho = distance_to_vertex(sig, spec.center, args.steiner_level).values
+    near = np.zeros(len(rho), dtype=bool)
+    for radius in (spec.delta0, spec.delta):
+        near |= np.abs(rho - radius) <= 4.0 * np.spacing(radius)
+    if near.any():
+        print(f"warning: {int(near.sum())} vertices lie within 4 ulp of delta0 "
+              "or delta; their ball membership rests on rounding",
+              file=sys.stderr)
     return 0
 
 

@@ -400,6 +400,15 @@ def diameter(signal, subset: str = "M",
     paths are restricted to the region's own facet subcomplex (the intrinsic
     diameter).  The value upper-bounds the smooth diameter.  It is cached on
     the signal, keyed like the region's graph.
+
+    Single-source searches are pruned by eccentricity bounds (the
+    BoundingDiameters scheme of Takes and Kosters, CIKM 2011): each search
+    from v caps every vertex's row maximum by ecc(v) + d(v, w), and a
+    vertex whose cap, widened by a rounding margin, falls below the best
+    row maximum so far is never searched.  The result is bit-identical to
+    the maximum over all pairwise searches; a square takes a handful of
+    searches, and a rotationally symmetric mesh may still need one per
+    vertex.
     """
     s = int(steiner_level)
     if subset in ("M", "all"):
@@ -417,10 +426,33 @@ def diameter(signal, subset: str = "M",
             verts = region_vertices(signal.complex, tag)
             if len(verts) == 0:
                 raise RegionError(f"region {tag!r} is empty")
-        sub = _distances_to_vertices(graph, verts, verts)
-        if np.any(np.isinf(sub)):
-            raise GeodesyError(f"subset {subset!r} is disconnected")
-        return float(sub.max())
+        # A computed distance is a left-to-right float sum along a path of at
+        # most n = n_nodes edges, within gamma_n = n u / (1 - n u) (u = eps/2;
+        # Higham, ch. 4) of the exact shortest path D, which is symmetric and
+        # obeys the triangle inequality.  So the computed row maximum of w is
+        # at most (1 + gamma_n) / (1 - gamma_n) (ecc(v) + d(v, w)), and with
+        # the rounding of that sum and of the widening below, at most
+        # (1 + n eps + O(eps)) upper[w].  A margin of 4 n eps covers this, so
+        # a pruned vertex's row maximum lies strictly below ``best``: it can
+        # neither be the maximum nor tie with it.  Each searched row is the
+        # row an all-pairs search computes from that source, so the result
+        # is the same float.
+        margin = 4.0 * graph.pattern.n_nodes * np.finfo(np.float64).eps
+        upper = np.full(len(verts), np.inf)
+        best = 0.0
+        while True:
+            # largest cap first, ties to the lowest index; once it is pruned,
+            # so is every other vertex
+            i = int(np.argmax(upper))
+            if upper[i] * (1.0 + margin) < best:
+                return float(best)
+            row = dijkstra(graph.matrix, directed=True, indices=verts[i])[verts]
+            ecc = row.max()
+            if np.isinf(ecc):
+                raise GeodesyError(f"subset {subset!r} is disconnected")
+            best = max(best, ecc)
+            np.minimum(upper, ecc + row, out=upper)
+            upper[i] = -np.inf
 
     facets = None if tag is None else signal.complex.labels[tag]
     return signal.cached(("diam", s, facets), compute)

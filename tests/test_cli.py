@@ -167,6 +167,28 @@ def test_cli_sweep_and_study_and_oracle(tmp_path, capsys):
     assert json.loads(out)["E"] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_cli_sweep_warns_when_vertices_sit_on_a_ball_radius(tmp_path, capsys):
+    # grid neighbours of the centre lie exactly at delta0 = 2/8; shifting
+    # delta0 by 1/64 moves every vertex off both radii
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "8",
+        "--out", mesh)
+    p = cs.vertex_at(load_signal(mesh), (0.5, 0.5))
+    codes = []
+    for delta0, warns in ((0.25, True), (0.25 + 1.0 / 64.0, False)):
+        code, out, err = run(capsys, "sweep-eps", mesh, "--center-vertex", str(p),
+                             "--delta0", repr(delta0), "--delta", "0.4",
+                             "--eps", "0.4,0.2")
+        codes.append(code)
+        assert len(json.loads(out)["rows"]) == 2
+        if warns:
+            assert err == ("warning: 4 vertices lie within 4 ulp of delta0 or "
+                           "delta; their ball membership rests on rounding\n")
+        else:
+            assert err == ""
+    assert codes[0] == codes[1] == 0
+
+
 def test_cli_csv_format(tmp_path, capsys):
     mesh = str(tmp_path / "sq.json")
     run(capsys, "generate", "--kind", "square", "--resolution", "8",

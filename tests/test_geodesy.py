@@ -234,6 +234,70 @@ def test_injectivity_unknown_region(square8):
         injectivity_radius(square8, "B")
 
 
+def _all_pairs_diameter(sig, subset, s):
+    """The maximum over all pairwise searches, which ``diameter`` must
+    reproduce bit for bit."""
+    graph = _graph(sig, s, None if subset == "M" else subset)
+    verts = (np.arange(sig.complex.n_vertices) if subset == "M"
+             else cs.region_vertices(sig.complex, subset))
+    return geodesy._distances_to_vertices(graph, verts, verts).max()
+
+
+@pytest.mark.parametrize("metric", ["induced", "conformal"])
+@pytest.mark.parametrize("name", sorted(INJECTIVITY_CASES))
+def test_pruned_diameter_equals_the_all_pairs_maximum(name, metric):
+    # the exact pruning keeps the all-pairs result bit for bit
+    sig = INJECTIVITY_CASES[name]()
+    met = sig.metric
+    if metric == "conformal":
+        factors = np.random.default_rng(9).uniform(0.9, 1.1, sig.complex.n_vertices)
+        met = conformal_scale(sig.metric, factors)
+    for subset in ("M", "A", "X"):
+        for s in (1, 2):
+            fresh = Signal(sig.complex, met, hints={})
+            assert (diameter(fresh, subset, s)
+                    == _all_pairs_diameter(fresh, subset, s)), (subset, s)
+
+
+def test_pruned_diameter_keeps_rows_one_ulp_above_their_cap():
+    # on this coarse mesh some row maxima round one ulp above a cap that
+    # equals the best so far (seeds 3 and 5 at s = 0); pruning them without
+    # the rounding margin would return a diameter one ulp short
+    sig = cs.gen_rectangle(2.0, 1.0, 4)
+    for seed in range(6):
+        factors = np.random.default_rng(seed).uniform(0.9, 1.1, sig.complex.n_vertices)
+        met = conformal_scale(sig.metric, factors)
+        for s in (0, 1, 2):
+            fresh = Signal(sig.complex, met, hints={})
+            assert diameter(fresh, "M", s) == _all_pairs_diameter(fresh, "M", s), (seed, s)
+
+
+def test_diameter_without_hints_takes_few_searches(square64, monkeypatch):
+    # ROADMAP item 4: the all-pairs search took 4,225 searches here
+    stripped = Signal(square64.complex, square64.metric, hints={})
+    search = geodesy.dijkstra
+    sources = []
+
+    def counting(csgraph, *args, indices=None, **kwargs):
+        sources.extend(np.atleast_1d(indices).tolist())
+        return search(csgraph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(geodesy, "dijkstra", counting)
+    assert diameter(stripped, "M", 2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert len(sources) <= 8
+
+
+def test_disconnected_region_diameter_raises(square8):
+    # two boundary edges of A that share no vertex
+    cx = square8.complex
+    a_facets = sorted(cx.labels["A"])
+    labels = {tag: sorted(cx.labels[tag]) for tag in cx.labels}
+    labels["A"] = [a_facets[0], a_facets[-1]]
+    relabeled = Signal(cx.with_labels(labels), square8.metric, hints={})
+    with pytest.raises(GeodesyError, match="subset 'A' is disconnected"):
+        diameter(relabeled, "A", 2)
+
+
 def test_first_cut_estimate_fires_on_synthetic_data():
     # three vertices: 0 and 2 are the region, 1 sits between two far-apart
     # region components (intrinsic separation inf)

@@ -47,20 +47,30 @@ def test_thm1_heuristic_inputs_still_hold(square16):
 
 
 def test_thm1_without_hints_computes_diam_m_once(square8, monkeypatch):
+    # one diam(M) computation is a fixed sequence of single-source searches
+    # on the full graph, none from the same vertex twice; the check must
+    # make that sequence exactly once
     from cobsig import geodesy
-    all_pairs = []
-    search = geodesy._distances_to_vertices
+    search = geodesy.dijkstra
+    full_nodes = geodesy._graph(square8, 2).pattern.n_nodes
+    sources = []
 
-    def counting(graph, sources, columns, *args):
-        if len(sources) == len(columns) == graph.nv:
-            all_pairs.append(graph)
-        return search(graph, sources, columns, *args)
+    def counting(csgraph, *args, indices=None, **kwargs):
+        if np.ndim(indices) == 0 and csgraph.shape[0] == full_nodes:
+            sources.append(int(indices))
+        return search(csgraph, *args, indices=indices, **kwargs)
 
-    monkeypatch.setattr(geodesy, "_distances_to_vertices", counting)
+    monkeypatch.setattr(geodesy, "dijkstra", counting)
+    geodesy.diameter(Signal(square8.complex, square8.metric, hints={}), "M", 2)
+    one_computation = sources[:]
+    assert one_computation
+    assert len(set(one_computation)) == len(one_computation)
+
+    sources.clear()
     rep = check_thm1_bounds(Signal(square8.complex, square8.metric, hints={}))
     assert rep.inputs["diam_M"][1] == "computed"
     assert rep.inputs["i_A"][1] == rep.inputs["i_X"][1] == "heuristic"
-    assert len(all_pairs) == 1
+    assert sources == one_computation
 
 
 def test_thm1_symmetric_signal_brackets_unity(square16):
