@@ -340,7 +340,16 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
 
 
 def validate(cx: CobordismComplex) -> ValidationReport:
-    """Check every cobordism invariant; violations are data, not errors."""
+    """Check every cobordism invariant; violations are data, not errors.
+
+    The report depends only on the structure and the labels, so it is
+    computed once per labeling and kept in the structure cache.
+    """
+    key = ("validate",) + tuple(cx.labels[tag] for tag in REGION_TAGS)
+    return cx.cached(key, lambda: _validate(cx))
+
+
+def _validate(cx: CobordismComplex) -> ValidationReport:
     bad: list[tuple[str, str]] = list(cx._structure.violations)
 
     labeled: dict[Facet, list[str]] = {}

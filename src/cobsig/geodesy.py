@@ -59,7 +59,8 @@ __all__ = [
 
 DEFAULT_STEINER_LEVEL = 2
 
-#: Relative margin used by the first-cut-locus heuristic.
+#: Relative margin of the cut rule: an edge uv flags when its two feet lie
+#: farther apart inside the region than (2 max(f_u, f_v) + l_uv)(1 + CUT_TAU).
 CUT_TAU = 0.05
 
 #: Sources per Dijkstra call when all pairwise distances are kept.
@@ -458,29 +459,36 @@ def diameter(signal, subset: str = "M",
     return signal.cached(("diam", s, facets), compute)
 
 
-def _first_cut_estimate(f: np.ndarray, feet: np.ndarray, intra: np.ndarray,
-                        region_ids: np.ndarray, tau: float = CUT_TAU):
-    """Smallest field value among vertices whose two nearest region vertices
-    are mutually farther apart (within the region) than 2 f (1 + tau).
+def _first_cut_estimate(f: np.ndarray, foot: np.ndarray, edges: np.ndarray,
+                        lengths: np.ndarray, region_ids: np.ndarray, intra,
+                        tau: float = CUT_TAU):
+    """Smallest max(f_u, f_v) over edges uv flagged as crossing a cut.
 
-    Returns None when no vertex qualifies.  ``feet`` holds distances from
-    each region vertex to every vertex; ``intra`` holds the region-intrinsic
-    pairwise distances between region vertices (inf across components).
+    ``foot`` holds each vertex's nearest region vertex; a region vertex is
+    its own.  An edge with two different feet, not both endpoints in the
+    region (such an edge would flag at f = 0), flags when its feet lie
+    farther apart inside the region than (2 max(f_u, f_v) + l_uv)(1 + tau):
+    a path through the edge joins the feet in about 2 max(f_u, f_v) + l_uv,
+    so a larger intrinsic separation means the normal collars of two parts
+    of the region meet across uv.  ``intra(ends)`` gives the region-intrinsic
+    distances between the given region vertices, a (len(ends), len(ends))
+    array with inf across components; it is called once, on the distinct
+    feet of the candidate edges.  Returns None when no edge flags.
     """
-    if feet.shape[0] < 2:
+    inside = np.zeros(len(f), dtype=bool)
+    inside[region_ids] = True
+    u, v = edges[:, 0], edges[:, 1]
+    candidate = ~(inside[u] & inside[v]) & (foot[u] != foot[v])
+    if not np.any(candidate):
         return None
-    mask = np.ones(feet.shape[1], dtype=bool)
-    mask[region_ids] = False
-    cols = np.argwhere(mask).ravel()
-    if len(cols) == 0:
+    u, v = u[candidate], v[candidate]
+    ends, pos = np.unique(np.concatenate([foot[u], foot[v]]), return_inverse=True)
+    sep = intra(ends)[pos[:len(u)], pos[len(u):]]
+    reach = np.maximum(f[u], f[v])
+    flagged = sep > (2.0 * reach + lengths[candidate]) * (1.0 + tau)
+    if not np.any(flagged):
         return None
-    sub = feet[:, cols]
-    nearest_two = np.argsort(sub, axis=0, kind="stable")[:2, :]
-    sep = intra[nearest_two[0], nearest_two[1]]
-    qualifies = sep > 2.0 * f[cols] * (1.0 + tau)
-    if not np.any(qualifies):
-        return None
-    return float(np.min(f[cols][qualifies]))
+    return float(reach[flagged].min())
 
 
 def injectivity_radius(signal, region: str,
@@ -488,11 +496,17 @@ def injectivity_radius(signal, region: str,
     """Boundary injectivity radius of region A or X.
 
     Generator-provided analytic values win when present.  Otherwise a
-    first-cut-locus heuristic runs: a vertex flags a cut when its two nearest
-    region vertices are far apart inside the region itself; the estimate is
-    the smallest flagged distance, or the largest distance to the region,
-    max f_R, when no vertex flags.  Both are sound caps, since the normal
-    collar of R cannot reach past the farthest point from R:
+    first-cut-locus heuristic runs, the discrete lambda-medial-axis test of
+    Chazal and Lieutier (Graphical Models 67, 2005): one multi-source search
+    from the region's vertices labels every vertex with its nearest one, its
+    foot, and an edge flags a cut when its two feet lie farther apart inside
+    the region than the edge can bridge, (2 max(f_u, f_v) + l_uv)(1 + tau).
+    The edge length widens the rule because neighbouring feet on a coarse
+    mesh can be a few edges apart without any cut.  Intrinsic distances are
+    searched only from the feet of edges whose feet differ.  The estimate is
+    the smallest max(f_u, f_v) over flagged edges, or the largest distance to
+    the region, max f_R, when no edge flags.  Both are sound caps, since the
+    normal collar of R cannot reach past the farthest point from R:
     i_R <= sup f_R <= diam(M).  The heuristic is advisory and tagged as such.
     """
     if region not in ("A", "X"):
@@ -505,11 +519,14 @@ def injectivity_radius(signal, region: str,
     f = distance_field(signal, region, s).values
     graph = _graph(signal, s)
     region_ids = region_vertices(signal.complex, region)
-    all_verts = np.arange(graph.nv, dtype=np.int64)
-    feet = _distances_to_vertices(graph, region_ids, all_verts)
-    rgraph = _graph(signal, s, region)
-    intra = _distances_to_vertices(rgraph, region_ids, region_ids)
-    est = _first_cut_estimate(f, feet, intra, region_ids)
+    _, _, foot = dijkstra(graph.matrix, directed=True, indices=region_ids,
+                          min_only=True, return_predecessors=True)
+
+    def intra(ends):
+        return _distances_to_vertices(_graph(signal, s, region), ends, ends)
+
+    est = _first_cut_estimate(f, foot[: graph.nv], signal.complex.edges(),
+                              signal.metric.lengths, region_ids, intra)
     if est is None:
         est = float(f.max())
     return InjectivityEstimate(est, "heuristic", region)

@@ -105,6 +105,30 @@ def test_build_rejects_interior_facet_label():
         unit_square().with_labels(labels)
 
 
+LABEL_ERRORS = [
+    # (0, 2) is the interior diagonal and (0, 5) no facet at all
+    ({"A": [(0, 3), (2, 0)]}, "label A: (0, 2) is not a boundary facet"),
+    ({"A": [(3, 0), (0, 5)]}, "label A: (0, 5) is not a facet of the complex"),
+    ({"A": [(0, 3), (3, 3)]}, "label A: (3, 3) is not a (d-1)-simplex"),
+    ({"A": [(0, 3), (2, 1, 0)]}, "label A: (0, 1, 2) is not a (d-1)-simplex"),
+    # the first offending facet in input order, tags in X, Y, A, B order
+    ({"A": [(0, 3), (0, 2), (1,)]}, "label A: (0, 2) is not a boundary facet"),
+    ({"A": [(0, 3), (1,), (0, 2)]}, "label A: (1,) is not a (d-1)-simplex"),
+    ({"A": [(0, 2)], "X": [(0, 1), (5, 0)]},
+     "label X: (0, 5) is not a facet of the complex"),
+]
+
+
+@pytest.mark.parametrize("labels, message", LABEL_ERRORS)
+def test_label_errors_name_the_first_offending_facet(labels, message):
+    with pytest.raises(MeshError) as err:
+        build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels)
+    assert str(err.value) == message
+    with pytest.raises(MeshError) as err:
+        unit_square().with_labels(labels)
+    assert str(err.value) == message
+
+
 def test_build_rejects_unknown_tag():
     with pytest.raises(MeshError):
         build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, {"Q": [(0, 1)]})

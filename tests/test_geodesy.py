@@ -217,15 +217,24 @@ INJECTIVITY_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(INJECTIVITY_CASES))
+NO_CUT_CASES = dict(INJECTIVITY_CASES, **{
+    "thin-shell-32": lambda: cs.gen_annular_shell(1.0, 1.2, 1.0, 32),
+    "shell-24": lambda: cs.gen_annular_shell(1.0, 2.0, 2.0, 24),
+})
+
+
+@pytest.mark.parametrize("name", sorted(NO_CUT_CASES))
 def test_injectivity_without_hints_matches_analytic(name):
-    # no vertex flags a cut on these geometries, so the estimate is max f_R,
-    # which the radial (or straight) edges make the analytic i_R to rounding
-    sig = INJECTIVITY_CASES[name]()
+    # no edge flags a cut on these geometries, so the estimate is max f_R
+    # itself, which the radial (or straight) edges make the analytic i_R to
+    # rounding; on the thin shell at n = 16 the rule without the edge length
+    # flags on X, where diagonal neighbours' feet are two angular steps apart
+    sig = NO_CUT_CASES[name]()
     stripped = Signal(sig.complex, sig.metric, hints={})
     for region in ("A", "X"):
         est = injectivity_radius(stripped, region)
         assert est.method == "heuristic"
+        assert est.value == distance_field(stripped, region).values.max()
         assert est.value == pytest.approx(sig.hints[f"i_{region}"], rel=1e-12)
 
 
@@ -298,28 +307,92 @@ def test_disconnected_region_diameter_raises(square8):
         diameter(relabeled, "A", 2)
 
 
+# A path 0 - 1 - 2 - 3 of edges 0.5 long whose ends are the region: vertices
+# 1 and 2 take their feet from opposite ends, so only edge (1, 2) is a
+# candidate; ``intra`` gives the region-intrinsic distance between its feet.
+PATH_F = np.array([0.0, 0.5, 0.5, 0.0])
+PATH_FOOT = np.array([0, 0, 3, 3])
+PATH_EDGES = np.array([[0, 1], [1, 2], [2, 3]])
+PATH_REGION = np.array([0, 3])
+
+
+def _path_cut(sep, edges=PATH_EDGES, foot=PATH_FOOT):
+    intra = np.array([[0.0, sep], [sep, 0.0]])
+
+    def separation(ends):
+        local = np.searchsorted(PATH_REGION, ends)
+        return intra[np.ix_(local, local)]
+    return _first_cut_estimate(PATH_F, foot, edges, np.full(len(edges), 0.5),
+                               PATH_REGION, separation)
+
+
 def test_first_cut_estimate_fires_on_synthetic_data():
-    # three vertices: 0 and 2 are the region, 1 sits between two far-apart
-    # region components (intrinsic separation inf)
-    f = np.array([0.0, 0.5, 0.0])
-    feet = np.array([
-        [0.0, 0.5, 1.0],
-        [1.0, 0.5, 0.0],
-    ])
-    intra = np.array([[0.0, np.inf], [np.inf, 0.0]])
-    est = _first_cut_estimate(f, feet, intra, np.array([0, 2]))
-    assert est == pytest.approx(0.5)
+    # the two ends are separate region components (intrinsic separation inf)
+    assert _path_cut(np.inf) == pytest.approx(0.5)
 
 
 def test_first_cut_estimate_silent_when_feet_close():
-    f = np.array([0.0, 0.5, 0.0])
-    feet = np.array([
-        [0.0, 0.5, 1.0],
-        [1.0, 0.6, 0.0],
-    ])
-    intra = np.array([[0.0, 0.05], [0.05, 0.0]])
-    est = _first_cut_estimate(f, feet, intra, np.array([0, 2]))
-    assert est is None
+    assert _path_cut(0.05) is None
+
+
+def test_first_cut_estimate_widens_by_the_edge_length():
+    # the bound is (2 max(f_u, f_v) + l_uv)(1 + tau) = 1.5 * 1.05 = 1.575:
+    # a separation above 2 f (1 + tau) = 1.05 but within it does not flag
+    assert _path_cut(1.5) is None
+    assert _path_cut(1.6) == pytest.approx(0.5)
+
+
+def test_first_cut_estimate_skips_edges_inside_the_region():
+    # an edge joining two region vertices would flag at f = 0; an edge with
+    # one endpoint in the region flags at the other endpoint's f
+    assert _path_cut(np.inf, edges=np.array([[0, 3]])) is None
+    assert _path_cut(np.inf, edges=np.array([[1, 3]])) == pytest.approx(0.5)
+
+
+def _split_a(sig, k):
+    """``sig`` without hints, with A relabeled to its first and last k
+    facets: two components of A with a gap between them."""
+    cx = sig.complex
+    a_facets = sorted(cx.labels["A"])
+    labels = {tag: sorted(cx.labels[tag]) for tag in cx.labels}
+    labels["A"] = a_facets[:k] + a_facets[-k:]
+    return Signal(cx.with_labels(labels), sig.metric, hints={})
+
+
+@pytest.mark.parametrize("n, k, expected", [
+    (8, 1, 0.375), (8, 3, 0.125), (9, 1, 1 / 3), (9, 2, 2 / 9), (9, 3, 1 / 9)])
+def test_first_cut_fires_between_region_components(n, k, expected):
+    # the cut between the two components of A on the left side of the square
+    # lies at half the gap from A: 3/8 for one facet per end of square8 and
+    # 1/8 for three.  With three, the flagged edge joins the gap vertex
+    # (0, 1/2) to the component it does not take its foot from; skipping
+    # every edge that touches A would flag only one ring out, at sqrt(2)/8.
+    # On square9 the gap is odd and the edge rule flags half an edge short
+    # of the half-gaps 7/18, 5/18 and 3/18 (ROADMAP item 7)
+    est = injectivity_radius(_split_a(cs.gen_square(n), k), "A", 2)
+    assert est.method == "heuristic"
+    assert est.value == expected
+
+
+def test_injectivity_without_hints_searches_the_full_graph_once(square64, monkeypatch):
+    # one multi-source search labels every vertex with its foot; the
+    # intrinsic distances come from searches on the small region graph
+    stripped = Signal(square64.complex, square64.metric, hints={})
+    for region in ("A", "X"):
+        distance_field(stripped, region, 2)  # the field's own search
+    full = _graph(stripped, 2).matrix
+    search = geodesy.dijkstra
+    calls = []
+
+    def counting(csgraph, *args, indices=None, **kwargs):
+        calls.append((csgraph is full, np.size(indices)))
+        return search(csgraph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(geodesy, "dijkstra", counting)
+    for region in ("A", "X"):
+        calls.clear()
+        injectivity_radius(stripped, region, 2)
+        assert [c for c in calls if c[0]] == [(True, 65)]
 
 
 @settings(max_examples=10, deadline=None)

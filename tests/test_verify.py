@@ -106,6 +106,23 @@ def test_eps_sweep_rows_structure(square16):
         assert np.isfinite(r["residual_fixed"])
 
 
+def test_eps_sweep_validates_the_base_complex_once(monkeypatch):
+    # the report is kept on the complex, so no noisy signal re-validates it
+    from cobsig import complex as complex_module
+    body = complex_module._validate
+    seen = []
+
+    def counting(cx):
+        seen.append(cx)
+        return body(cx)
+
+    monkeypatch.setattr(complex_module, "_validate", counting)
+    sig = cs.gen_square(8)
+    p = cs.vertex_at(sig, (0.75, 0.5))
+    eps_sweep(sig, NoiseSpec(p, 0.125, 0.375, 0.5), [0.4, 0.2, 0.1])
+    assert sum(cx is sig.complex for cx in seen) == 1
+
+
 def test_eps_sweep_requires_descending(square16):
     p = cs.vertex_at(square16, (0.75, 0.5))
     spec = NoiseSpec(p, 0.1, 0.2, 0.5)
