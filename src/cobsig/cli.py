@@ -20,10 +20,10 @@ import sys
 import numpy as np
 
 from . import fileio
-from .complex import validate
+from .complex import ValidationReport, validate
 from .energy import energy, energy_ratio, fourier_energy, fourier_relabel
 from .errors import CobsigError
-from .generators import gen_annular_shell, gen_rectangle, gen_square
+from .generators import generate
 from .geodesy import distance_to_vertex
 from .signalops import NoiseSpec, apply_noise, compose, extract_filter
 from .verify import (check_composition, check_thm1_bounds, eps_sweep,
@@ -69,78 +69,60 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _flatten(prefix: str, obj, row: dict) -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)):
-                _flatten(f"{prefix}{k}.", v, row)
-            else:
-                row[prefix + k] = v
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            if isinstance(v, (dict, list)):
-                _flatten(f"{prefix}{i}.", v, row)
-            else:
-                row[f"{prefix}{i}"] = v
+def _flatten(obj, prefix: str = "", row: dict | None = None) -> dict:
+    row = {} if row is None else row
+    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(v, (dict, list)):
+            _flatten(v, f"{prefix}{k}.", row)
+        else:
+            row[f"{prefix}{k}"] = v
+    return row
 
 
 def _to_csv(payload) -> str:
     # one row per case: reports with a "rows" list expand, others emit one row
-    if isinstance(payload, dict) and isinstance(payload.get("rows"), list):
-        rows = []
-        for r in payload["rows"]:
-            flat = {}
-            _flatten("", r, flat)
-            rows.append(flat)
-    else:
-        flat = {}
-        _flatten("", payload, flat)
-        rows = [flat]
+    cases = payload.get("rows") if isinstance(payload, dict) else None
+    rows = [_flatten(r) for r in (cases if isinstance(cases, list) else [payload])]
     if not rows:
         return ""
-    fields = list(rows[0].keys())
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), extrasaction="ignore")
     writer.writeheader()
-    for r in rows:
-        writer.writerow(r)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _load(path):
-    if not os.path.exists(path):
-        raise UsageError(f"cannot read {path}")
-    return fileio.load_signal(path)
+def _input_file(path: str) -> str:
+    """argparse type of every input file argument."""
+    if os.path.isdir(path) or not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"cannot read {path}")
+    return path
+
+
+def _shape(args: argparse.Namespace) -> dict:
+    return {"width": args.width, "height": args.height, "r0": args.r0, "r1": args.r1}
 
 
 # -- subcommand implementations ---------------------------------------------
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "square":
-        sig = gen_square(args.resolution)
-    elif args.kind == "rectangle":
-        sig = gen_rectangle(args.width, args.height, args.resolution)
-    elif args.kind == "annular_shell":
-        sig = gen_annular_shell(args.r0, args.r1, args.height, args.resolution)
-    else:
-        raise UsageError(f"unknown kind {args.kind!r}")
-    fileio.save_signal(sig, args.out)
+    fileio.save_signal(generate(args.kind, _shape(args), args.resolution), args.out)
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.path):
-        raise UsageError(f"cannot read {args.path}")
     try:
-        data = json.loads(open(args.path).read())
-        sig_report = validate(fileio.signal_from_dict(data).complex)
+        data = fileio.read_json(args.path)
+        cx = fileio.complex_from_dict(data)
+        report = validate(cx)
+        if report.ok:
+            fileio.signal_on_complex(cx, data)  # the metric must build as well
     except CobsigError as exc:
         # structurally unbuildable counts as failed validation, not usage
-        _emit({"ok": False, "violations": [["unbuildable", str(exc)]]}, args)
-        return OPERATION_ERROR
-    _emit(sig_report.to_dict(), args)
-    return 0 if sig_report.ok else OPERATION_ERROR
+        report = ValidationReport(False, (("unbuildable", str(exc)),))
+    _emit(report.to_dict(), args)
+    return 0 if report.ok else OPERATION_ERROR
 
 
 def _energy_payload(sig, steiner_level: int) -> dict:
@@ -153,14 +135,25 @@ def _energy_payload(sig, steiner_level: int) -> dict:
     }
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
-    sig = _load(args.path)
+def _emit_mesh(sig, args: argparse.Namespace) -> int:
+    """Save a derived mesh to --out and report its energies."""
+    fileio.save_signal(sig, args.out)
     _emit(_energy_payload(sig, args.steiner_level), args)
     return 0
 
 
+def _load_glue(args: argparse.Namespace) -> tuple:
+    return (fileio.load_signal(args.left), fileio.load_signal(args.right),
+            fileio.load_correspondence(args.corr))
+
+
+def cmd_energy(args: argparse.Namespace) -> int:
+    _emit(_energy_payload(fileio.load_signal(args.path), args.steiner_level), args)
+    return 0
+
+
 def cmd_fourier(args: argparse.Namespace) -> int:
-    sig = fourier_relabel(_load(args.path))
+    sig = fourier_relabel(fileio.load_signal(args.path))
     if args.transformed_out:
         fileio.save_signal(sig, args.transformed_out)
     _emit(_energy_payload(sig, args.steiner_level), args)
@@ -168,58 +161,35 @@ def cmd_fourier(args: argparse.Namespace) -> int:
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    sig = _load(args.path)
+    sig = fileio.load_signal(args.path)
     spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, args.epsilon)
-    noisy = apply_noise(sig, spec, args.steiner_level)
-    fileio.save_signal(noisy, args.out)
-    _emit(_energy_payload(noisy, args.steiner_level), args)
-    return 0
+    return _emit_mesh(apply_noise(sig, spec, args.steiner_level), args)
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    sig = _load(args.path)
-    if not os.path.exists(args.keep):
-        raise UsageError(f"cannot read {args.keep}")
-    keep_spec = fileio.load_keep_spec(args.keep)
-    kept = fileio.kept_simplices_from_spec(sig, keep_spec)
-    filt = extract_filter(sig, kept)
-    fileio.save_signal(filt, args.out)
-    _emit(_energy_payload(filt, args.steiner_level), args)
-    return 0
+    sig = fileio.load_signal(args.path)
+    kept = fileio.kept_simplices_from_spec(sig, fileio.load_keep_spec(args.keep))
+    return _emit_mesh(extract_filter(sig, kept), args)
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    left = _load(args.left)
-    right = _load(args.right)
-    if not os.path.exists(args.corr):
-        raise UsageError(f"cannot read {args.corr}")
-    corr = fileio.load_correspondence(args.corr)
-    glued = compose(left, right, corr)
-    fileio.save_signal(glued, args.out)
-    _emit(_energy_payload(glued, args.steiner_level), args)
-    return 0
+    return _emit_mesh(compose(*_load_glue(args)), args)
 
 
 def cmd_verify_thm1(args: argparse.Namespace) -> int:
-    sig = _load(args.path)
-    report = check_thm1_bounds(sig, args.steiner_level)
+    report = check_thm1_bounds(fileio.load_signal(args.path), args.steiner_level)
     _emit(report.to_dict(), args)
     return 0 if report.holds else OPERATION_ERROR
 
 
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
-    left = _load(args.left)
-    right = _load(args.right)
-    if not os.path.exists(args.corr):
-        raise UsageError(f"cannot read {args.corr}")
-    corr = fileio.load_correspondence(args.corr)
-    report = check_composition(left, right, corr, args.steiner_level)
+    report = check_composition(*_load_glue(args), args.steiner_level)
     _emit(report.to_dict(), args)
     return 0 if report.holds else OPERATION_ERROR
 
 
 def cmd_sweep_eps(args: argparse.Namespace) -> int:
-    sig = _load(args.path)
+    sig = fileio.load_signal(args.path)
     spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, 0.5)
     report = eps_sweep(sig, spec, _parse_eps(args.eps), args.steiner_level)
     _emit(report.to_dict(), args)
@@ -237,17 +207,15 @@ def cmd_sweep_eps(args: argparse.Namespace) -> int:
 
 
 def cmd_refine_study(args: argparse.Namespace) -> int:
-    params = {"width": args.width, "height": args.height, "r0": args.r0, "r1": args.r1}
     resolutions = [int(x) for x in args.resolutions.split(",")]
-    report = refinement_study(args.kind, params, resolutions, args.steiner_level,
+    report = refinement_study(args.kind, _shape(args), resolutions, args.steiner_level,
                               args.oracle_resolution)
     _emit(report.to_dict(), args)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    params = {"width": args.width, "height": args.height, "r0": args.r0, "r1": args.r1}
-    _emit(grid_oracle(args.kind, params, args.fine_resolution), args)
+    _emit(grid_oracle(args.kind, _shape(args), args.fine_resolution), args)
     return 0
 
 
@@ -267,13 +235,28 @@ COMMANDS = {
 }
 
 
-def _add_common(p, steiner=True):
+KINDS = ("square", "rectangle", "annular_shell")
+
+
+def _add_common(p, steiner=True, report_out=True):
     if steiner:
         p.add_argument("--steiner-level", type=int, default=2,
                        help="edge refinement level for distance fields")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", dest="report_out",
-                   help="write the report here instead of stdout")
+    if report_out:
+        p.add_argument("--out", dest="report_out",
+                       help="write the report here instead of stdout")
+
+
+def _add_shape(p):
+    for flag, default in (("--width", 1.0), ("--height", 1.0), ("--r0", 1.0),
+                          ("--r1", 1.2)):
+        p.add_argument(flag, type=float, default=default)
+
+
+def _add_glue(p):
+    for flag in ("--left", "--right", "--corr"):
+        p.add_argument(flag, required=True, type=_input_file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,77 +269,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a canonical instance to a mesh file")
-    p.add_argument("--kind", required=True,
-                   choices=("square", "rectangle", "annular_shell"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=1.2)
+    _add_shape(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("validate", help="run the labeling/orientation invariants")
-    p.add_argument("path")
+    p.add_argument("path", type=_input_file)
     _add_common(p, steiner=False)
 
     p = sub.add_parser("energy",
                        help="energy, transformed energy, and their ratio")
-    p.add_argument("path")
+    p.add_argument("path", type=_input_file)
     _add_common(p)
 
     p = sub.add_parser("fourier",
                        help="exchange the region roles (X,Y)<->(A,B) and "
                             "report the relabeled energies")
-    p.add_argument("path")
+    p.add_argument("path", type=_input_file)
     p.add_argument("--transformed-out", help="write the relabeled mesh here")
     _add_common(p)
 
     p = sub.add_parser("noise", help="apply a local conformal deformation")
-    p.add_argument("path")
+    p.add_argument("path", type=_input_file)
     p.add_argument("--center-vertex", type=int, required=True)
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--out", required=True, help="deformed mesh file")
-    p.add_argument("--steiner-level", type=int, default=2)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_common(p, report_out=False)
 
     p = sub.add_parser("filter", help="extract a sub-signal keeping all of A")
-    p.add_argument("path")
-    p.add_argument("--keep", required=True,
+    p.add_argument("path", type=_input_file)
+    p.add_argument("--keep", required=True, type=_input_file,
                    help="JSON predicate file: {'simplices': [...]} or "
                         "{'axis': k, 'min': ..., 'max': ...}")
     p.add_argument("--out", required=True, help="filtered mesh file")
-    p.add_argument("--steiner-level", type=int, default=2)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_common(p, report_out=False)
 
     p = sub.add_parser("compose", help="glue left Y to right X along a "
                                        "correspondence file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--corr", required=True)
+    _add_glue(p)
     p.add_argument("--out", required=True, help="glued mesh file")
-    p.add_argument("--steiner-level", type=int, default=2)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_common(p, report_out=False)
 
     p = sub.add_parser("verify-thm1",
                        help="check the two-sided bound on the energy ratio "
                             "from volumes, diameters, and injectivity radii")
-    p.add_argument("path")
+    p.add_argument("path", type=_input_file)
     _add_common(p)
 
     p = sub.add_parser("verify-thm2",
                        help="check sub-additivity of energy and growth of the "
                             "transformed energy under composition")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--corr", required=True)
+    _add_glue(p)
     _add_common(p)
 
     p = sub.add_parser("sweep-eps",
                        help="noise-modulation expansion: measured ratio vs "
                             "(beta/gamma)(1 + C eps^(d/2)) across depths")
-    p.add_argument("path")
+    p.add_argument("path", type=_input_file)
     p.add_argument("--center-vertex", type=int, required=True)
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -367,27 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine-study",
                        help="energies across resolutions against the "
                             "midpoint-rule oracle")
-    p.add_argument("--kind", required=True,
-                   choices=("square", "rectangle", "annular_shell"))
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--resolutions", required=True)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=1.2)
+    _add_shape(p)
     p.add_argument("--oracle-resolution", type=int, default=1024)
     _add_common(p)
 
     p = sub.add_parser("oracle",
                        help="independent midpoint-rule quadrature of the "
                             "closed-form distance fields")
-    p.add_argument("--kind", required=True,
-                   choices=("square", "rectangle", "annular_shell",
-                            "rectangle_split_A"))
+    p.add_argument("--kind", required=True, choices=KINDS + ("rectangle_split_A",))
     p.add_argument("--fine-resolution", type=int, default=1024)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--r1", type=float, default=1.2)
+    _add_shape(p)
     _add_common(p, steiner=False)
 
     return ap

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .complex import build_complex
+from .complex import CobordismComplex, build_complex
 from .errors import CobsigError
-from .metric import MetricField, induced_metric
+from .metric import MetricField
 from .signal import Signal, make_signal
 from .signalops import Correspondence
 
@@ -36,7 +36,7 @@ def signal_to_dict(signal: Signal, include_metric: bool | None = None) -> dict:
     return out
 
 
-def signal_from_dict(data: dict) -> Signal:
+def complex_from_dict(data: dict) -> CobordismComplex:
     try:
         verts = np.array(data["vertices"], dtype=np.float64)
         simp = np.array([s["verts"] for s in data["simplices"]], dtype=np.int64)
@@ -46,17 +46,27 @@ def signal_from_dict(data: dict) -> Signal:
             tag: [tuple(f) for f in facets]
             for tag, facets in data.get("labels", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc
-    cx = build_complex(verts, simp, labels, signs)
-    if "metric" in data:
-        edges = np.array([m["edge"] for m in data["metric"]], dtype=np.int64)
-        edges.sort(axis=1)
-        lengths = np.array([m["length"] for m in data["metric"]])
-        metric = MetricField(edges, lengths, "deformed")
-    else:
-        metric = induced_metric(cx)
-    hints = {k: float(v) for k, v in data.get("hints", {}).items()}
+    return build_complex(verts, simp, labels, signs)
+
+
+def signal_from_dict(data: dict) -> Signal:
+    return signal_on_complex(complex_from_dict(data), data)
+
+
+def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
+    """The signal of mesh data on ``cx``, the complex built from that data."""
+    metric = None  # the induced metric
+    try:
+        if "metric" in data:
+            edges = np.array([m["edge"] for m in data["metric"]], dtype=np.int64)
+            edges.sort(axis=1)
+            lengths = np.array([m["length"] for m in data["metric"]])
+            metric = MetricField(edges, lengths, "deformed")
+        hints = {k: float(v) for k, v in data.get("hints", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CobsigError(f"malformed mesh data: {exc}") from exc
     return make_signal(cx, metric, hints)
 
 
@@ -64,12 +74,16 @@ def save_signal(signal: Signal, path) -> None:
     Path(path).write_text(json.dumps(signal_to_dict(signal), indent=2) + "\n")
 
 
-def load_signal(path) -> Signal:
+def read_json(path):
+    """The parsed contents of a mesh, correspondence or keep file."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CobsigError(f"invalid JSON in {path}: {exc}") from exc
-    return signal_from_dict(data)
+
+
+def load_signal(path) -> Signal:
+    return signal_from_dict(read_json(path))
 
 
 def save_correspondence(corr: Correspondence, path) -> None:
@@ -79,26 +93,36 @@ def save_correspondence(corr: Correspondence, path) -> None:
 
 
 def load_correspondence(path) -> Correspondence:
-    data = json.loads(Path(path).read_text())
-    return Correspondence(tuple(tuple(p) for p in data["pairs"]),
-                          float(data["tolerance"]))
+    data = read_json(path)
+    try:
+        return Correspondence(tuple(tuple(p) for p in data["pairs"]),
+                              float(data["tolerance"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc
 
 
 def load_keep_spec(path) -> dict:
     """Keep-predicate file: {"simplices": [...]} or {"axis": k, "min"/"max": v}."""
-    data = json.loads(Path(path).read_text())
-    if "simplices" not in data and "axis" not in data:
+    data = read_json(path)
+    if not isinstance(data, dict) or ("simplices" not in data and "axis" not in data):
         raise CobsigError("keep file needs either 'simplices' or 'axis'")
     return data
 
 
 def kept_simplices_from_spec(signal: Signal, spec: dict) -> np.ndarray:
-    if "simplices" in spec:
-        return np.asarray(spec["simplices"], dtype=np.int64)
-    axis = int(spec["axis"])
-    lo = float(spec.get("min", -np.inf))
-    hi = float(spec.get("max", np.inf))
-    coords = signal.complex.vertices[:, axis]
+    cx = signal.complex
+    try:
+        if "simplices" in spec:
+            return np.asarray(spec["simplices"], dtype=np.int64)
+        axis = int(spec["axis"])
+        lo = float(spec.get("min", -np.inf))
+        hi = float(spec.get("max", np.inf))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CobsigError(f"malformed keep file: {exc!r}") from exc
+    if not 0 <= axis < cx.ambient_dim:
+        raise CobsigError(f"keep axis {axis} is not one of the "
+                          f"{cx.ambient_dim} coordinate axes")
+    coords = cx.vertices[:, axis]
     ok = (coords >= lo) & (coords <= hi)
-    keep = np.all(ok[signal.complex.simplices], axis=1)
+    keep = np.all(ok[cx.simplices], axis=1)
     return np.argwhere(keep).ravel()

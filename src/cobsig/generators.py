@@ -51,23 +51,9 @@ def _grid_signal(width: float, height: float, nx: int, ny: int,
 
 def gen_square(n: int) -> Signal:
     """Unit square as an n-by-n grid of 2 n^2 triangles."""
-    n = int(n)
-    if n < 2:
+    if int(n) < 2:
         raise MeshError("square resolution must be at least 2")
-    hints = {
-        "E": 0.5,
-        "EF": 0.5,
-        "i_A": 1.0,
-        "i_X": 1.0,
-        "diam_M": math.sqrt(2.0),
-        "diam_A": 1.0,
-        "diam_X": 1.0,
-        "vol_M": 1.0,
-        "vol_A": 1.0,
-        "vol_X": 1.0,
-        "resolution": float(n),
-    }
-    return _grid_signal(1.0, 1.0, n, n, hints=hints)
+    return gen_rectangle(1.0, 1.0, n)
 
 
 def gen_rectangle(width: float, height: float, n: int,
@@ -200,6 +186,23 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
         "resolution": float(res),
     }
     return make_signal(cx, hints=hints)
+
+
+def generate(kind: str, params: dict, resolution: int) -> Signal:
+    """The canonical instance ``kind`` at ``resolution``.
+
+    ``params`` holds the shape: "width" and "height" of a rectangle (1.0
+    when absent), "r0", "r1" and "height" of an annular shell.
+    """
+    if kind == "square":
+        return gen_square(resolution)
+    if kind == "rectangle":
+        return gen_rectangle(params.get("width", 1.0), params.get("height", 1.0),
+                             resolution)
+    if kind == "annular_shell":
+        return gen_annular_shell(params["r0"], params["r1"], params["height"],
+                                 resolution)
+    raise ValueError(f"unsupported generator kind {kind!r}")
 
 
 def vertex_at(signal: Signal, coords, tol: float = 1e-9) -> int:

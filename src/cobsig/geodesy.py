@@ -460,14 +460,13 @@ def diameter(signal, subset: str = "M",
 
 
 def _first_cut_estimate(f: np.ndarray, foot: np.ndarray, edges: np.ndarray,
-                        lengths: np.ndarray, region_ids: np.ndarray, intra,
-                        tau: float = CUT_TAU):
+                        lengths: np.ndarray, region_ids: np.ndarray, intra):
     """Smallest max(f_u, f_v) over edges uv flagged as crossing a cut.
 
     ``foot`` holds each vertex's nearest region vertex; a region vertex is
     its own.  An edge with two different feet, not both endpoints in the
     region (such an edge would flag at f = 0), flags when its feet lie
-    farther apart inside the region than (2 max(f_u, f_v) + l_uv)(1 + tau):
+    farther apart inside the region than (2 max(f_u, f_v) + l_uv)(1 + CUT_TAU):
     a path through the edge joins the feet in about 2 max(f_u, f_v) + l_uv,
     so a larger intrinsic separation means the normal collars of two parts
     of the region meet across uv.  ``intra(ends)`` gives the region-intrinsic
@@ -485,7 +484,7 @@ def _first_cut_estimate(f: np.ndarray, foot: np.ndarray, edges: np.ndarray,
     ends, pos = np.unique(np.concatenate([foot[u], foot[v]]), return_inverse=True)
     sep = intra(ends)[pos[:len(u)], pos[len(u):]]
     reach = np.maximum(f[u], f[v])
-    flagged = sep > (2.0 * reach + lengths[candidate]) * (1.0 + tau)
+    flagged = sep > (2.0 * reach + lengths[candidate]) * (1.0 + CUT_TAU)
     if not np.any(flagged):
         return None
     return float(reach[flagged].min())
@@ -500,7 +499,7 @@ def injectivity_radius(signal, region: str,
     Chazal and Lieutier (Graphical Models 67, 2005): one multi-source search
     from the region's vertices labels every vertex with its nearest one, its
     foot, and an edge flags a cut when its two feet lie farther apart inside
-    the region than the edge can bridge, (2 max(f_u, f_v) + l_uv)(1 + tau).
+    the region than the edge can bridge, (2 max(f_u, f_v) + l_uv)(1 + CUT_TAU).
     The edge length widens the rule because neighbouring feet on a coarse
     mesh can be a few edges apart without any cut.  Intrinsic distances are
     searched only from the feet of edges whose feet differ.  The estimate is

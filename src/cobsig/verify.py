@@ -31,7 +31,7 @@ from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_field,
 from .metric import lumped_vertex_volume, region_volume, total_volume
 from .signal import Signal
 from .signalops import NoiseSpec, apply_noise, compose
-from .generators import gen_annular_shell, gen_rectangle, gen_square
+from .generators import generate
 
 #: Multiplicative slack on inequality checks where both sides are
 #: quadrature approximations; refinement shrinks the need for it.
@@ -453,18 +453,6 @@ class ConvergenceReport:
         }
 
 
-def _generate(kind: str, params: dict, resolution: int) -> Signal:
-    if kind == "square":
-        return gen_square(resolution)
-    if kind == "rectangle":
-        return gen_rectangle(params.get("width", 1.0), params.get("height", 1.0),
-                             resolution)
-    if kind == "annular_shell":
-        return gen_annular_shell(params["r0"], params["r1"], params["height"],
-                                 resolution)
-    raise ValueError(f"unsupported generator kind {kind!r}")
-
-
 def refinement_study(kind: str, params: dict, resolutions,
                      steiner_level: int = DEFAULT_STEINER_LEVEL,
                      oracle_resolution: int = 1024) -> ConvergenceReport:
@@ -486,7 +474,7 @@ def refinement_study(kind: str, params: dict, resolutions,
     rows = []
     prev_e = prev_ef = None
     for r in res_list:
-        sig = _generate(kind, params, r)
+        sig = generate(kind, params, r)
         e = energy(sig, steiner_level)
         ef = fourier_energy(sig, steiner_level)
         row = {

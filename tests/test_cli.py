@@ -203,10 +203,34 @@ def test_cli_csv_format(tmp_path, capsys):
 # -- exit codes and determinism ----------------------------------------------
 
 
-def test_cli_missing_file_exits_2(capsys):
-    code, _, err = run(capsys, "energy", "/nonexistent/mesh.json")
-    assert code == 2
-    assert "cannot read" in err
+def test_cli_missing_file_exits_2(tmp_path, capsys):
+    # each file argument of each subcommand in turn names a missing file
+    present = tmp_path / "present.json"
+    present.write_text("{}")
+    missing = str(tmp_path / "missing.json")
+    ball = ["--center-vertex", "0", "--delta0", "0.1", "--delta", "0.2"]
+    commands = {  # file arguments, then the other required arguments
+        "validate": (["path"], []),
+        "energy": (["path"], []),
+        "fourier": (["path"], []),
+        "verify-thm1": (["path"], []),
+        "noise": (["path"], ball + ["--epsilon", "0.2", "--out", "o.json"]),
+        "sweep-eps": (["path"], ball + ["--eps", "0.4"]),
+        "filter": (["path", "--keep"], ["--out", "o.json"]),
+        "compose": (["--left", "--right", "--corr"], ["--out", "o.json"]),
+        "verify-thm2": (["--left", "--right", "--corr"], []),
+    }
+    for command, (files, rest) in commands.items():
+        for absent in files:
+            argv = [command, *rest]
+            for name in files:
+                value = missing if name == absent else str(present)
+                argv += [value] if name == "path" else [name, value]
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith(f"usage: cobsig {command} ")
+            assert err.endswith(f"error: argument {absent}: cannot read {missing}\n")
 
 
 def test_cli_unknown_command_exits_2(capsys):
@@ -226,14 +250,27 @@ def test_cli_bad_parameters_exit_2(tmp_path, capsys):
 
 
 def test_cli_validation_failure_exits_1(tmp_path, capsys):
+    # the labels fail validation but the complex builds: each violation is
+    # reported with its item, not one "unbuildable" line
     from cobsig.fileio import signal_to_dict
     mesh = tmp_path / "bad.json"
     data = signal_to_dict(cs.gen_square(4))
     data["labels"]["B"] = []
+    shared = tuple(data["labels"]["X"][0])
+    data["labels"]["Y"].append(list(shared))
     mesh.write_text(json.dumps(data))
     code, out, _ = run(capsys, "validate", str(mesh))
     assert code == 1
-    assert json.loads(out)["ok"] is False
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert ["empty-region", "B"] in report["violations"]
+    assert ["X-Y-shared-facet", str([shared])] in report["violations"]
+    assert all(v[0] != "unbuildable" for v in report["violations"])
+    # the other subcommands still refuse the mesh with one error line
+    code, out, err = run(capsys, "energy", str(mesh))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: complex fails validation: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_byte_identical_reports(tmp_path, capsys):
@@ -275,10 +312,166 @@ def test_load_rejects_duplicated_metric_edge(tmp_path):
 
 def test_cli_unbuildable_mesh_exits_1(tmp_path, capsys):
     from cobsig.fileio import signal_to_dict
-    data = signal_to_dict(cs.gen_square(2))
-    data["labels"]["A"] = [[0, 8]]  # not a facet of the complex
-    mesh = tmp_path / "broken.json"
-    mesh.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "validate", str(mesh))
+    bad_label = signal_to_dict(cs.gen_square(2))
+    bad_label["labels"]["A"] = [[0, 8]]  # not a facet of the complex
+    short_metric = signal_to_dict(cs.gen_square(2), include_metric=True)
+    short_metric["metric"] = short_metric["metric"][:-1]  # the labels validate
+    for data, message in ((bad_label, "label A: (0, 8) is not a facet of the complex"),
+                          (short_metric, "metric edge set does not match the complex")):
+        mesh = tmp_path / "broken.json"
+        mesh.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "validate", str(mesh))
+        assert code == 1
+        assert json.loads(out) == {"ok": False,
+                                   "violations": [["unbuildable", message]]}
+
+
+@pytest.mark.parametrize("corr", [
+    {"pairs": []},
+    {"pairs": 3, "tolerance": 1e-9},
+    {"pairs": [[0]], "tolerance": 1e-9},
+    {"pairs": [], "tolerance": "tight"},
+    [1, 2],
+], ids=["no-tolerance", "pairs-not-a-list", "short-pair", "text-tolerance",
+        "not-an-object"])
+def test_cli_malformed_correspondence_exits_1(tmp_path, capsys, corr):
+    lpath, rpath = str(tmp_path / "l.json"), str(tmp_path / "r.json")
+    save_signal(cs.gen_rectangle(1.0, 1.0, 4), lpath)
+    save_signal(cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0)), rpath)
+    cpath = tmp_path / "corr.json"
+    cpath.write_text(json.dumps(corr))
+    glue = ["--left", lpath, "--right", rpath, "--corr", str(cpath)]
+    for argv in (["compose", *glue, "--out", str(tmp_path / "g.json")],
+                 ["verify-thm2", *glue]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: malformed correspondence file {cpath}: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("keep, message", [
+    ({"axis": 7}, "error: keep axis 7 is not one of the 2 coordinate axes"),
+    ({"axis": -1}, "error: keep axis -1 is not one of the 2 coordinate axes"),
+    ({"axis": "x"}, "error: malformed keep file: "),
+    ({"axis": 0, "max": [0.5]}, "error: malformed keep file: "),
+    ({"simplices": [[0, 1], [2]]}, "error: malformed keep file: "),
+    (5, "error: keep file needs either 'simplices' or 'axis'"),
+], ids=["axis-too-large", "axis-negative", "axis-text", "bound-a-list",
+        "ragged-simplices", "not-an-object"])
+def test_cli_malformed_keep_file_exits_1(tmp_path, capsys, keep, message):
+    mesh = str(tmp_path / "sq.json")
+    save_signal(cs.gen_square(4), mesh)
+    kpath = tmp_path / "keep.json"
+    kpath.write_text(json.dumps(keep))
+    code, out, err = run(capsys, "filter", mesh, "--keep", str(kpath),
+                         "--out", str(tmp_path / "f.json"))
     assert code == 1
-    assert json.loads(out)["ok"] is False
+    assert out == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("metric", [{"edge": [0, 1]}]),
+    ("hints", [1.0]),
+    ("labels", {"X": 3}),
+], ids=["metric-entry-without-length", "hints-not-an-object",
+        "facets-not-a-list"])
+def test_cli_malformed_mesh_exits_1(tmp_path, capsys, field, value):
+    from cobsig.fileio import signal_to_dict
+    data = dict(signal_to_dict(cs.gen_square(2)), **{field: value})
+    mesh = tmp_path / "malformed.json"
+    mesh.write_text(json.dumps(data))
+    code, out, err = run(capsys, "energy", str(mesh))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed mesh data: ")
+    assert err.count("\n") == 1
+
+
+# -- the CLI surface ---------------------------------------------------------
+
+#: Per subcommand, each argument (option string, or dest of a positional)
+#: with its default and whether it is required, in declaration order.
+CLI_SURFACE = {
+    "generate": {
+        "--kind": (None, True), "--resolution": (None, True),
+        "--width": (1.0, False), "--height": (1.0, False),
+        "--r0": (1.0, False), "--r1": (1.2, False), "--out": (None, True),
+    },
+    "validate": {
+        "path": (None, True), "--format": ("json", False), "--out": (None, False),
+    },
+    "energy": {
+        "path": (None, True), "--steiner-level": (2, False),
+        "--format": ("json", False), "--out": (None, False),
+    },
+    "fourier": {
+        "path": (None, True), "--transformed-out": (None, False),
+        "--steiner-level": (2, False), "--format": ("json", False),
+        "--out": (None, False),
+    },
+    "noise": {
+        "path": (None, True), "--center-vertex": (None, True),
+        "--delta0": (None, True), "--delta": (None, True),
+        "--epsilon": (None, True), "--out": (None, True),
+        "--steiner-level": (2, False), "--format": ("json", False),
+    },
+    "filter": {
+        "path": (None, True), "--keep": (None, True), "--out": (None, True),
+        "--steiner-level": (2, False), "--format": ("json", False),
+    },
+    "compose": {
+        "--left": (None, True), "--right": (None, True), "--corr": (None, True),
+        "--out": (None, True), "--steiner-level": (2, False),
+        "--format": ("json", False),
+    },
+    "verify-thm1": {
+        "path": (None, True), "--steiner-level": (2, False),
+        "--format": ("json", False), "--out": (None, False),
+    },
+    "verify-thm2": {
+        "--left": (None, True), "--right": (None, True), "--corr": (None, True),
+        "--steiner-level": (2, False), "--format": ("json", False),
+        "--out": (None, False),
+    },
+    "sweep-eps": {
+        "path": (None, True), "--center-vertex": (None, True),
+        "--delta0": (None, True), "--delta": (None, True),
+        "--eps": (None, True), "--steiner-level": (2, False),
+        "--format": ("json", False), "--out": (None, False),
+    },
+    "refine-study": {
+        "--kind": (None, True), "--resolutions": (None, True),
+        "--width": (1.0, False), "--height": (1.0, False),
+        "--r0": (1.0, False), "--r1": (1.2, False),
+        "--oracle-resolution": (1024, False), "--steiner-level": (2, False),
+        "--format": ("json", False), "--out": (None, False),
+    },
+    "oracle": {
+        "--kind": (None, True), "--fine-resolution": (1024, False),
+        "--width": (1.0, False), "--height": (1.0, False),
+        "--r0": (1.0, False), "--r1": (1.2, False),
+        "--format": ("json", False), "--out": (None, False),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    import argparse
+    from cobsig.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for command, parser in sub.choices.items():
+        surface[command] = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert len(action.option_strings) <= 1, action.option_strings
+            key = action.option_strings[0] if action.option_strings else action.dest
+            surface[command][key] = (action.default, action.required)
+    assert surface == CLI_SURFACE
+    # declaration order is the order of the usage line and --help
+    assert [list(v) for v in surface.values()] == [list(v) for v in CLI_SURFACE.values()]

@@ -336,8 +336,8 @@ def test_first_cut_estimate_silent_when_feet_close():
 
 
 def test_first_cut_estimate_widens_by_the_edge_length():
-    # the bound is (2 max(f_u, f_v) + l_uv)(1 + tau) = 1.5 * 1.05 = 1.575:
-    # a separation above 2 f (1 + tau) = 1.05 but within it does not flag
+    # the bound is (2 max(f_u, f_v) + l_uv)(1 + CUT_TAU) = 1.5 * 1.05 = 1.575:
+    # a separation above 2 f (1 + CUT_TAU) = 1.05 but within it does not flag
     assert _path_cut(1.5) is None
     assert _path_cut(1.6) == pytest.approx(0.5)
 
