@@ -63,8 +63,7 @@ def _emit(payload, args) -> None:
         text = json.dumps(payload, indent=2) + "\n"
     out = getattr(args, "report_out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        fileio.write_text(out, text)
     else:
         sys.stdout.write(text)
 

@@ -70,8 +70,16 @@ def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
     return make_signal(cx, metric, hints)
 
 
+def write_text(path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a CobsigError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CobsigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def save_signal(signal: Signal, path) -> None:
-    Path(path).write_text(json.dumps(signal_to_dict(signal), indent=2) + "\n")
+    write_text(path, json.dumps(signal_to_dict(signal), indent=2) + "\n")
 
 
 def read_json(path):
@@ -89,7 +97,7 @@ def load_signal(path) -> Signal:
 def save_correspondence(corr: Correspondence, path) -> None:
     data = {"pairs": [list(p) for p in corr.pairs],
             "tolerance": corr.tolerance}
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    write_text(path, json.dumps(data, indent=2) + "\n")
 
 
 def load_correspondence(path) -> Correspondence:

@@ -32,6 +32,27 @@ face dimension and s, and one scatter into the shared pattern, with no
 search, no sort and no COO conversion.  The scheme is the Steiner-point
 discretization of Lanthier, Maheshwari and Sack (Algorithmica 30, 2001)
 and of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
+
+A metric that differs from the pattern's first fill only inside a noise
+ball costs work only there.  The first fill is the pattern's reference: it
+keeps its lengths and CSR ``data``, and the full field of each source set
+searched on it.  A later fill compares its lengths with the reference's
+bit for bit, recomputes the sub-edges of the changed rows and the chords of
+faces holding one, and writes them into a copy of the reference ``data``,
+scanning only the CSR rows of the touched nodes.  A field on such a graph
+is the reference field updated by the incremental shortest-path scheme of
+Ramalingam and Reps (J. Algorithms 21(2), 1996).  The touched nodes, with
+every node that tight old edges lead to from an edge whose weight rose,
+form a node set W.  W's subgraph is searched on its own, seeded through its
+boundary from the old distances, and the result is kept only if no
+boundary edge would lower an old distance outside W.  The update is exact,
+not approximate.  Rounding is monotone, so Dijkstra returns at each node
+the least left-to-right float sum over all paths.  Every node outside W
+keeps an old tree path whose weights did not rise, and the boundary check
+shows that no path through W beats it, so the update gives the full
+search's bits.  When the check fails, W grows once and is searched again,
+and after that the full search runs.  The update is tried only while the
+touched rows hold at most 1/LOCAL_SHARE of the entries.
 """
 
 from __future__ import annotations
@@ -65,6 +86,12 @@ CUT_TAU = 0.05
 
 #: Sources per Dijkstra call when all pairwise distances are kept.
 SEARCH_BLOCK = 64
+
+#: Local work pays only for a small change: a refill is local while at most
+#: 1/LOCAL_SHARE of the edge rows changed, and a field is updated on the
+#: touched subgraph while the touched rows hold at most 1/LOCAL_SHARE of the
+#: graph's entries.
+LOCAL_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -158,6 +185,10 @@ class _Pattern:
     entry is a distinct pair, so scipy's COO -> CSR conversion, with the raw
     entry as payload, gives the canonical ``indptr``/``indices`` of the
     symmetric matrix, and ``slot_raw`` is the raw entry behind each slot.
+
+    The first fill is the pattern's reference: its ``lengths`` and CSR
+    ``data`` are kept, and so is every field searched on it (``fields``,
+    keyed by source set).
     """
 
     def __init__(self, nv: int, edges: np.ndarray, cells: list, s: int):
@@ -167,6 +198,7 @@ class _Pattern:
         self._interior = 2**s - 1
         self.n_nodes = nv + len(edges) * self._interior
         self.cells = [(faces, rows) for faces, rows in cells if faces.shape[1] > 2]
+        self.n_sub = len(edges) * (2 ** (s + 1) - 1)  # sub-edge raw entries
         i, j = self._raw_pairs()
         self.n_raw = len(i)
         # payload raw + 1, so that no stored value is an explicit zero
@@ -179,6 +211,8 @@ class _Pattern:
         if m.nnz != 2 * self.n_raw:
             raise GeodesyError("the complex lists a top simplex twice")
         self.indptr, self.indices, self.slot_raw = m.indptr, m.indices, m.data - 1
+        self.reference = None
+        self.fields = {}
 
     def _raw_pairs(self):
         """Node pair (i, j) of every raw entry, in order, as int32 arrays."""
@@ -191,19 +225,27 @@ class _Pattern:
                 src.append(self.node_ids(rows, np.full(ne, j * step)))
                 dst.append(self.node_ids(rows, np.full(ne, (j + 1) * step)))
         for faces, face_rows in self.cells:
-            slots, nodes, pairs = _chord_template(faces.shape[1] - 1, s)
-            gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
-            for k, desc in enumerate(nodes):
-                if desc[0] == "v":
-                    gids[:, k] = faces[:, desc[1]]
-                else:
-                    si, m = desc[1], desc[2]
-                    i, j = slots[si]
-                    m_global = np.where(faces[:, i] > faces[:, j], 2**s - m, m)
-                    gids[:, k] = self.node_ids(face_rows[:, si], m_global)
+            pairs = _chord_template(faces.shape[1] - 1, s)[2]
+            gids = self._face_nodes(faces, face_rows)
             src.append(gids[:, pairs[:, 0]].ravel())
             dst.append(gids[:, pairs[:, 1]].ravel())
         return np.concatenate(src, dtype=np.int32), np.concatenate(dst, dtype=np.int32)
+
+    def _face_nodes(self, faces: np.ndarray, face_rows: np.ndarray) -> np.ndarray:
+        """Graph node of every template node of the given faces, as a
+        (len(faces), n_template_nodes) array."""
+        s = self.s
+        slots, nodes, _ = _chord_template(faces.shape[1] - 1, s)
+        gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
+        for k, desc in enumerate(nodes):
+            if desc[0] == "v":
+                gids[:, k] = faces[:, desc[1]]
+            else:
+                si, m = desc[1], desc[2]
+                i, j = slots[si]
+                m_global = np.where(faces[:, i] > faces[:, j], 2**s - m, m)
+                gids[:, k] = self.node_ids(face_rows[:, si], m_global)
+        return gids
 
     def node_ids(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Graph node for parameter m/2**s along edge rows (m in 0..2**s)."""
@@ -221,12 +263,34 @@ class _Pattern:
         base = self.nv + np.asarray(rows, dtype=np.int64)[:, None] * self._interior
         return (base + np.arange(self._interior)[None, :]).ravel()
 
-    def fill(self, lengths: np.ndarray) -> csr_matrix:
-        """The symmetric weight matrix for per-edge ``lengths``: the weight
-        of every raw entry, scattered into the shared pattern.  Sub-edges
-        weigh ``lengths / 2**t``; chords come from each face's squared edge
-        lengths through ``_chord_coefficients``.  No sort and no COO
-        conversion runs here."""
+    def fill(self, lengths: np.ndarray):
+        """CSR ``data`` for per-edge ``lengths``, the touched nodes, and the
+        slots whose weight rose above the reference's.
+
+        The first fill becomes the reference and gives touched None, as does
+        a fill with the reference's lengths, which shares its ``data``.  A
+        later fill refills locally from the reference (``_refill``) and
+        returns the nodes whose CSR rows it rewrote; one that changes more
+        than 1/LOCAL_SHARE of the rows is filled in full, touches every node
+        and reports no slots.  No sort and no COO conversion runs here.
+        """
+        if self.reference is None:
+            self.reference = (lengths, self._full_data(lengths))
+            return self.reference[1], None, None
+        ref_lengths, ref_data = self.reference
+        # positive finite lengths: != compares them bit for bit
+        changed = lengths != ref_lengths
+        n_changed = np.count_nonzero(changed)
+        if n_changed == 0:
+            return ref_data, None, None
+        if LOCAL_SHARE * n_changed > len(changed):
+            return self._full_data(lengths), np.arange(self.n_nodes), None
+        return self._refill(lengths, changed, ref_data)
+
+    def _full_data(self, lengths: np.ndarray) -> np.ndarray:
+        """The weight of every raw entry, scattered into the pattern.
+        Sub-edges weigh ``lengths / 2**t``; chords come from each face's
+        squared edge lengths through ``_chord_coefficients``."""
         ne = len(self.edges)
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
@@ -239,8 +303,61 @@ class _Pattern:
             chords = _chord_lengths(lengths[face_rows], faces.shape[1] - 1, self.s)
             w[pos:pos + len(chords)] = chords
             pos += len(chords)
-        return csr_matrix((w[self.slot_raw], self.indices, self.indptr),
-                          shape=(self.n_nodes, self.n_nodes))
+        return w[self.slot_raw]
+
+    def _refill(self, lengths: np.ndarray, changed: np.ndarray, ref_data: np.ndarray):
+        """The reference ``data`` with the entries of changed rows rewritten,
+        the touched nodes, and the rewritten slots whose weight rose.
+
+        Only the sub-edges of changed rows and the chords of faces holding a
+        changed row are recomputed; every other raw entry has the same
+        inputs, so its reference weight is what a full fill computes.  Both
+        ends of a recomputed entry are nodes of a changed row or of a
+        touched face, so only those nodes' CSR rows are scanned, and each
+        slot's raw entry is decoded from its position in the raw order.
+        """
+        ne, s = len(self.edges), self.s
+        rows = np.flatnonzero(changed)
+        nodes = [self.edges[rows].ravel(), self.steiner_ids_of_rows(rows)]
+        chords = []
+        for faces, face_rows in self.cells:
+            q = faces.shape[1] - 1
+            hit = np.flatnonzero(changed[face_rows].any(axis=1))
+            w = _chord_lengths(lengths[face_rows[hit]], q, s)
+            chords.append((hit, w.reshape(len(hit), len(_chord_template(q, s)[2]))))
+            nodes.append(self._face_nodes(faces[hit], face_rows[hit]).ravel())
+        touched = np.unique(np.concatenate(nodes))
+        slots = _row_slots(self.indptr, touched)
+        raw = self.slot_raw[slots]
+        data = ref_data.copy()
+
+        written = []
+
+        def write(at, weights):
+            data[at] = weights
+            written.append(at[weights > ref_data[at]])
+
+        # sub-edge raw entry c * ne + row, at level t with 2**t - 1 <= c < 2**(t+1) - 1
+        sub = np.flatnonzero(raw < self.n_sub)
+        c, row = np.divmod(raw[sub], ne)
+        hit = changed[row]
+        level = np.frexp((c[hit] + 1).astype(np.float64))[1] - 1
+        write(slots[sub[hit]], lengths[row[hit]] / np.ldexp(1.0, level))
+
+        start = self.n_sub
+        for (faces, _), (hit_faces, w) in zip(self.cells, chords):
+            end = start + len(faces) * w.shape[1]
+            if w.shape[1] == 0:  # s = 0: no chords
+                continue
+            grp = np.flatnonzero((raw >= start) & (raw < end))
+            face, pair = np.divmod(raw[grp] - start, w.shape[1])
+            rank = np.full(len(faces), -1, dtype=np.int64)
+            rank[hit_faces] = np.arange(len(hit_faces))
+            rank = rank[face]
+            found = rank >= 0
+            write(slots[grp[found]], w[rank[found], pair[found]])
+            start = end
+        return data, touched, np.concatenate(written)
 
 
 def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
@@ -257,13 +374,28 @@ def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
     return np.sqrt(np.maximum(total, 0.0, out=total), out=total).ravel()
 
 
+def _row_slots(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The CSR slots of the given nodes' rows, row by row."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
 class _SteinerGraph:
-    """A refined graph: a shared pattern weighted by one metric."""
+    """A refined graph: a shared pattern weighted by one metric.
+
+    ``touched`` is None when the weights are the pattern's reference bits;
+    otherwise it holds every node whose CSR row may differ from the
+    reference's, and ``risen`` the CSR slots whose weight rose (None after a
+    full fill)."""
 
     def __init__(self, pattern: _Pattern, lengths: np.ndarray):
         self.pattern = pattern
         self.nv = pattern.nv
-        self.matrix = pattern.fill(lengths)
+        data, self.touched, self.risen = pattern.fill(lengths)
+        self.matrix = csr_matrix((data, pattern.indices, pattern.indptr),
+                                 shape=(pattern.n_nodes, pattern.n_nodes))
 
 
 def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
@@ -321,8 +453,148 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
     return np.concatenate([verts, steiner])
 
 
-def _min_distances(graph: _SteinerGraph, sources: np.ndarray) -> np.ndarray:
+def _mark_tight_below(indptr, indices, weights, dist, heads, mark) -> None:
+    """Set ``mark`` on ``heads`` and on every node a chain of tight edges
+    leads to from them: edges uv with fl(dist(u) + w_uv) == dist(v), on
+    which a shortest-path tree of ``dist`` is built."""
+    below = np.zeros(len(mark), dtype=bool)
+    front = np.unique(heads)
+    while len(front):
+        front = front[~below[front]]
+        below[front] = True
+        slots = _row_slots(indptr, front)
+        u = np.repeat(front, indptr[front + 1] - indptr[front])
+        v = indices[slots]
+        front = np.unique(v[dist[u] + weights[slots] == dist[v]])
+    mark |= below
+
+
+def _field(graph: _SteinerGraph, key, sources: np.ndarray) -> np.ndarray:
+    """Distances from ``sources`` to every node of the graph.
+
+    On the pattern's reference bits the result is kept on the pattern under
+    ``key``.  A refilled graph updates that field on its touched subgraph
+    when it can (``_update_field``), and searches in full otherwise.
+    """
+    ref = graph.pattern.fields.get(key)
+    if graph.touched is None:
+        if ref is None:
+            ref = graph.pattern.fields[key] = dijkstra(
+                graph.matrix, directed=True, indices=sources, min_only=True)
+        return ref
+    if ref is not None:
+        dist = _update_field(graph, ref, sources)
+        if dist is not None:
+            return dist
     return dijkstra(graph.matrix, directed=True, indices=sources, min_only=True)
+
+
+def _update_field(graph: _SteinerGraph, d_old: np.ndarray,
+                  sources: np.ndarray) -> np.ndarray | None:
+    """The reference field ``d_old`` updated to the graph's weights, bit for
+    bit; None when the update does not apply or does not settle.
+
+    The node set W starts as the touched nodes and every node that a chain
+    of tight old edges (fl(d_old(u) + w_uv) == d_old(v)) leads to from the
+    head of a tight edge whose weight rose.  The old search's tree is built
+    on tight edges, so every node outside W keeps an old tree path whose
+    weights did not rise.  ``_solve_inside`` searches W's subgraph from the
+    sources in W and from seeds through W's boundary; when no boundary edge
+    leads outside to a smaller value, that is the full search's result.
+    Otherwise W grows once by ``_grow`` and is searched again.  The touched
+    rows may hold at most 1/LOCAL_SHARE of the nnz and W twice that, so the
+    worst case is two such searches and then the full one.
+    """
+    m = graph.matrix
+    counts = np.diff(m.indptr)
+    cap = m.nnz // LOCAL_SHARE
+    if counts[graph.touched].sum() > cap or not np.all(np.isfinite(d_old)):
+        return None
+    inside = np.zeros(m.shape[0], dtype=bool)
+    inside[graph.touched] = True
+    w_old = graph.pattern.reference[1]
+    heads = np.searchsorted(m.indptr, graph.risen, side="right") - 1
+    tails = m.indices[graph.risen]
+    heads = heads[d_old[tails] + w_old[graph.risen] == d_old[heads]]
+    if len(heads):
+        _mark_tight_below(m.indptr, m.indices, w_old, d_old, heads, inside)
+        if counts[inside].sum() > 2 * cap:
+            return None
+    is_source = np.zeros(m.shape[0], dtype=bool)
+    is_source[sources] = True
+    for attempt in range(2):
+        nodes, dist_in, low, low_at = _solve_inside(m, inside, d_old, is_source)
+        if len(low) == 0:
+            dist = d_old.copy()
+            dist[nodes] = dist_in
+            return dist
+        if attempt or not _grow(m, inside, d_old, low, low_at, 2 * cap):
+            return None
+
+
+def _solve_inside(m, inside, d_old, is_source):
+    """Search the subgraph on the ``inside`` nodes W with the old distances
+    outside held fixed.
+
+    A super-source joins each W node with a boundary edge at weight
+    min fl(d_old(x) + w) over its outside neighbours x, the float sum a full
+    search forms at that edge; W's sources start at 0.  Returns W, its
+    distances, and the outside ends of boundary edges that would lower an
+    old distance, with the values they would give.
+    """
+    nodes = np.flatnonzero(inside)
+    k = len(nodes)
+    local = np.full(m.shape[0], -1, dtype=np.int32)
+    local[nodes] = np.arange(k, dtype=np.int32)
+    slots = _row_slots(m.indptr, nodes)
+    cols = local[m.indices[slots]]
+    row = np.repeat(np.arange(k), m.indptr[nodes + 1] - m.indptr[nodes])
+    within = cols >= 0
+    edge = np.flatnonzero(~within)
+    b_row, b_col, b_w = row[edge], m.indices[slots[edge]], m.data[slots[edge]]
+    firsts = np.flatnonzero(np.diff(b_row, prepend=-1))
+    seeds = np.minimum.reduceat(d_old[b_col] + b_w, firsts) if len(edge) else b_w
+    indptr = np.zeros(k + 2, dtype=m.indptr.dtype)
+    np.cumsum(np.bincount(row[within], minlength=k), out=indptr[1:k + 1])
+    indptr[k + 1] = indptr[k] + len(firsts)
+    sub = csr_matrix((np.concatenate([m.data[slots[within]], seeds]),
+                      np.concatenate([cols[within], b_row[firsts].astype(np.int32)]),
+                      indptr), shape=(k + 1, k + 1))
+    starts = np.append(np.flatnonzero(is_source[nodes]), k)
+    dist_in = dijkstra(sub, directed=True, indices=starts, min_only=True)[:k]
+    exit_val = dist_in[b_row] + b_w
+    low = exit_val < d_old[b_col]
+    return nodes, dist_in, b_col[low], exit_val[low]
+
+
+def _grow(m, inside, d_old, low, low_at, cap: int) -> bool:
+    """Add to ``inside`` every outside node that a path from the lowered
+    nodes could still lower; False once W's rows pass ``cap`` entries.
+
+    A path leaving W lowers each node it passes while its lead over the old
+    distances lasts: the lead starts at d_old(x) - low_at(x) and drops, at
+    each edge uv, by w_uv - (d_old(v) - d_old(u)) >= 0.  Leads spread by
+    label correction over the outside nodes, with a few ulp of slack; the
+    search after the growth decides exactness.
+    """
+    counts = np.diff(m.indptr)
+    lead = np.full(len(d_old), -np.inf)
+    np.maximum.at(lead, low, d_old[low] - low_at)
+    outside = ~inside
+    front = np.unique(low)
+    while len(front):
+        inside[front] = True
+        if counts[inside].sum() > cap:
+            return False
+        slots = _row_slots(m.indptr, front)
+        u = np.repeat(front, counts[front])
+        v = m.indices[slots]
+        left = lead[u] - m.data[slots] + (d_old[v] - d_old[u])
+        slack = 16 * np.finfo(np.float64).eps * d_old[v]
+        step = outside[v] & (left > lead[v]) & (left > -slack)
+        np.maximum.at(lead, v[step], left[step])
+        front = np.unique(v[step])
+    return True
 
 
 def _distances_to_vertices(graph: _SteinerGraph, sources: np.ndarray,
@@ -363,7 +635,8 @@ def distance_field(signal, region: str,
     def compute():
         graph = _graph(signal, s)
         sources = _region_sources(signal, graph, region)
-        dist = _min_distances(graph, sources)[: graph.nv]
+        key = ("field", signal.complex.labels[region])
+        dist = _field(graph, key, sources)[: graph.nv]
         if np.any(np.isinf(dist)):
             k = int(np.argwhere(np.isinf(dist)).ravel()[0])
             raise GeodesyError(
@@ -385,7 +658,7 @@ def distance_to_vertex(signal, p: int,
 
     def compute():
         graph = _graph(signal, s)
-        dist = _min_distances(graph, np.array([p], dtype=np.int64))[: graph.nv]
+        dist = _field(graph, ("vfield", p), np.array([p], dtype=np.int64))[: graph.nv]
         if np.any(np.isinf(dist)):
             raise GeodesyError(f"complex is disconnected from vertex {p}")
         return ScalarField(dist)

@@ -57,9 +57,31 @@ class Signal:
         return self.complex.dim
 
     def simplex_volumes(self) -> np.ndarray:
+        """Cayley-Menger volumes of the top simplices, checked as
+        ``metric.slot_volumes`` checks them.
+
+        The first signal on a structure to compute them keeps its lengths
+        and volumes there as the reference.  A later metric recomputes only
+        the simplices that hold an edge whose length differs from the
+        reference's, so a noise ball costs in proportion to its size.  The
+        other simplices have the same inputs and passed the same checks, so
+        the volumes, and any MetricError with the simplex it names, are those
+        of a full computation.
+        """
         cx = self.complex
-        return self.cached(("volumes",), lambda: slot_volumes(
-            self.metric.lengths[cx.simplex_edge_rows], cx.simplices))
+        lengths = self.metric.lengths
+
+        def compute():
+            ref_lengths, ref_vols = cx.cached(("volumes",), lambda: (
+                lengths, slot_volumes(lengths[cx.simplex_edge_rows], cx.simplices)))
+            if ref_lengths is lengths:
+                return ref_vols
+            rows = cx.simplex_edge_rows
+            touched = np.flatnonzero((lengths != ref_lengths)[rows].any(axis=1))
+            vols = ref_vols.copy()
+            vols[touched] = slot_volumes(lengths[rows[touched]], cx.simplices[touched])
+            return vols
+        return self.cached(("volumes",), compute)
 
     def cached(self, key, compute):
         if key not in self._cache:

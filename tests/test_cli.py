@@ -249,6 +249,21 @@ def test_cli_bad_parameters_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_unwritable_output_exits_1(tmp_path, capsys):
+    # an output path in a missing directory gives one error line, no traceback
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "4", "--out", mesh)
+    gone = tmp_path / "missing"
+    for argv in (["energy", mesh, "--out", str(gone / "r.json")],
+                 ["generate", "--kind", "square", "--resolution", "4",
+                  "--out", str(gone / "x.json")]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: cannot write {argv[-1]}: ")
+        assert err.count("\n") == 1
+
+
 def test_cli_validation_failure_exits_1(tmp_path, capsys):
     # the labels fail validation but the complex builds: each violation is
     # reported with its item, not one "unbuildable" line

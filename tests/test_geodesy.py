@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 import cobsig as cs
 from cobsig import geodesy
@@ -16,7 +17,7 @@ from cobsig.geodesy import (_chord_lengths, _chord_template,
                             injectivity_radius)
 from cobsig.metric import MetricField, conformal_scale, induced_metric
 from cobsig.signal import Signal
-from cobsig.signalops import NoiseSpec, apply_noise
+from cobsig.signalops import NoiseSpec, apply_noise, bump_field
 from cobsig.verify import eps_sweep
 
 
@@ -413,37 +414,239 @@ def test_scalar_field_json_round_trip(square8):
 
 
 # Noise balls that change edge lengths on the region named with them: on the
-# square the ball reaches the right edge B, on the shell it sits on the
-# outer wall Y; both avoid A and X as noise requires.
+# squares the ball reaches the right edge B, on the shell it sits on the
+# outer wall Y; all avoid A and X as noise requires.  On square8 the ball
+# changes more than 1/LOCAL_SHARE of the edges, so its graphs are filled in
+# full; on square32 and shell16 they are refilled locally.
 NOISE_CASES = {
     "square8": ((0.75, 0.5), 0.125, 0.375, "B"),
+    "square32": ((0.875, 0.5), 0.0625, 0.1875, "B"),
     "shell16": ((1.2, 0.0, 0.5), 0.05, 0.15, "Y"),
 }
+
+
+SWEEP = (0.4, 0.2, 0.1, 0.05)
+
+
+def _copy(sig):
+    """``sig`` on a complex loaded afresh: no pattern, reference fill or
+    kept field is shared with it."""
+    return signal_from_dict(signal_to_dict(sig))
+
+
+def _fresh(noisy):
+    """A deformed signal on a complex loaded afresh, with no reference."""
+    return signal_from_dict(signal_to_dict(noisy, include_metric=True))
+
+
+def _sweep(sig, name):
+    """(centre, noisy signal) for each eps of SWEEP in the noise case
+    ``name``.  Where the deformed metric breaks a simplex, the local volume
+    path must raise the message of a fresh complex, and the eps is
+    skipped."""
+    centre, delta0, delta, _ = NOISE_CASES[name]
+    p = cs.vertex_at(sig, centre, tol=1e-6)
+    for eps in SWEEP:
+        spec = NoiseSpec(p, delta0, delta, eps)
+        try:
+            noisy = apply_noise(sig, spec)
+        except MetricError as exc:
+            assert str(exc) == _fresh_volume_error(sig, spec)
+            continue
+        yield p, noisy
+
+
+def _fresh_volume_error(sig, spec):
+    """The MetricError message of the noisy metric's volumes on a fresh
+    complex, where they are computed in full."""
+    deformed = conformal_scale(sig.metric, bump_field(sig, spec))
+    fresh = _copy(sig)
+    with pytest.raises(MetricError) as err:
+        Signal(fresh.complex, MetricField(deformed.edges, deformed.lengths,
+                                          "deformed")).simplex_volumes()
+    return str(err.value)
 
 
 @pytest.mark.parametrize("name", sorted(NOISE_CASES))
 @pytest.mark.parametrize("whole", [True, False])
 def test_noise_refills_the_shared_pattern(request, name, whole):
-    sig = request.getfixturevalue(name)
-    centre, delta0, delta, region = NOISE_CASES[name]
-    p = cs.vertex_at(sig, centre, tol=1e-6)
-    noisy = apply_noise(sig, NoiseSpec(p, delta0, delta, 0.5))
-    tag = None if whole else region
+    sig = _copy(request.getfixturevalue(name))
+    tag = None if whole else NOISE_CASES[name][3]
     base = _graph(sig, 2, tag)
-    graph = _graph(noisy, 2, tag)
-    assert graph.pattern is base.pattern
-    assert graph.matrix.indptr is base.matrix.indptr
-    assert np.shares_memory(graph.matrix.indices, base.matrix.indices)
-    assert not np.array_equal(graph.matrix.data, base.matrix.data)
+    reference = base.pattern.reference
+    refilled = 0
+    for _, noisy in _sweep(sig, name):
+        graph = _graph(noisy, 2, tag)
+        assert graph.pattern is base.pattern
+        # every refill starts from the first fill, which stays the reference
+        assert graph.pattern.reference is reference
+        assert graph.touched is not None
+        assert graph.matrix.indptr is base.matrix.indptr
+        assert np.shares_memory(graph.matrix.indices, base.matrix.indices)
+        assert not np.array_equal(graph.matrix.data, base.matrix.data)
 
-    # a complex loaded afresh shares no pattern, and builds the same graph
-    fresh = signal_from_dict(signal_to_dict(noisy, include_metric=True))
-    ref = _graph(fresh, 2, tag)
-    assert ref.pattern is not base.pattern
-    for key in ("data", "indices", "indptr"):
-        got, want = getattr(graph.matrix, key), getattr(ref.matrix, key)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        # a complex loaded afresh shares no pattern, and builds the same graph
+        fresh = _fresh(noisy)
+        ref = _graph(fresh, 2, tag)
+        assert ref.pattern is not base.pattern
+        for key in ("data", "indices", "indptr"):
+            got, want = getattr(graph.matrix, key), getattr(ref.matrix, key)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert noisy.simplex_volumes().tobytes() == fresh.simplex_volumes().tobytes()
+        refilled += 1
+    assert refilled
+
+
+def test_local_volumes_raise_the_fresh_complex_error():
+    # the simplex the error names lies in the noise ball, so only the local
+    # path computes it; a fresh complex computes every volume
+    sig = cs.gen_annular_shell(1.0, 2.0, 2.0, 32)
+    centre = int(np.argmin(np.linalg.norm(sig.complex.vertices - [2.0, 0.0, 1.0],
+                                          axis=1)))
+    spec = NoiseSpec(centre, 0.25, 0.9, 0.05)
+    message = ("simplex (1013, 1021, 29, 30) has nonpositive squared volume "
+               "-7.448e-08: metric violates the simplex inequalities")
+    with pytest.raises(MetricError) as err:
+        apply_noise(sig, spec)
+    assert str(err.value) == message
+    assert _fresh_volume_error(sig, spec) == message
+
+
+def _fields(p):
+    return {"X": lambda s: distance_field(s, "X"),
+            "A": lambda s: distance_field(s, "A"),
+            "vertex": lambda s: distance_to_vertex(s, p)}
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_CASES))
+def test_field_update_matches_a_fresh_search(request, name):
+    sig = _copy(request.getfixturevalue(name))
+    for region in ("A", "X"):
+        distance_field(sig, region)  # the reference fields
+    for p, noisy in _sweep(sig, name):
+        fresh = _fresh(noisy)
+        for field in _fields(p).values():
+            assert field(noisy).values.tobytes() == field(fresh).values.tobytes()
+
+
+def _count_searches(monkeypatch, n_nodes):
+    """A list that records "full" or "sub" for each later Dijkstra call,
+    by the size of the graph searched."""
+    search = geodesy.dijkstra
+    calls = []
+
+    def counting(csgraph, *args, **kwargs):
+        calls.append("full" if csgraph.shape[0] == n_nodes else "sub")
+        return search(csgraph, *args, **kwargs)
+
+    monkeypatch.setattr(geodesy, "dijkstra", counting)
+    return calls
+
+
+def test_field_update_settles_grows_or_falls_back(shell16, monkeypatch):
+    # on the shell16 ball at eps 0.4 the X field settles on the touched
+    # nodes; A lowers nodes past them and settles after one growth; the
+    # centre's own field lowers nearly everywhere, so its growth passes the
+    # cap and the full search runs
+    sig = _copy(shell16)
+    for region in ("A", "X"):
+        distance_field(sig, region)
+    p, noisy = next(_sweep(sig, "shell16"))
+    graph = _graph(noisy, 2)
+    counts = np.diff(graph.matrix.indptr)
+    assert counts[graph.touched].sum() * geodesy.LOCAL_SHARE <= graph.matrix.nnz
+    calls = _count_searches(monkeypatch, graph.pattern.n_nodes)
+    for key, want in (("X", ["sub"]), ("A", ["sub", "sub"]),
+                      ("vertex", ["sub", "full"])):
+        calls.clear()
+        got = _fields(p)[key](noisy)
+        assert calls == want, key
+        assert got.values.tobytes() == _fields(p)[key](_fresh(noisy)).values.tobytes()
+
+
+def _risen_tree_chords(graph, reference, sources):
+    """Chord entries whose weight rose on tree edges of the reference
+    graph's search from ``sources``."""
+    pred = dijkstra(reference.matrix, directed=True, indices=sources,
+                    min_only=True, return_predecessors=True)[1]
+    m, pattern = graph.matrix, graph.pattern
+    child = np.flatnonzero(pred >= 0)
+    # the slot of (child, pred) in the sorted CSR rows
+    slot = np.array([m.indptr[c] + np.searchsorted(m.indices[m.indptr[c]:m.indptr[c + 1]],
+                                                  pred[c]) for c in child])
+    rose = m.data[slot] > reference.matrix.data[slot]
+    return np.count_nonzero(rose & (pattern.slot_raw[slot] >= pattern.n_sub))
+
+
+def test_field_update_from_a_noisy_reference(shell16):
+    # the reverse direction: the noisy metric is the reference and the base
+    # metric the target, so weights rise across the ball, chords among them,
+    # on tree edges whose subtrees must be searched again
+    sig = _copy(shell16)
+    p, noisy = next(_sweep(sig, "shell16"))
+    ref = _fresh(noisy)
+    for field in _fields(p).values():
+        field(ref)
+    reference = _graph(ref, 2)
+    target = Signal(ref.complex, MetricField(sig.metric.edges, sig.metric.lengths,
+                                             "induced"))
+    graph = _graph(target, 2)
+    assert graph.touched is not None
+    for key, field in _fields(p).items():
+        sources = (np.array([p]) if key == "vertex"
+                   else geodesy._region_sources(ref, reference, key))
+        assert _risen_tree_chords(graph, reference, sources) > 0, key
+        assert field(target).values.tobytes() == field(sig).values.tobytes()
+
+
+def test_eps_sweep_updates_the_x_fields_on_the_subgraph(shell16, monkeypatch):
+    sig = _copy(shell16)
+    p = cs.vertex_at(sig, NOISE_CASES["shell16"][0], tol=1e-6)
+    want = eps_sweep(_copy(shell16), NoiseSpec(p, 0.05, 0.15, 0.5), [0.5, 0.4])
+    distance_to_vertex(sig, p)
+    calls = _count_searches(monkeypatch, _graph(sig, 2).pattern.n_nodes)
+    fields = []
+    field = geodesy._field
+
+    def recording(graph, key, sources):
+        before = len(calls)
+        out = field(graph, key, sources)
+        fields.append((key[0], key[1] == sig.complex.labels["X"], calls[before:]))
+        return out
+
+    monkeypatch.setattr(geodesy, "_field", recording)
+    got = eps_sweep(sig, NoiseSpec(p, 0.05, 0.15, 0.5), [0.5, 0.4])
+    assert got.to_dict() == want.to_dict()
+    # the base fields are full searches, kept as the reference; each eps
+    # updates X on the subgraph alone
+    x_fields = [c for kind, is_x, c in fields if kind == "field" and is_x]
+    assert x_fields == [["full"], ["sub"], ["sub"]]
+
+
+def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
+    # the glue-filter set-up: its ball touches rows holding more than
+    # 1/LOCAL_SHARE of the entries, so the noisy fields are full searches
+    sig = cs.gen_square(48)
+    filt = cs.extract_filter(sig, cs.keep_by_predicate(sig, lambda q: q[0] <= 0.5 + 1e-12))
+    spec = NoiseSpec(cs.vertex_at(sig, (0.75, 0.5)), 0.1, 0.2, 0.25)
+    n_nodes = _graph(sig, 2).pattern.n_nodes
+    sizes = []
+    search = geodesy.dijkstra
+
+    def sizing(csgraph, *args, **kwargs):
+        sizes.append(csgraph.shape[0])
+        return search(csgraph, *args, **kwargs)
+
+    monkeypatch.setattr(geodesy, "dijkstra", sizing)
+    cs.check_filter(sig, filt, spec, 2)
+    noisy = _graph(apply_noise(sig, spec), 2)
+    counts = np.diff(noisy.matrix.indptr)
+    assert counts[noisy.touched].sum() * geodesy.LOCAL_SHARE > noisy.matrix.nnz
+    filter_nodes = _graph(filt, 2).pattern.n_nodes
+    assert set(sizes) == {n_nodes, filter_nodes}
+    # the base centre field, the base and the noisy A fields
+    assert sizes.count(n_nodes) == 3
 
 
 @pytest.mark.parametrize("name", ["square8", "shell16"])
