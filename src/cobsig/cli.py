@@ -21,10 +21,10 @@ import numpy as np
 
 from . import fileio
 from .complex import ValidationReport, validate
-from .energy import energy, energy_ratio, fourier_energy, fourier_relabel
+from .energy import energy, fourier_energy, fourier_relabel, ratio_of
 from .errors import CobsigError
 from .generators import generate
-from .geodesy import distance_to_vertex
+from .geodesy import BALL_ULPS, distance_within
 from .signalops import NoiseSpec, apply_noise, compose, extract_filter
 from .verify import (check_composition, check_thm1_bounds, eps_sweep,
                      grid_oracle, refinement_study)
@@ -125,10 +125,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _energy_payload(sig, steiner_level: int) -> dict:
+    e, ef = energy(sig, steiner_level), fourier_energy(sig, steiner_level)
     return {
-        "E": energy(sig, steiner_level),
-        "EF": fourier_energy(sig, steiner_level),
-        "ratio": energy_ratio(sig, steiner_level),
+        "E": e,
+        "EF": ef,
+        "ratio": ratio_of(ef, e),
         "steiner_level": steiner_level,
         "resolution": sig.hints.get("resolution"),
     }
@@ -192,12 +193,13 @@ def cmd_sweep_eps(args: argparse.Namespace) -> int:
     spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, 0.5)
     report = eps_sweep(sig, spec, _parse_eps(args.eps), args.steiner_level)
     _emit(report.to_dict(), args)
-    # the sweep has cached this field; ball membership of a vertex within a
-    # few ulp of a radius rests on rounding
-    rho = distance_to_vertex(sig, spec.center, args.steiner_level).values
+    # the sweep has cached these distances, exact out to BALL_ULPS ulp past
+    # delta; ball membership of a vertex within a few ulp of a radius rests
+    # on rounding
+    rho = distance_within(sig, spec.center, spec.delta, args.steiner_level)
     near = np.zeros(len(rho), dtype=bool)
     for radius in (spec.delta0, spec.delta):
-        near |= np.abs(rho - radius) <= 4.0 * np.spacing(radius)
+        near |= np.abs(rho - radius) <= BALL_ULPS * np.spacing(radius)
     if near.any():
         print(f"warning: {int(near.sum())} vertices lie within 4 ulp of delta0 "
               "or delta; their ball membership rests on rounding",

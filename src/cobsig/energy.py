@@ -75,9 +75,14 @@ def fourier_energy(signal: Signal, steiner_level: int = DEFAULT_STEINER_LEVEL) -
     return energy(fourier_relabel(signal), steiner_level)
 
 
+def ratio_of(ef: float, e: float) -> float:
+    """The energy ratio EF / E of two computed energies."""
+    if e == 0.0:
+        raise CobsigError("energy is zero; ratio undefined")
+    return ef / e
+
+
 def energy_ratio(signal: Signal, steiner_level: int = DEFAULT_STEINER_LEVEL) -> float:
     """Ratio of the transformed energy to the energy."""
     e = energy(signal, steiner_level)
-    if e == 0.0:
-        raise CobsigError("energy is zero; ratio undefined")
-    return fourier_energy(signal, steiner_level) / e
+    return ratio_of(fourier_energy(signal, steiner_level), e)

@@ -34,25 +34,40 @@ discretization of Lanthier, Maheshwari and Sack (Algorithmica 30, 2001)
 and of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
 
 A metric that differs from the pattern's first fill only inside a noise
-ball costs work only there.  The first fill is the pattern's reference: it
-keeps its lengths and CSR ``data``, and the full field of each source set
-searched on it.  A later fill compares its lengths with the reference's
-bit for bit, recomputes the sub-edges of the changed rows and the chords of
-faces holding one, and writes them into a copy of the reference ``data``,
-scanning only the CSR rows of the touched nodes.  A field on such a graph
-is the reference field updated by the incremental shortest-path scheme of
-Ramalingam and Reps (J. Algorithms 21(2), 1996).  The touched nodes, with
+ball costs work only there, and the ball, not the metric, is the unit of
+that work.  The first fill is the pattern's reference: it keeps its lengths
+and CSR ``data``, and the full field of each source set searched on it.  A
+later fill compares its lengths with the reference's bit for bit.  The rows
+that changed key the pattern's one plan (``_Plan``): the touched nodes, the
+decoded CSR slots of the sub-edges of changed rows and of the chords of
+faces holding one, and the hit faces.  The plan is built once per set of
+changed rows, so every depth of the same ball only recomputes those
+weights and writes them into a copy of the reference ``data``.
+
+A field on such a graph is the reference field updated by the incremental
+shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
+the plan's node set W.  W starts as the touched nodes and only grows: by
 every node that tight old edges lead to from an edge whose weight rose,
-form a node set W.  W's subgraph is searched on its own, seeded through its
-boundary from the old distances, and the result is kept only if no
-boundary edge would lower an old distance outside W.  The update is exact,
-not approximate.  Rounding is monotone, so Dijkstra returns at each node
-the least left-to-right float sum over all paths.  Every node outside W
-keeps an old tree path whose weights did not rise, and the boundary check
-shows that no path through W beats it, so the update gives the full
-search's bits.  When the check fails, W grows once and is searched again,
-and after that the full search runs.  The update is tried only while the
-touched rows hold at most 1/LOCAL_SHARE of the entries.
+and by the nodes a failed boundary check shows a lowering could reach.
+W's subgraph is kept on the plan until W grows; each update writes this
+graph's weights into it, seeds W's boundary from the old distances and
+searches.  The result is kept only if no boundary edge would lower an old
+distance outside W, and then it is exact, not approximate.  Rounding is
+monotone, so Dijkstra returns at each node the least left-to-right float
+sum over all paths.  Every node outside W keeps an old tree path whose
+weights did not rise, and the boundary check shows that no path through W
+beats it, so the update gives the full search's bits.  That argument needs
+W to hold only the touched nodes and the tight-below set; any larger W
+serves as well, which is why one W serves every field and every depth of a
+ball.  A deeper ball lowers more, so a sweep that starts from its smallest
+epsilon grows W once.  When the check fails, W grows once and is searched
+again, and after that the full search runs.  The update is tried only while
+the touched rows hold at most 1/LOCAL_SHARE of the entries.
+
+A noise ball's own centre needs distances only out to its radius:
+``distance_within`` stops Dijkstra at the radius plus BALL_ULPS ulp and
+leaves inf beyond.  Every prefix of a shortest path sums no higher than the
+path, so each vertex within the bound gets the full search's bits.
 """
 
 from __future__ import annotations
@@ -74,6 +89,7 @@ __all__ = [
     "InjectivityEstimate",
     "distance_field",
     "distance_to_vertex",
+    "distance_within",
     "diameter",
     "injectivity_radius",
 ]
@@ -92,6 +108,11 @@ SEARCH_BLOCK = 64
 #: touched subgraph while the touched rows hold at most 1/LOCAL_SHARE of the
 #: graph's entries.
 LOCAL_SHARE = 8
+
+#: ``distance_within(signal, p, radius)`` computes every vertex within
+#: radius + BALL_ULPS ulp of p, so a vertex that close to a ball's radius
+#: can be told apart from one inside it.
+BALL_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -206,13 +227,13 @@ class _Pattern:
         m = coo_matrix((np.concatenate([raw, raw]),
                         (np.concatenate([i, j]), np.concatenate([j, i]))),
                        shape=(self.n_nodes, self.n_nodes)).tocsr()
-        m.sort_indices()
         # the conversion sums a repeated pair, which only a repeated simplex makes
         if m.nnz != 2 * self.n_raw:
             raise GeodesyError("the complex lists a top simplex twice")
         self.indptr, self.indices, self.slot_raw = m.indptr, m.indices, m.data - 1
         self.reference = None
         self.fields = {}
+        self.plan = None
 
     def _raw_pairs(self):
         """Node pair (i, j) of every raw entry, in order, as int32 arrays."""
@@ -264,15 +285,16 @@ class _Pattern:
         return (base + np.arange(self._interior)[None, :]).ravel()
 
     def fill(self, lengths: np.ndarray):
-        """CSR ``data`` for per-edge ``lengths``, the touched nodes, and the
-        slots whose weight rose above the reference's.
+        """CSR ``data`` for per-edge ``lengths``, the plan of a local refill,
+        and the slots whose weight rose above the reference's.
 
-        The first fill becomes the reference and gives touched None, as does
-        a fill with the reference's lengths, which shares its ``data``.  A
-        later fill refills locally from the reference (``_refill``) and
-        returns the nodes whose CSR rows it rewrote; one that changes more
-        than 1/LOCAL_SHARE of the rows is filled in full, touches every node
-        and reports no slots.  No sort and no COO conversion runs here.
+        The first fill becomes the reference and gives no plan, as does a
+        fill with the reference's lengths, which shares its ``data``.  A
+        later fill refills locally from the reference (``_refill``), through
+        the plan of its changed rows: the pattern keeps one ``_Plan`` and
+        replaces it only when a fill changes other rows.  A fill that changes
+        more than 1/LOCAL_SHARE of the rows is filled in full, with no plan
+        and no slots.  No sort and no COO conversion runs here.
         """
         if self.reference is None:
             self.reference = (lengths, self._full_data(lengths))
@@ -280,12 +302,14 @@ class _Pattern:
         ref_lengths, ref_data = self.reference
         # positive finite lengths: != compares them bit for bit
         changed = lengths != ref_lengths
-        n_changed = np.count_nonzero(changed)
-        if n_changed == 0:
+        rows = np.flatnonzero(changed)
+        if len(rows) == 0:
             return ref_data, None, None
-        if LOCAL_SHARE * n_changed > len(changed):
-            return self._full_data(lengths), np.arange(self.n_nodes), None
-        return self._refill(lengths, changed, ref_data)
+        if LOCAL_SHARE * len(rows) > len(changed):
+            return self._full_data(lengths), None, None
+        if self.plan is None or not np.array_equal(self.plan.rows, rows):
+            self.plan = _Plan(self, changed)
+        return self._refill(lengths, self.plan, ref_data)
 
     def _full_data(self, lengths: np.ndarray) -> np.ndarray:
         """The weight of every raw entry, scattered into the pattern.
@@ -305,59 +329,121 @@ class _Pattern:
             pos += len(chords)
         return w[self.slot_raw]
 
-    def _refill(self, lengths: np.ndarray, changed: np.ndarray, ref_data: np.ndarray):
-        """The reference ``data`` with the entries of changed rows rewritten,
-        the touched nodes, and the rewritten slots whose weight rose.
+    def _refill(self, lengths: np.ndarray, plan: "_Plan", ref_data: np.ndarray):
+        """The reference ``data`` with the slots of ``plan`` rewritten, the
+        plan, and the rewritten slots whose weight rose.
 
         Only the sub-edges of changed rows and the chords of faces holding a
         changed row are recomputed; every other raw entry has the same
-        inputs, so its reference weight is what a full fill computes.  Both
-        ends of a recomputed entry are nodes of a changed row or of a
-        touched face, so only those nodes' CSR rows are scanned, and each
-        slot's raw entry is decoded from its position in the raw order.
+        inputs, so its reference weight is what a full fill computes.
         """
-        ne, s = len(self.edges), self.s
-        rows = np.flatnonzero(changed)
-        nodes = [self.edges[rows].ravel(), self.steiner_ids_of_rows(rows)]
-        chords = []
-        for faces, face_rows in self.cells:
-            q = faces.shape[1] - 1
-            hit = np.flatnonzero(changed[face_rows].any(axis=1))
-            w = _chord_lengths(lengths[face_rows[hit]], q, s)
-            chords.append((hit, w.reshape(len(hit), len(_chord_template(q, s)[2]))))
-            nodes.append(self._face_nodes(faces[hit], face_rows[hit]).ravel())
-        touched = np.unique(np.concatenate(nodes))
-        slots = _row_slots(self.indptr, touched)
-        raw = self.slot_raw[slots]
+        sub = np.ldexp(lengths[plan.sub_rows], -plan.sub_level)  # lengths / 2**t
+        chords = [_chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, self.s)
+                  for (faces, face_rows), hit in zip(self.cells, plan.hits)]
+        chord = np.concatenate([sub[:0], *chords])[plan.chord_index]
         data = ref_data.copy()
-
-        written = []
-
-        def write(at, weights):
+        risen = []
+        for at, weights in ((plan.sub_slots, sub), (plan.chord_slots, chord)):
             data[at] = weights
-            written.append(at[weights > ref_data[at]])
+            risen.append(at[weights > ref_data[at]])
+        return data, plan, np.concatenate(risen)
 
-        # sub-edge raw entry c * ne + row, at level t with 2**t - 1 <= c < 2**(t+1) - 1
-        sub = np.flatnonzero(raw < self.n_sub)
-        c, row = np.divmod(raw[sub], ne)
-        hit = changed[row]
-        level = np.frexp((c[hit] + 1).astype(np.float64))[1] - 1
-        write(slots[sub[hit]], lengths[row[hit]] / np.ldexp(1.0, level))
 
-        start = self.n_sub
-        for (faces, _), (hit_faces, w) in zip(self.cells, chords):
-            end = start + len(faces) * w.shape[1]
-            if w.shape[1] == 0:  # s = 0: no chords
-                continue
-            grp = np.flatnonzero((raw >= start) & (raw < end))
-            face, pair = np.divmod(raw[grp] - start, w.shape[1])
-            rank = np.full(len(faces), -1, dtype=np.int64)
-            rank[hit_faces] = np.arange(len(hit_faces))
-            rank = rank[face]
-            found = rank >= 0
-            write(slots[grp[found]], w[rank[found], pair[found]])
-            start = end
-        return data, touched, np.concatenate(written)
+class _Plan:
+    """The local work of one set of changed edge rows, kept on the pattern
+    and reused by every fill that changes the same rows.
+
+    ``touched`` holds the nodes whose CSR rows a refill rewrites: the nodes
+    of the changed rows and of every face holding one.  Both ends of a
+    recomputed entry are such nodes, so only their rows are scanned, once,
+    and each slot's raw entry is decoded from its position in the raw order
+    (``_decode_slots``): a sub-edge slot of a changed row keeps its row and level, and a chord
+    slot of a hit face its index into the hit faces' chords, group after
+    group (``hits``).  ``nnz`` counts the touched rows' entries.
+
+    ``inside`` is the node set W of the field updates on graphs filled
+    through this plan.  It starts as the touched nodes and only grows
+    (``widen``); ``sub`` caches W's subgraph until it does.
+    """
+
+    def __init__(self, pattern: _Pattern, changed: np.ndarray):
+        self.rows = np.flatnonzero(changed)
+        nodes = [pattern.edges[self.rows].ravel(), pattern.steiner_ids_of_rows(self.rows)]
+        self.hits = []
+        for faces, face_rows in pattern.cells:
+            hit = np.flatnonzero(changed[face_rows].any(axis=1))
+            self.hits.append(hit)
+            nodes.append(pattern._face_nodes(faces[hit], face_rows[hit]).ravel())
+        self.touched = np.unique(np.concatenate(nodes))
+        self.nnz = int(np.sum(pattern.indptr[self.touched + 1] - pattern.indptr[self.touched]))
+        (self.sub_slots, self.sub_rows, self.sub_level, self.chord_slots,
+         self.chord_index) = _kept(_decode_slots(pattern, changed, self.touched, self.hits))
+        self.inside = np.zeros(pattern.n_nodes, dtype=bool)
+        self.inside[self.touched] = True
+        self.sub = None
+
+    def widen(self, inside: np.ndarray) -> None:
+        """Make ``inside``, a superset of W, the new W."""
+        self.inside, self.sub = inside, None
+
+    def subgraph(self, m):
+        """W's subgraph (``_subgraph``) on the pattern of ``m``, built once
+        per W, with a ``data`` array that each update overwrites."""
+        if self.sub is None:
+            parts = _subgraph(m.indptr, m.indices, self.inside)
+            data = np.zeros(len(parts[-1]))  # the largest kept array, made first
+            *parts, indptr, indices = _kept(parts)
+            k = len(parts[0])
+            self.sub = (*parts, csr_matrix((data, indices, indptr), shape=(k + 1, k + 1)))
+        return self.sub
+
+
+def _kept(arrays) -> tuple:
+    """Fresh copies of the arrays a helper returns, for keeping on a plan.
+
+    The copies are made once the helper's large temporaries are freed, so
+    the kept arrays take the space those leave.  Kept where
+    they were first made, they split the free block that each refill's
+    copy of the reference ``data`` reuses, and on the shell-sweep input
+    most runs then read a peak RSS 10-13 MB higher.
+    """
+    return tuple(np.array(a, copy=True) for a in arrays)
+
+
+def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
+                  hits: list):
+    """The CSR slots a refill rewrites, decoded from the touched rows: the
+    sub-edge slots of changed rows with their rows and levels, and the chord
+    slots of hit faces with their index into the hit faces' chords laid end
+    to end, group after group."""
+    ne, s = len(pattern.edges), pattern.s
+    slots = _row_slots(pattern.indptr, touched).astype(pattern.indptr.dtype)
+    raw = pattern.slot_raw[slots]
+
+    # sub-edge raw entry c * ne + row, at level t with 2**t - 1 <= c < 2**(t+1) - 1
+    sub = np.flatnonzero(raw < pattern.n_sub)
+    c, row = np.divmod(raw[sub], ne)
+    hit = changed[row]
+    level = (np.frexp((c[hit] + 1).astype(np.float64))[1] - 1).astype(np.int8)
+
+    at, index = [], []
+    start = pattern.n_sub
+    offset = 0
+    for (faces, _), hit_faces in zip(pattern.cells, hits):
+        n_pairs = len(_chord_template(faces.shape[1] - 1, s)[2])
+        end = start + len(faces) * n_pairs
+        grp = np.flatnonzero((raw >= start) & (raw < end))
+        face, pair = np.divmod(raw[grp] - start, n_pairs)
+        rank = np.full(len(faces), -1, dtype=np.int64)
+        rank[hit_faces] = np.arange(len(hit_faces))
+        rank = rank[face]
+        found = rank >= 0
+        at.append(slots[grp[found]])
+        index.append(offset + rank[found] * n_pairs + pair[found])
+        offset += len(hit_faces) * n_pairs
+        start = end
+    return (slots[sub[hit]], row[hit], level, np.concatenate([slots[:0], *at]),
+            np.concatenate([slots[:0], *index]).astype(np.int32))
 
 
 def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
@@ -387,13 +473,20 @@ class _SteinerGraph:
 
     ``touched`` is None when the weights are the pattern's reference bits;
     otherwise it holds every node whose CSR row may differ from the
-    reference's, and ``risen`` the CSR slots whose weight rose (None after a
-    full fill)."""
+    reference's.  After a local refill ``plan`` is the pattern's plan for
+    the changed rows and ``risen`` holds the CSR slots whose weight rose;
+    both are None otherwise."""
 
     def __init__(self, pattern: _Pattern, lengths: np.ndarray):
         self.pattern = pattern
         self.nv = pattern.nv
-        data, self.touched, self.risen = pattern.fill(lengths)
+        data, self.plan, self.risen = pattern.fill(lengths)
+        if data is pattern.reference[1]:
+            self.touched = None
+        elif self.plan is None:
+            self.touched = np.arange(pattern.n_nodes)
+        else:
+            self.touched = self.plan.touched
         self.matrix = csr_matrix((data, pattern.indices, pattern.indptr),
                                  shape=(pattern.n_nodes, pattern.n_nodes))
 
@@ -473,8 +566,8 @@ def _field(graph: _SteinerGraph, key, sources: np.ndarray) -> np.ndarray:
     """Distances from ``sources`` to every node of the graph.
 
     On the pattern's reference bits the result is kept on the pattern under
-    ``key``.  A refilled graph updates that field on its touched subgraph
-    when it can (``_update_field``), and searches in full otherwise.
+    ``key``.  A locally refilled graph updates that field on a subgraph when
+    it can (``_update_field``), and searches in full otherwise.
     """
     ref = graph.pattern.fields.get(key)
     if graph.touched is None:
@@ -482,7 +575,7 @@ def _field(graph: _SteinerGraph, key, sources: np.ndarray) -> np.ndarray:
             ref = graph.pattern.fields[key] = dijkstra(
                 graph.matrix, directed=True, indices=sources, min_only=True)
         return ref
-    if ref is not None:
+    if ref is not None and graph.plan is not None:
         dist = _update_field(graph, ref, sources)
         if dist is not None:
             return dist
@@ -494,72 +587,95 @@ def _update_field(graph: _SteinerGraph, d_old: np.ndarray,
     """The reference field ``d_old`` updated to the graph's weights, bit for
     bit; None when the update does not apply or does not settle.
 
-    The node set W starts as the touched nodes and every node that a chain
-    of tight old edges (fl(d_old(u) + w_uv) == d_old(v)) leads to from the
-    head of a tight edge whose weight rose.  The old search's tree is built
-    on tight edges, so every node outside W keeps an old tree path whose
-    weights did not rise.  ``_solve_inside`` searches W's subgraph from the
-    sources in W and from seeds through W's boundary; when no boundary edge
-    leads outside to a smaller value, that is the full search's result.
-    Otherwise W grows once by ``_grow`` and is searched again.  The touched
-    rows may hold at most 1/LOCAL_SHARE of the nnz and W twice that, so the
-    worst case is two such searches and then the full one.
+    The update searches the node set W of the graph's plan, which must hold
+    the touched nodes and every node that a chain of tight old edges
+    (fl(d_old(u) + w_uv) == d_old(v)) leads to from the head of a tight
+    edge whose weight rose; W grows to hold them.  The old search's tree is
+    built on tight edges, so every node outside W keeps an old tree path
+    whose weights did not rise.  ``_solve_inside`` searches W's subgraph
+    from the sources in W and from seeds through W's boundary; when no
+    boundary edge leads outside to a smaller value, that is the full
+    search's result.  Otherwise W grows by ``_grow`` and is searched again.
+    The touched rows may hold at most 1/LOCAL_SHARE of the nnz and W twice
+    that, so the worst case is two such searches and then the full one.
+    W is kept on the plan for every later field and fill, so a field whose
+    lowered nodes an earlier update already took in settles at once.
     """
-    m = graph.matrix
+    plan, m = graph.plan, graph.matrix
     counts = np.diff(m.indptr)
     cap = m.nnz // LOCAL_SHARE
-    if counts[graph.touched].sum() > cap or not np.all(np.isfinite(d_old)):
+    if plan.nnz > cap or not np.all(np.isfinite(d_old)):
         return None
-    inside = np.zeros(m.shape[0], dtype=bool)
-    inside[graph.touched] = True
     w_old = graph.pattern.reference[1]
     heads = np.searchsorted(m.indptr, graph.risen, side="right") - 1
     tails = m.indices[graph.risen]
     heads = heads[d_old[tails] + w_old[graph.risen] == d_old[heads]]
     if len(heads):
-        _mark_tight_below(m.indptr, m.indices, w_old, d_old, heads, inside)
-        if counts[inside].sum() > 2 * cap:
-            return None
+        grown = plan.inside.copy()
+        _mark_tight_below(m.indptr, m.indices, w_old, d_old, heads, grown)
+        if not np.array_equal(grown, plan.inside):
+            if counts[grown].sum() > 2 * cap:
+                return None
+            plan.widen(grown)
     is_source = np.zeros(m.shape[0], dtype=bool)
     is_source[sources] = True
     for attempt in range(2):
-        nodes, dist_in, low, low_at = _solve_inside(m, inside, d_old, is_source)
+        nodes, dist_in, low, low_at = _solve_inside(m, plan, d_old, is_source)
         if len(low) == 0:
             dist = d_old.copy()
             dist[nodes] = dist_in
             return dist
-        if attempt or not _grow(m, inside, d_old, low, low_at, 2 * cap):
+        grown = plan.inside.copy()
+        if attempt or not _grow(m, grown, d_old, low, low_at, 2 * cap):
             return None
+        plan.widen(grown)
 
 
-def _solve_inside(m, inside, d_old, is_source):
-    """Search the subgraph on the ``inside`` nodes W with the old distances
+def _subgraph(indptr: np.ndarray, indices: np.ndarray, inside: np.ndarray):
+    """The subgraph on the ``inside`` nodes W, plus a super-source row
+    k = |W| with one entry per W node on W's boundary.
+
+    Returns W's nodes, the CSR slots within W and those leaving it, the
+    local row and the outside node of each leaving slot, the first leaving
+    slot of each boundary row, and the subgraph's ``indptr`` and
+    ``indices``: entries within W in slot order, then the super-source's.
+    """
+    nodes = np.flatnonzero(inside)
+    k = len(nodes)
+    local = np.full(len(inside), -1, dtype=np.int32)
+    local[nodes] = np.arange(k, dtype=np.int32)
+    slots = _row_slots(indptr, nodes).astype(indptr.dtype)
+    cols = local[indices[slots]]
+    row = np.repeat(np.arange(k, dtype=np.int32), indptr[nodes + 1] - indptr[nodes])
+    within = cols >= 0
+    leave = ~within
+    b_row = row[leave]
+    firsts = np.flatnonzero(np.diff(b_row, prepend=-1))
+    sub_indptr = np.zeros(k + 2, dtype=indptr.dtype)
+    np.cumsum(np.bincount(row[within], minlength=k), out=sub_indptr[1:k + 1])
+    sub_indptr[k + 1] = sub_indptr[k] + len(firsts)
+    return (nodes, slots[within], slots[leave], b_row, indices[slots[leave]], firsts,
+            sub_indptr, np.concatenate([cols[within], b_row[firsts]]))
+
+
+def _solve_inside(m, plan: _Plan, d_old, is_source):
+    """Search the subgraph on the plan's node set W with the old distances
     outside held fixed.
 
     A super-source joins each W node with a boundary edge at weight
     min fl(d_old(x) + w) over its outside neighbours x, the float sum a full
-    search forms at that edge; W's sources start at 0.  Returns W, its
-    distances, and the outside ends of boundary edges that would lower an
-    old distance, with the values they would give.
+    search forms at that edge; W's sources start at 0.  W's subgraph is
+    built once per W (``_subgraph``) and only takes this graph's weights
+    and seeds.  Returns W, its distances, and the outside ends of boundary
+    edges that would lower an old distance, with the values they would
+    give.
     """
-    nodes = np.flatnonzero(inside)
+    nodes, in_slots, out_slots, b_row, b_col, firsts, sub = plan.subgraph(m)
     k = len(nodes)
-    local = np.full(m.shape[0], -1, dtype=np.int32)
-    local[nodes] = np.arange(k, dtype=np.int32)
-    slots = _row_slots(m.indptr, nodes)
-    cols = local[m.indices[slots]]
-    row = np.repeat(np.arange(k), m.indptr[nodes + 1] - m.indptr[nodes])
-    within = cols >= 0
-    edge = np.flatnonzero(~within)
-    b_row, b_col, b_w = row[edge], m.indices[slots[edge]], m.data[slots[edge]]
-    firsts = np.flatnonzero(np.diff(b_row, prepend=-1))
-    seeds = np.minimum.reduceat(d_old[b_col] + b_w, firsts) if len(edge) else b_w
-    indptr = np.zeros(k + 2, dtype=m.indptr.dtype)
-    np.cumsum(np.bincount(row[within], minlength=k), out=indptr[1:k + 1])
-    indptr[k + 1] = indptr[k] + len(firsts)
-    sub = csr_matrix((np.concatenate([m.data[slots[within]], seeds]),
-                      np.concatenate([cols[within], b_row[firsts].astype(np.int32)]),
-                      indptr), shape=(k + 1, k + 1))
+    b_w = m.data[out_slots]
+    np.take(m.data, in_slots, out=sub.data[:len(in_slots)])
+    if len(firsts):
+        np.minimum.reduceat(d_old[b_col] + b_w, firsts, out=sub.data[len(in_slots):])
     starts = np.append(np.flatnonzero(is_source[nodes]), k)
     dist_in = dijkstra(sub, directed=True, indices=starts, min_only=True)[:k]
     exit_val = dist_in[b_row] + b_w
@@ -664,6 +780,32 @@ def distance_to_vertex(signal, p: int,
         return ScalarField(dist)
 
     return signal.cached(("vfield", p, s), compute)
+
+
+def distance_within(signal, p: int, radius: float,
+                    steiner_level: int = DEFAULT_STEINER_LEVEL) -> np.ndarray:
+    """Geodesic distances from vertex ``p`` out to ``radius`` + BALL_ULPS
+    ulp, and inf beyond, as a read-only per-vertex array.
+
+    The search stops at that bound (Dijkstra's ``limit``), so a noise ball
+    costs in proportion to its size.  Every prefix of a vertex's shortest
+    path sums no higher than the path, so a vertex within the bound gets
+    the bits of ``distance_to_vertex``.
+    """
+    p = int(p)
+    if not 0 <= p < signal.complex.n_vertices:
+        raise GeodesyError(f"vertex index {p} out of range")
+    s = int(steiner_level)
+    limit = radius + BALL_ULPS * np.spacing(radius)
+
+    def compute():
+        graph = _graph(signal, s)
+        dist = dijkstra(graph.matrix, directed=True, indices=[p], min_only=True,
+                        limit=limit)[: graph.nv]
+        dist.flags.writeable = False
+        return dist
+
+    return signal.cached(("vball", p, s, limit), compute)
 
 
 def diameter(signal, subset: str = "M",

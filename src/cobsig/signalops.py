@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from .complex import build_complex, edge_rows, region_vertices
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
 from .fields import ScalarField
-from .geodesy import DEFAULT_STEINER_LEVEL, distance_to_vertex
+from .geodesy import DEFAULT_STEINER_LEVEL, distance_within
 from .metric import MetricField, conformal_scale
 from .signal import Signal, make_signal
 
@@ -68,14 +68,19 @@ class Correspondence:
 
 
 def check_noise_spec(signal: Signal, spec: NoiseSpec,
-                     steiner_level: int = DEFAULT_STEINER_LEVEL) -> ScalarField:
-    """Verify the ball-avoidance invariant; returns the center distance field."""
+                     steiner_level: int = DEFAULT_STEINER_LEVEL) -> np.ndarray:
+    """Verify the ball-avoidance invariant; returns the center's distances.
+
+    They come from ``distance_within`` with the radius delta: exact out to
+    delta + 4 ulp and inf beyond, which is all that ball membership, the
+    bump and the nearest region distance reported on failure need.
+    """
     if not 0 <= spec.center < signal.complex.n_vertices:
         raise NoiseError(f"center vertex {spec.center} out of range")
-    rho = distance_to_vertex(signal, spec.center, steiner_level)
+    rho = distance_within(signal, spec.center, spec.delta, steiner_level)
     for tag in ("A", "X"):
         ids = region_vertices(signal.complex, tag)
-        closest = float(np.min(rho.values[ids]))
+        closest = float(np.min(rho[ids]))
         if closest <= spec.delta:
             raise NoiseError(
                 f"closed delta-ball (delta={spec.delta}) reaches region {tag} "
@@ -96,7 +101,7 @@ def bump_field(signal: Signal, spec: NoiseSpec,
     The plateaus are exact by construction, so edges whose endpoints both
     carry factor 1 are bit-identical after deformation.
     """
-    rho = check_noise_spec(signal, spec, steiner_level).values
+    rho = check_noise_spec(signal, spec, steiner_level)
     t = (rho - spec.delta0) / (spec.delta - spec.delta0)
     blend = spec.epsilon + (1.0 - spec.epsilon) * _smoothstep(np.clip(t, 0.0, 1.0))
     a = np.where(t <= 0.0, spec.epsilon, np.where(t >= 1.0, 1.0, blend))

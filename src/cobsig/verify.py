@@ -27,7 +27,7 @@ import numpy as np
 from .energy import energy, energy_ratio, fourier_energy
 from .errors import CobsigError, FilterError
 from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_field,
-                      distance_to_vertex, injectivity_radius)
+                      distance_within, injectivity_radius)
 from .metric import lumped_vertex_volume, region_volume, total_volume
 from .signal import Signal
 from .signalops import NoiseSpec, apply_noise, compose
@@ -183,6 +183,13 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
     quadrature on both sides of the comparison measure-consistent, so the
     residual reflects the expansion remainder rather than the volume
     discretization error (the refinement study quantifies the latter).
+
+    Every epsilon deforms the same ball, so the fields are evaluated
+    smallest epsilon first: its update grows the ball's node set once (see
+    ``geodesy``), and the shallower balls settle in one subgraph search.
+    Each row is computed on its own, and rows are reported in the given
+    order.  The centre's distances are searched out to delta alone
+    (``distance_within``).
     """
     eps_arr = np.asarray(list(eps_list), dtype=np.float64)
     if len(eps_arr) == 0:
@@ -194,16 +201,20 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
 
     d = signal.dim
     expo = d / 2.0  # (k + 2) / 2 with d = k + 2
-    rho_p = distance_to_vertex(signal, spec_base.center, steiner_level).values
+    rho_p = distance_within(signal, spec_base.center, spec_base.delta, steiner_level)
     inside = rho_p <= spec_base.delta0
     outside = ~inside
     base_ratio = energy_ratio(signal, steiner_level)
 
+    # deformed in the given order, so a metric error names the first eps
+    # that breaks a simplex; fields go smallest eps first
+    noisy = [apply_noise(signal, NoiseSpec(spec_base.center, spec_base.delta0,
+                                           spec_base.delta, float(eps)),
+                         steiner_level) for eps in eps_arr]
     rows = []
-    for eps in eps_arr:
-        spec = NoiseSpec(spec_base.center, spec_base.delta0, spec_base.delta,
-                         float(eps))
-        deformed = apply_noise(signal, spec, steiner_level)
+    while noisy:
+        eps = eps_arr[len(noisy) - 1]
+        deformed = noisy.pop()
         f_x = distance_field(deformed, "X", steiner_level).values
         f_a = distance_field(deformed, "A", steiner_level).values
         w_def = lumped_vertex_volume(deformed).values
@@ -228,6 +239,7 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
             "predicted": predicted,
             "residual": abs(measured - predicted),
         })
+    rows.reverse()
 
     # fixed variant: freeze beta, gamma, C at the smallest epsilon
     ref = rows[-1]
@@ -276,7 +288,7 @@ def check_filter(signal: Signal, filt: Signal, spec: NoiseSpec,
     vertex may lie inside the open delta-ball.  Filter vertices are matched
     back to the parent by exact coordinates.
     """
-    rho_p = distance_to_vertex(signal, spec.center, steiner_level).values
+    rho_p = distance_within(signal, spec.center, spec.delta, steiner_level)
     coords = {tuple(p): i for i, p in enumerate(signal.complex.vertices)}
     for p in filt.complex.vertices:
         orig = coords.get(tuple(p))

@@ -1,5 +1,6 @@
 """CLI round trips, exit codes, file formats, and determinism."""
 
+import importlib
 import json
 import math
 
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 import cobsig as cs
+from cobsig import cli
 from cobsig.cli import dispatch
 from cobsig.fileio import (load_correspondence, load_signal,
                            save_correspondence, save_signal)
 from cobsig.signalops import make_correspondence
+
+# the package's ``energy`` function shadows its module of that name
+energy_module = importlib.import_module("cobsig.energy")
 
 
 def run(capsys, *argv):
@@ -187,6 +192,60 @@ def test_cli_sweep_warns_when_vertices_sit_on_a_ball_radius(tmp_path, capsys):
         else:
             assert err == ""
     assert codes[0] == codes[1] == 0
+
+
+def test_cli_sweep_warns_when_vertices_sit_on_delta(tmp_path, capsys):
+    # grid neighbours of the centre lie exactly at 3/8: at delta itself, and
+    # two ulp past a delta just below it, which the centre search must still
+    # reach; delta0 sits off the grid
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "8",
+        "--out", mesh)
+    p = cs.vertex_at(load_signal(mesh), (0.5, 0.5))
+    below = float(0.375 - 2.0 * np.spacing(0.375))
+    for delta in (0.375, below):
+        code, out, err = run(capsys, "sweep-eps", mesh, "--center-vertex", str(p),
+                             "--delta0", repr(0.25 + 1.0 / 64.0),
+                             "--delta", repr(delta), "--eps", "0.4,0.2")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 2
+        assert err == ("warning: 4 vertices lie within 4 ulp of delta0 or "
+                       "delta; their ball membership rests on rounding\n")
+
+
+def test_cli_energy_relabels_once(tmp_path, capsys, monkeypatch):
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "8",
+        "--out", mesh)
+    sig = load_signal(mesh)
+    want = {"E": cs.energy(sig), "EF": cs.fourier_energy(sig),
+            "ratio": cs.energy_ratio(sig), "steiner_level": 2,
+            "resolution": 8.0}
+    relabel = energy_module.fourier_relabel
+    calls = []
+
+    def counting(signal):
+        calls.append(signal)
+        return relabel(signal)
+
+    monkeypatch.setattr(energy_module, "fourier_relabel", counting)
+    code, out, _ = run(capsys, "energy", mesh)
+    assert code == 0
+    assert len(calls) == 1
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+def test_zero_energy_has_no_ratio(tmp_path, capsys, monkeypatch, square8):
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "8",
+        "--out", mesh)
+    monkeypatch.setattr(energy_module, "energy", lambda signal, s=2: 0.0)
+    with pytest.raises(cs.CobsigError, match="^energy is zero; ratio undefined$"):
+        energy_module.energy_ratio(square8)
+    monkeypatch.setattr(cli, "energy", lambda signal, s=2: 0.0)
+    code, out, err = run(capsys, "energy", mesh)
+    assert (code, out) == (1, "")
+    assert err == "error: energy is zero; ratio undefined\n"
 
 
 def test_cli_csv_format(tmp_path, capsys):

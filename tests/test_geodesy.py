@@ -1,5 +1,6 @@
 """Distance fields, diameters, and the injectivity-radius estimator."""
 
+import json
 import math
 
 import numpy as np
@@ -9,16 +10,19 @@ from scipy.sparse.csgraph import dijkstra
 
 import cobsig as cs
 from cobsig import geodesy
+from cobsig.complex import region_vertices
 from cobsig.errors import GeodesyError, MetricError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
 from cobsig.geodesy import (_chord_lengths, _chord_template,
                             _first_cut_estimate, _graph, diameter,
                             distance_field, distance_to_vertex,
-                            injectivity_radius)
+                            distance_within, injectivity_radius)
 from cobsig.metric import MetricField, conformal_scale, induced_metric
 from cobsig.signal import Signal
-from cobsig.signalops import NoiseSpec, apply_noise, bump_field
-from cobsig.verify import eps_sweep
+from cobsig.errors import FilterError, NoiseError
+from cobsig.signalops import NoiseSpec, apply_noise, bump_field, check_noise_spec
+from cobsig import verify
+from cobsig.verify import check_filter, eps_sweep
 
 
 def test_square_distance_to_left_edge_is_x(square16):
@@ -553,6 +557,7 @@ def test_field_update_settles_grows_or_falls_back(shell16, monkeypatch):
     for region in ("A", "X"):
         distance_field(sig, region)
     p, noisy = next(_sweep(sig, "shell16"))
+    distance_to_vertex(sig, p)  # noise searches the centre's ball alone
     graph = _graph(noisy, 2)
     counts = np.diff(graph.matrix.indptr)
     assert counts[graph.touched].sum() * geodesy.LOCAL_SHARE <= graph.matrix.nnz
@@ -647,6 +652,152 @@ def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
     assert set(sizes) == {n_nodes, filter_nodes}
     # the base centre field, the base and the noisy A fields
     assert sizes.count(n_nodes) == 3
+
+
+def test_eps_sweep_plans_each_ball_once(shell16, monkeypatch):
+    # the smallest eps runs first: A lowers nodes past the touched set there
+    # and grows W once; every larger eps reuses the plan and its W, so each
+    # field settles in one subgraph search (below 0.3 the ball breaks a tet)
+    sweep = (0.5, 0.45, 0.4, 0.3)
+    centre, delta0, delta, _ = NOISE_CASES["shell16"]
+    sig = _copy(shell16)
+    spec = NoiseSpec(cs.vertex_at(sig, centre, tol=1e-6), delta0, delta, 0.5)
+    pattern = _graph(sig, 2).pattern
+    calls = _count_searches(monkeypatch, pattern.n_nodes)
+    now, eps_of, fields, grows, built = {"eps": None}, {}, [], [], []
+    noise, field = verify.apply_noise, geodesy._field
+    grow, subgraph = geodesy._grow, geodesy._subgraph
+
+    def noting(signal, spec, s):
+        noisy = noise(signal, spec, s)
+        eps_of[id(noisy)] = spec.epsilon
+        return noisy
+
+    def fielding(signal, region, s):
+        now["eps"] = eps_of[id(signal)]
+        return distance_field(signal, region, s)
+
+    def recording(graph, key, sources):
+        now["key"], before = key[1], len(calls)
+        out = field(graph, key, sources)
+        fields.append((now["eps"], key[1], calls[before:]))
+        return out
+
+    def growing(*args):
+        grows.append((now["eps"], now["key"]))
+        return grow(*args)
+
+    def building(*args):
+        built.append(now["eps"])
+        return subgraph(*args)
+
+    for name, wrapper in (("_field", recording), ("_grow", growing),
+                          ("_subgraph", building)):
+        monkeypatch.setattr(geodesy, name, wrapper)
+    monkeypatch.setattr(verify, "apply_noise", noting)
+    monkeypatch.setattr(verify, "distance_field", fielding)
+    got = eps_sweep(sig, spec, sweep)
+    a, x = sig.complex.labels["A"], sig.complex.labels["X"]
+    assert grows == [(min(sweep), a)]
+    assert len(built) <= 2
+    noisy = [(eps, key, c) for eps, key, c in fields if eps is not None]
+    assert [(eps, key) for eps, key, _ in noisy] == [
+        (eps, key) for eps in sorted(sweep) for key in (x, a)]
+    assert all(c == ["sub"] for eps, key, c in noisy
+               if eps > min(sweep) or key == x)
+
+    # the same sweep with the plan dropped before every eps
+    again = _copy(shell16)
+    fresh = _graph(again, 2).pattern
+
+    def dropping(signal, region, s):
+        if region == "X":
+            fresh.plan = None
+        return distance_field(signal, region, s)
+
+    monkeypatch.setattr(verify, "apply_noise", noise)
+    monkeypatch.setattr(verify, "distance_field", dropping)
+    want = eps_sweep(again, spec, sweep)
+    assert fresh.plan is not None
+    assert json.dumps(got.to_dict()).encode() == json.dumps(want.to_dict()).encode()
+
+
+def test_eps_sweep_names_the_first_eps_that_breaks_a_simplex(shell16):
+    # the fields run smallest eps first, but the metrics are deformed in the
+    # given order: 0.2 is the first of SWEEP to break a tet on shell16
+    centre, delta0, delta, _ = NOISE_CASES["shell16"]
+    p = cs.vertex_at(shell16, centre, tol=1e-6)
+    errors = {}
+    for eps in (0.2, 0.05):
+        with pytest.raises(MetricError) as err:
+            apply_noise(_copy(shell16), NoiseSpec(p, delta0, delta, eps))
+        errors[eps] = str(err.value)
+    assert errors[0.2] != errors[0.05]
+    with pytest.raises(MetricError) as err:
+        eps_sweep(_copy(shell16), NoiseSpec(p, delta0, delta, 0.5), SWEEP)
+    assert str(err.value) == errors[0.2]
+
+
+@pytest.mark.parametrize("name", ["square32", "shell16"])
+def test_distance_within_matches_the_full_field_inside_its_bound(request, name):
+    sig = request.getfixturevalue(name)
+    centre, _, delta, _ = NOISE_CASES[name]
+    p = cs.vertex_at(sig, centre, tol=1e-6)
+    full = distance_to_vertex(sig, p).values
+    reached = []
+    for radius in (delta, 0.5):
+        got = distance_within(sig, p, radius)
+        within = full <= radius + geodesy.BALL_ULPS * np.spacing(radius)
+        assert got[within].tobytes() == full[within].tobytes()
+        assert np.all(np.isinf(got[~within]))
+        reached.append(np.count_nonzero(within))
+    assert 1 <= reached[0] < reached[1] < len(full)
+
+
+def test_distance_within_reaches_four_ulp_past_the_radius(square8):
+    # the grid neighbours of the centre at 3/8 lie two ulp past this radius
+    p = cs.vertex_at(square8, (0.5, 0.5))
+    radius = 0.375 - 2.0 * np.spacing(0.375)
+    got = distance_within(square8, p, radius)
+    assert np.count_nonzero(got == 0.375) == 4
+    assert np.all((got <= radius) | (got == 0.375) | np.isinf(got))
+
+
+def test_ball_errors_keep_the_full_field_distances(square32):
+    # a ball that reaches A and one that reaches a filter name the nearest
+    # distance of the full centre field
+    p = cs.vertex_at(square32, (0.125, 0.5))
+    rho = distance_to_vertex(square32, p).values
+    closest = rho[region_vertices(square32.complex, "A")].min()
+    with pytest.raises(NoiseError) as err:
+        check_noise_spec(_copy(square32), NoiseSpec(p, 0.1, 0.2, 0.25))
+    assert str(err.value) == ("closed delta-ball (delta=0.2) reaches region A "
+                              f"(nearest vertex at {closest:.6g})")
+
+    filt = cs.extract_filter(square32, cs.keep_by_predicate(
+        square32, lambda q: q[0] <= 0.5 + 1e-12))
+    p = cs.vertex_at(square32, (0.625, 0.5))
+    rho = distance_to_vertex(square32, p).values
+    coords = {tuple(q): i for i, q in enumerate(square32.complex.vertices)}
+    hit = next(i for i in (coords[tuple(q)] for q in filt.complex.vertices)
+               if rho[i] < 0.2)
+    assert 0.0 < rho[hit] < 0.2
+    with pytest.raises(FilterError) as err:
+        check_filter(_copy(square32), filt, NoiseSpec(p, 0.1, 0.2, 0.25))
+    assert str(err.value) == (f"noise ball intersects the filter (vertex {hit} at "
+                              f"distance {rho[hit]:.6g} < delta=0.2)")
+
+
+@pytest.mark.parametrize("name", ["square8", "shell16"])
+def test_pattern_indices_are_sorted_within_rows(request, name):
+    # scipy's COO -> CSR conversion returns canonical rows; the pattern
+    # relies on it and sorts nothing itself
+    sig = request.getfixturevalue(name)
+    for tag in (None, "A"):
+        pattern = _graph(sig, 2, tag).pattern
+        rows = np.repeat(np.arange(pattern.n_nodes), np.diff(pattern.indptr))
+        same_row = np.diff(rows) == 0
+        assert np.all(np.diff(pattern.indices)[same_row] > 0)
 
 
 @pytest.mark.parametrize("name", ["square8", "shell16"])
