@@ -41,19 +41,9 @@ def _check_args(args: argparse.Namespace) -> None:
     """Reject parameter values argparse cannot check on its own."""
     if getattr(args, "resolution", None) is not None and args.resolution < 2:
         raise UsageError("resolution must be at least 2")
-    if getattr(args, "eps", None) is not None:
-        values = _parse_eps(args.eps)
-        if any(not 0 < e < 1 for e in values):
-            raise UsageError("eps values must lie in (0, 1)")
-        if sorted(values, reverse=True) != values:
-            raise UsageError("eps values must be strictly descending")
     delta0, delta = getattr(args, "delta0", None), getattr(args, "delta", None)
     if delta0 is not None and delta is not None and not 0 < delta0 < delta:
         raise UsageError("need 0 < delta0 < delta")
-
-
-def _parse_eps(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def _emit(payload, args) -> None:
@@ -96,6 +86,31 @@ def _input_file(path: str) -> str:
     if os.path.isdir(path) or not os.access(path, os.R_OK):
         raise argparse.ArgumentTypeError(f"cannot read {path}")
     return path
+
+
+def _numbers(text: str, kind) -> list:
+    """The non-empty entries of a comma-separated list, read by ``kind``."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list: {text!r}") from None
+
+
+def _eps_list(text: str) -> list:
+    """argparse type of --eps: strictly descending values in (0, 1)."""
+    values = _numbers(text, float)
+    descending = all(a > b for a, b in zip(values, values[1:]))
+    if not values or not descending or not all(0 < e < 1 for e in values):
+        raise argparse.ArgumentTypeError("need strictly descending values in (0, 1)")
+    return values
+
+
+def _resolution_list(text: str) -> list:
+    """argparse type of --resolutions: at least two, each at least 2."""
+    values = _numbers(text, int)
+    if len(values) < 2 or min(values) < 2:
+        raise argparse.ArgumentTypeError("need at least two resolutions, each at least 2")
+    return values
 
 
 def _shape(args: argparse.Namespace) -> dict:
@@ -191,7 +206,7 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
 def cmd_sweep_eps(args: argparse.Namespace) -> int:
     sig = fileio.load_signal(args.path)
     spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, 0.5)
-    report = eps_sweep(sig, spec, _parse_eps(args.eps), args.steiner_level)
+    report = eps_sweep(sig, spec, args.eps, args.steiner_level)
     _emit(report.to_dict(), args)
     # the sweep has cached these distances, exact out to BALL_ULPS ulp past
     # delta; ball membership of a vertex within a few ulp of a radius rests
@@ -208,8 +223,7 @@ def cmd_sweep_eps(args: argparse.Namespace) -> int:
 
 
 def cmd_refine_study(args: argparse.Namespace) -> int:
-    resolutions = [int(x) for x in args.resolutions.split(",")]
-    report = refinement_study(args.kind, _shape(args), resolutions, args.steiner_level,
+    report = refinement_study(args.kind, _shape(args), args.resolutions, args.steiner_level,
                               args.oracle_resolution)
     _emit(report.to_dict(), args)
     return 0
@@ -333,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-vertex", type=int, required=True)
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--eps", required=True,
+    p.add_argument("--eps", required=True, type=_eps_list,
                    help="comma-separated descending values in (0,1)")
     _add_common(p)
 
@@ -341,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="energies across resolutions against the "
                             "midpoint-rule oracle")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--resolutions", required=True)
+    p.add_argument("--resolutions", required=True, type=_resolution_list,
+                   help="comma-separated resolutions, at least two")
     _add_shape(p)
     p.add_argument("--oracle-resolution", type=int, default=1024)
     _add_common(p)

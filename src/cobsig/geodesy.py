@@ -42,17 +42,19 @@ that changed key the pattern's one plan (``_Plan``): the touched nodes, the
 decoded CSR slots of the sub-edges of changed rows and of the chords of
 faces holding one, and the hit faces.  The plan is built once per set of
 changed rows, so every depth of the same ball only recomputes those
-weights and writes them into a copy of the reference ``data``.
+weights.  The graph is the reference ``data`` plus those weights; its full
+CSR matrix is built only when a full search asks for it.
 
 A field on such a graph is the reference field updated by the incremental
 shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
 the plan's node set W.  W starts as the touched nodes and only grows: by
 every node that tight old edges lead to from an edge whose weight rose,
 and by the nodes a failed boundary check shows a lowering could reach.
-W's subgraph is kept on the plan until W grows; each update writes this
-graph's weights into it, seeds W's boundary from the old distances and
-searches.  The result is kept only if no boundary edge would lower an old
-distance outside W, and then it is exact, not approximate.  Rounding is
+W's subgraph is built from the reference weights and kept on the plan
+until W grows; each update writes this graph's weights of the plan's
+slots into it, seeds W's boundary from the old distances and searches.
+The result is kept only if no boundary edge would lower an old distance
+outside W, and then it is exact, not approximate.  Rounding is
 monotone, so Dijkstra returns at each node the least left-to-right float
 sum over all paths.  Every node outside W keeps an old tree path whose
 weights did not rise, and the boundary check shows that no path through W
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -103,7 +105,7 @@ CUT_TAU = 0.05
 #: Sources per Dijkstra call when all pairwise distances are kept.
 SEARCH_BLOCK = 64
 
-#: Local work pays only for a small change: a refill is local while at most
+#: Local work pays only for a small change: a fill is local while at most
 #: 1/LOCAL_SHARE of the edge rows changed, and a field is updated on the
 #: touched subgraph while the touched rows hold at most 1/LOCAL_SHARE of the
 #: graph's entries.
@@ -285,31 +287,31 @@ class _Pattern:
         return (base + np.arange(self._interior)[None, :]).ravel()
 
     def fill(self, lengths: np.ndarray):
-        """CSR ``data`` for per-edge ``lengths``, the plan of a local refill,
-        and the slots whose weight rose above the reference's.
+        """CSR ``data`` for per-edge ``lengths`` and the plan of a local fill.
 
         The first fill becomes the reference and gives no plan, as does a
         fill with the reference's lengths, which shares its ``data``.  A
-        later fill refills locally from the reference (``_refill``), through
-        the plan of its changed rows: the pattern keeps one ``_Plan`` and
-        replaces it only when a fill changes other rows.  A fill that changes
-        more than 1/LOCAL_SHARE of the rows is filled in full, with no plan
-        and no slots.  No sort and no COO conversion runs here.
+        later fill that changes at most 1/LOCAL_SHARE of the rows is local:
+        it gives no ``data``, only the plan of its changed rows, whose slots
+        are the only ones that differ from the reference (``_Plan.weights``).
+        The pattern keeps one ``_Plan`` and replaces it only when a fill
+        changes other rows.  A fill that changes more rows is filled in
+        full, with no plan.  No sort and no COO conversion runs here.
         """
         if self.reference is None:
             self.reference = (lengths, self._full_data(lengths))
-            return self.reference[1], None, None
+            return self.reference[1], None
         ref_lengths, ref_data = self.reference
         # positive finite lengths: != compares them bit for bit
         changed = lengths != ref_lengths
         rows = np.flatnonzero(changed)
         if len(rows) == 0:
-            return ref_data, None, None
+            return ref_data, None
         if LOCAL_SHARE * len(rows) > len(changed):
-            return self._full_data(lengths), None, None
+            return self._full_data(lengths), None
         if self.plan is None or not np.array_equal(self.plan.rows, rows):
             self.plan = _Plan(self, changed)
-        return self._refill(lengths, self.plan, ref_data)
+        return None, self.plan
 
     def _full_data(self, lengths: np.ndarray) -> np.ndarray:
         """The weight of every raw entry, scattered into the pattern.
@@ -329,41 +331,23 @@ class _Pattern:
             pos += len(chords)
         return w[self.slot_raw]
 
-    def _refill(self, lengths: np.ndarray, plan: "_Plan", ref_data: np.ndarray):
-        """The reference ``data`` with the slots of ``plan`` rewritten, the
-        plan, and the rewritten slots whose weight rose.
-
-        Only the sub-edges of changed rows and the chords of faces holding a
-        changed row are recomputed; every other raw entry has the same
-        inputs, so its reference weight is what a full fill computes.
-        """
-        sub = np.ldexp(lengths[plan.sub_rows], -plan.sub_level)  # lengths / 2**t
-        chords = [_chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, self.s)
-                  for (faces, face_rows), hit in zip(self.cells, plan.hits)]
-        chord = np.concatenate([sub[:0], *chords])[plan.chord_index]
-        data = ref_data.copy()
-        risen = []
-        for at, weights in ((plan.sub_slots, sub), (plan.chord_slots, chord)):
-            data[at] = weights
-            risen.append(at[weights > ref_data[at]])
-        return data, plan, np.concatenate(risen)
-
 
 class _Plan:
     """The local work of one set of changed edge rows, kept on the pattern
     and reused by every fill that changes the same rows.
 
-    ``touched`` holds the nodes whose CSR rows a refill rewrites: the nodes
-    of the changed rows and of every face holding one.  Both ends of a
-    recomputed entry are such nodes, so only their rows are scanned, once,
-    and each slot's raw entry is decoded from its position in the raw order
-    (``_decode_slots``): a sub-edge slot of a changed row keeps its row and level, and a chord
-    slot of a hit face its index into the hit faces' chords, group after
-    group (``hits``).  ``nnz`` counts the touched rows' entries.
+    ``touched`` holds the nodes whose CSR rows a local fill rewrites: the
+    nodes of the changed rows and of every face holding one.  Both ends of
+    a recomputed entry are such nodes, so only their rows are scanned,
+    once, and each slot's raw entry is decoded from its position in the raw
+    order (``_decode_slots``): ``slots`` holds the sub-edge slots of changed
+    rows, each with its row and level, then the chord slots of hit faces,
+    each with its index into the hit faces' chords, group after group
+    (``hits``).  ``nnz`` counts the touched rows' entries.
 
     ``inside`` is the node set W of the field updates on graphs filled
-    through this plan.  It starts as the touched nodes and only grows
-    (``widen``); ``sub`` caches W's subgraph until it does.
+    through this plan.  It starts as the touched nodes and only grows;
+    ``sub`` caches W's subgraph until it does.
     """
 
     def __init__(self, pattern: _Pattern, changed: np.ndarray):
@@ -376,46 +360,48 @@ class _Plan:
             nodes.append(pattern._face_nodes(faces[hit], face_rows[hit]).ravel())
         self.touched = np.unique(np.concatenate(nodes))
         self.nnz = int(np.sum(pattern.indptr[self.touched + 1] - pattern.indptr[self.touched]))
-        (self.sub_slots, self.sub_rows, self.sub_level, self.chord_slots,
-         self.chord_index) = _kept(_decode_slots(pattern, changed, self.touched, self.hits))
+        self.slots, self.sub_rows, self.sub_level, self.chord_index = _decode_slots(
+            pattern, changed, self.touched, self.hits)
         self.inside = np.zeros(pattern.n_nodes, dtype=bool)
         self.inside[self.touched] = True
         self.sub = None
 
-    def widen(self, inside: np.ndarray) -> None:
-        """Make ``inside``, a superset of W, the new W."""
-        self.inside, self.sub = inside, None
+    def weights(self, pattern: _Pattern, lengths: np.ndarray) -> np.ndarray:
+        """The weights of ``slots`` for per-edge ``lengths``.
 
-    def subgraph(self, m):
-        """W's subgraph (``_subgraph``) on the pattern of ``m``, built once
-        per W, with a ``data`` array that each update overwrites."""
+        Only the sub-edges of changed rows and the chords of faces holding a
+        changed row are computed; every other raw entry has the same inputs
+        as in the reference, so its reference weight is what a full fill
+        computes.
+        """
+        sub = np.ldexp(lengths[self.sub_rows], -self.sub_level)  # lengths / 2**t
+        chords = [_chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
+                  for (faces, face_rows), hit in zip(pattern.cells, self.hits)]
+        return np.concatenate([sub, np.concatenate([sub[:0], *chords])[self.chord_index]])
+
+    def subgraph(self, pattern: _Pattern):
+        """W's subgraph (``_subgraph``) with the reference weights, built
+        once per W; each update writes only its weights of ``slots``.
+
+        Every other slot an update reads keeps its reference weight on
+        every graph of this plan.  A rewritten slot joins two touched
+        nodes, and W holds the touched nodes, so it is an inner slot of W.
+        A slot leaving W has one end outside W, and the rows ``_grow``
+        walks belong to nodes outside W, so none of them is rewritten.
+        """
         if self.sub is None:
-            parts = _subgraph(m.indptr, m.indices, self.inside)
-            data = np.zeros(len(parts[-1]))  # the largest kept array, made first
-            *parts, indptr, indices = _kept(parts)
-            k = len(parts[0])
-            self.sub = (*parts, csr_matrix((data, indices, indptr), shape=(k + 1, k + 1)))
+            self.sub = _subgraph(pattern.indptr, pattern.indices, pattern.reference[1],
+                                 self.inside, self.slots)
         return self.sub
-
-
-def _kept(arrays) -> tuple:
-    """Fresh copies of the arrays a helper returns, for keeping on a plan.
-
-    The copies are made once the helper's large temporaries are freed, so
-    the kept arrays take the space those leave.  Kept where
-    they were first made, they split the free block that each refill's
-    copy of the reference ``data`` reuses, and on the shell-sweep input
-    most runs then read a peak RSS 10-13 MB higher.
-    """
-    return tuple(np.array(a, copy=True) for a in arrays)
 
 
 def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
                   hits: list):
-    """The CSR slots a refill rewrites, decoded from the touched rows: the
-    sub-edge slots of changed rows with their rows and levels, and the chord
-    slots of hit faces with their index into the hit faces' chords laid end
-    to end, group after group."""
+    """The CSR slots a local fill rewrites, decoded from the touched rows:
+    the sub-edge slots of changed rows, then the chord slots of hit faces,
+    in one array; the rows and levels of the sub-edge slots; and the index
+    of each chord slot into the hit faces' chords laid end to end, group
+    after group."""
     ne, s = len(pattern.edges), pattern.s
     slots = _row_slots(pattern.indptr, touched).astype(pattern.indptr.dtype)
     raw = pattern.slot_raw[slots]
@@ -442,7 +428,7 @@ def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
         index.append(offset + rank[found] * n_pairs + pair[found])
         offset += len(hit_faces) * n_pairs
         start = end
-    return (slots[sub[hit]], row[hit], level, np.concatenate([slots[:0], *at]),
+    return (np.concatenate([slots[sub[hit]], *at]), row[hit], level,
             np.concatenate([slots[:0], *index]).astype(np.int32))
 
 
@@ -471,24 +457,32 @@ def _row_slots(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class _SteinerGraph:
     """A refined graph: a shared pattern weighted by one metric.
 
-    ``touched`` is None when the weights are the pattern's reference bits;
-    otherwise it holds every node whose CSR row may differ from the
-    reference's.  After a local refill ``plan`` is the pattern's plan for
-    the changed rows and ``risen`` holds the CSR slots whose weight rose;
-    both are None otherwise."""
+    ``reference`` is True when the weights are the pattern's reference
+    bits.  After a local fill ``plan`` is the pattern's plan for the
+    changed rows and ``weights`` holds the weights of its ``slots``; every
+    other slot keeps its reference weight.  Otherwise ``plan`` is None and
+    ``weights`` is the whole CSR ``data``.  ``matrix`` is built on first
+    use, so a locally filled graph whose fields all settle on W's subgraph
+    never builds it.
+    """
 
     def __init__(self, pattern: _Pattern, lengths: np.ndarray):
         self.pattern = pattern
         self.nv = pattern.nv
-        data, self.plan, self.risen = pattern.fill(lengths)
-        if data is pattern.reference[1]:
-            self.touched = None
-        elif self.plan is None:
-            self.touched = np.arange(pattern.n_nodes)
-        else:
-            self.touched = self.plan.touched
-        self.matrix = csr_matrix((data, pattern.indices, pattern.indptr),
-                                 shape=(pattern.n_nodes, pattern.n_nodes))
+        data, self.plan = pattern.fill(lengths)
+        self.reference = data is pattern.reference[1]
+        self.weights = data if self.plan is None else self.plan.weights(pattern, lengths)
+
+    @cached_property
+    def matrix(self) -> csr_matrix:
+        """The CSR matrix: the reference ``data`` with the plan's slots
+        rewritten after a local fill, and ``weights`` otherwise."""
+        pattern, data = self.pattern, self.weights
+        if self.plan is not None:
+            data = pattern.reference[1].copy()
+            data[self.plan.slots] = self.weights
+        return csr_matrix((data, pattern.indices, pattern.indptr),
+                          shape=(pattern.n_nodes, pattern.n_nodes))
 
 
 def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
@@ -566,11 +560,11 @@ def _field(graph: _SteinerGraph, key, sources: np.ndarray) -> np.ndarray:
     """Distances from ``sources`` to every node of the graph.
 
     On the pattern's reference bits the result is kept on the pattern under
-    ``key``.  A locally refilled graph updates that field on a subgraph when
+    ``key``.  A locally filled graph updates that field on a subgraph when
     it can (``_update_field``), and searches in full otherwise.
     """
     ref = graph.pattern.fields.get(key)
-    if graph.touched is None:
+    if graph.reference:
         if ref is None:
             ref = graph.pattern.fields[key] = dijkstra(
                 graph.matrix, directed=True, indices=sources, min_only=True)
@@ -601,81 +595,85 @@ def _update_field(graph: _SteinerGraph, d_old: np.ndarray,
     W is kept on the plan for every later field and fill, so a field whose
     lowered nodes an earlier update already took in settles at once.
     """
-    plan, m = graph.plan, graph.matrix
-    counts = np.diff(m.indptr)
-    cap = m.nnz // LOCAL_SHARE
+    plan, pattern = graph.plan, graph.pattern
+    indptr, indices, w_old = pattern.indptr, pattern.indices, pattern.reference[1]
+    counts = np.diff(indptr)
+    cap = len(indices) // LOCAL_SHARE
     if plan.nnz > cap or not np.all(np.isfinite(d_old)):
         return None
-    w_old = graph.pattern.reference[1]
-    heads = np.searchsorted(m.indptr, graph.risen, side="right") - 1
-    tails = m.indices[graph.risen]
-    heads = heads[d_old[tails] + w_old[graph.risen] == d_old[heads]]
+    risen = plan.slots[graph.weights > w_old[plan.slots]]
+    heads = np.searchsorted(indptr, risen, side="right") - 1
+    heads = heads[d_old[indices[risen]] + w_old[risen] == d_old[heads]]
     if len(heads):
         grown = plan.inside.copy()
-        _mark_tight_below(m.indptr, m.indices, w_old, d_old, heads, grown)
+        _mark_tight_below(indptr, indices, w_old, d_old, heads, grown)
         if not np.array_equal(grown, plan.inside):
             if counts[grown].sum() > 2 * cap:
                 return None
-            plan.widen(grown)
-    is_source = np.zeros(m.shape[0], dtype=bool)
+            plan.inside, plan.sub = grown, None
+    is_source = np.zeros(pattern.n_nodes, dtype=bool)
     is_source[sources] = True
     for attempt in range(2):
-        nodes, dist_in, low, low_at = _solve_inside(m, plan, d_old, is_source)
+        nodes, dist_in, low, low_at = _solve_inside(graph, d_old, is_source)
         if len(low) == 0:
             dist = d_old.copy()
             dist[nodes] = dist_in
             return dist
         grown = plan.inside.copy()
-        if attempt or not _grow(m, grown, d_old, low, low_at, 2 * cap):
+        if attempt or not _grow(indptr, indices, w_old, grown, d_old, low, low_at, 2 * cap):
             return None
-        plan.widen(grown)
+        plan.inside, plan.sub = grown, None
 
 
-def _subgraph(indptr: np.ndarray, indices: np.ndarray, inside: np.ndarray):
-    """The subgraph on the ``inside`` nodes W, plus a super-source row
-    k = |W| with one entry per W node on W's boundary.
+def _subgraph(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+              inside: np.ndarray, slots: np.ndarray):
+    """The subgraph on the ``inside`` nodes W with the given CSR
+    ``weights``, plus a super-source row k = |W| with one entry per W node
+    on W's boundary.
 
-    Returns W's nodes, the CSR slots within W and those leaving it, the
-    local row and the outside node of each leaving slot, the first leaving
-    slot of each boundary row, and the subgraph's ``indptr`` and
-    ``indices``: entries within W in slot order, then the super-source's.
+    Returns W's nodes; the local row, the outside node and the weight of
+    each slot leaving W; the first leaving slot of each boundary row; the
+    position among the subgraph's entries of each of ``slots``, which all
+    lie within W; and the subgraph, whose entries are those within W in
+    slot order, then the super-source's, which each update writes.
     """
     nodes = np.flatnonzero(inside)
     k = len(nodes)
     local = np.full(len(inside), -1, dtype=np.int32)
     local[nodes] = np.arange(k, dtype=np.int32)
-    slots = _row_slots(indptr, nodes).astype(indptr.dtype)
-    cols = local[indices[slots]]
+    row_slots = _row_slots(indptr, nodes).astype(indptr.dtype)
+    cols = local[indices[row_slots]]
     row = np.repeat(np.arange(k, dtype=np.int32), indptr[nodes + 1] - indptr[nodes])
     within = cols >= 0
-    leave = ~within
-    b_row = row[leave]
+    in_slots, leave, b_row = row_slots[within], row_slots[~within], row[~within]
     firsts = np.flatnonzero(np.diff(b_row, prepend=-1))
     sub_indptr = np.zeros(k + 2, dtype=indptr.dtype)
     np.cumsum(np.bincount(row[within], minlength=k), out=sub_indptr[1:k + 1])
     sub_indptr[k + 1] = sub_indptr[k] + len(firsts)
-    return (nodes, slots[within], slots[leave], b_row, indices[slots[leave]], firsts,
-            sub_indptr, np.concatenate([cols[within], b_row[firsts]]))
+    data = np.concatenate([weights[in_slots], np.zeros(len(firsts))])
+    sub = csr_matrix((data, np.concatenate([cols[within], b_row[firsts]]), sub_indptr),
+                     shape=(k + 1, k + 1))
+    return (nodes, b_row, indices[leave], weights[leave], firsts,
+            np.searchsorted(in_slots, slots), sub)
 
 
-def _solve_inside(m, plan: _Plan, d_old, is_source):
+def _solve_inside(graph: _SteinerGraph, d_old, is_source):
     """Search the subgraph on the plan's node set W with the old distances
     outside held fixed.
 
     A super-source joins each W node with a boundary edge at weight
     min fl(d_old(x) + w) over its outside neighbours x, the float sum a full
     search forms at that edge; W's sources start at 0.  W's subgraph is
-    built once per W (``_subgraph``) and only takes this graph's weights
-    and seeds.  Returns W, its distances, and the outside ends of boundary
-    edges that would lower an old distance, with the values they would
-    give.
+    built once per W (``_Plan.subgraph``) and only takes this graph's
+    weights of the plan's slots and the seeds.  Returns W, its distances,
+    and the outside ends of boundary edges that would lower an old
+    distance, with the values they would give.
     """
-    nodes, in_slots, out_slots, b_row, b_col, firsts, sub = plan.subgraph(m)
+    nodes, b_row, b_col, b_w, firsts, at, sub = graph.plan.subgraph(graph.pattern)
     k = len(nodes)
-    b_w = m.data[out_slots]
-    np.take(m.data, in_slots, out=sub.data[:len(in_slots)])
+    sub.data[at] = graph.weights
     if len(firsts):
-        np.minimum.reduceat(d_old[b_col] + b_w, firsts, out=sub.data[len(in_slots):])
+        np.minimum.reduceat(d_old[b_col] + b_w, firsts, out=sub.data[sub.indptr[k]:])
     starts = np.append(np.flatnonzero(is_source[nodes]), k)
     dist_in = dijkstra(sub, directed=True, indices=starts, min_only=True)[:k]
     exit_val = dist_in[b_row] + b_w
@@ -683,17 +681,19 @@ def _solve_inside(m, plan: _Plan, d_old, is_source):
     return nodes, dist_in, b_col[low], exit_val[low]
 
 
-def _grow(m, inside, d_old, low, low_at, cap: int) -> bool:
+def _grow(indptr, indices, weights, inside, d_old, low, low_at, cap: int) -> bool:
     """Add to ``inside`` every outside node that a path from the lowered
     nodes could still lower; False once W's rows pass ``cap`` entries.
 
-    A path leaving W lowers each node it passes while its lead over the old
-    distances lasts: the lead starts at d_old(x) - low_at(x) and drops, at
-    each edge uv, by w_uv - (d_old(v) - d_old(u)) >= 0.  Leads spread by
-    label correction over the outside nodes, with a few ulp of slack; the
-    search after the growth decides exactness.
+    ``weights`` are the reference's: every row walked belongs to a node
+    outside W, and no such row holds a rewritten slot.  A path leaving W
+    lowers each node it passes while its lead over the old distances
+    lasts: the lead starts at d_old(x) - low_at(x) and drops, at each edge
+    uv, by w_uv - (d_old(v) - d_old(u)) >= 0.  Leads spread by label
+    correction over the outside nodes, with a few ulp of slack; the search
+    after the growth decides exactness.
     """
-    counts = np.diff(m.indptr)
+    counts = np.diff(indptr)
     lead = np.full(len(d_old), -np.inf)
     np.maximum.at(lead, low, d_old[low] - low_at)
     outside = ~inside
@@ -702,10 +702,10 @@ def _grow(m, inside, d_old, low, low_at, cap: int) -> bool:
         inside[front] = True
         if counts[inside].sum() > cap:
             return False
-        slots = _row_slots(m.indptr, front)
+        slots = _row_slots(indptr, front)
         u = np.repeat(front, counts[front])
-        v = m.indices[slots]
-        left = lead[u] - m.data[slots] + (d_old[v] - d_old[u])
+        v = indices[slots]
+        left = lead[u] - weights[slots] + (d_old[v] - d_old[u])
         slack = 16 * np.finfo(np.float64).eps * d_old[v]
         step = outside[v] & (left > lead[v]) & (left > -slack)
         np.maximum.at(lead, v[step], left[step])
@@ -876,7 +876,9 @@ def diameter(signal, subset: str = "M",
 
 def _first_cut_estimate(f: np.ndarray, foot: np.ndarray, edges: np.ndarray,
                         lengths: np.ndarray, region_ids: np.ndarray, intra):
-    """Smallest max(f_u, f_v) over edges uv flagged as crossing a cut.
+    """Smallest (f_u + f_v + l_uv) / 2 over edges uv flagged as crossing a
+    cut: the distance to the region at which the fronts from u and v meet
+    inside the edge, at least max(f_u, f_v) since |f_u - f_v| <= l_uv.
 
     ``foot`` holds each vertex's nearest region vertex; a region vertex is
     its own.  An edge with two different feet, not both endpoints in the
@@ -898,11 +900,11 @@ def _first_cut_estimate(f: np.ndarray, foot: np.ndarray, edges: np.ndarray,
     u, v = u[candidate], v[candidate]
     ends, pos = np.unique(np.concatenate([foot[u], foot[v]]), return_inverse=True)
     sep = intra(ends)[pos[:len(u)], pos[len(u):]]
-    reach = np.maximum(f[u], f[v])
-    flagged = sep > (2.0 * reach + lengths[candidate]) * (1.0 + CUT_TAU)
+    lengths = lengths[candidate]
+    flagged = sep > (2.0 * np.maximum(f[u], f[v]) + lengths) * (1.0 + CUT_TAU)
     if not np.any(flagged):
         return None
-    return float(reach[flagged].min())
+    return float(((f[u] + f[v] + lengths)[flagged] / 2.0).min())
 
 
 def injectivity_radius(signal, region: str,
@@ -918,8 +920,9 @@ def injectivity_radius(signal, region: str,
     The edge length widens the rule because neighbouring feet on a coarse
     mesh can be a few edges apart without any cut.  Intrinsic distances are
     searched only from the feet of edges whose feet differ.  The estimate is
-    the smallest max(f_u, f_v) over flagged edges, or the largest distance to
-    the region, max f_R, when no edge flags.  Both are sound caps, since the
+    the smallest (f_u + f_v + l_uv) / 2 over flagged edges, where the two
+    fronts meet inside the edge, or the largest distance to the region,
+    max f_R, when no edge flags.  Both are sound caps, since the
     normal collar of R cannot reach past the farthest point from R:
     i_R <= sup f_R <= diam(M).  The heuristic is advisory and tagged as such.
     """

@@ -366,6 +366,18 @@ def check_composition(left: Signal, right: Signal, corr,
 # ---------------------------------------------------------------------------
 
 
+def _midpoint_grid(width: float, height: float, m: int):
+    """Midpoints of an m-wide grid of near-square cells over the
+    rectangle [0, width] x [0, height], as meshgrid arrays X and Y, and the
+    cell area."""
+    nx = m
+    ny = max(1, int(round(m * height / width)))
+    xs = (np.arange(nx) + 0.5) * (width / nx)
+    ys = (np.arange(ny) + 0.5) * (height / ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return X, Y, (width / nx) * (height / ny)
+
+
 def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
     """Dense midpoint-rule quadrature of the analytic distance functions.
 
@@ -380,12 +392,7 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
     if kind in ("square", "rectangle"):
         w = float(params.get("width", 1.0))
         h = float(params.get("height", 1.0))
-        nx = m
-        ny = max(1, int(round(m * h / w)))
-        xs = (np.arange(nx) + 0.5) * (w / nx)
-        ys = (np.arange(ny) + 0.5) * (h / ny)
-        cell = (w / nx) * (h / ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        X, Y, cell = _midpoint_grid(w, h, m)
         return {
             "E": float(np.sum(X) * cell),
             "EF": float(np.sum(Y) * cell),
@@ -400,12 +407,7 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
         w = float(params.get("width", 1.0))
         h = float(params.get("height", 2.0))
         split = float(params.get("split", h / 2.0))
-        nx = m
-        ny = max(1, int(round(m * h / w)))
-        xs = (np.arange(nx) + 0.5) * (w / nx)
-        ys = (np.arange(ny) + 0.5) * (h / ny)
-        cell = (w / nx) * (h / ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        X, Y, cell = _midpoint_grid(w, h, m)
         # distance inside the convex rectangle to each closed A piece:
         # left edge of the lower part, right edge of the upper part
         d_left = np.where(Y <= split, X, np.hypot(X, Y - split))

@@ -332,8 +332,9 @@ def _path_cut(sep, edges=PATH_EDGES, foot=PATH_FOOT):
 
 
 def test_first_cut_estimate_fires_on_synthetic_data():
-    # the two ends are separate region components (intrinsic separation inf)
-    assert _path_cut(np.inf) == pytest.approx(0.5)
+    # the two ends are separate region components (intrinsic separation
+    # inf); the fronts meet mid-edge, at (0.5 + 0.5 + 0.5) / 2
+    assert _path_cut(np.inf) == pytest.approx(0.75)
 
 
 def test_first_cut_estimate_silent_when_feet_close():
@@ -344,12 +345,13 @@ def test_first_cut_estimate_widens_by_the_edge_length():
     # the bound is (2 max(f_u, f_v) + l_uv)(1 + CUT_TAU) = 1.5 * 1.05 = 1.575:
     # a separation above 2 f (1 + CUT_TAU) = 1.05 but within it does not flag
     assert _path_cut(1.5) is None
-    assert _path_cut(1.6) == pytest.approx(0.5)
+    assert _path_cut(1.6) == pytest.approx(0.75)
 
 
 def test_first_cut_estimate_skips_edges_inside_the_region():
     # an edge joining two region vertices would flag at f = 0; an edge with
-    # one endpoint in the region flags at the other endpoint's f
+    # one endpoint in the region flags where the fronts meet on it, at
+    # (0.5 + 0 + 0.5) / 2
     assert _path_cut(np.inf, edges=np.array([[0, 3]])) is None
     assert _path_cut(np.inf, edges=np.array([[1, 3]])) == pytest.approx(0.5)
 
@@ -365,18 +367,20 @@ def _split_a(sig, k):
 
 
 @pytest.mark.parametrize("n, k, expected", [
-    (8, 1, 0.375), (8, 3, 0.125), (9, 1, 1 / 3), (9, 2, 2 / 9), (9, 3, 1 / 9)])
+    (8, 1, 0.375), (8, 3, 0.125), (9, 1, 7 / 18), (9, 2, 5 / 18), (9, 3, 1 / 6),
+    (17, 1, 15 / 34), (17, 3, 11 / 34)])
 def test_first_cut_fires_between_region_components(n, k, expected):
     # the cut between the two components of A on the left side of the square
-    # lies at half the gap from A: 3/8 for one facet per end of square8 and
-    # 1/8 for three.  With three, the flagged edge joins the gap vertex
-    # (0, 1/2) to the component it does not take its foot from; skipping
-    # every edge that touches A would flag only one ring out, at sqrt(2)/8.
-    # On square9 the gap is odd and the edge rule flags half an edge short
-    # of the half-gaps 7/18, 5/18 and 3/18 (ROADMAP item 7)
+    # lies at half the gap from A, (n - 2k) / (2n): 3/8 for one facet per
+    # end of square8 and 1/8 for three.  With three, the flagged edge joins
+    # the gap vertex (0, 1/2) to the component it does not take its foot
+    # from; skipping every edge that touches A would flag only one ring out.
+    # On an odd gap the fronts meet inside the flagged edge, at the
+    # half-gap too (7/18 on square9 comes out 1 ulp low)
     est = injectivity_radius(_split_a(cs.gen_square(n), k), "A", 2)
     assert est.method == "heuristic"
-    assert est.value == expected
+    assert expected == (n - 2 * k) / (2 * n)
+    assert est.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_injectivity_without_hints_searches_the_full_graph_once(square64, monkeypatch):
@@ -484,7 +488,7 @@ def test_noise_refills_the_shared_pattern(request, name, whole):
         assert graph.pattern is base.pattern
         # every refill starts from the first fill, which stays the reference
         assert graph.pattern.reference is reference
-        assert graph.touched is not None
+        assert not graph.reference
         assert graph.matrix.indptr is base.matrix.indptr
         assert np.shares_memory(graph.matrix.indices, base.matrix.indices)
         assert not np.array_equal(graph.matrix.data, base.matrix.data)
@@ -523,15 +527,39 @@ def _fields(p):
             "vertex": lambda s: distance_to_vertex(s, p)}
 
 
+def _inner_weights(graph):
+    """The weights of the built matrix on the slots within W of the
+    graph's plan, in slot order."""
+    nodes, m = graph.plan.sub[0], graph.matrix
+    inside = np.zeros(m.shape[0], dtype=bool)
+    inside[nodes] = True
+    slots = np.concatenate([np.arange(m.indptr[u], m.indptr[u + 1]) for u in nodes])
+    return m.data[slots[inside[m.indices[slots]]]]
+
+
 @pytest.mark.parametrize("name", sorted(NOISE_CASES))
-def test_field_update_matches_a_fresh_search(request, name):
+def test_field_update_matches_a_fresh_search(request, name, monkeypatch):
     sig = _copy(request.getfixturevalue(name))
     for region in ("A", "X"):
         distance_field(sig, region)  # the reference fields
+    solve, updates = geodesy._solve_inside, []
+
+    def checking(graph, *args):
+        # W's subgraph holds the reference weights with this graph's
+        # weights of the plan's slots written over them
+        out = solve(graph, *args)
+        sub = graph.plan.sub[-1]
+        inner = sub.data[:sub.indptr[len(graph.plan.sub[0])]]
+        assert inner.tobytes() == _inner_weights(graph).tobytes()
+        updates.append(graph)
+        return out
+
+    monkeypatch.setattr(geodesy, "_solve_inside", checking)
     for p, noisy in _sweep(sig, name):
         fresh = _fresh(noisy)
         for field in _fields(p).values():
             assert field(noisy).values.tobytes() == field(fresh).values.tobytes()
+    assert bool(updates) == (name != "square8")
 
 
 def _count_searches(monkeypatch, n_nodes):
@@ -559,8 +587,9 @@ def test_field_update_settles_grows_or_falls_back(shell16, monkeypatch):
     p, noisy = next(_sweep(sig, "shell16"))
     distance_to_vertex(sig, p)  # noise searches the centre's ball alone
     graph = _graph(noisy, 2)
-    counts = np.diff(graph.matrix.indptr)
-    assert counts[graph.touched].sum() * geodesy.LOCAL_SHARE <= graph.matrix.nnz
+    indptr = graph.pattern.indptr
+    counts = np.diff(indptr)
+    assert counts[graph.plan.touched].sum() * geodesy.LOCAL_SHARE <= indptr[-1]
     calls = _count_searches(monkeypatch, graph.pattern.n_nodes)
     for key, want in (("X", ["sub"]), ("A", ["sub", "sub"]),
                       ("vertex", ["sub", "full"])):
@@ -597,7 +626,7 @@ def test_field_update_from_a_noisy_reference(shell16):
     target = Signal(ref.complex, MetricField(sig.metric.edges, sig.metric.lengths,
                                              "induced"))
     graph = _graph(target, 2)
-    assert graph.touched is not None
+    assert graph.plan is not None
     for key, field in _fields(p).items():
         sources = (np.array([p]) if key == "vertex"
                    else geodesy._region_sources(ref, reference, key))
@@ -630,8 +659,9 @@ def test_eps_sweep_updates_the_x_fields_on_the_subgraph(shell16, monkeypatch):
 
 
 def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
-    # the glue-filter set-up: its ball touches rows holding more than
-    # 1/LOCAL_SHARE of the entries, so the noisy fields are full searches
+    # the glue-filter set-up: its ball changes more than 1/LOCAL_SHARE of
+    # the edge rows (932 of 7,008), so the noisy graph is filled in full,
+    # with no plan, and the noisy fields are full searches
     sig = cs.gen_square(48)
     filt = cs.extract_filter(sig, cs.keep_by_predicate(sig, lambda q: q[0] <= 0.5 + 1e-12))
     spec = NoiseSpec(cs.vertex_at(sig, (0.75, 0.5)), 0.1, 0.2, 0.25)
@@ -645,9 +675,10 @@ def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
 
     monkeypatch.setattr(geodesy, "dijkstra", sizing)
     cs.check_filter(sig, filt, spec, 2)
-    noisy = _graph(apply_noise(sig, spec), 2)
-    counts = np.diff(noisy.matrix.indptr)
-    assert counts[noisy.touched].sum() * geodesy.LOCAL_SHARE > noisy.matrix.nnz
+    deformed = apply_noise(sig, spec)
+    changed = deformed.metric.lengths != sig.metric.lengths
+    assert np.count_nonzero(changed) * geodesy.LOCAL_SHARE > len(changed)
+    assert _graph(deformed, 2).plan is None
     filter_nodes = _graph(filt, 2).pattern.n_nodes
     assert set(sizes) == {n_nodes, filter_nodes}
     # the base centre field, the base and the noisy A fields
@@ -665,12 +696,14 @@ def test_eps_sweep_plans_each_ball_once(shell16, monkeypatch):
     pattern = _graph(sig, 2).pattern
     calls = _count_searches(monkeypatch, pattern.n_nodes)
     now, eps_of, fields, grows, built = {"eps": None}, {}, [], [], []
+    deformed = []
     noise, field = verify.apply_noise, geodesy._field
     grow, subgraph = geodesy._grow, geodesy._subgraph
 
     def noting(signal, spec, s):
         noisy = noise(signal, spec, s)
         eps_of[id(noisy)] = spec.epsilon
+        deformed.append(noisy)
         return noisy
 
     def fielding(signal, region, s):
@@ -705,6 +738,10 @@ def test_eps_sweep_plans_each_ball_once(shell16, monkeypatch):
         (eps, key) for eps in sorted(sweep) for key in (x, a)]
     assert all(c == ["sub"] for eps, key, c in noisy
                if eps > min(sweep) or key == x)
+    # every field settled on W's subgraph, so no noisy graph built its matrix
+    graphs = [_graph(d, 2) for d in deformed]
+    assert len(graphs) == len(sweep)
+    assert all(g.plan is not None and "matrix" not in vars(g) for g in graphs)
 
     # the same sweep with the plan dropped before every eps
     again = _copy(shell16)
