@@ -106,10 +106,12 @@ def _eps_list(text: str) -> list:
 
 
 def _resolution_list(text: str) -> list:
-    """argparse type of --resolutions: at least two, each at least 2."""
+    """argparse type of --resolutions: at least two distinct values, each at
+    least 2."""
     values = _numbers(text, int)
-    if len(values) < 2 or min(values) < 2:
-        raise argparse.ArgumentTypeError("need at least two resolutions, each at least 2")
+    if len(set(values)) < len(values) or len(values) < 2 or min(values) < 2:
+        raise argparse.ArgumentTypeError(
+            "need at least two distinct resolutions, each at least 2")
     return values
 
 

@@ -17,8 +17,9 @@ half of ``validate`` (non-manifold facets and inconsistent orientation), the
 canonical edge table that ``edges()`` returns, and ``simplex_edge_rows``, the
 edge-table row of every edge of every top simplex.  ``build_complex`` builds
 it once, with array operations, and every relabeling made with
-``with_labels`` shares it; ``with_labels`` checks only the new labels and
-``validate`` adds only the label checks.  Other modules index these tables
+``with_labels`` shares it; ``with_labels`` checks only the new labels (none
+when they are the complex's own label sets, permuted) and ``validate`` adds
+only the label checks.  Other modules index these tables
 and derive no topology of their own; ``edge_rows`` is the one lookup from
 vertex pairs to edge rows.
 """
@@ -116,11 +117,21 @@ class CobordismComplex:
     # -- derived labelings -------------------------------------------------
 
     def with_labels(self, labels) -> "CobordismComplex":
-        """Same geometry and structure with a different region labeling."""
-        return CobordismComplex(
-            self.vertices, self.simplices, self.signs,
-            _clean_labels(labels, self.dim, self._structure), self._structure,
-        )
+        """Same geometry and structure with a different region labeling.
+
+        A labeling of every region by this complex's own label sets, such as
+        a permutation of its regions, is canonical and was checked when
+        those sets were, so it is not cleaned again.
+        """
+        labels = dict(labels)
+        own = self.labels.values()
+        if (labels.keys() == set(REGION_TAGS)
+                and all(any(f is g for g in own) for f in labels.values())):
+            clean = {tag: labels[tag] for tag in REGION_TAGS}
+        else:
+            clean = _clean_labels(labels, self.dim, self._structure)
+        return CobordismComplex(self.vertices, self.simplices, self.signs, clean,
+                                self._structure)
 
     # -- serialization -----------------------------------------------------
 

@@ -105,6 +105,10 @@ CUT_TAU = 0.05
 #: Sources per Dijkstra call when all pairwise distances are kept.
 SEARCH_BLOCK = 64
 
+#: Faces per block when a full fill computes chord lengths, which bounds
+#: the fill's (faces, chords) float temporaries whatever the mesh size.
+FILL_BLOCK = 256
+
 #: Local work pays only for a small change: a fill is local while at most
 #: 1/LOCAL_SHARE of the edge rows changed, and a field is updated on the
 #: touched subgraph while the touched rows hold at most 1/LOCAL_SHARE of the
@@ -209,6 +213,15 @@ class _Pattern:
     entry as payload, gives the canonical ``indptr``/``indices`` of the
     symmetric matrix, and ``slot_raw`` is the raw entry behind each slot.
 
+    Per CSR entry the graph keeps 4 B of ``indices``, 4 B of ``slot_raw``
+    and 8 B of ``data`` (16 B, plus ``indptr``).  The assembly allocates
+    each full-size array once, at its final dtype: ``_raw_pairs`` writes
+    the COO's int32 rows and columns in place, the mirror half is a slice
+    copy, and the int32 payload becomes ``slot_raw`` in place.  So the
+    conversion peaks at 20 B per entry (the COO's 12 B next to scipy's
+    8 B of output), as does the first fill (``_full_data``): 1.25 times
+    what the graph keeps.
+
     The first fill is the pattern's reference: its ``lengths`` and CSR
     ``data`` are kept, and so is every field searched on it (``fields``,
     keyed by source set).
@@ -222,44 +235,52 @@ class _Pattern:
         self.n_nodes = nv + len(edges) * self._interior
         self.cells = [(faces, rows) for faces, rows in cells if faces.shape[1] > 2]
         self.n_sub = len(edges) * (2 ** (s + 1) - 1)  # sub-edge raw entries
-        i, j = self._raw_pairs()
-        self.n_raw = len(i)
+        n = self.n_raw = self.n_sub + sum(
+            len(faces) * len(_chord_template(faces.shape[1] - 1, s)[2])
+            for faces, _ in self.cells)
+        # the symmetric COO: raw entries (i, j), then their mirrors (j, i)
+        row, col = np.empty((2, 2 * n), dtype=np.int32)
+        self._raw_pairs(row[:n], col[:n])
+        row[n:], col[n:] = col[:n], row[:n]
         # payload raw + 1, so that no stored value is an explicit zero
-        raw = np.arange(1, self.n_raw + 1, dtype=np.int32)
-        m = coo_matrix((np.concatenate([raw, raw]),
-                        (np.concatenate([i, j]), np.concatenate([j, i]))),
-                       shape=(self.n_nodes, self.n_nodes)).tocsr()
+        raw = np.tile(np.arange(1, n + 1, dtype=np.int32), 2)
+        m = coo_matrix((raw, (row, col)), shape=(self.n_nodes, self.n_nodes)).tocsr()
         # the conversion sums a repeated pair, which only a repeated simplex makes
-        if m.nnz != 2 * self.n_raw:
+        if m.nnz != 2 * n:
             raise GeodesyError("the complex lists a top simplex twice")
-        self.indptr, self.indices, self.slot_raw = m.indptr, m.indices, m.data - 1
+        m.data -= 1
+        self.indptr, self.indices, self.slot_raw = m.indptr, m.indices, m.data
         self.reference = None
         self.fields = {}
         self.plan = None
 
-    def _raw_pairs(self):
-        """Node pair (i, j) of every raw entry, in order, as int32 arrays."""
+    def _raw_pairs(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Write the node pair (i, j) of every raw entry, in order, into
+        ``src`` and ``dst``."""
         s, ne = self.s, len(self.edges)
-        src, dst = [], []
         rows = np.arange(ne, dtype=np.int64)
+        pos = 0
         for t in range(s + 1):
             step = 2 ** (s - t)
             for j in range(2**t):
-                src.append(self.node_ids(rows, np.full(ne, j * step)))
-                dst.append(self.node_ids(rows, np.full(ne, (j + 1) * step)))
+                src[pos:pos + ne] = self.node_ids(rows, j * step)
+                dst[pos:pos + ne] = self.node_ids(rows, (j + 1) * step)
+                pos += ne
         for faces, face_rows in self.cells:
             pairs = _chord_template(faces.shape[1] - 1, s)[2]
             gids = self._face_nodes(faces, face_rows)
-            src.append(gids[:, pairs[:, 0]].ravel())
-            dst.append(gids[:, pairs[:, 1]].ravel())
-        return np.concatenate(src, dtype=np.int32), np.concatenate(dst, dtype=np.int32)
+            end = pos + len(faces) * len(pairs)
+            shape = (len(faces), len(pairs))
+            np.take(gids, pairs[:, 0], axis=1, out=src[pos:end].reshape(shape))
+            np.take(gids, pairs[:, 1], axis=1, out=dst[pos:end].reshape(shape))
+            pos = end
 
     def _face_nodes(self, faces: np.ndarray, face_rows: np.ndarray) -> np.ndarray:
         """Graph node of every template node of the given faces, as a
-        (len(faces), n_template_nodes) array."""
+        (len(faces), n_template_nodes) int32 array."""
         s = self.s
         slots, nodes, _ = _chord_template(faces.shape[1] - 1, s)
-        gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
+        gids = np.empty((len(faces), len(nodes)), dtype=np.int32)
         for k, desc in enumerate(nodes):
             if desc[0] == "v":
                 gids[:, k] = faces[:, desc[1]]
@@ -316,7 +337,10 @@ class _Pattern:
     def _full_data(self, lengths: np.ndarray) -> np.ndarray:
         """The weight of every raw entry, scattered into the pattern.
         Sub-edges weigh ``lengths / 2**t``; chords come from each face's
-        squared edge lengths through ``_chord_coefficients``."""
+        squared edge lengths through ``_chord_lengths``, FILL_BLOCK faces
+        at a time.  Only the raw weights outlive a block: 4 B per CSR entry
+        (each raw entry fills two slots), so with the pattern's 8 B and the
+        returned 8 B of ``data`` the fill peaks at 20 B per entry."""
         ne = len(self.edges)
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
@@ -326,9 +350,12 @@ class _Pattern:
                 w[pos:pos + ne] = seg_w
                 pos += ne
         for faces, face_rows in self.cells:
-            chords = _chord_lengths(lengths[face_rows], faces.shape[1] - 1, self.s)
-            w[pos:pos + len(chords)] = chords
-            pos += len(chords)
+            q = faces.shape[1] - 1
+            for start in range(0, len(faces), FILL_BLOCK):
+                block = face_rows[start:start + FILL_BLOCK]
+                chords = _chord_lengths(lengths[block], q, self.s)
+                w[pos:pos + len(chords)] = chords
+                pos += len(chords)
         return w[self.slot_raw]
 
 
@@ -403,7 +430,7 @@ def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
     of each chord slot into the hit faces' chords laid end to end, group
     after group."""
     ne, s = len(pattern.edges), pattern.s
-    slots = _row_slots(pattern.indptr, touched).astype(pattern.indptr.dtype)
+    slots = _row_slots(pattern.indptr, touched)
     raw = pattern.slot_raw[slots]
 
     # sub-edge raw entry c * ne + row, at level t with 2**t - 1 <= c < 2**(t+1) - 1
@@ -447,11 +474,14 @@ def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
 
 
 def _row_slots(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """The CSR slots of the given nodes' rows, row by row."""
+    """The CSR slots of the given nodes' rows, row by row, in the dtype of
+    ``indptr``."""
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+    shift = (starts - np.cumsum(counts) + counts).astype(indptr.dtype)
+    slots = np.arange(counts.sum(), dtype=indptr.dtype)
+    slots += np.repeat(shift, counts)
+    return slots
 
 
 class _SteinerGraph:
@@ -531,13 +561,20 @@ def _facet_cells(cx, tag: str | None = None):
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
-    """Vertex and refinement nodes lying on the closed region subcomplex."""
-    verts = region_vertices(signal.complex, tag)
-    if len(verts) == 0:
-        raise RegionError(f"region {tag!r} is empty")
-    rows = np.unique(_facet_cells(signal.complex, tag)[1])
-    steiner = graph.pattern.steiner_ids_of_rows(rows)
-    return np.concatenate([verts, steiner])
+    """Vertex and refinement nodes lying on the closed region subcomplex, as
+    a read-only array kept on the structure, keyed by the region's facets
+    and s: every signal on the complex, noisy or relabeled, shares it."""
+    cx = signal.complex
+
+    def compute():
+        verts = region_vertices(cx, tag)
+        if len(verts) == 0:
+            raise RegionError(f"region {tag!r} is empty")
+        rows = np.unique(_facet_cells(cx, tag)[1])
+        sources = np.concatenate([verts, graph.pattern.steiner_ids_of_rows(rows)])
+        sources.flags.writeable = False
+        return sources
+    return cx.cached(("sources", graph.pattern.s, cx.labels[tag]), compute)
 
 
 def _mark_tight_below(indptr, indices, weights, dist, heads, mark) -> None:
@@ -635,24 +672,35 @@ def _subgraph(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
     each slot leaving W; the first leaving slot of each boundary row; the
     position among the subgraph's entries of each of ``slots``, which all
     lie within W; and the subgraph, whose entries are those within W in
-    slot order, then the super-source's, which each update writes.
+    slot order, then the super-source's, which each update writes.  Like
+    the full graph it keeps 4 B of indices and 8 B of data per entry.  The
+    build holds at most about 24 B per entry of W's rows (the int32 slots
+    within W, the subgraph's arrays and one gathered temporary) and finds
+    the local row only of the leaving slots.
     """
     nodes = np.flatnonzero(inside)
     k = len(nodes)
     local = np.full(len(inside), -1, dtype=np.int32)
     local[nodes] = np.arange(k, dtype=np.int32)
-    row_slots = _row_slots(indptr, nodes).astype(indptr.dtype)
+    row_slots = _row_slots(indptr, nodes)
     cols = local[indices[row_slots]]
-    row = np.repeat(np.arange(k, dtype=np.int32), indptr[nodes + 1] - indptr[nodes])
     within = cols >= 0
-    in_slots, leave, b_row = row_slots[within], row_slots[~within], row[~within]
+    in_slots, leave = row_slots[within], row_slots[~within]
+    del row_slots
+    ends = indptr[nodes + 1]
+    b_row = np.searchsorted(ends, leave, side="right")
     firsts = np.flatnonzero(np.diff(b_row, prepend=-1))
+    n_in = len(in_slots)
     sub_indptr = np.zeros(k + 2, dtype=indptr.dtype)
-    np.cumsum(np.bincount(row[within], minlength=k), out=sub_indptr[1:k + 1])
-    sub_indptr[k + 1] = sub_indptr[k] + len(firsts)
-    data = np.concatenate([weights[in_slots], np.zeros(len(firsts))])
-    sub = csr_matrix((data, np.concatenate([cols[within], b_row[firsts]]), sub_indptr),
-                     shape=(k + 1, k + 1))
+    np.cumsum(ends - indptr[nodes] - np.bincount(b_row, minlength=k),
+              out=sub_indptr[1:k + 1])
+    sub_indptr[k + 1] = n_in + len(firsts)
+    sub_indices = np.empty(n_in + len(firsts), dtype=indices.dtype)
+    sub_indices[:n_in], sub_indices[n_in:] = cols[within], b_row[firsts]
+    del cols, within
+    data = np.zeros(n_in + len(firsts))
+    data[:n_in] = weights[in_slots]
+    sub = csr_matrix((data, sub_indices, sub_indptr), shape=(k + 1, k + 1))
     return (nodes, b_row, indices[leave], weights[leave], firsts,
             np.searchsorted(in_slots, slots), sub)
 

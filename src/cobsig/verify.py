@@ -484,6 +484,9 @@ def refinement_study(kind: str, params: dict, resolutions,
     res_list = [int(r) for r in resolutions]
     if len(res_list) < 2:
         raise ValueError("need at least two resolutions")
+    if len(set(res_list)) < len(res_list):
+        # the observed orders divide by log(last / first), 0 on a repeat
+        raise ValueError(f"resolutions must be distinct, got {res_list}")
     oracle = grid_oracle(kind, params, oracle_resolution)
     rows = []
     prev_e = prev_ef = None

@@ -307,13 +307,13 @@ def test_cli_bad_parameters_exit_2(tmp_path, capsys):
                        "--resolution", "1", "--out", str(tmp_path / "x.json"))
     assert code == 2
     # malformed comma lists are bad parameters too: ties, no values, words,
-    # one resolution, a resolution below 2
+    # one resolution, a resolution below 2, a repeated resolution
     for eps in ("0.4,0.4", ",", "abc"):
         code, out, err = run(capsys, "sweep-eps", mesh, "--center-vertex", "0",
                              "--delta0", "0.2", "--delta", "0.3", "--eps", eps)
         assert (code, out) == (2, ""), eps
         assert "--eps" in err, eps
-    for resolutions in ("8,x", "8", "1,4"):
+    for resolutions in ("8,x", "8", "1,4", "4,4", "4,8,4"):
         code, out, err = run(capsys, "refine-study", "--kind", "square",
                              "--resolutions", resolutions)
         assert (code, out) == (2, ""), resolutions

@@ -55,6 +55,25 @@ def test_fourier_relabel_involution(square8, shell16):
         assert twice.hints == sig.hints
 
 
+def test_fourier_relabel_cleans_no_labels(shell16, monkeypatch):
+    # the relabeling permutes the complex's own canonical label sets, so no
+    # facet is checked again; a labeling with new sets is still cleaned
+    import cobsig.complex as complex_mod
+    calls = []
+    real = complex_mod._clean_labels
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complex_mod, "_clean_labels", counted)
+    twice = fourier_relabel(fourier_relabel(shell16))
+    assert calls == []
+    assert twice.complex.labels == shell16.complex.labels
+    shell16.complex.with_labels({t: set(f) for t, f in shell16.complex.labels.items()})
+    assert len(calls) == 1
+
+
 def test_fourier_relabel_shares_region_fields(square8):
     assert distance_field(fourier_relabel(square8), "A") is distance_field(square8, "X")
 

@@ -2,15 +2,18 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import cobsig as cs
 from cobsig import geodesy
 from cobsig.complex import region_vertices
+from cobsig.energy import FOURIER_PERMUTATION
 from cobsig.errors import GeodesyError, MetricError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
 from cobsig.geodesy import (_chord_lengths, _chord_template,
@@ -845,6 +848,107 @@ def test_every_raw_entry_is_a_distinct_pair(request, name):
         for tag in (None, "A", "X"):
             graph = _graph(sig, s, tag)
             assert graph.matrix.nnz == 2 * graph.pattern.n_raw
+
+
+def _pattern_the_concatenated_way(pattern):
+    """``indptr``, ``indices`` and ``slot_raw`` of ``pattern`` rebuilt from
+    int64 raw pairs gathered per group, both halves of the COO concatenated
+    and the payload decremented in a copy: the reference for the pattern's
+    in-place assembly."""
+    s, ne = pattern.s, len(pattern.edges)
+    rows = np.arange(ne)
+    src, dst = [], []
+    for t in range(s + 1):
+        step = 2 ** (s - t)
+        for j in range(2**t):
+            src.append(pattern.node_ids(rows, np.full(ne, j * step)))
+            dst.append(pattern.node_ids(rows, np.full(ne, (j + 1) * step)))
+    for faces, face_rows in pattern.cells:
+        slots, nodes, pairs = _chord_template(faces.shape[1] - 1, s)
+        gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
+        for k, desc in enumerate(nodes):
+            if desc[0] == "v":
+                gids[:, k] = faces[:, desc[1]]
+            else:
+                i, j = slots[desc[1]]
+                m = np.where(faces[:, i] > faces[:, j], 2**s - desc[2], desc[2])
+                gids[:, k] = pattern.node_ids(face_rows[:, desc[1]], m)
+        src.append(gids[:, pairs[:, 0]].ravel())
+        dst.append(gids[:, pairs[:, 1]].ravel())
+    i = np.concatenate(src, dtype=np.int32)
+    j = np.concatenate(dst, dtype=np.int32)
+    raw = np.arange(1, len(i) + 1, dtype=np.int32)
+    m = coo_matrix((np.concatenate([raw, raw]),
+                    (np.concatenate([i, j]), np.concatenate([j, i]))),
+                   shape=(pattern.n_nodes, pattern.n_nodes)).tocsr()
+    return m.indptr, m.indices, m.data - 1
+
+
+@pytest.mark.parametrize("name", ["square8", "shell16"])
+def test_pattern_matches_the_concatenated_build(request, name):
+    sig = request.getfixturevalue(name)
+    for s in range(4):
+        for tag in (None, "A", "X"):
+            pattern = _graph(sig, s, tag).pattern
+            want = _pattern_the_concatenated_way(pattern)
+            got = (pattern.indptr, pattern.indices, pattern.slot_raw)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["square8", "shell16"])
+def test_full_fill_does_not_depend_on_the_chord_block(request, name, monkeypatch):
+    # every chord is computed face by face, so blocks of any size, one
+    # block included, give the first fill's bytes
+    sig = request.getfixturevalue(name)
+    for s in (1, 2, 3):
+        for tag in (None, "A"):
+            pattern = _graph(sig, s, tag).pattern
+            lengths, data = pattern.reference
+            for block in (7, 1, 10**9):
+                monkeypatch.setattr(geodesy, "FILL_BLOCK", block)
+                assert pattern._full_data(lengths).tobytes() == data.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_graph_assembly_peaks_near_the_bytes_it_keeps(n):
+    # the pattern and the first fill allocate each full-size array once,
+    # so each peaks at 20 B per CSR entry against the 16 B kept (1.25x),
+    # and no (faces, chords) temporary grows with the mesh
+    sig = cs.gen_annular_shell(1, 2, 2, n)
+    tracemalloc.start()
+    try:
+        graph = _graph(sig, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pattern = graph.pattern
+    kept = sum(a.nbytes for a in (pattern.indptr, pattern.indices,
+                                  pattern.slot_raw, graph.weights))
+    assert peak <= 1.4 * kept
+
+
+def test_region_sources_are_kept_on_the_structure(shell16, monkeypatch):
+    sig = _copy(shell16)
+    distance_field(sig, "A")
+    calls = []
+    real = geodesy._facet_cells
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geodesy, "_facet_cells", counted)
+    _, noisy = next(_sweep(sig, "shell16"))
+    distance_field(noisy, "A")
+    # relabeled like fourier_relabel, but on a cache of its own
+    cx = sig.complex
+    labels = {new: cx.labels[old] for new, old in FOURIER_PERMUTATION.items()}
+    distance_field(Signal(cx.with_labels(labels), sig.metric, hints={}), "X")
+    assert calls == []
+    sources = geodesy._region_sources(noisy, _graph(noisy, 2), "A")
+    assert not sources.flags.writeable
 
 
 def _global_nodes(pattern, rows, nodes):

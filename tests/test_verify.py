@@ -283,6 +283,13 @@ def test_refinement_study_needs_two_levels():
         refinement_study("square", {}, [8])
 
 
+@pytest.mark.parametrize("resolutions", [[4, 4], [4, 8, 4]])
+def test_refinement_study_rejects_repeated_resolutions(resolutions):
+    # log(4 / 4) = 0 would make both observed orders NaN
+    with pytest.raises(ValueError, match="distinct"):
+        refinement_study("square", {}, resolutions, oracle_resolution=64)
+
+
 def test_refinement_scaling_between_geometries():
     # doubling the rectangle should scale E by the closed-form factor
     small = refinement_study("rectangle", {"width": 1.0, "height": 1.0},
