@@ -14,8 +14,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,9 +40,7 @@ class UsageError(Exception):
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject parameter values argparse cannot check on its own."""
-    if getattr(args, "resolution", None) is not None and args.resolution < 2:
-        raise UsageError("resolution must be at least 2")
+    """Reject parameter values that are bad only together."""
     delta0, delta = getattr(args, "delta0", None), getattr(args, "delta", None)
     if delta0 is not None and delta is not None and not 0 < delta0 < delta:
         raise UsageError("need 0 < delta0 < delta")
@@ -86,6 +86,25 @@ def _input_file(path: str) -> str:
     if os.path.isdir(path) or not os.access(path, os.R_OK):
         raise argparse.ArgumentTypeError(f"cannot read {path}")
     return path
+
+
+def _checked(kind, ok, need: str):
+    """argparse type of a number read by ``kind`` for which ``ok`` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_resolution = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+_level = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_size = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def _numbers(text: str, kind) -> list:
@@ -257,7 +276,7 @@ KINDS = ("square", "rectangle", "annular_shell")
 
 def _add_common(p, steiner=True, report_out=True):
     if steiner:
-        p.add_argument("--steiner-level", type=int, default=2,
+        p.add_argument("--steiner-level", type=_level, default=2,
                        help="edge refinement level for distance fields")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if report_out:
@@ -268,7 +287,7 @@ def _add_common(p, steiner=True, report_out=True):
 def _add_shape(p):
     for flag, default in (("--width", 1.0), ("--height", 1.0), ("--r0", 1.0),
                           ("--r1", 1.2)):
-        p.add_argument(flag, type=float, default=default)
+        p.add_argument(flag, type=_size, default=default)
 
 
 def _add_glue(p):
@@ -287,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a canonical instance to a mesh file")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--resolution", type=int, required=True)
+    p.add_argument("--resolution", type=_resolution, required=True)
     _add_shape(p)
     p.add_argument("--out", required=True)
 
@@ -360,24 +379,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolutions", required=True, type=_resolution_list,
                    help="comma-separated resolutions, at least two")
     _add_shape(p)
-    p.add_argument("--oracle-resolution", type=int, default=1024)
+    p.add_argument("--oracle-resolution", type=_positive_int, default=1024)
     _add_common(p)
 
     p = sub.add_parser("oracle",
                        help="independent midpoint-rule quadrature of the "
                             "closed-form distance fields")
     p.add_argument("--kind", required=True, choices=KINDS + ("rectangle_split_A",))
-    p.add_argument("--fine-resolution", type=int, default=1024)
+    p.add_argument("--fine-resolution", type=_positive_int, default=1024)
     _add_shape(p)
     _add_common(p, steiner=False)
 
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built once per process."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

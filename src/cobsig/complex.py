@@ -21,13 +21,15 @@ it once, with array operations, and every relabeling made with
 when they are the complex's own label sets, permuted) and ``validate`` adds
 only the label checks.  Other modules index these tables
 and derive no topology of their own; ``edge_rows`` is the one lookup from
-vertex pairs to edge rows.
+vertex pairs to edge rows, and ``edge_slots`` the one order of a simplex's
+edges.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,8 +57,8 @@ class CobordismComplex:
         Every distinct facet once, vertices ascending, rows lexsorted.
     boundary_facets : frozenset of the facet tuples with one simplex
     simplex_edge_rows : (nt, d(d+1)/2) int array, read-only
-        Row in ``edges()`` of each simplex's edge (i, j), i < j, in
-        ``itertools.combinations`` order.
+        Row in ``edges()`` of each simplex's edges, in slot order
+        (``edge_slots``).
     """
 
     def __init__(self, vertices, simplices, signs, labels, structure):
@@ -247,9 +249,8 @@ class _Structure:
     the set of those with one incident simplex, and ``violations`` the
     label-independent findings of ``validate``.  ``edges`` is the lexsorted
     table of distinct edges, and ``simplex_edge_rows`` holds, per top
-    simplex, the row of its edge (i, j) for each vertex-position pair i < j
-    in ``itertools.combinations`` order.  ``cache`` holds what
-    ``CobordismComplex.cached`` derives from the structure, such as
+    simplex, the row of each of its edges in slot order.  ``cache`` holds
+    what ``CobordismComplex.cached`` derives from the structure, such as
     refined-graph patterns.
     """
 
@@ -260,7 +261,7 @@ class _Structure:
         omit = np.array([[j for j in range(k) if j != o] for o in range(k)])
         faces = simp[:, omit].reshape(-1, d)
         inversions = sum((faces[:, i] > faces[:, j]).astype(np.int64)
-                         for i, j in itertools.combinations(range(d), 2))
+                         for i, j in edge_slots(d - 1))
         # the orientation simplex t induces on its face o, relative to the
         # face's sorted vertex order
         orient = (np.repeat(sgn, k) * np.tile((-1) ** np.arange(k), nt)
@@ -280,7 +281,7 @@ class _Structure:
                                      (order[first] // k).tolist(),
                                      (order[first + 1] // k).tolist())]
 
-        slots = np.array(list(itertools.combinations(range(k), 2)))
+        slots = edge_slots(d)
         self.edges, rows, _ = _group_rows(np.sort(simp[:, slots], axis=2).reshape(-1, 2))
         self.simplex_edge_rows = rows.reshape(nt, len(slots))
         self.facets = facets
@@ -289,6 +290,17 @@ class _Structure:
         self.cache: dict = {}
         for table in (self.edges, self.simplex_edge_rows, self.facets):
             table.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def edge_slots(q: int) -> np.ndarray:
+    """The vertex positions (i, j) of each edge of a q-simplex, in slot
+    order: pairs i < j in ``itertools.combinations`` order, as a read-only
+    (q(q+1)/2, 2) array.  Every per-edge table of a simplex, its edge rows,
+    lengths and chord coefficients, follows this one order."""
+    slots = np.stack(np.triu_indices(q + 1, 1), axis=1)
+    slots.flags.writeable = False
+    return slots
 
 
 def _group_rows(rows: np.ndarray):

@@ -31,9 +31,15 @@ class ScalarField:
         return self.values[idx]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
+        """The values, shared and read-only, as NumPy 2's protocol asks:
+        ``copy=True`` gives a new writable array, and ``copy=False`` raises
+        ValueError when ``dtype`` needs a copy."""
+        if copy:
+            return np.array(self.values, dtype=dtype)
+        values = np.asarray(self.values, dtype=dtype)
+        if copy is False and values is not self.values:
+            raise ValueError("converting the field's values needs a copy")
+        return values
 
     def tolist(self) -> list:
         """Plain list ordered by vertex index, ready for JSON output."""

@@ -47,24 +47,26 @@ CSR matrix is built only when a full search asks for it.
 
 A field on such a graph is the reference field updated by the incremental
 shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
-the plan's node set W.  W starts as the touched nodes and only grows: by
-every node that tight old edges lead to from an edge whose weight rose,
-and by the nodes a failed boundary check shows a lowering could reach.
-W's subgraph is built from the reference weights and kept on the plan
-until W grows; each update writes this graph's weights of the plan's
-slots into it, seeds W's boundary from the old distances and searches.
-The result is kept only if no boundary edge would lower an old distance
-outside W, and then it is exact, not approximate.  Rounding is
-monotone, so Dijkstra returns at each node the least left-to-right float
-sum over all paths.  Every node outside W keeps an old tree path whose
-weights did not rise, and the boundary check shows that no path through W
-beats it, so the update gives the full search's bits.  That argument needs
-W to hold only the touched nodes and the tight-below set; any larger W
-serves as well, which is why one W serves every field and every depth of a
-ball.  A deeper ball lowers more, so a sweep that starts from its smallest
-epsilon grows W once.  When the check fails, W grows once and is searched
-again, and after that the full search runs.  The update is tried only while
-the touched rows hold at most 1/LOCAL_SHARE of the entries.
+the plan's node set W, and the update only lowers: when an edge on which
+the old distances are tight (fl(d(u) + w_uv) == d(v)) rose, the full search
+runs.  W starts as the touched nodes and grows only by the nodes a failed
+boundary check shows a lowering could reach.  W's subgraph is built from
+the reference weights and kept on the plan until W grows; each update
+writes this graph's weights of the plan's slots into it, seeds W's
+boundary from the old distances and searches.  The result is kept only if
+no boundary edge would lower an old distance outside W, and then it is
+exact, not approximate.  Rounding is monotone, so Dijkstra returns at each
+node the least left-to-right float sum over all paths.  The old search's
+tree is built on tight edges and none of them rose, so every node outside
+W keeps an old tree path whose weights did not rise, and the boundary
+check shows that no path through W beats it: the update gives the full
+search's bits.  That argument needs W to hold only the touched nodes; any
+larger W serves as well, which is why one W serves every field and every
+depth of a ball.  A deeper ball lowers more, so a sweep that starts from
+its smallest epsilon grows W once.  When the check fails, W grows once and
+is searched again, and after that the full search runs.  The update is
+tried only while the touched rows hold at most 1/LOCAL_SHARE of the
+entries.
 
 A noise ball's own centre needs distances only out to its radius:
 ``distance_within`` stops Dijkstra at the radius plus BALL_ULPS ulp and
@@ -74,7 +76,6 @@ path, so each vertex within the bound gets the full search's bits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -82,7 +83,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .complex import REGION_TAGS, edge_rows, region_vertices
+from .complex import REGION_TAGS, edge_rows, edge_slots, region_vertices
 from .errors import GeodesyError, RegionError
 from .fields import ScalarField
 
@@ -145,52 +146,38 @@ class InjectivityEstimate:
 
 @lru_cache(maxsize=None)
 def _chord_template(q: int, s: int):
-    """Canonical refinement nodes of a q-simplex (q >= 2) and the chords it
-    owns.
+    """Canonical refinement nodes of a q-simplex (q >= 2), the chords it
+    owns and their Gram coefficients, as read-only arrays.
 
-    Nodes are the q+1 vertices plus the 2**s - 1 interior points of each of
-    the q(q+1)/2 edges.  A node's carrier is its vertex, or its edge's two
-    end vertices.  A node pair belongs to the smallest face that holds both
-    nodes, so the q-simplex keeps a pair only when the two carriers together
-    span all q+1 vertices: for q = 2 every pair on different edges, for
-    q = 3 only interior points of opposite edges.  No kept pair lies on a
-    common edge, whose sub-edge chain already covers it.
+    ``nodes`` holds each node's integer barycentric numerators over 2**s:
+    the q+1 vertices, then for each edge (i, j) in slot order (``edge_slots``)
+    its 2**s - 1 interior points by m, with 2**s - m at i and m at j.  A
+    node pair belongs to the smallest face that holds both nodes, so the
+    q-simplex keeps a pair, in ``pairs``, only when the two supports
+    together cover all q+1 vertices: for q = 2 every pair on different
+    edges, for q = 3 only interior points of opposite edges.  No kept pair
+    lies on a common edge, whose sub-edge chain already covers it.
+
+    ``coef`` is the (n_slots, n_pairs) table taking a q-face's squared edge
+    lengths to its squared chords: for barycentric w = a - b, |a - b|^2 =
+    -sum_{i<j} w_i w_j l_ij^2 (the Gram identity behind the volumes).  Each
+    w_i is a numerator over 2**s, so every entry is exact.
     """
-    slots = list(itertools.combinations(range(q + 1), 2))
-    # descriptor: ("v", position) or ("e", slot_index, m)
-    nodes = [("v", i) for i in range(q + 1)]
-    for si in range(len(slots)):
-        for m in range(1, 2**s):
-            nodes.append(("e", si, m))
-
-    def carrier(desc):
-        return {desc[1]} if desc[0] == "v" else set(slots[desc[1]])
-
-    pairs = [(a, b) for a, b in itertools.combinations(range(len(nodes)), 2)
-             if len(carrier(nodes[a]) | carrier(nodes[b])) == q + 1]
-    pairs_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return slots, nodes, pairs_arr
-
-
-@lru_cache(maxsize=None)
-def _chord_coefficients(q: int, s: int) -> np.ndarray:
-    """(n_slots, n_pairs) table taking a q-face's squared edge lengths to
-    its squared chords: for barycentric w = a - b, |a - b|^2 =
-    -sum_{i<j} w_i w_j l_ij^2 (the Gram identity behind the volumes).  Node
-    coordinates are multiples of 2**-s, so every entry is exact."""
-    slots, nodes, pairs = _chord_template(q, s)
-    bary = np.zeros((len(nodes), q + 1), dtype=np.float64)
-    for k, desc in enumerate(nodes):
-        if desc[0] == "v":
-            bary[k, desc[1]] = 1.0
-        else:
-            i, j = slots[desc[1]]
-            t = desc[2] / 2**s
-            bary[k, i], bary[k, j] = 1.0 - t, t
-    w = bary[pairs[:, 0]] - bary[pairs[:, 1]]
+    n, slots = 2**s, edge_slots(q)
+    m = np.tile(np.arange(1, n), len(slots))
+    ends = np.repeat(slots, n - 1, axis=0)
+    inner = np.zeros((len(m), q + 1), dtype=np.int64)
+    k = np.arange(len(m))
+    inner[k, ends[:, 0]], inner[k, ends[:, 1]] = n - m, m
+    nodes = np.concatenate([n * np.eye(q + 1, dtype=np.int64), inner])
+    a, b = np.triu_indices(len(nodes), 1)
+    keep = ((nodes[a] > 0) | (nodes[b] > 0)).all(axis=1)
+    pairs = np.stack([a[keep], b[keep]], axis=1)
+    w = (nodes[pairs[:, 0]] - nodes[pairs[:, 1]]) / n
     coef = np.array([-w[:, i] * w[:, j] for i, j in slots])
-    coef.flags.writeable = False
-    return coef
+    for table in (nodes, pairs, coef):
+        table.flags.writeable = False
+    return nodes, pairs, coef
 
 
 class _Pattern:
@@ -236,7 +223,7 @@ class _Pattern:
         self.cells = [(faces, rows) for faces, rows in cells if faces.shape[1] > 2]
         self.n_sub = len(edges) * (2 ** (s + 1) - 1)  # sub-edge raw entries
         n = self.n_raw = self.n_sub + sum(
-            len(faces) * len(_chord_template(faces.shape[1] - 1, s)[2])
+            len(faces) * len(_chord_template(faces.shape[1] - 1, s)[1])
             for faces, _ in self.cells)
         # the symmetric COO: raw entries (i, j), then their mirrors (j, i)
         row, col = np.empty((2, 2 * n), dtype=np.int32)
@@ -267,7 +254,7 @@ class _Pattern:
                 dst[pos:pos + ne] = self.node_ids(rows, (j + 1) * step)
                 pos += ne
         for faces, face_rows in self.cells:
-            pairs = _chord_template(faces.shape[1] - 1, s)[2]
+            pairs = _chord_template(faces.shape[1] - 1, s)[1]
             gids = self._face_nodes(faces, face_rows)
             end = pos + len(faces) * len(pairs)
             shape = (len(faces), len(pairs))
@@ -276,20 +263,17 @@ class _Pattern:
             pos = end
 
     def _face_nodes(self, faces: np.ndarray, face_rows: np.ndarray) -> np.ndarray:
-        """Graph node of every template node of the given faces, as a
-        (len(faces), n_template_nodes) int32 array."""
-        s = self.s
-        slots, nodes, _ = _chord_template(faces.shape[1] - 1, s)
-        gids = np.empty((len(faces), len(nodes)), dtype=np.int32)
-        for k, desc in enumerate(nodes):
-            if desc[0] == "v":
-                gids[:, k] = faces[:, desc[1]]
-            else:
-                si, m = desc[1], desc[2]
-                i, j = slots[si]
-                m_global = np.where(faces[:, i] > faces[:, j], 2**s - m, m)
-                gids[:, k] = self.node_ids(face_rows[:, si], m_global)
-        return gids
+        """Graph node of every template node of the given faces, in
+        ``_chord_template`` order, as a (len(faces), n_template_nodes)
+        int32 array: the face's vertices, then each slot's interior points
+        by m, which lie at m or 2**s - m along the edge row, as the slot's
+        first vertex is the row's smaller or larger one."""
+        i, j = edge_slots(faces.shape[1] - 1).T
+        m = np.arange(1, 2**self.s)
+        m = np.where((faces[:, i] > faces[:, j])[:, :, None], 2**self.s - m, m)
+        inner = self.nv + face_rows[:, :, None] * self._interior + (m - 1)
+        return np.concatenate([faces, inner.reshape(len(faces), -1)], axis=1,
+                              dtype=np.int32)
 
     def node_ids(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Graph node for parameter m/2**s along edge rows (m in 0..2**s)."""
@@ -443,7 +427,7 @@ def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
     start = pattern.n_sub
     offset = 0
     for (faces, _), hit_faces in zip(pattern.cells, hits):
-        n_pairs = len(_chord_template(faces.shape[1] - 1, s)[2])
+        n_pairs = len(_chord_template(faces.shape[1] - 1, s)[1])
         end = start + len(faces) * n_pairs
         grp = np.flatnonzero((raw >= start) & (raw < end))
         face, pair = np.divmod(raw[grp] - start, n_pairs)
@@ -464,7 +448,7 @@ def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
     ``face_lengths`` holds each face's edge lengths in slot order.  Summed
     slot by slot in one order for every s (no matmul), so a coarse chord
     reappears bit-identical at level s+1; rounding below 0 clamps to 0."""
-    coef = _chord_coefficients(q, s)
+    coef = _chord_template(q, s)[2]
     sq = face_lengths * face_lengths
     total = np.zeros((len(sq), coef.shape[1]), dtype=np.float64)
     term = np.empty_like(total)
@@ -556,8 +540,7 @@ def _facet_cells(cx, tag: str | None = None):
         if not cx.labels[tag]:
             raise RegionError(f"region {tag!r} has no facets")
         faces = np.array(sorted(cx.labels[tag]), dtype=np.int64)
-    slots = np.array(list(itertools.combinations(range(faces.shape[1]), 2)))
-    return faces, edge_rows(cx.edges(), faces[:, slots])
+    return faces, edge_rows(cx.edges(), faces[:, edge_slots(faces.shape[1] - 1)])
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
@@ -575,22 +558,6 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
         sources.flags.writeable = False
         return sources
     return cx.cached(("sources", graph.pattern.s, cx.labels[tag]), compute)
-
-
-def _mark_tight_below(indptr, indices, weights, dist, heads, mark) -> None:
-    """Set ``mark`` on ``heads`` and on every node a chain of tight edges
-    leads to from them: edges uv with fl(dist(u) + w_uv) == dist(v), on
-    which a shortest-path tree of ``dist`` is built."""
-    below = np.zeros(len(mark), dtype=bool)
-    front = np.unique(heads)
-    while len(front):
-        front = front[~below[front]]
-        below[front] = True
-        slots = _row_slots(indptr, front)
-        u = np.repeat(front, indptr[front + 1] - indptr[front])
-        v = indices[slots]
-        front = np.unique(v[dist[u] + weights[slots] == dist[v]])
-    mark |= below
 
 
 def _field(graph: _SteinerGraph, key, sources: np.ndarray) -> np.ndarray:
@@ -618,15 +585,15 @@ def _update_field(graph: _SteinerGraph, d_old: np.ndarray,
     """The reference field ``d_old`` updated to the graph's weights, bit for
     bit; None when the update does not apply or does not settle.
 
-    The update searches the node set W of the graph's plan, which must hold
-    the touched nodes and every node that a chain of tight old edges
-    (fl(d_old(u) + w_uv) == d_old(v)) leads to from the head of a tight
-    edge whose weight rose; W grows to hold them.  The old search's tree is
-    built on tight edges, so every node outside W keeps an old tree path
-    whose weights did not rise.  ``_solve_inside`` searches W's subgraph
-    from the sources in W and from seeds through W's boundary; when no
-    boundary edge leads outside to a smaller value, that is the full
-    search's result.  Otherwise W grows by ``_grow`` and is searched again.
+    The update only lowers: it does not apply when an old edge on which
+    ``d_old`` is tight (fl(d_old(u) + w_uv) == d_old(v)) rose.  The old
+    search's tree is built on tight edges, so otherwise every node outside
+    the node set W of the graph's plan, which holds the touched nodes,
+    keeps an old tree path whose weights did not rise.  ``_solve_inside``
+    searches W's subgraph from the sources in W and from seeds through W's
+    boundary; when no boundary edge leads outside to a smaller value, that
+    is the full search's result.  Otherwise W grows by ``_grow`` and is
+    searched again.
     The touched rows may hold at most 1/LOCAL_SHARE of the nnz and W twice
     that, so the worst case is two such searches and then the full one.
     W is kept on the plan for every later field and fill, so a field whose
@@ -634,20 +601,13 @@ def _update_field(graph: _SteinerGraph, d_old: np.ndarray,
     """
     plan, pattern = graph.plan, graph.pattern
     indptr, indices, w_old = pattern.indptr, pattern.indices, pattern.reference[1]
-    counts = np.diff(indptr)
     cap = len(indices) // LOCAL_SHARE
     if plan.nnz > cap or not np.all(np.isfinite(d_old)):
         return None
     risen = plan.slots[graph.weights > w_old[plan.slots]]
     heads = np.searchsorted(indptr, risen, side="right") - 1
-    heads = heads[d_old[indices[risen]] + w_old[risen] == d_old[heads]]
-    if len(heads):
-        grown = plan.inside.copy()
-        _mark_tight_below(indptr, indices, w_old, d_old, heads, grown)
-        if not np.array_equal(grown, plan.inside):
-            if counts[grown].sum() > 2 * cap:
-                return None
-            plan.inside, plan.sub = grown, None
+    if np.any(d_old[indices[risen]] + w_old[risen] == d_old[heads]):
+        return None
     is_source = np.zeros(pattern.n_nodes, dtype=bool)
     is_source[sources] = True
     for attempt in range(2):

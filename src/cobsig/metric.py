@@ -18,12 +18,11 @@ are pure functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .complex import CobordismComplex, REGION_TAGS, edge_rows
+from .complex import CobordismComplex, REGION_TAGS, edge_rows, edge_slots
 from .errors import MetricError, RegionError
 from .fields import ScalarField
 
@@ -125,11 +124,6 @@ def _cayley_menger_vol2(sq: np.ndarray, q: int) -> np.ndarray:
     return coeff * det
 
 
-def _slots(q: int) -> np.ndarray:
-    """The vertex-position pairs i < j of a q-simplex, in slot order."""
-    return np.array(list(itertools.combinations(range(q + 1), 2)))
-
-
 def simplex_volumes(metric: MetricField, simplices) -> np.ndarray:
     """Cayley-Menger volumes of a batch of simplices (rows of indices).
 
@@ -142,14 +136,14 @@ def simplex_volumes(metric: MetricField, simplices) -> np.ndarray:
         simp = simp[None, :]
     if simp.shape[1] == 2:
         return metric.pair_lengths(simp)
-    return slot_volumes(metric.pair_lengths(simp[:, _slots(simp.shape[1] - 1)]), simp)
+    return slot_volumes(metric.pair_lengths(simp[:, edge_slots(simp.shape[1] - 1)]), simp)
 
 
 def squared_lengths(lengths: np.ndarray, q: int) -> np.ndarray:
     """Symmetric (m, q+1, q+1) squared lengths from each q-simplex's edge
     lengths in slot order."""
     sq = np.zeros((len(lengths), q + 1, q + 1), dtype=np.float64)
-    for k, (i, j) in enumerate(_slots(q).tolist()):
+    for k, (i, j) in enumerate(edge_slots(q).tolist()):
         sq[:, i, j] = lengths[:, k] * lengths[:, k]
         sq[:, j, i] = sq[:, i, j]
     return sq

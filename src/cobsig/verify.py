@@ -370,6 +370,8 @@ def _midpoint_grid(width: float, height: float, m: int):
     """Midpoints of an m-wide grid of near-square cells over the
     rectangle [0, width] x [0, height], as meshgrid arrays X and Y, and the
     cell area."""
+    if not (width > 0 and height > 0):
+        raise ValueError(f"width and height must be positive, got {width}, {height}")
     nx = m
     ny = max(1, int(round(m * height / width)))
     xs = (np.arange(nx) + 0.5) * (width / nx)
@@ -386,9 +388,12 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
     lower half plus the right edge of the upper half, used to exhibit a
     strictly sub-additive composition).  This function deliberately shares
     no code with the mesh pipeline: distances are closed-form expressions
-    and the quadrature is a plain midpoint sum.
+    and the quadrature is a plain midpoint sum.  A ``fine_resolution``
+    below 1 or a size that is not positive raises ValueError.
     """
     m = int(fine_resolution)
+    if m < 1:
+        raise ValueError(f"fine_resolution must be at least 1, got {m}")
     if kind in ("square", "rectangle"):
         w = float(params.get("width", 1.0))
         h = float(params.get("height", 1.0))
@@ -420,6 +425,8 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
         r0 = float(params["r0"])
         r1 = float(params["r1"])
         h = float(params["height"])
+        if not (0 < r0 < r1 and h > 0):
+            raise ValueError(f"need 0 < r0 < r1 and a positive height, got {r0}, {r1}, {h}")
         nr = m
         nz = max(1, int(round(m * h / (r1 - r0))))
         rs = r0 + (np.arange(nr) + 0.5) * ((r1 - r0) / nr)

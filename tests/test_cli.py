@@ -318,6 +318,18 @@ def test_cli_bad_parameters_exit_2(tmp_path, capsys):
                              "--resolutions", resolutions)
         assert (code, out) == (2, ""), resolutions
         assert "--resolutions" in err, resolutions
+    # numbers out of range: resolutions below 1, negative sizes and levels
+    for argv in (["oracle", "--kind", "square", "--fine-resolution", "0"],
+                 ["oracle", "--kind", "square", "--fine-resolution", "-4"],
+                 ["oracle", "--kind", "rectangle", "--width", "-1"],
+                 ["refine-study", "--kind", "square", "--resolutions", "4,8",
+                  "--oracle-resolution", "0"],
+                 ["generate", "--kind", "rectangle", "--resolution", "4",
+                  "--out", str(tmp_path / "x.json"), "--height", "0"],
+                 ["energy", mesh, "--steiner-level", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert argv[-2] in err, argv
 
 
 def test_cli_unwritable_output_exits_1(tmp_path, capsys):

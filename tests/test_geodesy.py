@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import cobsig as cs
 from cobsig import geodesy
-from cobsig.complex import region_vertices
+from cobsig.complex import edge_slots, region_vertices
 from cobsig.energy import FOURIER_PERMUTATION
 from cobsig.errors import GeodesyError, MetricError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
@@ -42,6 +42,48 @@ def test_zero_set_matches_region(square8):
             assert f.values[v] == 0.0
         else:
             assert f.values[v] > 0.0
+
+
+def test_field_converts_to_an_array_as_numpy_asks(square8):
+    f = distance_field(square8, "A")
+    shared = np.asarray(f)
+    assert np.shares_memory(shared, f.values) and not shared.flags.writeable
+    copied = np.array(f, copy=True)
+    assert not np.shares_memory(copied, f.values) and copied.flags.writeable
+    copied += 1.0
+    assert np.array_equal(shared, f.values)
+    assert np.array(f, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.array(f, dtype=np.float32, copy=False)
+
+
+# the largest relative overestimate of the corner distance on a square
+# mesh per Steiner level s = 0-3, the same for every n
+CORNER_OVERESTIMATE = (8.239e-2, 2.748e-2, 1.013e-2, 3.096e-3)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_corner_distance_against_hypot(n):
+    # the chords against a closed form: the distance from the corner (0, 0)
+    # of the unit square is hypot(x, y)
+    sig = cs.gen_square(n)
+    xy = sig.complex.vertices
+    corner = int(np.flatnonzero(~xy.any(axis=1))[0])
+    want = np.hypot(xy[:, 0], xy[:, 1])
+    far = want > 0
+    eps = np.finfo(np.float64).eps
+    for s, pinned in enumerate(CORNER_OVERESTIMATE):
+        got = distance_to_vertex(sig, corner, s).values
+        # every graph edge is a straight segment in the square, so every
+        # path is at least hypot long.  Each weight is within 8 eps of its
+        # segment's length (a norm of dyadic coordinates, or the square root
+        # of a three-term Gram sum with exact coefficients), and a computed
+        # distance sums a simple path, at most n_nodes terms, left to right,
+        # each addition losing at most eps/2 relative.
+        n_nodes = _graph(sig, s).pattern.n_nodes
+        assert np.all(got >= want * (1.0 - (8 + n_nodes) * eps)), s
+        worst = np.max((got[far] - want[far]) / want[far])
+        assert worst == pytest.approx(pinned, rel=0.01), s
 
 
 def test_lipschitz_along_edges(square8, shell16):
@@ -106,17 +148,8 @@ def test_simplex_violating_metric_gets_no_graph():
 def _embedded_chords(points, s):
     """Euclidean chord lengths of one embedded simplex, in template pair
     order, from the interpolated ambient points."""
-    q = len(points) - 1
-    slots, nodes, pairs = _chord_template(q, s)
-    at = []
-    for desc in nodes:
-        if desc[0] == "v":
-            at.append(points[desc[1]])
-        else:
-            i, j = slots[desc[1]]
-            t = desc[2] / 2**s
-            at.append((1.0 - t) * points[i] + t * points[j])
-    at = np.array(at)
+    nodes, pairs, _ = _chord_template(len(points) - 1, s)
+    at = nodes / 2**s @ points
     return np.linalg.norm(at[pairs[:, 0]] - at[pairs[:, 1]], axis=1)
 
 
@@ -137,7 +170,7 @@ def _well_shaped(rng, q, ambient, count):
 @pytest.mark.parametrize("q, ambient", [(2, 2), (2, 3), (3, 3)])
 def test_chord_lengths_match_embedded_distances(q, ambient):
     rng = np.random.default_rng(7)
-    slots = _chord_template(q, 1)[0]
+    slots = edge_slots(q)
     simplices = _well_shaped(rng, q, ambient, 50)
     lengths = np.array([[np.linalg.norm(p[i] - p[j]) for i, j in slots]
                         for p in simplices])
@@ -153,12 +186,12 @@ def test_chords_reappear_bit_identical_at_the_next_level(shell16, q):
     rows = cx.simplex_edge_rows if q == 3 else geodesy._facet_cells(cx)[1]
     lengths = shell16.metric.lengths[rows]
     for s in (1, 2, 3):
-        coarse_nodes, coarse_pairs = _chord_template(q, s)[1:]
-        fine_nodes, fine_pairs = _chord_template(q, s + 1)[1:]
-        # node m/2**s of an edge is node 2m/2**(s+1)
-        index = {d: k for k, d in enumerate(fine_nodes)}
-        lift = [index[d if d[0] == "v" else (d[0], d[1], 2 * d[2])]
-                for d in coarse_nodes]
+        coarse_nodes, coarse_pairs, _ = _chord_template(q, s)
+        fine_nodes, fine_pairs, _ = _chord_template(q, s + 1)
+        # a node's numerators over 2**s, doubled, are its numerators over
+        # 2**(s+1)
+        index = {tuple(row): k for k, row in enumerate(fine_nodes.tolist())}
+        lift = [index[tuple(row)] for row in (2 * coarse_nodes).tolist()]
         fine_at = {(a, b): k for k, (a, b) in enumerate(fine_pairs.tolist())}
         at = [fine_at[(lift[a], lift[b])] for a, b in coarse_pairs.tolist()]
         coarse = _chord_lengths(lengths, q, s).reshape(len(lengths), -1)
@@ -616,10 +649,10 @@ def _risen_tree_chords(graph, reference, sources):
     return np.count_nonzero(rose & (pattern.slot_raw[slot] >= pattern.n_sub))
 
 
-def test_field_update_from_a_noisy_reference(shell16):
+def test_field_update_from_a_noisy_reference(shell16, monkeypatch):
     # the reverse direction: the noisy metric is the reference and the base
     # metric the target, so weights rise across the ball, chords among them,
-    # on tree edges whose subtrees must be searched again
+    # on tree edges; the update only lowers, so each field is one full search
     sig = _copy(shell16)
     p, noisy = next(_sweep(sig, "shell16"))
     ref = _fresh(noisy)
@@ -630,11 +663,15 @@ def test_field_update_from_a_noisy_reference(shell16):
                                              "induced"))
     graph = _graph(target, 2)
     assert graph.plan is not None
+    calls = _count_searches(monkeypatch, graph.pattern.n_nodes)
     for key, field in _fields(p).items():
         sources = (np.array([p]) if key == "vertex"
                    else geodesy._region_sources(ref, reference, key))
         assert _risen_tree_chords(graph, reference, sources) > 0, key
-        assert field(target).values.tobytes() == field(sig).values.tobytes()
+        calls.clear()
+        got = field(target)
+        assert calls == ["full"], key
+        assert got.values.tobytes() == field(sig).values.tobytes()
 
 
 def test_eps_sweep_updates_the_x_fields_on_the_subgraph(shell16, monkeypatch):
@@ -864,15 +901,20 @@ def _pattern_the_concatenated_way(pattern):
             src.append(pattern.node_ids(rows, np.full(ne, j * step)))
             dst.append(pattern.node_ids(rows, np.full(ne, (j + 1) * step)))
     for faces, face_rows in pattern.cells:
-        slots, nodes, pairs = _chord_template(faces.shape[1] - 1, s)
+        q = faces.shape[1] - 1
+        nodes, pairs, _ = _chord_template(q, s)
+        slot = {pair: k for k, pair in enumerate(map(tuple, edge_slots(q).tolist()))}
         gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
-        for k, desc in enumerate(nodes):
-            if desc[0] == "v":
-                gids[:, k] = faces[:, desc[1]]
+        for k, row in enumerate(nodes.tolist()):
+            # a vertex has one nonzero numerator; a point on the face's
+            # edge (i, j) has two, m over 2**s at j
+            ends = [i for i, x in enumerate(row) if x]
+            if len(ends) == 1:
+                gids[:, k] = faces[:, ends[0]]
             else:
-                i, j = slots[desc[1]]
-                m = np.where(faces[:, i] > faces[:, j], 2**s - desc[2], desc[2])
-                gids[:, k] = pattern.node_ids(face_rows[:, desc[1]], m)
+                i, j = ends
+                m = np.where(faces[:, i] > faces[:, j], 2**s - row[j], row[j])
+                gids[:, k] = pattern.node_ids(face_rows[:, slot[i, j]], m)
         src.append(gids[:, pairs[:, 0]].ravel())
         dst.append(gids[:, pairs[:, 1]].ravel())
     i = np.concatenate(src, dtype=np.int32)

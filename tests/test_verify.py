@@ -248,6 +248,18 @@ def test_oracle_unknown_kind():
         grid_oracle("torus", {}, 64)
 
 
+@pytest.mark.parametrize("kind, params, m", [
+    ("square", {}, 0),
+    ("square", {}, -4),
+    ("rectangle", {"width": -1.0}, 64),
+    ("rectangle_split_A", {"height": 0.0}, 64),
+    ("annular_shell", {"r0": 1.0, "r1": 1.0, "height": 1.0}, 64),
+])
+def test_oracle_rejects_bad_parameters(kind, params, m):
+    with pytest.raises(ValueError):
+        grid_oracle(kind, params, m)
+
+
 def test_oracle_independent_of_mesh_quadrature(monkeypatch, square_oracle):
     # corrupting the mesh pipeline's quadrature must not move the oracle
     import importlib
