@@ -26,7 +26,7 @@ from .complex import ValidationReport, validate
 from .energy import energy, fourier_energy, fourier_relabel, ratio_of
 from .errors import CobsigError
 from .generators import generate
-from .geodesy import BALL_ULPS, distance_within
+from .geodesy import BALL_ULPS, DEFAULT_STEINER_LEVEL, distance_within
 from .signalops import NoiseSpec, apply_noise, compose, extract_filter
 from .verify import (check_composition, check_thm1_bounds, eps_sweep,
                      grid_oracle, refinement_study)
@@ -237,7 +237,7 @@ def cmd_sweep_eps(args: argparse.Namespace) -> int:
     for radius in (spec.delta0, spec.delta):
         near |= np.abs(rho - radius) <= BALL_ULPS * np.spacing(radius)
     if near.any():
-        print(f"warning: {int(near.sum())} vertices lie within 4 ulp of delta0 "
+        print(f"warning: {int(near.sum())} vertices lie within {BALL_ULPS} ulp of delta0 "
               "or delta; their ball membership rests on rounding",
               file=sys.stderr)
     return 0
@@ -276,7 +276,7 @@ KINDS = ("square", "rectangle", "annular_shell")
 
 def _add_common(p, steiner=True, report_out=True):
     if steiner:
-        p.add_argument("--steiner-level", type=_level, default=2,
+        p.add_argument("--steiner-level", type=_level, default=DEFAULT_STEINER_LEVEL,
                        help="edge refinement level for distance fields")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if report_out:

@@ -5,12 +5,18 @@ Mesh file layout: {"dim", "ambient_dim", "vertices", "simplices"
 plus an optional "metric" array of {"edge": [u, v], "length": l} entries
 (absent means the ambient-induced metric) and an optional "hints" object.
 Numbers are written in full double precision, so a save/load round trip is
-the identity on the data model.
+the identity on the data model.  Mesh files are written on one line, which
+keeps ``json.dumps`` on its C encoder.  Every index field -- simplex
+"verts" and "sign", label facets, metric "edge", correspondence "pairs",
+keep "simplices" and keep "axis" -- must hold JSON integers; a float or a bool there makes
+the file malformed.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +42,31 @@ def signal_to_dict(signal: Signal, include_metric: bool | None = None) -> dict:
     return out
 
 
+def _check_ints(values) -> None:
+    """Raise TypeError unless every item of ``values`` is an integer.  A
+    float or a bool is none: np.int64 would truncate the one and read the
+    other as 0 or 1, so an index file would load silently wrong."""
+    kinds = {k for k in set(map(type, values))
+             if not issubclass(k, Integral) or issubclass(k, bool)}
+    if kinds:
+        raise TypeError("expected integers, got "
+                        + ", ".join(sorted(k.__name__ for k in kinds)))
+
+
 def complex_from_dict(data: dict) -> CobordismComplex:
     try:
         verts = np.array(data["vertices"], dtype=np.float64)
-        simp = np.array([s["verts"] for s in data["simplices"]], dtype=np.int64)
-        signs = np.array([s.get("sign", 1) for s in data["simplices"]],
-                         dtype=np.int64)
+        rows = [s["verts"] for s in data["simplices"]]
+        signs = [s.get("sign", 1) for s in data["simplices"]]
         labels = {
             tag: [tuple(f) for f in facets]
             for tag, facets in data.get("labels", {}).items()
         }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _check_ints(chain(chain.from_iterable(rows), signs,
+                          *(chain.from_iterable(f) for f in labels.values())))
+        simp = np.array(rows, dtype=np.int64)
+        signs = np.array(signs, dtype=np.int64)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc
     return build_complex(verts, simp, labels, signs)
 
@@ -60,12 +80,14 @@ def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
     metric = None  # the induced metric
     try:
         if "metric" in data:
-            edges = np.array([m["edge"] for m in data["metric"]], dtype=np.int64)
+            rows = [m["edge"] for m in data["metric"]]
+            _check_ints(chain.from_iterable(rows))
+            edges = np.array(rows, dtype=np.int64)
             edges.sort(axis=1)
             lengths = np.array([m["length"] for m in data["metric"]])
             metric = MetricField(edges, lengths, "deformed")
         hints = {k: float(v) for k, v in data.get("hints", {}).items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc
     return make_signal(cx, metric, hints)
 
@@ -79,7 +101,7 @@ def write_text(path, text: str) -> None:
 
 
 def save_signal(signal: Signal, path) -> None:
-    write_text(path, json.dumps(signal_to_dict(signal), indent=2) + "\n")
+    write_text(path, json.dumps(signal_to_dict(signal)) + "\n")
 
 
 def read_json(path):
@@ -103,8 +125,9 @@ def save_correspondence(corr: Correspondence, path) -> None:
 def load_correspondence(path) -> Correspondence:
     data = read_json(path)
     try:
-        return Correspondence(tuple(tuple(p) for p in data["pairs"]),
-                              float(data["tolerance"]))
+        pairs = tuple(tuple(p) for p in data["pairs"])
+        _check_ints(chain.from_iterable(pairs))
+        return Correspondence(pairs, float(data["tolerance"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc
 
@@ -121,11 +144,16 @@ def kept_simplices_from_spec(signal: Signal, spec: dict) -> np.ndarray:
     cx = signal.complex
     try:
         if "simplices" in spec:
-            return np.asarray(spec["simplices"], dtype=np.int64)
+            kept = spec["simplices"]
+            if not isinstance(kept, list):
+                raise TypeError("'simplices' must be a list of simplex indices")
+            _check_ints(kept)
+            return np.array(kept, dtype=np.int64)
+        _check_ints([spec["axis"]])
         axis = int(spec["axis"])
         lo = float(spec.get("min", -np.inf))
         hi = float(spec.get("max", np.inf))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed keep file: {exc!r}") from exc
     if not 0 <= axis < cx.ambient_dim:
         raise CobsigError(f"keep axis {axis} is not one of the "

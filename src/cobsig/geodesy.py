@@ -3,35 +3,39 @@
 Distances are graph shortest paths on a Steiner-refined 1-skeleton: every
 edge is split into 2**s sub-edges, and for s >= 1 chords join refinement
 points sitting on different edges of a common simplex.  Every node pair has
-one owner, the smallest face holding both nodes: a triangle owns the chords
-between its edges, and in 3D a tetrahedron owns only those between the
-interior points of its opposite edges, so each chord is built once, from
-its owner's edge lengths.  A chord's squared length is a fixed linear
-combination of its owner's squared edge lengths (the Cayley-Menger / Gram
-identity, with exact dyadic coefficients), so no face is embedded and the
-construction works for deformed (non-embedded) metrics.
+one owner, the smallest face holding both nodes: an edge owns its sub-edges
+of every level, a triangle owns the chords between its edges, and in 3D a
+tetrahedron owns only those between the interior points of its opposite
+edges, so each pair is built once, from its owner's edge lengths.  A pair's
+squared length is a fixed linear combination of its owner's squared edge
+lengths (the Cayley-Menger / Gram identity, with exact dyadic coefficients),
+so no face is embedded and the construction works for deformed
+(non-embedded) metrics.
 
 The refined graph at level s+1 contains the level-s graph edge-for-edge with
-bit-identical weights (sub-edge lengths are exact halvings, coarse chords
-reappear with the same endpoints, owner and coefficients), so distance
-fields are exactly non-increasing in s.  Results are upper bounds on the
-true geodesic distances and are deterministic across runs.
+bit-identical weights (a sub-edge's coefficient is an exact power of 1/4, so
+its length is an exact halving, and coarse chords reappear with the same
+endpoints, owner and coefficients), so distance fields are exactly
+non-increasing in s.  Results are upper bounds on the true geodesic
+distances and are deterministic across runs.
 
 A graph is built in two parts.  Its pattern -- node layout, the node pair
-of every sub-edge and chord, and the CSR ``indptr``/``indices`` -- depends
-only on the complex's structure, the owner faces (the top simplices, and in
-3D the facet table; or one region's facets) and s.  It reads its edge
-table and the edge rows of its faces from the structure (``edges()``,
-``simplex_edge_rows`` and ``facets`` for the whole complex; a region keeps
-a compact table of its own edges, found once through ``edge_rows``), and is
-kept on the structure that noise, relabelings and every signal on the
-complex share.  Since no raw entry repeats a pair, scipy's COO -> CSR
-conversion builds it.  Each metric then only refills the weights from
-``lengths[rows]``: chord lengths from one constant coefficient table per
-face dimension and s, and one scatter into the shared pattern, with no
-search, no sort and no COO conversion.  The scheme is the Steiner-point
-discretization of Lanthier, Maheshwari and Sack (Algorithmica 30, 2001)
-and of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
+of every raw entry and the CSR ``indptr``/``indices`` -- depends only on
+the complex's structure, the owner faces (the edge table, the top
+simplices, and in 3D the facet table; or one region's edges and facets) and
+s.  Its raw entries come face group by face group, edges first: face f of a
+group contributes its template's pairs (``_chord_template``) in order.  It
+reads its edge table and the edge rows of its faces from the structure
+(``edges()``, ``simplex_edge_rows`` and ``facets`` for the whole complex; a
+region keeps a compact table of its own edges, found once through
+``edge_rows``), and is kept on the structure that noise, relabelings and
+every signal on the complex share.  Since no raw entry repeats a pair,
+scipy's COO -> CSR conversion builds it.  Each metric then only refills the
+weights from ``lengths[rows]``: pair lengths from one constant coefficient
+table per face dimension and s, and one scatter into the shared pattern,
+with no search, no sort and no COO conversion.  The scheme is the
+Steiner-point discretization of Lanthier, Maheshwari and Sack (Algorithmica
+30, 2001) and of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
 
 A metric that differs from the pattern's first fill only inside a noise
 ball costs work only there, and the ball, not the metric, is the unit of
@@ -39,11 +43,11 @@ that work.  The first fill is the pattern's reference: it keeps its lengths
 and CSR ``data``, and the full field of each source set searched on it.  A
 later fill compares its lengths with the reference's bit for bit.  The rows
 that changed key the pattern's one plan (``_Plan``): the touched nodes, the
-decoded CSR slots of the sub-edges of changed rows and of the chords of
-faces holding one, and the hit faces.  The plan is built once per set of
-changed rows, so every depth of the same ball only recomputes those
-weights.  The graph is the reference ``data`` plus those weights; its full
-CSR matrix is built only when a full search asks for it.
+decoded CSR slots of the pairs of every face holding a changed edge, and
+those faces.  The plan is built once per set of changed rows, so every
+depth of the same ball only recomputes those weights.  The graph is the
+reference ``data`` plus those weights; its full CSR matrix is built only
+when a full search asks for it.
 
 A field on such a graph is the reference field updated by the incremental
 shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
@@ -106,8 +110,8 @@ CUT_TAU = 0.05
 #: Sources per Dijkstra call when all pairwise distances are kept.
 SEARCH_BLOCK = 64
 
-#: Faces per block when a full fill computes chord lengths, which bounds
-#: the fill's (faces, chords) float temporaries whatever the mesh size.
+#: Faces per block when a full fill computes pair lengths, which bounds
+#: the fill's (faces, pairs) float temporaries whatever the mesh size.
 FILL_BLOCK = 256
 
 #: Local work pays only for a small change: a fill is local while at most
@@ -146,7 +150,7 @@ class InjectivityEstimate:
 
 @lru_cache(maxsize=None)
 def _chord_template(q: int, s: int):
-    """Canonical refinement nodes of a q-simplex (q >= 2), the chords it
+    """Canonical refinement nodes of a q-simplex (q >= 1), the node pairs it
     owns and their Gram coefficients, as read-only arrays.
 
     ``nodes`` holds each node's integer barycentric numerators over 2**s:
@@ -155,13 +159,17 @@ def _chord_template(q: int, s: int):
     node pair belongs to the smallest face that holds both nodes, so the
     q-simplex keeps a pair, in ``pairs``, only when the two supports
     together cover all q+1 vertices: for q = 2 every pair on different
-    edges, for q = 3 only interior points of opposite edges.  No kept pair
-    lies on a common edge, whose sub-edge chain already covers it.
+    edges, for q = 3 only interior points of opposite edges.  An edge
+    (q = 1) owns every pair on it and keeps its sub-edges of every level
+    t = 0..s, the dyadic intervals [j 2**(s-t), (j+1) 2**(s-t)] of its
+    parameter: 2**(s+1) - 1 pairs, the coarser ones kept as skip edges so
+    that refinement can only shorten paths.
 
     ``coef`` is the (n_slots, n_pairs) table taking a q-face's squared edge
-    lengths to its squared chords: for barycentric w = a - b, |a - b|^2 =
-    -sum_{i<j} w_i w_j l_ij^2 (the Gram identity behind the volumes).  Each
-    w_i is a numerator over 2**s, so every entry is exact.
+    lengths to its squared pair lengths: for barycentric w = a - b,
+    |a - b|^2 = -sum_{i<j} w_i w_j l_ij^2 (the Gram identity behind the
+    volumes).  Each w_i is a numerator over 2**s, so every entry is exact;
+    a level-t sub-edge's is 4**-t.
     """
     n, slots = 2**s, edge_slots(q)
     m = np.tile(np.arange(1, n), len(slots))
@@ -172,6 +180,10 @@ def _chord_template(q: int, s: int):
     nodes = np.concatenate([n * np.eye(q + 1, dtype=np.int64), inner])
     a, b = np.triu_indices(len(nodes), 1)
     keep = ((nodes[a] > 0) | (nodes[b] > 0)).all(axis=1)
+    if q == 1:
+        # a sub-edge spans a power of two that divides its start
+        lo, span = np.minimum(nodes[a, 1], nodes[b, 1]), np.abs(nodes[a, 1] - nodes[b, 1])
+        keep &= (span & (span - 1) == 0) & (lo % span == 0)
     pairs = np.stack([a[keep], b[keep]], axis=1)
     w = (nodes[pairs[:, 0]] - nodes[pairs[:, 1]]) / n
     coef = np.array([-w[:, i] * w[:, j] for i, j in slots])
@@ -183,22 +195,24 @@ def _chord_template(q: int, s: int):
 class _Pattern:
     """Metric-free part of a refined graph: node layout and CSR structure.
 
-    ``edges`` is the pattern's edge table and ``cells`` a list of
-    (faces, rows) pairs, one per face dimension: each face's vertices and
-    the row in ``edges`` of each face edge, in slot order.  Both come from
-    the complex's structure.  Faces below dimension 2 own no chords.  Node
-    layout: indices 0..nv-1 are the original vertices; the interior points
-    of edge row k occupy nv + k*(2**s - 1) .. in parameter order (measured
-    from the smaller-index endpoint).
+    ``edges`` is the pattern's edge table.  ``cells`` lists the face
+    groups, one per face dimension, as (faces, rows) pairs: each face's
+    vertices and the row in ``edges`` of each face edge, in slot order.  The
+    edge table itself is the first group, each edge its own row; the groups
+    of faces of dimension 2 and 3 follow as given, from the complex's
+    structure.  Node layout: indices 0..nv-1 are the original vertices; the
+    interior points of edge row k occupy nv + k*(2**s - 1) .. in parameter
+    order (measured from the smaller-index endpoint), and ``_face_nodes``
+    is the one map from a face's template nodes to them.
 
-    The graph's raw entries are, in order, the sub-edges of every level
-    t = 0..s (kept as skip edges so refinement can only shorten paths) and
-    then the chords of each face, group by group.  Every node pair has one
-    owner: the edge it lies on, or else the smallest face holding both
-    nodes (``_chord_template``).  With each face listed once, every raw
-    entry is a distinct pair, so scipy's COO -> CSR conversion, with the raw
-    entry as payload, gives the canonical ``indptr``/``indices`` of the
-    symmetric matrix, and ``slot_raw`` is the raw entry behind each slot.
+    The graph's raw entries are laid out face group by face group: raw
+    entry start_g + f * n_pairs + p is pair p of ``_chord_template`` of face
+    f of group g.  Every node pair has one owner: the edge it lies on, or
+    else the smallest face holding both nodes.  With each face listed once,
+    every raw entry is a distinct pair, so scipy's COO -> CSR conversion,
+    with the raw entry as payload, gives the canonical ``indptr``/``indices``
+    of the symmetric matrix, and ``slot_raw`` is the raw entry behind each
+    slot.
 
     Per CSR entry the graph keeps 4 B of ``indices``, 4 B of ``slot_raw``
     and 8 B of ``data`` (16 B, plus ``indptr``).  The assembly allocates
@@ -220,11 +234,10 @@ class _Pattern:
         self.edges = edges
         self._interior = 2**s - 1
         self.n_nodes = nv + len(edges) * self._interior
-        self.cells = [(faces, rows) for faces, rows in cells if faces.shape[1] > 2]
-        self.n_sub = len(edges) * (2 ** (s + 1) - 1)  # sub-edge raw entries
-        n = self.n_raw = self.n_sub + sum(
-            len(faces) * len(_chord_template(faces.shape[1] - 1, s)[1])
-            for faces, _ in self.cells)
+        self.cells = [(edges, np.arange(len(edges))[:, None])] + [
+            (faces, rows) for faces, rows in cells if faces.shape[1] > 2]
+        n = self.n_raw = sum(len(faces) * len(_chord_template(faces.shape[1] - 1, s)[1])
+                             for faces, _ in self.cells)
         # the symmetric COO: raw entries (i, j), then their mirrors (j, i)
         row, col = np.empty((2, 2 * n), dtype=np.int32)
         self._raw_pairs(row[:n], col[:n])
@@ -244,17 +257,9 @@ class _Pattern:
     def _raw_pairs(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Write the node pair (i, j) of every raw entry, in order, into
         ``src`` and ``dst``."""
-        s, ne = self.s, len(self.edges)
-        rows = np.arange(ne, dtype=np.int64)
         pos = 0
-        for t in range(s + 1):
-            step = 2 ** (s - t)
-            for j in range(2**t):
-                src[pos:pos + ne] = self.node_ids(rows, j * step)
-                dst[pos:pos + ne] = self.node_ids(rows, (j + 1) * step)
-                pos += ne
         for faces, face_rows in self.cells:
-            pairs = _chord_template(faces.shape[1] - 1, s)[1]
+            pairs = _chord_template(faces.shape[1] - 1, self.s)[1]
             gids = self._face_nodes(faces, face_rows)
             end = pos + len(faces) * len(pairs)
             shape = (len(faces), len(pairs))
@@ -274,22 +279,6 @@ class _Pattern:
         inner = self.nv + face_rows[:, :, None] * self._interior + (m - 1)
         return np.concatenate([faces, inner.reshape(len(faces), -1)], axis=1,
                               dtype=np.int32)
-
-    def node_ids(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Graph node for parameter m/2**s along edge rows (m in 0..2**s)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        m = np.asarray(m, dtype=np.int64)
-        out = self.nv + rows * self._interior + (m - 1)
-        out = np.where(m == 0, self.edges[rows, 0], out)
-        out = np.where(m == 2**self.s, self.edges[rows, 1], out)
-        return out
-
-    def steiner_ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """All interior refinement nodes of the given edge rows."""
-        if self._interior == 0 or len(rows) == 0:
-            return np.empty(0, dtype=np.int64)
-        base = self.nv + np.asarray(rows, dtype=np.int64)[:, None] * self._interior
-        return (base + np.arange(self._interior)[None, :]).ravel()
 
     def fill(self, lengths: np.ndarray):
         """CSR ``data`` for per-edge ``lengths`` and the plan of a local fill.
@@ -319,27 +308,21 @@ class _Pattern:
         return None, self.plan
 
     def _full_data(self, lengths: np.ndarray) -> np.ndarray:
-        """The weight of every raw entry, scattered into the pattern.
-        Sub-edges weigh ``lengths / 2**t``; chords come from each face's
-        squared edge lengths through ``_chord_lengths``, FILL_BLOCK faces
-        at a time.  Only the raw weights outlive a block: 4 B per CSR entry
-        (each raw entry fills two slots), so with the pattern's 8 B and the
-        returned 8 B of ``data`` the fill peaks at 20 B per entry."""
-        ne = len(self.edges)
+        """The weight of every raw entry, scattered into the pattern: each
+        group's pair lengths come from its faces' edge lengths through
+        ``_chord_lengths``, FILL_BLOCK faces at a time.  Only the raw weights
+        outlive a block: 4 B per CSR entry (each raw entry fills two slots),
+        so with the pattern's 8 B and the returned 8 B of ``data`` the fill
+        peaks at 20 B per entry."""
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
-        for t in range(self.s + 1):
-            seg_w = lengths / np.float64(2**t)
-            for _ in range(2**t):
-                w[pos:pos + ne] = seg_w
-                pos += ne
         for faces, face_rows in self.cells:
             q = faces.shape[1] - 1
             for start in range(0, len(faces), FILL_BLOCK):
                 block = face_rows[start:start + FILL_BLOCK]
-                chords = _chord_lengths(lengths[block], q, self.s)
-                w[pos:pos + len(chords)] = chords
-                pos += len(chords)
+                pairs = _chord_lengths(lengths[block], q, self.s)
+                w[pos:pos + len(pairs)] = pairs
+                pos += len(pairs)
         return w[self.slot_raw]
 
 
@@ -347,14 +330,15 @@ class _Plan:
     """The local work of one set of changed edge rows, kept on the pattern
     and reused by every fill that changes the same rows.
 
+    ``hits`` holds, per face group of the pattern, the faces holding a
+    changed row; in the edge group they are the changed rows themselves.
     ``touched`` holds the nodes whose CSR rows a local fill rewrites: the
-    nodes of the changed rows and of every face holding one.  Both ends of
-    a recomputed entry are such nodes, so only their rows are scanned,
-    once, and each slot's raw entry is decoded from its position in the raw
-    order (``_decode_slots``): ``slots`` holds the sub-edge slots of changed
-    rows, each with its row and level, then the chord slots of hit faces,
-    each with its index into the hit faces' chords, group after group
-    (``hits``).  ``nnz`` counts the touched rows' entries.
+    template nodes of every hit face.  Both ends of a recomputed entry are
+    such nodes, so only their rows are scanned, once, and each slot's raw
+    entry is decoded from its position in the raw order
+    (``_decode_slots``): ``slots`` holds the slots of the hit faces' pairs,
+    group after group, and ``pair_index`` the index of each into the hit
+    faces' pairs laid end to end.  ``nnz`` counts the touched rows' entries.
 
     ``inside`` is the node set W of the field updates on graphs filled
     through this plan.  It starts as the touched nodes and only grows;
@@ -363,16 +347,14 @@ class _Plan:
 
     def __init__(self, pattern: _Pattern, changed: np.ndarray):
         self.rows = np.flatnonzero(changed)
-        nodes = [pattern.edges[self.rows].ravel(), pattern.steiner_ids_of_rows(self.rows)]
-        self.hits = []
+        self.hits, nodes = [], []
         for faces, face_rows in pattern.cells:
             hit = np.flatnonzero(changed[face_rows].any(axis=1))
             self.hits.append(hit)
             nodes.append(pattern._face_nodes(faces[hit], face_rows[hit]).ravel())
         self.touched = np.unique(np.concatenate(nodes))
         self.nnz = int(np.sum(pattern.indptr[self.touched + 1] - pattern.indptr[self.touched]))
-        self.slots, self.sub_rows, self.sub_level, self.chord_index = _decode_slots(
-            pattern, changed, self.touched, self.hits)
+        self.slots, self.pair_index = _decode_slots(pattern, self.touched, self.hits)
         self.inside = np.zeros(pattern.n_nodes, dtype=bool)
         self.inside[self.touched] = True
         self.sub = None
@@ -380,15 +362,13 @@ class _Plan:
     def weights(self, pattern: _Pattern, lengths: np.ndarray) -> np.ndarray:
         """The weights of ``slots`` for per-edge ``lengths``.
 
-        Only the sub-edges of changed rows and the chords of faces holding a
-        changed row are computed; every other raw entry has the same inputs
-        as in the reference, so its reference weight is what a full fill
-        computes.
+        Only the pairs of faces holding a changed row are computed; every
+        other raw entry has the same inputs as in the reference, so its
+        reference weight is what a full fill computes.
         """
-        sub = np.ldexp(lengths[self.sub_rows], -self.sub_level)  # lengths / 2**t
-        chords = [_chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
-                  for (faces, face_rows), hit in zip(pattern.cells, self.hits)]
-        return np.concatenate([sub, np.concatenate([sub[:0], *chords])[self.chord_index]])
+        pairs = [_chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
+                 for (faces, face_rows), hit in zip(pattern.cells, self.hits)]
+        return np.concatenate(pairs)[self.pair_index]
 
     def subgraph(self, pattern: _Pattern):
         """W's subgraph (``_subgraph``) with the reference weights, built
@@ -406,28 +386,17 @@ class _Plan:
         return self.sub
 
 
-def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
-                  hits: list):
+def _decode_slots(pattern: _Pattern, touched: np.ndarray, hits: list):
     """The CSR slots a local fill rewrites, decoded from the touched rows:
-    the sub-edge slots of changed rows, then the chord slots of hit faces,
-    in one array; the rows and levels of the sub-edge slots; and the index
-    of each chord slot into the hit faces' chords laid end to end, group
-    after group."""
-    ne, s = len(pattern.edges), pattern.s
+    the slots of the hit faces' pairs, group after group, in one array, and
+    the index of each into the hit faces' pairs laid end to end.  Raw entry
+    start_g + f * n_pairs + p is pair p of face f of group g."""
     slots = _row_slots(pattern.indptr, touched)
     raw = pattern.slot_raw[slots]
-
-    # sub-edge raw entry c * ne + row, at level t with 2**t - 1 <= c < 2**(t+1) - 1
-    sub = np.flatnonzero(raw < pattern.n_sub)
-    c, row = np.divmod(raw[sub], ne)
-    hit = changed[row]
-    level = (np.frexp((c[hit] + 1).astype(np.float64))[1] - 1).astype(np.int8)
-
     at, index = [], []
-    start = pattern.n_sub
-    offset = 0
+    start = offset = 0
     for (faces, _), hit_faces in zip(pattern.cells, hits):
-        n_pairs = len(_chord_template(faces.shape[1] - 1, s)[1])
+        n_pairs = len(_chord_template(faces.shape[1] - 1, pattern.s)[1])
         end = start + len(faces) * n_pairs
         grp = np.flatnonzero((raw >= start) & (raw < end))
         face, pair = np.divmod(raw[grp] - start, n_pairs)
@@ -439,8 +408,7 @@ def _decode_slots(pattern: _Pattern, changed: np.ndarray, touched: np.ndarray,
         index.append(offset + rank[found] * n_pairs + pair[found])
         offset += len(hit_faces) * n_pairs
         start = end
-    return (np.concatenate([slots[sub[hit]], *at]), row[hit], level,
-            np.concatenate([slots[:0], *index]).astype(np.int32))
+    return np.concatenate(at), np.concatenate(index).astype(np.int32)
 
 
 def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
@@ -544,17 +512,18 @@ def _facet_cells(cx, tag: str | None = None):
 
 
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
-    """Vertex and refinement nodes lying on the closed region subcomplex, as
-    a read-only array kept on the structure, keyed by the region's facets
-    and s: every signal on the complex, noisy or relabeled, shares it."""
+    """Vertex and refinement nodes lying on the closed region subcomplex --
+    the template nodes of its edges, sorted -- as a read-only array kept on
+    the structure, keyed by the region's facets and s: every signal on the
+    complex, noisy or relabeled, shares it."""
     cx = signal.complex
 
     def compute():
-        verts = region_vertices(cx, tag)
-        if len(verts) == 0:
+        if not cx.labels[tag]:
             raise RegionError(f"region {tag!r} is empty")
         rows = np.unique(_facet_cells(cx, tag)[1])
-        sources = np.concatenate([verts, graph.pattern.steiner_ids_of_rows(rows)])
+        pattern = graph.pattern
+        sources = np.unique(pattern._face_nodes(pattern.edges[rows], rows[:, None]))
         sources.flags.writeable = False
         return sources
     return cx.cached(("sources", graph.pattern.s, cx.labels[tag]), compute)

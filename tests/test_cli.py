@@ -11,7 +11,7 @@ import cobsig as cs
 from cobsig import cli
 from cobsig.cli import dispatch
 from cobsig.fileio import (load_correspondence, load_signal,
-                           save_correspondence, save_signal)
+                           save_correspondence, save_signal, signal_to_dict)
 from cobsig.signalops import make_correspondence
 
 # the package's ``energy`` function shadows its module of that name
@@ -430,12 +430,21 @@ def test_cli_unbuildable_mesh_exits_1(tmp_path, capsys):
     {"pairs": [[0]], "tolerance": 1e-9},
     {"pairs": [], "tolerance": "tight"},
     [1, 2],
+    # the valid pairs with fractions that truncate back to them
+    lambda good: dict(good, pairs=[[u + 0.5, v + 0.25] for u, v in good["pairs"]]),
+    lambda good: dict(good, pairs=[[True, v] for _, v in good["pairs"][:1]]),
 ], ids=["no-tolerance", "pairs-not-a-list", "short-pair", "text-tolerance",
-        "not-an-object"])
+        "not-an-object", "fractional-pairs", "bool-pair"])
 def test_cli_malformed_correspondence_exits_1(tmp_path, capsys, corr):
     lpath, rpath = str(tmp_path / "l.json"), str(tmp_path / "r.json")
-    save_signal(cs.gen_rectangle(1.0, 1.0, 4), lpath)
-    save_signal(cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0)), rpath)
+    left = cs.gen_rectangle(1.0, 1.0, 4)
+    right = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0))
+    save_signal(left, lpath)
+    save_signal(right, rpath)
+    if callable(corr):
+        good = make_correspondence(left, right)
+        corr = corr({"pairs": [list(p) for p in good.pairs],
+                     "tolerance": good.tolerance})
     cpath = tmp_path / "corr.json"
     cpath.write_text(json.dumps(corr))
     glue = ["--left", lpath, "--right", rpath, "--corr", str(cpath)]
@@ -455,8 +464,16 @@ def test_cli_malformed_correspondence_exits_1(tmp_path, capsys, corr):
     ({"axis": 0, "max": [0.5]}, "error: malformed keep file: "),
     ({"simplices": [[0, 1], [2]]}, "error: malformed keep file: "),
     (5, "error: keep file needs either 'simplices' or 'axis'"),
+    ({"simplices": [k + 0.7 for k in range(8)]}, "error: malformed keep file: "),
+    ({"simplices": [[0, 1], [2, 3]]}, "error: malformed keep file: "),
+    ({"simplices": [True, False]}, "error: malformed keep file: "),
+    ({"simplices": 3}, "error: malformed keep file: "),
+    ({"axis": 0.5}, "error: malformed keep file: "),
+    ({"simplices": [2**70]}, "error: malformed keep file: "),
 ], ids=["axis-too-large", "axis-negative", "axis-text", "bound-a-list",
-        "ragged-simplices", "not-an-object"])
+        "ragged-simplices", "not-an-object", "fractional-simplices",
+        "nested-simplices", "bool-simplices", "simplices-not-a-list",
+        "fractional-axis", "index-past-int64"])
 def test_cli_malformed_keep_file_exits_1(tmp_path, capsys, keep, message):
     mesh = str(tmp_path / "sq.json")
     save_signal(cs.gen_square(4), mesh)
@@ -470,15 +487,31 @@ def test_cli_malformed_keep_file_exits_1(tmp_path, capsys, keep, message):
     assert err.count("\n") == 1
 
 
+def _first(items, **changes):
+    """``items`` with ``changes`` made to a copy of its first entry."""
+    return [dict(items[0], **changes), *items[1:]]
+
+
 @pytest.mark.parametrize("field, value", [
     ("metric", [{"edge": [0, 1]}]),
     ("hints", [1.0]),
     ("labels", {"X": 3}),
+    # fractions that truncate back to the valid indices
+    ("simplices", lambda d: _first(
+        d["simplices"], verts=[v + 0.4 for v in d["simplices"][0]["verts"]])),
+    ("simplices", lambda d: _first(d["simplices"], sign=True)),
+    ("labels", lambda d: dict(d["labels"], A=[[v + 0.3 for v in d["labels"]["A"][0]],
+                                              *d["labels"]["A"][1:]])),
+    ("metric", lambda d: _first(
+        signal_to_dict(cs.gen_square(2), include_metric=True)["metric"],
+        edge=[0.5, 1])),
+    ("simplices", lambda d: _first(d["simplices"], verts=[2**70] * 3)),
 ], ids=["metric-entry-without-length", "hints-not-an-object",
-        "facets-not-a-list"])
+        "facets-not-a-list", "fractional-verts", "bool-sign",
+        "fractional-facet", "fractional-metric-edge", "index-past-int64"])
 def test_cli_malformed_mesh_exits_1(tmp_path, capsys, field, value):
-    from cobsig.fileio import signal_to_dict
-    data = dict(signal_to_dict(cs.gen_square(2)), **{field: value})
+    data = signal_to_dict(cs.gen_square(2))
+    data[field] = value(data) if callable(value) else value
     mesh = tmp_path / "malformed.json"
     mesh.write_text(json.dumps(data))
     code, out, err = run(capsys, "energy", str(mesh))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import cobsig as cs
@@ -84,6 +84,68 @@ def test_corner_distance_against_hypot(n):
         assert np.all(got >= want * (1.0 - (8 + n_nodes) * eps)), s
         worst = np.max((got[far] - want[far]) / want[far])
         assert worst == pytest.approx(pinned, rel=0.01), s
+
+
+# the largest and the median relative overestimate of straight 3D distances
+# on the shell (1, 2, 2, n) per Steiner level s = 0-3
+SEGMENT_OVERESTIMATE = {
+    16: ((4.256e-1, 9.587e-2, 5.257e-2, 4.538e-2),
+         (1.455e-1, 1.697e-2, 1.292e-2, 8.577e-3)),
+    24: ((4.626e-1, 1.293e-1, 7.860e-2, 6.421e-2),
+         (1.804e-1, 3.564e-2, 2.083e-2, 1.231e-2)),
+}
+
+
+def _straight_in_shell(xy, p, r_min):
+    """Vertices whose straight segment from vertex p keeps its distance
+    from the shell's axis at r_min or more, from the segment's closest
+    point to the axis in the xy-plane."""
+    a, b = xy[p], xy - xy[p]
+    bb = np.einsum("ij,ij->i", b, b)
+    t = np.clip(-(b @ a) / np.where(bb > 0, bb, 1.0), 0.0, 1.0)
+    ok = np.hypot(*(a + t[:, None] * b).T) >= r_min
+    ok[p] = False
+    return ok
+
+
+def _gram_condition(sig, s):
+    """The largest ratio sum_k |c_k| l_k^2 / sum_k c_k l_k^2 over the
+    chords of the mesh's triangles and tetrahedra at level s, and 1 when
+    there are none, as on a sub-edge."""
+    cx, sq = sig.complex, sig.metric.lengths ** 2
+    kappa = 1.0
+    for q, rows in ((2, geodesy._facet_cells(cx)[1]), (3, cx.simplex_edge_rows)):
+        coef = _chord_template(q, s)[2]
+        if coef.size:
+            kappa = max(kappa, np.max((sq[rows] @ np.abs(coef)) / (sq[rows] @ coef)))
+    return kappa
+
+
+@pytest.mark.parametrize("n", sorted(SEGMENT_OVERESTIMATE))
+def test_straight_3d_distance_against_the_segment(n):
+    # from the outer-wall vertex nearest (2, 0, 1), a segment that keeps
+    # r >= 1.05 stays inside the polyhedral shell, so it is the geodesic
+    # and its length the closed form
+    sig = cs.gen_annular_shell(1.0, 2.0, 2.0, n)
+    xyz = sig.complex.vertices
+    p = int(np.argmin(np.linalg.norm(xyz - [2.0, 0.0, 1.0], axis=1)))
+    far = _straight_in_shell(xyz[:, :2], p, 1.05)
+    want = np.linalg.norm(xyz[far] - xyz[p], axis=1)
+    eps = np.finfo(np.float64).eps
+    for s, (pinned_max, pinned_median) in enumerate(zip(*SEGMENT_OVERESTIMATE[n])):
+        got = distance_to_vertex(sig, p, s).values[far]
+        # every graph edge is a straight segment in the shell, so every
+        # path is at least |v - p| long.  A weight is the square root of
+        # sum_k c_k l_k^2 with exact c_k and lengths within 3 eps, so its
+        # squared value errs by at most 8 eps sum_k |c_k| l_k^2: by at most
+        # 8 kappa eps relative (``_gram_condition``).  A computed distance
+        # sums at most n_nodes terms left to right.
+        kappa = _gram_condition(sig, s)
+        n_nodes = _graph(sig, s).pattern.n_nodes
+        assert np.all(got >= want * (1.0 - (8 * kappa + n_nodes) * eps)), s
+        over = (got - want) / want
+        assert over.max() == pytest.approx(pinned_max, rel=0.01), s
+        assert np.median(over) == pytest.approx(pinned_median, rel=0.01), s
 
 
 def test_lipschitz_along_edges(square8, shell16):
@@ -167,7 +229,7 @@ def _well_shaped(rng, q, ambient, count):
     return out
 
 
-@pytest.mark.parametrize("q, ambient", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("q, ambient", [(1, 3), (2, 2), (2, 3), (3, 3)])
 def test_chord_lengths_match_embedded_distances(q, ambient):
     rng = np.random.default_rng(7)
     slots = edge_slots(q)
@@ -180,10 +242,11 @@ def test_chord_lengths_match_embedded_distances(q, ambient):
         assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3])
 def test_chords_reappear_bit_identical_at_the_next_level(shell16, q):
     cx = shell16.complex
-    rows = cx.simplex_edge_rows if q == 3 else geodesy._facet_cells(cx)[1]
+    rows = {1: np.arange(len(cx.edges()))[:, None], 2: geodesy._facet_cells(cx)[1],
+            3: cx.simplex_edge_rows}[q]
     lengths = shell16.metric.lengths[rows]
     for s in (1, 2, 3):
         coarse_nodes, coarse_pairs, _ = _chord_template(q, s)
@@ -197,6 +260,36 @@ def test_chords_reappear_bit_identical_at_the_next_level(shell16, q):
         coarse = _chord_lengths(lengths, q, s).reshape(len(lengths), -1)
         fine = _chord_lengths(lengths, q, s + 1).reshape(len(lengths), -1)
         assert coarse.tobytes() == fine[:, at].tobytes()
+
+
+def test_edge_pairs_are_exact_halvings():
+    # an edge's template pairs are its sub-edges of every level t = 0..s,
+    # the dyadic intervals [j 2**(s-t), (j+1) 2**(s-t)], and the edge group
+    # weighs each at l / 2**t bit for bit, across the float range
+    lengths = 10.0 ** np.random.default_rng(5).uniform(-150, 150, 1000)
+    nv = len(lengths) + 1
+    edges = np.stack([np.arange(nv - 1), np.arange(1, nv)], axis=1)
+    for s in range(5):
+        n = 2**s
+        pattern = geodesy._Pattern(nv, edges, [], s)
+        data = pattern.fill(lengths)[0]
+        nodes, pairs, _ = _chord_template(1, s)
+        # each end's numerator at the second vertex
+        lo, hi = np.sort(nodes[:, 1][pairs], axis=1).T
+        intervals = sorted(zip((hi - lo).tolist(), lo.tolist()))
+        assert intervals == sorted((n >> t, j * (n >> t))
+                                   for t in range(s + 1) for j in range(2**t))
+        assert pattern.n_raw == len(edges) * (2 ** (s + 1) - 1)
+
+        def node(row, at):
+            # an edge's end, or its interior point at/2**s along it
+            return np.where(at == 0, edges[row, 0], np.where(
+                at == n, edges[row, 1], nv + row * (n - 1) + at - 1))
+        rows = np.arange(len(edges))[:, None]
+        m = csr_matrix((data, pattern.indices, pattern.indptr))
+        got = np.asarray(m[node(rows, lo).ravel(), node(rows, hi).ravel()])
+        want = lengths[:, None] / 2.0 ** (s - np.log2(hi - lo).astype(int))
+        assert got.ravel().tobytes() == want.ravel().tobytes(), s
 
 
 def test_repeated_simplex_raises():
@@ -646,7 +739,9 @@ def _risen_tree_chords(graph, reference, sources):
     slot = np.array([m.indptr[c] + np.searchsorted(m.indices[m.indptr[c]:m.indptr[c + 1]],
                                                   pred[c]) for c in child])
     rose = m.data[slot] > reference.matrix.data[slot]
-    return np.count_nonzero(rose & (pattern.slot_raw[slot] >= pattern.n_sub))
+    # the edge group's sub-edges come first in the raw order
+    n_sub = len(pattern.edges) * len(_chord_template(1, pattern.s)[1])
+    return np.count_nonzero(rose & (pattern.slot_raw[slot] >= n_sub))
 
 
 def test_field_update_from_a_noisy_reference(shell16, monkeypatch):
@@ -889,17 +984,12 @@ def test_every_raw_entry_is_a_distinct_pair(request, name):
 
 def _pattern_the_concatenated_way(pattern):
     """``indptr``, ``indices`` and ``slot_raw`` of ``pattern`` rebuilt from
-    int64 raw pairs gathered per group, both halves of the COO concatenated
-    and the payload decremented in a copy: the reference for the pattern's
-    in-place assembly."""
-    s, ne = pattern.s, len(pattern.edges)
-    rows = np.arange(ne)
+    int64 raw pairs gathered per group, node ids computed here from the
+    template numerators, both halves of the COO concatenated and the payload
+    decremented in a copy: the reference for the pattern's in-place
+    assembly."""
+    s, nv, interior = pattern.s, pattern.nv, 2**pattern.s - 1
     src, dst = [], []
-    for t in range(s + 1):
-        step = 2 ** (s - t)
-        for j in range(2**t):
-            src.append(pattern.node_ids(rows, np.full(ne, j * step)))
-            dst.append(pattern.node_ids(rows, np.full(ne, (j + 1) * step)))
     for faces, face_rows in pattern.cells:
         q = faces.shape[1] - 1
         nodes, pairs, _ = _chord_template(q, s)
@@ -907,14 +997,15 @@ def _pattern_the_concatenated_way(pattern):
         gids = np.empty((len(faces), len(nodes)), dtype=np.int64)
         for k, row in enumerate(nodes.tolist()):
             # a vertex has one nonzero numerator; a point on the face's
-            # edge (i, j) has two, m over 2**s at j
+            # edge (i, j) has two, m over 2**s at j, and lies m steps from
+            # the edge's smaller vertex when that vertex is i
             ends = [i for i, x in enumerate(row) if x]
             if len(ends) == 1:
                 gids[:, k] = faces[:, ends[0]]
             else:
                 i, j = ends
                 m = np.where(faces[:, i] > faces[:, j], 2**s - row[j], row[j])
-                gids[:, k] = pattern.node_ids(face_rows[:, slot[i, j]], m)
+                gids[:, k] = nv + face_rows[:, slot[i, j]] * interior + m - 1
         src.append(gids[:, pairs[:, 0]].ravel())
         dst.append(gids[:, pairs[:, 1]].ravel())
     i = np.concatenate(src, dtype=np.int32)
