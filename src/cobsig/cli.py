@@ -416,6 +416,9 @@ def dispatch(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OPERATION_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return OPERATION_ERROR
 
 
 def main() -> None:

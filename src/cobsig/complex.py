@@ -37,8 +37,6 @@ from .errors import MeshError, RegionError
 
 REGION_TAGS = ("X", "Y", "A", "B")
 
-Facet = tuple[int, ...]
-
 
 class CobordismComplex:
     """Immutable d-complex with ambient coordinates and region labels.
@@ -141,13 +139,14 @@ class CobordismComplex:
         return {
             "dim": self.dim,
             "ambient_dim": self.ambient_dim,
-            "vertices": [list(map(float, row)) for row in self.vertices],
+            "vertices": self.vertices.tolist(),
             "simplices": [
-                {"verts": list(map(int, s)), "sign": int(g)}
-                for s, g in zip(self.simplices, self.signs)
+                {"verts": s, "sign": g}
+                for s, g in zip(self.simplices.tolist(), self.signs.tolist())
             ],
+            # label facets are tuples of Python ints (``_clean_labels``)
             "labels": {
-                tag: sorted(list(map(int, f)) for f in self.labels[tag])
+                tag: [list(f) for f in sorted(self.labels[tag])]
                 for tag in REGION_TAGS
             },
         }
@@ -304,19 +303,33 @@ def edge_slots(q: int) -> np.ndarray:
 
 
 def _group_rows(rows: np.ndarray):
-    """Distinct rows of an int array by one stable lexsort.
+    """Distinct rows of a nonnegative (n, 2) or (n, 3) int array by one
+    stable sort.
 
     Returns the distinct rows in lexicographic order, the group of each
     input row, and the sort order, in which equal rows keep their input
-    order.
+    order.  The leading pair is sorted as one code lo * base + hi, as in
+    ``edge_rows``; with base one more than the largest entry, the codes
+    stay below base**2 and cannot overflow int64 below 3e9 vertices.
     """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
+    base = rows.max(initial=0) + 1
+    code = rows[:, 0] * base
+    code += rows[:, 1]
+    if rows.shape[1] == 2:
+        order = np.argsort(code, kind="stable")
+    else:
+        order = np.lexsort((rows[:, 2], code))
+    code = code[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    new[1:] = code[1:] != code[:-1]
+    if rows.shape[1] == 3:
+        last = rows[order, 2]
+        new[1:] |= last[1:] != last[:-1]
     group = np.empty(len(rows), dtype=np.int64)
     group[order] = np.cumsum(new) - 1
-    return ordered[new], group, order
+    # gather only the distinct rows: a sorted copy of every row would raise
+    # the memory peak of loading a mesh
+    return rows[order[new]], group, order
 
 
 def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
@@ -375,34 +388,29 @@ def validate(cx: CobordismComplex) -> ValidationReport:
 def _validate(cx: CobordismComplex) -> ValidationReport:
     bad: list[tuple[str, str]] = list(cx._structure.violations)
 
-    labeled: dict[Facet, list[str]] = {}
-    for tag in REGION_TAGS:
-        for f in cx.labels[tag]:
-            labeled.setdefault(f, []).append(tag)
-
-    for f in sorted(cx.boundary_facets):
-        tags = labeled.get(f, [])
-        if not tags:
-            bad.append(("unlabeled-boundary-facet", str(f)))
-        elif len(tags) > 1:
-            bad.append(("multiply-labeled-facet", f"{f} in {sorted(tags)}"))
-    for f in sorted(labeled):
-        if f not in cx.boundary_facets:
-            bad.append(("interior-facet-labeled", str(f)))
+    # every labeled facet is a boundary facet (``_clean_labels``)
+    labels = cx.labels
+    bad += [("unlabeled-boundary-facet", str(f))
+            for f in cx.boundary_facets.difference(*labels.values())]
+    multiple = frozenset().union(*(labels[a] & labels[b]
+                                   for a, b in itertools.combinations(REGION_TAGS, 2)))
+    bad += [("multiply-labeled-facet",
+             f"{f} in {sorted(tag for tag in REGION_TAGS if f in labels[tag])}")
+            for f in multiple]
 
     for tag in REGION_TAGS:
-        if not cx.labels[tag]:
+        if not labels[tag]:
             bad.append(("empty-region", tag))
 
-    if cx.labels["X"] & cx.labels["Y"]:
-        bad.append(("X-Y-shared-facet", str(sorted(cx.labels["X"] & cx.labels["Y"]))))
-    if cx.labels["A"] & cx.labels["B"]:
-        bad.append(("A-B-shared-facet", str(sorted(cx.labels["A"] & cx.labels["B"]))))
+    if labels["X"] & labels["Y"]:
+        bad.append(("X-Y-shared-facet", str(sorted(labels["X"] & labels["Y"]))))
+    if labels["A"] & labels["B"]:
+        bad.append(("A-B-shared-facet", str(sorted(labels["A"] & labels["B"]))))
     shared_corner = cx.corner_faces("A", "B")
     if shared_corner:
         bad.append(("A-B-shared-corner-face", str(sorted(shared_corner))))
 
-    if cx.labels["A"] and cx.labels["X"] and not cx.corner_faces("A", "X"):
+    if labels["A"] and labels["X"] and not cx.corner_faces("A", "X"):
         bad.append(("A-X-corner-empty", "no shared (d-2)-face between A and X"))
 
     bad.sort()

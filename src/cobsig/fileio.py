@@ -34,8 +34,8 @@ def signal_to_dict(signal: Signal, include_metric: bool | None = None) -> dict:
         include_metric = signal.metric.source != "induced"
     if include_metric:
         out["metric"] = [
-            {"edge": [int(u), int(v)], "length": float(l)}
-            for (u, v), l in zip(signal.metric.edges, signal.metric.lengths)
+            {"edge": e, "length": l}
+            for e, l in zip(signal.metric.edges.tolist(), signal.metric.lengths.tolist())
         ]
     if signal.hints:
         out["hints"] = {k: float(v) for k, v in sorted(signal.hints.items())}

@@ -163,7 +163,7 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
     tag = np.select(on, [0, 1, 2, 3], default=-1)
     if np.any(tag < 0):
         raise MeshError(f"unclassifiable boundary facet {tuple(facets[tag < 0][0].tolist())}")
-    cx = bare.with_labels({t: facets[tag == k] for k, t in enumerate("XYAB")})
+    cx = bare.with_labels({t: facets[tag == k].tolist() for k, t in enumerate("XYAB")})
 
     # closed-form values for the smooth shell
     vol = math.pi * (r1 * r1 - r0 * r0) * height

@@ -192,6 +192,16 @@ def _chord_template(q: int, s: int):
     return nodes, pairs, coef
 
 
+def _n_pairs(q: int, s: int) -> int:
+    """The number of pairs ``_chord_template(q, s)`` keeps, in closed form,
+    with k = 2**s - 1 interior points per edge: an edge's dyadic sub-edges
+    number 2**(s+1) - 1; a triangle keeps k**2 pairs on each of its 3 pairs
+    of edges and k per vertex and opposite edge; a tetrahedron keeps k**2
+    on each of its 3 pairs of opposite edges."""
+    k = 2**s - 1
+    return {1: 2 * k + 1, 2: 3 * k * k + 3 * k, 3: 3 * k * k}[q]
+
+
 class _Pattern:
     """Metric-free part of a refined graph: node layout and CSR structure.
 
@@ -236,8 +246,14 @@ class _Pattern:
         self.n_nodes = nv + len(edges) * self._interior
         self.cells = [(edges, np.arange(len(edges))[:, None])] + [
             (faces, rows) for faces, rows in cells if faces.shape[1] > 2]
-        n = self.n_raw = sum(len(faces) * len(_chord_template(faces.shape[1] - 1, s)[1])
+        n = self.n_raw = sum(len(faces) * _n_pairs(faces.shape[1] - 1, s)
                              for faces, _ in self.cells)
+        # node ids, indices and slot_raw are int32, which numpy would wrap
+        limit = np.iinfo(np.int32).max
+        if self.n_nodes > limit or 2 * n > limit:
+            raise GeodesyError(
+                f"steiner level {s} needs {self.n_nodes} graph nodes and "
+                f"{2 * n} graph entries, past the int32 limit {limit}")
         # the symmetric COO: raw entries (i, j), then their mirrors (j, i)
         row, col = np.empty((2, 2 * n), dtype=np.int32)
         self._raw_pairs(row[:n], col[:n])
@@ -396,7 +412,7 @@ def _decode_slots(pattern: _Pattern, touched: np.ndarray, hits: list):
     at, index = [], []
     start = offset = 0
     for (faces, _), hit_faces in zip(pattern.cells, hits):
-        n_pairs = len(_chord_template(faces.shape[1] - 1, pattern.s)[1])
+        n_pairs = _n_pairs(faces.shape[1] - 1, pattern.s)
         end = start + len(faces) * n_pairs
         grp = np.flatnonzero((raw >= start) & (raw < end))
         face, pair = np.divmod(raw[grp] - start, n_pairs)

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,6 +54,62 @@ def test_correspondence_round_trip(tmp_path):
     path = tmp_path / "corr.json"
     save_correspondence(corr, path)
     assert load_correspondence(path) == corr
+
+
+def _per_element_text(signal) -> str:
+    """A mesh file's text with every number converted one element at a
+    time, as files were written before whole-array conversion."""
+    cx = signal.complex
+    out = {
+        "dim": cx.dim,
+        "ambient_dim": cx.ambient_dim,
+        "vertices": [list(map(float, row)) for row in cx.vertices],
+        "simplices": [{"verts": list(map(int, s)), "sign": int(g)}
+                      for s, g in zip(cx.simplices, cx.signs)],
+        "labels": {tag: sorted(list(map(int, f)) for f in cx.labels[tag])
+                   for tag in "XYAB"},
+    }
+    if signal.metric.source != "induced":
+        out["metric"] = [{"edge": [int(u), int(v)], "length": float(l)}
+                         for (u, v), l in zip(signal.metric.edges,
+                                              signal.metric.lengths)]
+    if signal.hints:
+        out["hints"] = {k: float(v) for k, v in sorted(signal.hints.items())}
+    return json.dumps(out) + "\n"
+
+
+def _noisy_square():
+    sig = cs.gen_square(8)
+    return cs.apply_noise(sig, cs.NoiseSpec(cs.vertex_at(sig, (0.75, 0.5)),
+                                            0.1, 0.2, 0.25))
+
+
+def _glued_rectangles():
+    lower = cs.gen_rectangle(1.0, 1.0, 4)
+    upper = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0))
+    return cs.compose(lower, upper, make_correspondence(lower, upper))
+
+
+def _left_half_filter():
+    sig = cs.gen_square(8)
+    return cs.extract_filter(sig, cs.keep_by_predicate(sig, lambda p: p[0] <= 0.5 + 1e-12))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cs.gen_square(5),
+    lambda: cs.gen_rectangle(2, 1, 3, origin=(0.5, -1)),
+    lambda: cs.gen_annular_shell(1, 2, 2, 8),
+    _noisy_square,
+    _glued_rectangles,
+    _left_half_filter,
+], ids=["square", "rectangle", "shell", "noisy", "compose", "filter"])
+def test_saved_text_matches_the_per_element_writer(tmp_path, make):
+    sig = make()
+    path = tmp_path / "mesh.json"
+    save_signal(sig, path)
+    text = path.read_text()
+    assert text == _per_element_text(sig)
+    assert ('"metric"' in text) == (sig.metric.source != "induced")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -345,6 +402,31 @@ def test_cli_unwritable_output_exits_1(tmp_path, capsys):
         assert out == ""
         assert err.startswith(f"error: cannot write {argv[-1]}: ")
         assert err.count("\n") == 1
+
+
+def test_cli_steiner_level_past_int32_exits_1(tmp_path, capsys):
+    # the pattern counts its nodes and entries in closed form before it
+    # allocates: s = 40 asks for 2**40 - 1 points per edge
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "8", "--out", mesh)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "energy", mesh, "--steiner-level", "40")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: steiner level 40 needs ")
+    assert err.count("\n") == 1
+
+
+def test_cli_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "4", "--out", mesh)
+    monkeypatch.setitem(cli.COMMANDS, "energy", exhaust)
+    code, out, err = run(capsys, "energy", mesh)
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
 
 
 def test_cli_validation_failure_exits_1(tmp_path, capsys):

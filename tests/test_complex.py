@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cobsig as cs
-from cobsig.complex import build_complex, region_vertices, validate
+from cobsig.complex import _group_rows, build_complex, region_vertices, validate
 from cobsig.errors import MeshError, RegionError
 
 STRUCTURAL = ("nonmanifold-facet", "inconsistent-orientation")
@@ -330,3 +330,64 @@ def test_structure_matches_reference_loop(square16, shell16):
         got = [v for v in validate(built).violations if v[0] in STRUCTURAL]
         assert got == bad
     assert any(name == "nonmanifold-facet" for name, _ in bad)
+
+
+def _lexsort_group_rows(rows):
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    group = np.empty(len(rows), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return ordered[new], group, order
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("high", [6, 2**31])
+def test_group_rows_matches_the_lexsort_reference(k, high):
+    # repeated rows check that equal rows keep their input order; small
+    # values make rows that share their leading pair and differ after it
+    rng = np.random.default_rng(k)
+    distinct = rng.integers(0, high, size=(200, k), endpoint=True)
+    distinct[0] = high
+    rows = distinct[rng.integers(0, len(distinct), size=1000)]
+    got, want = _group_rows(rows), _lexsort_group_rows(rows)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert len(got[0]) < len(rows)
+
+
+def _label_violations_by_loop(cx):
+    labeled = {}
+    for tag in "XYAB":
+        for f in cx.labels[tag]:
+            labeled.setdefault(f, []).append(tag)
+    bad = []
+    for f in sorted(cx.boundary_facets):
+        tags = labeled.get(f, [])
+        if not tags:
+            bad.append(("unlabeled-boundary-facet", str(f)))
+        elif len(tags) > 1:
+            bad.append(("multiply-labeled-facet", f"{f} in {sorted(tags)}"))
+    for f in sorted(labeled):
+        if f not in cx.boundary_facets:
+            bad.append(("interior-facet-labeled", str(f)))
+    return sorted(bad)
+
+
+def test_label_checks_match_the_reference_loop(square8, shell16):
+    kinds = ("unlabeled-boundary-facet", "multiply-labeled-facet",
+             "interior-facet-labeled")
+    for sig in (square8, shell16):
+        cx = sig.complex
+        x, y, a, b = (sorted(cx.labels[tag]) for tag in "XYAB")
+        # two facets of B unlabeled, one A facet in X as well, one Y facet
+        # in X, A and B
+        labels = {"X": x + a[:1] + y[:1], "Y": y, "A": a + y[:1], "B": b[2:] + y[:1]}
+        relabeled = cx.with_labels(labels)
+        got = [v for v in validate(relabeled).violations if v[0] in kinds]
+        want = _label_violations_by_loop(relabeled)
+        assert got == want
+        assert {name for name, _ in got} == set(kinds[:2])
+        assert f"{y[0]} in ['A', 'B', 'X', 'Y']" in {item for _, item in got}

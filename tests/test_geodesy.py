@@ -16,7 +16,7 @@ from cobsig.complex import edge_slots, region_vertices
 from cobsig.energy import FOURIER_PERMUTATION
 from cobsig.errors import GeodesyError, MetricError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
-from cobsig.geodesy import (_chord_lengths, _chord_template,
+from cobsig.geodesy import (_chord_lengths, _chord_template, _n_pairs,
                             _first_cut_estimate, _graph, diameter,
                             distance_field, distance_to_vertex,
                             distance_within, injectivity_radius)
@@ -227,6 +227,23 @@ def _well_shaped(rng, q, ambient, count):
         pts = base + rng.uniform(-0.15, 0.15, size=base.shape)
         out.append(rng.uniform(0.01, 100.0) * pts @ rot + rng.normal(size=ambient))
     return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_pair_counts_match_the_template(q):
+    for s in range(5):
+        assert _n_pairs(q, s) == len(_chord_template(q, s)[1])
+
+
+def test_pattern_past_int32_is_refused_before_allocating(square8, shell16):
+    # s = 15 passes int32 in graph entries only, s = 31 in nodes too; no
+    # level builds a template first
+    _chord_template.cache_clear()
+    for sig in (square8, shell16):
+        for s in (15, 31, 40):
+            with pytest.raises(GeodesyError, match=f"steiner level {s} needs"):
+                distance_field(sig, "A", steiner_level=s)
+    assert _chord_template.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("q, ambient", [(1, 3), (2, 2), (2, 3), (3, 3)])
