@@ -105,6 +105,7 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _resolution = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _level = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _size = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_depth = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _numbers(text: str, kind) -> list:
@@ -329,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise", help="apply a local conformal deformation")
     p.add_argument("path", type=_input_file)
     p.add_argument("--center-vertex", type=int, required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta0", type=_size, required=True)
+    p.add_argument("--delta", type=_size, required=True)
+    p.add_argument("--epsilon", type=_depth, required=True)
     p.add_argument("--out", required=True, help="deformed mesh file")
     _add_common(p, report_out=False)
 
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(beta/gamma)(1 + C eps^(d/2)) across depths")
     p.add_argument("path", type=_input_file)
     p.add_argument("--center-vertex", type=int, required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta0", type=_size, required=True)
+    p.add_argument("--delta", type=_size, required=True)
     p.add_argument("--eps", required=True, type=_eps_list,
                    help="comma-separated descending values in (0,1)")
     _add_common(p)

@@ -17,12 +17,14 @@ half of ``validate`` (non-manifold facets and inconsistent orientation), the
 canonical edge table that ``edges()`` returns, and ``simplex_edge_rows``, the
 edge-table row of every edge of every top simplex.  ``build_complex`` builds
 it once, with array operations, and every relabeling made with
-``with_labels`` shares it; ``with_labels`` checks only the new labels (none
-when they are the complex's own label sets, permuted) and ``validate`` adds
-only the label checks.  Other modules index these tables
-and derive no topology of their own; ``edge_rows`` is the one lookup from
-vertex pairs to edge rows, and ``edge_slots`` the one order of a simplex's
-edges.
+``with_labels`` shares it; ``with_labels`` checks only the new labels, in a
+few whole-array passes, and ``validate`` adds only the label checks.  A
+region's facets are kept once per facet set as a lexsorted table
+(``region_facets``), which every other module reads instead of converting
+the label set.  Other modules index these tables and derive no topology of
+their own; ``edge_rows`` is the one lookup from vertex pairs to edge rows,
+``facet_rows`` the one from vertex tuples to facet rows, and ``edge_slots``
+the one order of a simplex's edges.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class CobordismComplex:
     labels : dict mapping region tag to frozenset of facet tuples
     facets : (nf, d) int array, read-only
         Every distinct facet once, vertices ascending, rows lexsorted.
+    boundary : (nf,) bool array, read-only
+        Which rows of ``facets`` have one simplex.
     boundary_facets : frozenset of the facet tuples with one simplex
     simplex_edge_rows : (nt, d(d+1)/2) int array, read-only
         Row in ``edges()`` of each simplex's edges, in slot order
@@ -66,6 +70,7 @@ class CobordismComplex:
         self.labels = labels
         self._structure = structure
         self.facets = structure.facets
+        self.boundary = structure.boundary
         self.boundary_facets = structure.boundary_facets
         self.simplex_edge_rows = structure.simplex_edge_rows
 
@@ -92,19 +97,32 @@ class CobordismComplex:
         lexsorted: the structure's edge table, which metrics are aligned to."""
         return self._structure.edges
 
+    def facet_rows(self, rows) -> np.ndarray:
+        """Row in ``facets`` of each row of the (k, d) int array ``rows``,
+        vertices ascending, or -1 where it is no facet."""
+        return self._structure.facet_rows(rows)
+
+    def region_facets(self, tag: str) -> np.ndarray:
+        """The facets of region ``tag`` as a read-only (k, d) int64 table,
+        vertices ascending, rows lexsorted.  It is kept on the structure
+        under the region's facet set (``_clean_labels``), so every
+        relabeling with that set shares it."""
+        if tag not in REGION_TAGS:
+            raise RegionError(f"unknown region tag {tag!r}")
+        return self._structure.cache[("facets", self.labels[tag])]
+
+    def corner_table(self, tag_a: str, tag_b: str) -> np.ndarray:
+        """(d-2)-faces shared between facets of two regions, as a lexsorted
+        (m, d-1) int64 table: vertices when d = 2, edges when d = 3."""
+        faces = [self.region_facets(tag) for tag in (tag_a, tag_b)]
+        if self.dim == 2:
+            return np.intersect1d(*faces)[:, None]
+        rows = [edge_rows(self.edges(), f[:, edge_slots(2)]) for f in faces]
+        return self.edges()[np.intersect1d(*rows)]
+
     def corner_faces(self, tag_a: str, tag_b: str) -> frozenset:
         """(d-2)-faces shared between facets of two regions."""
-        for t in (tag_a, tag_b):
-            if t not in REGION_TAGS:
-                raise RegionError(f"unknown region tag {t!r}")
-        k = self.dim - 1  # number of vertices in a (d-2)-face
-        faces_a = {
-            c for f in self.labels[tag_a] for c in itertools.combinations(f, k)
-        }
-        faces_b = {
-            c for f in self.labels[tag_b] for c in itertools.combinations(f, k)
-        }
-        return frozenset(faces_a & faces_b)
+        return frozenset(map(tuple, self.corner_table(tag_a, tag_b).tolist()))
 
     def cached(self, key, compute):
         """Memoize a value fixed by the structure (and any facet set in the
@@ -117,19 +135,8 @@ class CobordismComplex:
     # -- derived labelings -------------------------------------------------
 
     def with_labels(self, labels) -> "CobordismComplex":
-        """Same geometry and structure with a different region labeling.
-
-        A labeling of every region by this complex's own label sets, such as
-        a permutation of its regions, is canonical and was checked when
-        those sets were, so it is not cleaned again.
-        """
-        labels = dict(labels)
-        own = self.labels.values()
-        if (labels.keys() == set(REGION_TAGS)
-                and all(any(f is g for g in own) for f in labels.values())):
-            clean = {tag: labels[tag] for tag in REGION_TAGS}
-        else:
-            clean = _clean_labels(labels, self.dim, self._structure)
+        """Same geometry and structure with a different region labeling."""
+        clean = _clean_labels(labels, self.dim, self._structure)
         return CobordismComplex(self.vertices, self.simplices, self.signs, clean,
                                 self._structure)
 
@@ -144,11 +151,7 @@ class CobordismComplex:
                 {"verts": s, "sign": g}
                 for s, g in zip(self.simplices.tolist(), self.signs.tolist())
             ],
-            # label facets are tuples of Python ints (``_clean_labels``)
-            "labels": {
-                tag: [list(f) for f in sorted(self.labels[tag])]
-                for tag in REGION_TAGS
-            },
+            "labels": {tag: self.region_facets(tag).tolist() for tag in REGION_TAGS},
         }
 
     def __eq__(self, other):
@@ -244,13 +247,14 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
 class _Structure:
     """The topology of a complex, fixed by its simplices and signs alone.
 
-    ``facets`` is the lexsorted table of distinct facets, ``boundary_facets``
-    the set of those with one incident simplex, and ``violations`` the
-    label-independent findings of ``validate``.  ``edges`` is the lexsorted
-    table of distinct edges, and ``simplex_edge_rows`` holds, per top
-    simplex, the row of each of its edges in slot order.  ``cache`` holds
-    what ``CobordismComplex.cached`` derives from the structure, such as
-    refined-graph patterns.
+    ``facets`` is the lexsorted table of distinct facets, ``boundary`` marks
+    its rows with one incident simplex, ``boundary_facets`` is the set of
+    those, and ``violations`` holds the label-independent findings of
+    ``validate``.  ``edges`` is the lexsorted table of distinct edges, and
+    ``simplex_edge_rows`` holds, per top simplex, the row of each of its
+    edges in slot order.  ``cache`` holds what ``CobordismComplex.cached``
+    derives from the structure, such as refined-graph patterns and region
+    facet tables.
     """
 
     def __init__(self, simp: np.ndarray, sgn: np.ndarray):
@@ -284,11 +288,30 @@ class _Structure:
         self.edges, rows, _ = _group_rows(np.sort(simp[:, slots], axis=2).reshape(-1, 2))
         self.simplex_edge_rows = rows.reshape(nt, len(slots))
         self.facets = facets
-        self.boundary_facets = frozenset(map(tuple, facets[count == 1].tolist()))
+        self.boundary = count == 1
+        self.boundary_facets = frozenset(map(tuple, facets[self.boundary].tolist()))
         self.violations = tuple(bad)
         self.cache: dict = {}
-        for table in (self.edges, self.simplex_edge_rows, self.facets):
+        # a row's code is the row of the first facet with its leading pair,
+        # times the vertex count, plus its last vertex: the codes ascend with
+        # ``facets`` and stay below the facet count times the vertex count;
+        # leading pairs are coded as in ``_group_rows``
+        self._base = np.int64(facets.max()) + 1
+        self._lead = facets[:, 0] * self._base + facets[:, 1]
+        self._codes = self._code(facets)
+        for table in (self.edges, self.simplex_edge_rows, self.facets, self.boundary):
             table.flags.writeable = False
+
+    def _code(self, rows: np.ndarray) -> np.ndarray:
+        r = np.clip(rows, 0, self._base - 1)
+        start = np.searchsorted(self._lead, r[:, 0] * self._base + r[:, 1])
+        return start * self._base + r[:, -1]
+
+    def facet_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Row in ``facets`` of each row of ascending vertex ids, or -1; a
+        code only guides the search, equal rows decide."""
+        at = np.searchsorted(self._codes, self._code(rows)).clip(max=len(self.facets) - 1)
+        return np.where(np.all(self.facets[at] == rows, axis=1), at, -1)
 
 
 @lru_cache(maxsize=None)
@@ -354,24 +377,40 @@ def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
 
 
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:
-    """Canonical labels, each facet checked to be a boundary facet."""
+    """Canonical labels: per region, the set of its facets as tuples of
+    ascending Python ints, with the region's table (``region_facets``) kept
+    in the structure cache under that set.
+
+    Every entry must be a boundary facet.  The entries of all regions are
+    checked as one table, by tag in X, Y, A, B order and then in input
+    order, so the first that is not is the one named.
+    """
     labels = dict(labels)
     for tag in labels:
         if tag not in REGION_TAGS:
             raise MeshError(f"unknown region tag {tag!r}")
+    groups = [list(labels.get(tag, ())) for tag in REGION_TAGS]
+    ends = np.cumsum([len(g) for g in groups])
+    entries = list(itertools.chain.from_iterable(groups))
+    # the entries before the first one of another size form an (n, d) table
+    sized = np.fromiter(map(len, entries), np.int64, len(entries)) == d
+    n = len(entries) if sized.all() else int(np.argmin(sized))
+    rows = np.sort(np.array(entries[:n], dtype=np.int64).reshape(n, d), axis=1)
+    found = structure.facet_rows(rows)
+    bad = (found < 0) | ~structure.boundary[found]
+    if n < len(entries) or bad.any():
+        i = int(np.argmax(bad)) if bad.any() else n
+        tag = REGION_TAGS[np.searchsorted(ends, i, side="right")]
+        ft = tuple(sorted(map(int, entries[i])))
+        what = ("a (d-1)-simplex" if i == n or len(set(ft)) < d
+                else "a facet of the complex" if found[i] < 0 else "a boundary facet")
+        raise MeshError(f"label {tag}: {ft} is not {what}")
     clean: dict[str, frozenset] = {}
-    for tag in REGION_TAGS:
-        facets = set()
-        for f in labels.get(tag, ()):
-            ft = tuple(sorted(int(v) for v in f))
-            if len(ft) != d or len(set(ft)) != d:
-                raise MeshError(f"label {tag}: {ft} is not a (d-1)-simplex")
-            if ft not in structure.boundary_facets:
-                if not np.any(np.all(structure.facets == ft, axis=1)):
-                    raise MeshError(f"label {tag}: {ft} is not a facet of the complex")
-                raise MeshError(f"label {tag}: {ft} is not a boundary facet")
-            facets.add(ft)
-        clean[tag] = frozenset(facets)
+    for tag, part in zip(REGION_TAGS, np.split(found, ends[:-1])):
+        table = structure.facets[np.unique(part)]
+        table.flags.writeable = False
+        clean[tag] = frozenset(map(tuple, table.tolist()))
+        structure.cache.setdefault(("facets", clean[tag]), table)
     return clean
 
 
@@ -425,9 +464,9 @@ def region_vertices(cx: CobordismComplex, tag: str) -> np.ndarray:
     vertices belong to every incident closed region.
     """
     if tag in REGION_TAGS:
-        faces = cx.labels[tag]
+        faces = cx.region_facets(tag)
     elif len(tag) == 2 and tag[0] in REGION_TAGS and tag[1] in REGION_TAGS:
-        faces = cx.corner_faces(tag[0], tag[1])
+        faces = cx.corner_table(tag[0], tag[1])
     else:
         raise RegionError(f"unknown region tag {tag!r}")
-    return np.unique(np.array(list(faces), dtype=np.int64))
+    return np.unique(faces)

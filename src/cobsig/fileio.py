@@ -9,7 +9,8 @@ the identity on the data model.  Mesh files are written on one line, which
 keeps ``json.dumps`` on its C encoder.  Every index field -- simplex
 "verts" and "sign", label facets, metric "edge", correspondence "pairs",
 keep "simplices" and keep "axis" -- must hold JSON integers; a float or a bool there makes
-the file malformed.
+the file malformed.  "dim" and "ambient_dim" may be absent; when present they
+must equal the simplices' width less one and the vertices' width.
 """
 
 from __future__ import annotations
@@ -58,14 +59,16 @@ def complex_from_dict(data: dict) -> CobordismComplex:
         verts = np.array(data["vertices"], dtype=np.float64)
         rows = [s["verts"] for s in data["simplices"]]
         signs = [s.get("sign", 1) for s in data["simplices"]]
-        labels = {
-            tag: [tuple(f) for f in facets]
-            for tag, facets in data.get("labels", {}).items()
-        }
+        labels = data.get("labels", {})
         _check_ints(chain(chain.from_iterable(rows), signs,
                           *(chain.from_iterable(f) for f in labels.values())))
         simp = np.array(rows, dtype=np.int64)
         signs = np.array(signs, dtype=np.int64)
+        if verts.ndim == simp.ndim == 2:
+            for field, want in (("dim", simp.shape[1] - 1), ("ambient_dim", verts.shape[1])):
+                if data.get(field, want) != want:
+                    raise ValueError(f"{field} {data[field]!r} does not match the "
+                                     f"arrays, which give {want}")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc
     return build_complex(verts, simp, labels, signs)
@@ -101,7 +104,8 @@ def write_text(path, text: str) -> None:
 
 
 def save_signal(signal: Signal, path) -> None:
-    write_text(path, json.dumps(signal_to_dict(signal)) + "\n")
+    # the dict is freshly built and holds no cycles
+    write_text(path, json.dumps(signal_to_dict(signal), check_circular=False) + "\n")
 
 
 def read_json(path):

@@ -153,7 +153,7 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
         raise MeshError("degenerate tetrahedron in shell construction")
 
     bare = build_complex(verts, tets, {})
-    facets = np.array(sorted(bare.boundary_facets), dtype=np.int64)
+    facets = bare.facets[bare.boundary]
     fr = np.hypot(verts[:, 0], verts[:, 1])[facets]
     fz = verts[facets, 2]
     tol = 1e-9 * max(r1, height)

@@ -518,12 +518,9 @@ def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
 def _facet_cells(cx, tag: str | None = None):
     """Facets and the edge-table row of each facet edge in slot order: the
     complex's facet table (``tag`` None) or a region's facets, sorted."""
-    if tag is None:
-        faces = cx.facets
-    else:
-        if not cx.labels[tag]:
-            raise RegionError(f"region {tag!r} has no facets")
-        faces = np.array(sorted(cx.labels[tag]), dtype=np.int64)
+    faces = cx.facets if tag is None else cx.region_facets(tag)
+    if len(faces) == 0:
+        raise RegionError(f"region {tag!r} has no facets")
     return faces, edge_rows(cx.edges(), faces[:, edge_slots(faces.shape[1] - 1)])
 
 
@@ -535,8 +532,6 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
     cx = signal.complex
 
     def compute():
-        if not cx.labels[tag]:
-            raise RegionError(f"region {tag!r} is empty")
         rows = np.unique(_facet_cells(cx, tag)[1])
         pattern = graph.pattern
         sources = np.unique(pattern._face_nodes(pattern.edges[rows], rows[:, None]))
@@ -833,8 +828,6 @@ def diameter(signal, subset: str = "M",
             verts = np.arange(signal.complex.n_vertices, dtype=np.int64)
         else:
             verts = region_vertices(signal.complex, tag)
-            if len(verts) == 0:
-                raise RegionError(f"region {tag!r} is empty")
         # A computed distance is a left-to-right float sum along a path of at
         # most n = n_nodes edges, within gamma_n = n u / (1 - n u) (u = eps/2;
         # Higham, ch. 4) of the exact shortest path D, which is symmetric and

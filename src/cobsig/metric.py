@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .complex import CobordismComplex, REGION_TAGS, edge_rows, edge_slots
+from .complex import CobordismComplex, edge_rows, edge_slots
 from .errors import MetricError, RegionError
 from .fields import ScalarField
 
@@ -207,10 +207,7 @@ def region_volume(signal, tag: str) -> float:
     Facets are (d-1)-simplices; their Cayley-Menger volume uses the same
     edge lengths as the bulk metric.
     """
-    if tag not in REGION_TAGS:
-        raise RegionError(f"unknown region tag {tag!r}")
-    facets = sorted(signal.complex.labels[tag])
-    if not facets:
+    facets = signal.complex.region_facets(tag)
+    if len(facets) == 0:
         raise RegionError(f"region {tag!r} has no facets")
-    arr = np.array(facets, dtype=np.int64)
-    return float(np.sum(simplex_volumes(signal.metric, arr)))
+    return float(np.sum(simplex_volumes(signal.metric, facets)))

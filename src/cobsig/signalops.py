@@ -10,6 +10,7 @@ correspondence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 < self.delta0 < self.delta:
             raise NoiseError("need 0 < delta0 < delta")
+        if not math.isfinite(self.delta):
+            raise NoiseError("delta must be finite")
         if not 0.0 < self.epsilon < 1.0:
             raise NoiseError("epsilon must lie in (0, 1)")
 
@@ -168,18 +171,19 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
     except CobsigError as exc:
         raise FilterError(f"filter boundary fails validation: {exc}") from exc
 
-    # label the sub-boundary by its facets' tags in original vertex ids
-    sub_boundary = {tuple(used[list(f)].tolist()): f for f in bare.boundary_facets}
-    for f in cx.labels["A"]:
-        if f not in sub_boundary:
-            raise FilterError(f"filter drops part of region A (facet {f})")
-    new_labels = {"X": [], "Y": [], "A": [], "B": []}
-    for f, sub_f in sub_boundary.items():
-        # old B facets stay in B; cut facets (previously interior) join B
-        tag = next((t for t in ("A", "X", "Y") if f in cx.labels[t]), "B")
-        new_labels[tag].append(sub_f)
+    # label the sub-boundary by its facets' rows in the original complex:
+    # the first of A, X, Y holding a facet tags it; old B facets and cut
+    # facets (previously interior) join B
+    sub_facets = bare.facets[bare.boundary]
+    where = cx.facet_rows(used[sub_facets])
+    regions = [cx.facet_rows(cx.region_facets(t)) for t in ("A", "X", "Y")]
+    lost = ~np.isin(regions[0], where)
+    if lost.any():
+        facet = tuple(cx.region_facets("A")[lost][0].tolist())
+        raise FilterError(f"filter drops part of region A (facet {facet})")
+    tag = np.select([np.isin(where, r) for r in regions], [0, 1, 2], default=3)
     try:
-        sub_cx = bare.with_labels(new_labels)
+        sub_cx = bare.with_labels({t: sub_facets[tag == k] for k, t in enumerate("AXYB")})
         sub_edges = sub_cx.edges()
         sub_metric = MetricField._on_table(
             sub_edges, signal.metric.pair_lengths(used[sub_edges]),
@@ -191,12 +195,8 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
 
     # corner strata with A must survive unchanged (in original vertex ids)
     for other in ("X", "Y"):
-        before = cx.corner_faces("A", other)
-        after = {
-            tuple(sorted(int(used[v]) for v in face))
-            for face in out.complex.corner_faces("A", other)
-        }
-        if after != set(before):
+        after = used[out.complex.corner_table("A", other)]
+        if not np.array_equal(after, cx.corner_table("A", other)):
             raise FilterError(
                 f"filter changes the A-{other} corner stratum"
             )
@@ -257,8 +257,10 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
                 f"(tolerance {corr.tolerance})"
             )
     inv = {b: a for a, b in vmap.items()}
-    mapped_y = {tuple(sorted(vmap[v] for v in f)) for f in lcx.labels["Y"]}
-    if mapped_y != set(rcx.labels["X"]):
+    to_right = np.full(lcx.n_vertices, -1, dtype=np.int64)
+    to_right[list(vmap)] = list(vmap.values())
+    mapped_y = np.sort(to_right[lcx.region_facets("Y")], axis=1)
+    if not np.array_equal(mapped_y[np.lexsort(mapped_y.T[::-1])], rcx.region_facets("X")):
         raise CompositionError("Y facets do not map onto right X facets")
 
     from scipy.spatial import cKDTree  # imported on use, as in make_correspondence
@@ -284,15 +286,12 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
     merged_simplices = np.vstack([lcx.simplices, offset_map[rcx.simplices]])
     merged_signs = np.concatenate([lcx.signs, rcx.signs])
 
-    def remap_facets(facets):
-        return [tuple(sorted(int(offset_map[v]) for v in f)) for f in facets]
+    def both(tag):
+        # the two sides' facets of ``tag`` in merged vertex ids
+        return np.vstack([lcx.region_facets(tag), offset_map[rcx.region_facets(tag)]])
 
-    labels = {
-        "X": [tuple(f) for f in lcx.labels["X"]],
-        "Y": remap_facets(rcx.labels["Y"]),
-        "A": [tuple(f) for f in lcx.labels["A"]] + remap_facets(rcx.labels["A"]),
-        "B": [tuple(f) for f in lcx.labels["B"]] + remap_facets(rcx.labels["B"]),
-    }
+    labels = {"X": lcx.region_facets("X"), "Y": offset_map[rcx.region_facets("Y")],
+              "A": both("A"), "B": both("B")}
 
     try:
         merged = build_complex(merged_vertices, merged_simplices, labels,

@@ -389,6 +389,49 @@ def test_cli_bad_parameters_exit_2(tmp_path, capsys):
         assert argv[-2] in err, argv
 
 
+def test_cli_bad_noise_flags_exit_2(tmp_path, capsys):
+    # the ball radii are positive and finite, the depth lies in (0, 1)
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "8", "--out", mesh)
+    good = {"--delta0": "0.1", "--delta": "0.2", "--epsilon": "0.5"}
+    bad = {"--delta0": ("0", "-0.1", "nan", "inf"), "--delta": ("inf", "nan", "-1"),
+           "--epsilon": ("1.5", "1", "0", "nan", "x")}
+    for flag, values in bad.items():
+        for value in values:
+            for command in ("noise", "sweep-eps"):
+                if command == "sweep-eps" and flag == "--epsilon":
+                    continue
+                flags = dict(good, **{flag: value})
+                argv = [command, mesh, "--center-vertex", "0"]
+                for name in ("--delta0", "--delta"):
+                    argv += [name, flags[name]]
+                argv += (["--epsilon", flags["--epsilon"], "--out", "o.json"]
+                         if command == "noise" else ["--eps", "0.4"])
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert err.startswith(f"usage: cobsig {command} "), argv
+                assert f"error: argument {flag}: " in err, argv
+
+
+def test_cli_mesh_dims_must_match_the_arrays(tmp_path, capsys):
+    data = signal_to_dict(cs.gen_annular_shell(1, 2, 2, 8))
+    for field, value in (("dim", 2), ("ambient_dim", 7)):
+        mesh = tmp_path / f"{field}.json"
+        mesh.write_text(json.dumps(dict(data, **{field: value})))
+        code, out, err = run(capsys, "energy", str(mesh))
+        assert (code, out) == (1, ""), field
+        assert err.startswith(f"error: malformed mesh data: {field} {value} "), field
+        assert err.count("\n") == 1
+        code, out, _ = run(capsys, "validate", str(mesh))
+        assert code == 1
+        assert [v[0] for v in json.loads(out)["violations"]] == ["unbuildable"]
+    # both fields may be left out
+    mesh = tmp_path / "bare.json"
+    mesh.write_text(json.dumps({k: v for k, v in data.items()
+                                if k not in ("dim", "ambient_dim")}))
+    assert run(capsys, "validate", str(mesh))[0] == 0
+
+
 def test_cli_unwritable_output_exits_1(tmp_path, capsys):
     # an output path in a missing directory gives one error line, no traceback
     mesh = str(tmp_path / "sq.json")

@@ -129,6 +129,120 @@ def test_label_errors_name_the_first_offending_facet(labels, message):
     assert str(err.value) == message
 
 
+# on gen_annular_shell(1, 2, 2, 8), (0, 3, 9) is a facet of A, (0, 1, 4) an
+# interior facet and (0, 1, 40) no facet at all
+SHELL_LABEL_ERRORS = [
+    ({"A": [(9, 3, 0), (4, 1, 0)]}, "label A: (0, 1, 4) is not a boundary facet"),
+    ({"A": [(0, 3, 9), (40, 0, 1)]}, "label A: (0, 1, 40) is not a facet of the complex"),
+    ({"A": [(0, 3, 9), (3, 0, 0)]}, "label A: (0, 0, 3) is not a (d-1)-simplex"),
+    ({"A": [(0, 3, 9), (3, 0)]}, "label A: (0, 3) is not a (d-1)-simplex"),
+    # four vertices, three of them distinct
+    ({"A": [(0, 3, 9), (9, 3, 0, 0)]}, "label A: (0, 0, 3, 9) is not a (d-1)-simplex"),
+]
+
+
+@pytest.mark.parametrize("labels, message", SHELL_LABEL_ERRORS)
+def test_label_errors_name_the_first_offending_facet_in_3d(labels, message):
+    cx = cs.gen_annular_shell(1, 2, 2, 8).complex
+    with pytest.raises(MeshError) as err:
+        build_complex(cx.vertices, cx.simplices, labels, cx.signs)
+    assert str(err.value) == message
+    with pytest.raises(MeshError) as err:
+        cx.with_labels(labels)
+    assert str(err.value) == message
+
+
+def test_facet_rows_match_a_linear_search(square8, shell16):
+    # facets, near misses, vertices out of range and rows whose code would
+    # collide with a facet's if the last vertex were not clipped
+    rng = np.random.default_rng(0)
+    for sig in (square8, shell16):
+        cx = sig.complex
+        nv, d = cx.n_vertices, cx.dim
+        rows = np.vstack([cx.facets[::7],
+                          rng.integers(-2, nv + 2, size=(300, d)),
+                          cx.facets[::5] + np.eye(d, dtype=np.int64)[-1] * nv,
+                          [[0] * (d - 1) + [2**62]]])
+        rows.sort(axis=1)
+        want = [next((i for i, f in enumerate(cx.facets.tolist()) if f == r), -1)
+                for r in rows.tolist()]
+        assert cx.facet_rows(rows).tolist() == want
+        assert (np.array(want) >= 0).sum() >= len(cx.facets[::7])
+
+
+def _clean_labels_by_loop(cx, labels):
+    """Label cleaning by the per-facet loop that the array passes replaced;
+    kept as the reference they must match: the cleaned sets, or the error."""
+    facets = set(map(tuple, cx.facets.tolist()))
+    clean = {}
+    for tag in "XYAB":
+        clean[tag] = set()
+        for f in labels.get(tag, ()):
+            ft = tuple(sorted(int(v) for v in f))
+            if len(ft) != cx.dim or len(set(ft)) != cx.dim:
+                return f"label {tag}: {ft} is not a (d-1)-simplex"
+            if ft not in cx.boundary_facets:
+                what = "boundary facet" if ft in facets else "facet of the complex"
+                return f"label {tag}: {ft} is not a {what}"
+            clean[tag].add(ft)
+    return clean
+
+
+def test_label_cleaning_matches_the_reference_loop(square8, shell16):
+    rng = np.random.default_rng(1)
+    for sig in (square8, shell16):
+        cx = sig.complex
+        boundary = sorted(cx.boundary_facets)
+        interior = cx.facets[~cx.boundary].tolist()
+        outcomes = set()
+        for trial in range(60):
+            labels = {}
+            for tag in "XYAB":
+                picks = [boundary[i] for i in rng.integers(0, len(boundary), 5)]
+                if rng.random() < 0.3:  # shuffled vertices, repeated facets
+                    picks = [tuple(rng.permutation(f)) for f in picks + picks[:2]]
+                if rng.random() < 0.15:
+                    picks.insert(rng.integers(0, 6), [
+                        interior[rng.integers(len(interior))],
+                        rng.integers(0, cx.n_vertices + 3, cx.dim).tolist(),
+                        [0] * cx.dim, [1] * (cx.dim + 1), [2], [3, 3] + [4] * (cx.dim - 1),
+                    ][rng.integers(6)])
+                labels[tag] = picks
+            want = _clean_labels_by_loop(cx, labels)
+            if isinstance(want, str):
+                with pytest.raises(MeshError) as err:
+                    cx.with_labels(labels)
+                got = str(err.value)
+            else:
+                got = {t: set(f) for t, f in cx.with_labels(labels).labels.items()}
+            assert got == want
+            outcomes.add(want.split(" is ")[1] if isinstance(want, str) else "ok")
+        assert len(outcomes) >= 4
+
+
+def test_corner_faces_match_the_combinations_loop(square8, shell16):
+    import itertools
+    for sig in (square8, shell16):
+        cx = sig.complex
+        k = cx.dim - 1
+        for a, b in itertools.product("XYAB", repeat=2):
+            faces = [{c for f in cx.labels[t] for c in itertools.combinations(f, k)}
+                     for t in (a, b)]
+            assert cx.corner_faces(a, b) == faces[0] & faces[1]
+
+
+def test_region_facets_are_the_sorted_label_sets(square8, shell16):
+    for sig in (square8, shell16):
+        cx = sig.complex
+        for tag in "XYAB":
+            table = cx.region_facets(tag)
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert list(map(tuple, table.tolist())) == sorted(cx.labels[tag])
+        assert cx.with_labels({}).region_facets("B").shape == (0, cx.dim)
+    with pytest.raises(RegionError):
+        square8.complex.region_facets("Q")
+
+
 def test_build_rejects_unknown_tag():
     with pytest.raises(MeshError):
         build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, {"Q": [(0, 1)]})

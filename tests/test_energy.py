@@ -55,23 +55,22 @@ def test_fourier_relabel_involution(square8, shell16):
         assert twice.hints == sig.hints
 
 
-def test_fourier_relabel_cleans_no_labels(shell16, monkeypatch):
-    # the relabeling permutes the complex's own canonical label sets, so no
-    # facet is checked again; a labeling with new sets is still cleaned
-    import cobsig.complex as complex_mod
-    calls = []
-    real = complex_mod._clean_labels
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(complex_mod, "_clean_labels", counted)
+def test_fourier_relabel_shares_cache_entries(shell16):
+    # a relabeling is cleaned like any labeling; its label sets equal the
+    # original's and key the same validation, pattern and region-source
+    # entries of the shared structure
+    from cobsig.complex import validate
+    from cobsig.geodesy import DEFAULT_STEINER_LEVEL, _graph, _region_sources
     twice = fourier_relabel(fourier_relabel(shell16))
-    assert calls == []
-    assert twice.complex.labels == shell16.complex.labels
-    shell16.complex.with_labels({t: set(f) for t, f in shell16.complex.labels.items()})
-    assert len(calls) == 1
+    cx, tx = shell16.complex, twice.complex
+    assert tx.labels == cx.labels
+    assert validate(tx) is validate(cx)
+    s = DEFAULT_STEINER_LEVEL
+    assert _graph(twice, s, "A").pattern is _graph(shell16, s, "A").pattern
+    graph = _graph(shell16, s)
+    assert _region_sources(twice, graph, "X") is _region_sources(shell16, graph, "X")
+    for tag in "XYAB":
+        assert tx.region_facets(tag) is cx.region_facets(tag)
 
 
 def test_fourier_relabel_shares_region_fields(square8):

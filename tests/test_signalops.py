@@ -24,6 +24,10 @@ def test_noise_spec_basic_invariants():
         NoiseSpec(0, 0.2, 0.1, 0.5)
     with pytest.raises(NoiseError):
         NoiseSpec(0, 0.1, 0.2, 1.5)
+    # an infinite ball would make the centre search's limit NaN
+    for delta0, delta in ((0.1, math.inf), (0.1, math.nan), (math.nan, 0.2)):
+        with pytest.raises(NoiseError):
+            NoiseSpec(0, delta0, delta, 0.5)
 
 
 def test_noise_spec_ball_avoidance(square16):
