@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -376,20 +377,45 @@ def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
     return np.where(table[rows] == codes, rows, -1)
 
 
+def check_ints(values) -> None:
+    """Raise TypeError unless every item of ``values``, an iterable or an
+    array, is an integer.  A float or a bool is none: np.int64 would
+    truncate the one and read the other as 0 or 1, so an index table would
+    be built silently wrong.  An array is judged by its dtype."""
+    kinds = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
+    bad = sorted(k.__name__ for k in kinds if not issubclass(k, Integral) or issubclass(k, bool))
+    if bad:
+        raise TypeError("expected integers, got " + ", ".join(bad))
+
+
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:
     """Canonical labels: per region, the set of its facets as tuples of
     ascending Python ints, with the region's table (``region_facets``) kept
     in the structure cache under that set.
 
-    Every entry must be a boundary facet.  The entries of all regions are
-    checked as one table, by tag in X, Y, A, B order and then in input
-    order, so the first that is not is the one named.
+    Every entry must hold integers (``check_ints``) and be a boundary
+    facet.  The entries of all regions are checked by tag in X, Y, A, B
+    order and then in input order, first for integers and then as one
+    table, so the first that fails is the one named.
     """
     labels = dict(labels)
     for tag in labels:
         if tag not in REGION_TAGS:
             raise MeshError(f"unknown region tag {tag!r}")
-    groups = [list(labels.get(tag, ())) for tag in REGION_TAGS]
+    groups = [labels.get(tag, ()) for tag in REGION_TAGS]
+    for tag, group in zip(REGION_TAGS, groups):
+        try:
+            check_ints(group if isinstance(group, np.ndarray)
+                       else itertools.chain.from_iterable(group))
+        except TypeError:
+            for entry in group:
+                try:
+                    check_ints(entry)
+                except TypeError as exc:
+                    shown = tuple(entry.tolist()) if isinstance(entry, np.ndarray) else entry
+                    raise MeshError(f"label {tag}: {shown!r} is not a (d-1)-simplex "
+                                    f"({exc})") from exc
+    groups = [list(group) for group in groups]
     ends = np.cumsum([len(g) for g in groups])
     entries = list(itertools.chain.from_iterable(groups))
     # the entries before the first one of another size form an (n, d) table

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .complex import CobordismComplex, build_complex
+from .complex import CobordismComplex, build_complex, check_ints
 from .errors import CobsigError
 from .metric import MetricField
 from .signal import Signal, make_signal
@@ -43,25 +42,14 @@ def signal_to_dict(signal: Signal, include_metric: bool | None = None) -> dict:
     return out
 
 
-def _check_ints(values) -> None:
-    """Raise TypeError unless every item of ``values`` is an integer.  A
-    float or a bool is none: np.int64 would truncate the one and read the
-    other as 0 or 1, so an index file would load silently wrong."""
-    kinds = {k for k in set(map(type, values))
-             if not issubclass(k, Integral) or issubclass(k, bool)}
-    if kinds:
-        raise TypeError("expected integers, got "
-                        + ", ".join(sorted(k.__name__ for k in kinds)))
-
-
 def complex_from_dict(data: dict) -> CobordismComplex:
     try:
         verts = np.array(data["vertices"], dtype=np.float64)
         rows = [s["verts"] for s in data["simplices"]]
         signs = [s.get("sign", 1) for s in data["simplices"]]
         labels = data.get("labels", {})
-        _check_ints(chain(chain.from_iterable(rows), signs,
-                          *(chain.from_iterable(f) for f in labels.values())))
+        check_ints(chain(chain.from_iterable(rows), signs,
+                         *(chain.from_iterable(f) for f in labels.values())))
         simp = np.array(rows, dtype=np.int64)
         signs = np.array(signs, dtype=np.int64)
         if verts.ndim == simp.ndim == 2:
@@ -84,7 +72,7 @@ def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
     try:
         if "metric" in data:
             rows = [m["edge"] for m in data["metric"]]
-            _check_ints(chain.from_iterable(rows))
+            check_ints(chain.from_iterable(rows))
             edges = np.array(rows, dtype=np.int64)
             edges.sort(axis=1)
             lengths = np.array([m["length"] for m in data["metric"]])
@@ -130,7 +118,7 @@ def load_correspondence(path) -> Correspondence:
     data = read_json(path)
     try:
         pairs = tuple(tuple(p) for p in data["pairs"])
-        _check_ints(chain.from_iterable(pairs))
+        check_ints(chain.from_iterable(pairs))
         return Correspondence(pairs, float(data["tolerance"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc
@@ -151,9 +139,9 @@ def kept_simplices_from_spec(signal: Signal, spec: dict) -> np.ndarray:
             kept = spec["simplices"]
             if not isinstance(kept, list):
                 raise TypeError("'simplices' must be a list of simplex indices")
-            _check_ints(kept)
+            check_ints(kept)
             return np.array(kept, dtype=np.int64)
-        _check_ints([spec["axis"]])
+        check_ints([spec["axis"]])
         axis = int(spec["axis"])
         lo = float(spec.get("min", -np.inf))
         hi = float(spec.get("max", np.inf))

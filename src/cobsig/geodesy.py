@@ -30,12 +30,19 @@ reads its edge table and the edge rows of its faces from the structure
 region keeps a compact table of its own edges, found once through
 ``edge_rows``), and is kept on the structure that noise, relabelings and
 every signal on the complex share.  Since no raw entry repeats a pair,
-scipy's COO -> CSR conversion builds it.  Each metric then only refills the
-weights from ``lengths[rows]``: pair lengths from one constant coefficient
-table per face dimension and s, and one scatter into the shared pattern,
-with no search, no sort and no COO conversion.  The scheme is the
-Steiner-point discretization of Lanthier, Maheshwari and Sack (Algorithmica
-30, 2001) and of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
+the n raw pairs convert to a CSR matrix A and scipy's canonical merge
+builds the symmetric pattern as A + A^T, with the raw entry of each slot
+stored as int32 in the upper half of a float64 buffer, the slot map.  The
+pattern keeps ``indptr`` and ``indices``; the first fill writes each slot's
+weight over the slot map in ascending blocks, and a slot's 8 B cover only
+map entries already read, so the map becomes the reference ``data`` in
+place.  The graph then keeps 12 B per CSR entry, and the assembly and the
+first fill each peak near 16 B per entry.  A full fill computes the pair
+lengths from ``lengths[rows]`` through one constant coefficient table per
+face dimension and s and gathers them through the slot map; a later full
+fill assembles the map again.  The scheme is the Steiner-point
+discretization of Lanthier, Maheshwari and Sack (Algorithmica 30, 2001) and
+of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
 
 A metric that differs from the pattern's first fill only inside a noise
 ball costs work only there, and the ball, not the metric, is the unit of
@@ -43,7 +50,8 @@ that work.  The first fill is the pattern's reference: it keeps its lengths
 and CSR ``data``, and the full field of each source set searched on it.  A
 later fill compares its lengths with the reference's bit for bit.  The rows
 that changed key the pattern's one plan (``_Plan``): the touched nodes, the
-decoded CSR slots of the pairs of every face holding a changed edge, and
+CSR slots of the pairs of every face holding a changed edge, found by
+matching their node-pair keys against the touched rows' sorted keys, and
 those faces.  The plan is built once per set of changed rows, so every
 depth of the same ball only recomputes those weights.  The graph is the
 reference ``data`` plus those weights; its full CSR matrix is built only
@@ -113,6 +121,10 @@ SEARCH_BLOCK = 64
 #: Faces per block when a full fill computes pair lengths, which bounds
 #: the fill's (faces, pairs) float temporaries whatever the mesh size.
 FILL_BLOCK = 256
+
+#: CSR slots per block when a full fill writes the weights over its slot
+#: map, which bounds the gathered temporary.
+SLOT_BLOCK = 2**16
 
 #: Local work pays only for a small change: a fill is local while at most
 #: 1/LOCAL_SHARE of the edge rows changed, and a field is updated on the
@@ -219,19 +231,14 @@ class _Pattern:
     entry start_g + f * n_pairs + p is pair p of ``_chord_template`` of face
     f of group g.  Every node pair has one owner: the edge it lies on, or
     else the smallest face holding both nodes.  With each face listed once,
-    every raw entry is a distinct pair, so scipy's COO -> CSR conversion,
-    with the raw entry as payload, gives the canonical ``indptr``/``indices``
-    of the symmetric matrix, and ``slot_raw`` is the raw entry behind each
-    slot.
+    every raw entry is a distinct pair, and ``_assemble`` builds the
+    symmetric matrix as A + A^T from the raw pairs alone.
 
-    Per CSR entry the graph keeps 4 B of ``indices``, 4 B of ``slot_raw``
-    and 8 B of ``data`` (16 B, plus ``indptr``).  The assembly allocates
-    each full-size array once, at its final dtype: ``_raw_pairs`` writes
-    the COO's int32 rows and columns in place, the mirror half is a slice
-    copy, and the int32 payload becomes ``slot_raw`` in place.  So the
-    conversion peaks at 20 B per entry (the COO's 12 B next to scipy's
-    8 B of output), as does the first fill (``_full_data``): 1.25 times
-    what the graph keeps.
+    The pattern keeps ``indptr`` and ``indices`` (4 B per CSR entry) and,
+    until the first fill consumes it, ``slot_map``: the float64 buffer that
+    becomes the reference ``data``, whose upper half holds the raw entry of
+    each slot.  So the graph keeps 12 B per entry, plus ``indptr``, and the
+    assembly and the first fill each peak near 16 B per entry.
 
     The first fill is the pattern's reference: its ``lengths`` and CSR
     ``data`` are kept, and so is every field searched on it (``fields``,
@@ -248,31 +255,45 @@ class _Pattern:
             (faces, rows) for faces, rows in cells if faces.shape[1] > 2]
         n = self.n_raw = sum(len(faces) * _n_pairs(faces.shape[1] - 1, s)
                              for faces, _ in self.cells)
-        # node ids, indices and slot_raw are int32, which numpy would wrap
+        # node ids, indices and the slot map are int32, which numpy would wrap
         limit = np.iinfo(np.int32).max
         if self.n_nodes > limit or 2 * n > limit:
             raise GeodesyError(
                 f"steiner level {s} needs {self.n_nodes} graph nodes and "
                 f"{2 * n} graph entries, past the int32 limit {limit}")
-        # the symmetric COO: raw entries (i, j), then their mirrors (j, i)
-        row, col = np.empty((2, 2 * n), dtype=np.int32)
-        self._raw_pairs(row[:n], col[:n])
-        row[n:], col[n:] = col[:n], row[:n]
-        # payload raw + 1, so that no stored value is an explicit zero
-        raw = np.tile(np.arange(1, n + 1, dtype=np.int32), 2)
-        m = coo_matrix((raw, (row, col)), shape=(self.n_nodes, self.n_nodes)).tocsr()
-        # the conversion sums a repeated pair, which only a repeated simplex makes
-        if m.nnz != 2 * n:
-            raise GeodesyError("the complex lists a top simplex twice")
-        m.data -= 1
-        self.indptr, self.indices, self.slot_raw = m.indptr, m.indices, m.data
+        self.indptr, self.indices, self.slot_map = self._assemble()
         self.reference = None
         self.fields = {}
         self.plan = None
 
-    def _raw_pairs(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Write the node pair (i, j) of every raw entry, in order, into
-        ``src`` and ``dst``."""
+    def _assemble(self):
+        """``indptr``, ``indices`` and the slot map of the symmetric matrix.
+
+        The n raw pairs (i, j), with payload raw + 1 so that no stored value
+        is an explicit zero, convert to a CSR matrix A; scipy merges the
+        canonical rows of A and A^T into the canonical rows of A + A^T.  The
+        slot map is a float64 buffer of one element per CSR entry whose
+        upper half, ``slot_map.view(np.int32)[len(slot_map):]``, holds the
+        raw entry of each slot.  The conversion's sort touches n entries,
+        and the peak is the merge's 8 B per CSR entry next to A and A^T's
+        4 B each, or the slot map's 8 B next to the merged 8 B.
+        """
+        n = self.n_raw
+        a = coo_matrix((np.arange(1, n + 1, dtype=np.int32), self._raw_pairs()),
+                       shape=(self.n_nodes, self.n_nodes)).tocsr()
+        m = a + a.T
+        del a  # before the slot map exists, which bounds the peak
+        # the merge sums a repeated pair, which only a repeated simplex makes
+        if m.nnz != 2 * n:
+            raise GeodesyError("the complex lists a top simplex twice")
+        slot_map = np.empty(2 * n, dtype=np.float64)
+        np.subtract(m.data, 1, out=slot_map.view(np.int32)[2 * n:])
+        return m.indptr, m.indices, slot_map
+
+    def _raw_pairs(self):
+        """The node pair (i, j) of every raw entry, in order, as two int32
+        arrays written in place."""
+        src, dst = np.empty((2, self.n_raw), dtype=np.int32)
         pos = 0
         for faces, face_rows in self.cells:
             pairs = _chord_template(faces.shape[1] - 1, self.s)[1]
@@ -282,6 +303,7 @@ class _Pattern:
             np.take(gids, pairs[:, 0], axis=1, out=src[pos:end].reshape(shape))
             np.take(gids, pairs[:, 1], axis=1, out=dst[pos:end].reshape(shape))
             pos = end
+        return src, dst
 
     def _face_nodes(self, faces: np.ndarray, face_rows: np.ndarray) -> np.ndarray:
         """Graph node of every template node of the given faces, in
@@ -306,7 +328,7 @@ class _Pattern:
         are the only ones that differ from the reference (``_Plan.weights``).
         The pattern keeps one ``_Plan`` and replaces it only when a fill
         changes other rows.  A fill that changes more rows is filled in
-        full, with no plan.  No sort and no COO conversion runs here.
+        full, with no plan, on a slot map assembled again.
         """
         if self.reference is None:
             self.reference = (lengths, self._full_data(lengths))
@@ -324,12 +346,20 @@ class _Pattern:
         return None, self.plan
 
     def _full_data(self, lengths: np.ndarray) -> np.ndarray:
-        """The weight of every raw entry, scattered into the pattern: each
-        group's pair lengths come from its faces' edge lengths through
-        ``_chord_lengths``, FILL_BLOCK faces at a time.  Only the raw weights
-        outlive a block: 4 B per CSR entry (each raw entry fills two slots),
-        so with the pattern's 8 B and the returned 8 B of ``data`` the fill
-        peaks at 20 B per entry."""
+        """The weight of every slot, written over the slot map.
+
+        Each group's pair lengths come from its faces' edge lengths through
+        ``_chord_lengths``, FILL_BLOCK faces at a time, into one raw weight
+        per raw entry (4 B per CSR entry).  The slot map is the pattern's
+        until the first fill takes it, and assembled again for every later
+        one.  Slot k's weight, written at byte 8k, covers the map entries
+        2k - N and 2k - N + 1 of N slots, both at most k: a block gathers
+        its slots' weights through the map before writing them, so no block
+        writes over a map entry still unread.  With the pattern's 4 B and
+        the map's 8 B, the fill peaks near 16 B per entry.
+        """
+        data = self._assemble()[2] if self.slot_map is None else self.slot_map
+        self.slot_map = None
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
         for faces, face_rows in self.cells:
@@ -339,7 +369,10 @@ class _Pattern:
                 pairs = _chord_lengths(lengths[block], q, self.s)
                 w[pos:pos + len(pairs)] = pairs
                 pos += len(pairs)
-        return w[self.slot_raw]
+        slot_raw = data.view(np.int32)[len(data):]
+        for start in range(0, len(data), SLOT_BLOCK):
+            data[start:start + SLOT_BLOCK] = w[slot_raw[start:start + SLOT_BLOCK]]
+        return data
 
 
 class _Plan:
@@ -350,11 +383,12 @@ class _Plan:
     changed row; in the edge group they are the changed rows themselves.
     ``touched`` holds the nodes whose CSR rows a local fill rewrites: the
     template nodes of every hit face.  Both ends of a recomputed entry are
-    such nodes, so only their rows are scanned, once, and each slot's raw
-    entry is decoded from its position in the raw order
-    (``_decode_slots``): ``slots`` holds the slots of the hit faces' pairs,
-    group after group, and ``pair_index`` the index of each into the hit
-    faces' pairs laid end to end.  ``nnz`` counts the touched rows' entries.
+    such nodes, so only their rows are scanned, once: the node pair of each
+    hit face's raw entry, as a key row * n_nodes + column, is matched
+    against the keys of the touched rows' slots, which CSR order sorts.
+    ``slots`` is a (2, P) array: the slots (i, j) and (j, i) of the P pairs
+    of the hit faces, group after group, in the order ``weights`` computes
+    them.  ``nnz`` counts the touched rows' entries.
 
     ``inside`` is the node set W of the field updates on graphs filled
     through this plan.  It starts as the touched nodes and only grows;
@@ -363,28 +397,37 @@ class _Plan:
 
     def __init__(self, pattern: _Pattern, changed: np.ndarray):
         self.rows = np.flatnonzero(changed)
-        self.hits, nodes = [], []
+        self.hits, nodes, ends = [], [], []
         for faces, face_rows in pattern.cells:
             hit = np.flatnonzero(changed[face_rows].any(axis=1))
             self.hits.append(hit)
-            nodes.append(pattern._face_nodes(faces[hit], face_rows[hit]).ravel())
+            gids = pattern._face_nodes(faces[hit], face_rows[hit])
+            nodes.append(gids.ravel())
+            ends.append(gids[:, _chord_template(faces.shape[1] - 1, pattern.s)[1]].reshape(-1, 2))
         self.touched = np.unique(np.concatenate(nodes))
-        self.nnz = int(np.sum(pattern.indptr[self.touched + 1] - pattern.indptr[self.touched]))
-        self.slots, self.pair_index = _decode_slots(pattern, self.touched, self.hits)
+        row_slots = _row_slots(pattern.indptr, self.touched)
+        self.nnz = len(row_slots)
+        # CSR order sorts the touched rows' keys row * n_nodes + column
+        n = np.int64(pattern.n_nodes)
+        keys = n * np.repeat(self.touched, np.diff(pattern.indptr)[self.touched])
+        keys += pattern.indices[row_slots]
+        i, j = np.concatenate(ends).T
+        self.slots = row_slots[np.searchsorted(keys, [n * i + j, n * j + i])]
         self.inside = np.zeros(pattern.n_nodes, dtype=bool)
         self.inside[self.touched] = True
         self.sub = None
 
     def weights(self, pattern: _Pattern, lengths: np.ndarray) -> np.ndarray:
-        """The weights of ``slots`` for per-edge ``lengths``.
+        """The weights of the pairs behind ``slots`` for per-edge
+        ``lengths``, one per column of ``slots``.
 
         Only the pairs of faces holding a changed row are computed; every
         other raw entry has the same inputs as in the reference, so its
         reference weight is what a full fill computes.
         """
-        pairs = [_chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
-                 for (faces, face_rows), hit in zip(pattern.cells, self.hits)]
-        return np.concatenate(pairs)[self.pair_index]
+        return np.concatenate([
+            _chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
+            for (faces, face_rows), hit in zip(pattern.cells, self.hits)])
 
     def subgraph(self, pattern: _Pattern):
         """W's subgraph (``_subgraph``) with the reference weights, built
@@ -400,31 +443,6 @@ class _Plan:
             self.sub = _subgraph(pattern.indptr, pattern.indices, pattern.reference[1],
                                  self.inside, self.slots)
         return self.sub
-
-
-def _decode_slots(pattern: _Pattern, touched: np.ndarray, hits: list):
-    """The CSR slots a local fill rewrites, decoded from the touched rows:
-    the slots of the hit faces' pairs, group after group, in one array, and
-    the index of each into the hit faces' pairs laid end to end.  Raw entry
-    start_g + f * n_pairs + p is pair p of face f of group g."""
-    slots = _row_slots(pattern.indptr, touched)
-    raw = pattern.slot_raw[slots]
-    at, index = [], []
-    start = offset = 0
-    for (faces, _), hit_faces in zip(pattern.cells, hits):
-        n_pairs = _n_pairs(faces.shape[1] - 1, pattern.s)
-        end = start + len(faces) * n_pairs
-        grp = np.flatnonzero((raw >= start) & (raw < end))
-        face, pair = np.divmod(raw[grp] - start, n_pairs)
-        rank = np.full(len(faces), -1, dtype=np.int64)
-        rank[hit_faces] = np.arange(len(hit_faces))
-        rank = rank[face]
-        found = rank >= 0
-        at.append(slots[grp[found]])
-        index.append(offset + rank[found] * n_pairs + pair[found])
-        offset += len(hit_faces) * n_pairs
-        start = end
-    return np.concatenate(at), np.concatenate(index).astype(np.int32)
 
 
 def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
@@ -457,8 +475,8 @@ class _SteinerGraph:
 
     ``reference`` is True when the weights are the pattern's reference
     bits.  After a local fill ``plan`` is the pattern's plan for the
-    changed rows and ``weights`` holds the weights of its ``slots``; every
-    other slot keeps its reference weight.  Otherwise ``plan`` is None and
+    changed rows and ``weights`` holds the weight of each pair behind its
+    ``slots``; every other slot keeps its reference weight.  Otherwise ``plan`` is None and
     ``weights`` is the whole CSR ``data``.  ``matrix`` is built on first
     use, so a locally filled graph whose fields all settle on W's subgraph
     never builds it.

@@ -152,6 +152,35 @@ def test_label_errors_name_the_first_offending_facet_in_3d(labels, message):
     assert str(err.value) == message
 
 
+def test_label_entries_must_be_integers():
+    # a float would be truncated and a bool read as 0 or 1, as the file
+    # loader already refuses; integer arrays of any width, as compose and
+    # extract_filter pass, are accepted
+    with pytest.raises(MeshError) as err:
+        build_complex([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)],
+                      {"X": [(0.5, 1.9)], "A": [(True, 2)]})
+    assert str(err.value) == ("label X: (0.5, 1.9) is not a (d-1)-simplex "
+                              "(expected integers, got float)")
+    for labels, message in (
+            ({"X": [(0, 1)], "A": [(0, 3), (True, 2)]},
+             "label A: (True, 2) is not a (d-1)-simplex (expected integers, got bool)"),
+            ({"B": np.array([(1.0, 2.0)])},
+             "label B: (1.0, 2.0) is not a (d-1)-simplex (expected integers, got float64)"),
+            ({"B": np.array([(True, False)])},
+             "label B: (True, False) is not a (d-1)-simplex (expected integers, got bool)"),
+            # one facet where a list of facets belongs
+            ({"A": (0, 3)}, "label A: 0 is not a (d-1)-simplex ('int' object is not iterable)")):
+        for make in (lambda: build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels),
+                     lambda: unit_square().with_labels(labels)):
+            with pytest.raises(MeshError) as err:
+                make()
+            assert str(err.value) == message
+    tables = {"X": np.array([(0, 1)], dtype=np.int32), "Y": [np.array([3, 2])],
+              "A": np.array([(0, 3)], dtype=np.uint8), "B": [(np.int64(1), 2)]}
+    assert build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, tables).labels == \
+        unit_square().labels
+
+
 def test_facet_rows_match_a_linear_search(square8, shell16):
     # facets, near misses, vertices out of range and rows whose code would
     # collide with a facet's if the last vertex were not clipped

@@ -758,7 +758,7 @@ def _risen_tree_chords(graph, reference, sources):
     rose = m.data[slot] > reference.matrix.data[slot]
     # the edge group's sub-edges come first in the raw order
     n_sub = len(pattern.edges) * len(_chord_template(1, pattern.s)[1])
-    return np.count_nonzero(rose & (pattern.slot_raw[slot] >= n_sub))
+    return np.count_nonzero(rose & (_slot_raw(pattern)[slot] >= n_sub))
 
 
 def test_field_update_from_a_noisy_reference(shell16, monkeypatch):
@@ -999,11 +999,18 @@ def test_every_raw_entry_is_a_distinct_pair(request, name):
             assert graph.matrix.nnz == 2 * graph.pattern.n_raw
 
 
+def _slot_raw(pattern):
+    """The raw entry of every CSR slot of ``pattern``, from a freshly
+    assembled slot map: the int32 upper half of its float64 buffer."""
+    slot_map = pattern._assemble()[2]
+    return slot_map.view(np.int32)[len(slot_map):]
+
+
 def _pattern_the_concatenated_way(pattern):
-    """``indptr``, ``indices`` and ``slot_raw`` of ``pattern`` rebuilt from
+    """``indptr``, ``indices`` and the slot map of ``pattern`` rebuilt from
     int64 raw pairs gathered per group, node ids computed here from the
     template numerators, both halves of the COO concatenated and the payload
-    decremented in a copy: the reference for the pattern's in-place
+    decremented in a copy: the reference for the pattern's A + A^T
     assembly."""
     s, nv, interior = pattern.s, pattern.nv, 2**pattern.s - 1
     src, dst = [], []
@@ -1041,10 +1048,99 @@ def test_pattern_matches_the_concatenated_build(request, name):
         for tag in (None, "A", "X"):
             pattern = _graph(sig, s, tag).pattern
             want = _pattern_the_concatenated_way(pattern)
-            got = (pattern.indptr, pattern.indices, pattern.slot_raw)
+            indptr, indices, _ = pattern._assemble()
+            got = (indptr, indices, _slot_raw(pattern))
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
+            assert pattern.indptr.tobytes() == indptr.tobytes()
+            assert pattern.indices.tobytes() == indices.tobytes()
+
+
+def _raw_weights(pattern, lengths):
+    """The weight of every raw entry, all faces of a group at once."""
+    return np.concatenate([_chord_lengths(lengths[face_rows], faces.shape[1] - 1, pattern.s)
+                           for faces, face_rows in pattern.cells])
+
+
+@pytest.mark.parametrize("make", [lambda: cs.gen_square(8),
+                                  lambda: cs.gen_annular_shell(1, 1.2, 1, 16)],
+                         ids=["square8", "shell16"])
+def test_full_fills_write_the_plain_gather_in_place(make):
+    # the first fill writes its weights over the pattern's slot map and the
+    # pattern keeps no map after it; a later full fill assembles the map
+    # again.  Both give the plain gather over a freshly assembled map
+    sig = make()
+    rng = np.random.default_rng(4)
+    for s in range(4):
+        graph = _graph(sig, s)
+        pattern = graph.pattern
+        assert pattern.slot_map is None
+        assert graph.reference and graph.plan is None
+        want = _raw_weights(pattern, sig.metric.lengths)[_slot_raw(pattern)]
+        assert graph.weights.tobytes() == want.tobytes()
+
+        factors = rng.uniform(0.9, 1.1, sig.complex.n_vertices)
+        other = Signal(sig.complex, conformal_scale(sig.metric, factors))
+        changed = other.metric.lengths != sig.metric.lengths
+        assert np.count_nonzero(changed) * geodesy.LOCAL_SHARE > len(changed)
+        refilled = _graph(other, s)
+        assert refilled.pattern is pattern and refilled.plan is None
+        assert not refilled.reference
+        want = _raw_weights(pattern, other.metric.lengths)[_slot_raw(pattern)]
+        assert refilled.weights.tobytes() == want.tobytes()
+        assert pattern.slot_map is None
+        assert pattern.reference[1].tobytes() == graph.weights.tobytes()
+
+
+def _decoded_slots(pattern, plan):
+    """The slots a local fill rewrites, decoded from the raw entry of every
+    slot of the touched rows, and the index of each into the hit faces'
+    pairs laid end to end: the reference for the plan's key matching.  Raw
+    entry start_g + f * n_pairs + p is pair p of face f of group g."""
+    slots = geodesy._row_slots(pattern.indptr, plan.touched)
+    raw = _slot_raw(pattern)[slots]
+    at, index = [], []
+    start = offset = 0
+    for (faces, _), hit_faces in zip(pattern.cells, plan.hits):
+        n_pairs = _n_pairs(faces.shape[1] - 1, pattern.s)
+        end = start + len(faces) * n_pairs
+        grp = np.flatnonzero((raw >= start) & (raw < end))
+        face, pair = np.divmod(raw[grp] - start, n_pairs)
+        rank = np.full(len(faces), -1, dtype=np.int64)
+        rank[hit_faces] = np.arange(len(hit_faces))
+        rank = rank[face]
+        found = rank >= 0
+        at.append(slots[grp[found]])
+        index.append(offset + rank[found] * n_pairs + pair[found])
+        offset += len(hit_faces) * n_pairs
+        start = end
+    return np.concatenate(at), np.concatenate(index)
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_CASES))
+def test_plan_slots_match_the_decoded_slots(request, name):
+    # the plan finds its slots by node-pair keys; each slot appears once,
+    # the set is the decoded one, and the noisy data written through either
+    # is the same bits
+    sig = _copy(request.getfixturevalue(name))
+    planned = 0
+    for tag in (None, NOISE_CASES[name][3]):
+        _graph(sig, 2, tag)
+        for _, noisy in _sweep(sig, name):
+            graph = _graph(noisy, 2, tag)
+            plan, pattern = graph.plan, graph.pattern
+            if plan is None:
+                continue
+            slots, index = _decoded_slots(pattern, plan)
+            assert plan.slots.shape == (2, len(graph.weights))
+            assert len(np.unique(plan.slots)) == plan.slots.size
+            assert np.array_equal(np.sort(plan.slots, axis=None), np.sort(slots))
+            data = pattern.reference[1].copy()
+            data[slots] = graph.weights[index]
+            assert graph.matrix.data.tobytes() == data.tobytes()
+            planned += 1
+    assert bool(planned) == (name != "square8")
 
 
 @pytest.mark.parametrize("name", ["square8", "shell16"])
@@ -1063,9 +1159,11 @@ def test_full_fill_does_not_depend_on_the_chord_block(request, name, monkeypatch
 
 @pytest.mark.parametrize("n", [16, 24])
 def test_graph_assembly_peaks_near_the_bytes_it_keeps(n):
-    # the pattern and the first fill allocate each full-size array once,
-    # so each peaks at 20 B per CSR entry against the 16 B kept (1.25x),
-    # and no (faces, chords) temporary grows with the mesh
+    # the graph keeps indptr, indices and data, 12 B per CSR entry plus
+    # indptr; the A + A^T assembly and the first fill over the slot map
+    # each peak near 16 B per entry, and no (faces, chords) temporary grows
+    # with the mesh.  At n = 16 fixed tables dominate, so the bound there is
+    # 1.4 times the 16 B an entry took with the slot map kept
     sig = cs.gen_annular_shell(1, 2, 2, n)
     tracemalloc.start()
     try:
@@ -1074,9 +1172,11 @@ def test_graph_assembly_peaks_near_the_bytes_it_keeps(n):
     finally:
         tracemalloc.stop()
     pattern = graph.pattern
-    kept = sum(a.nbytes for a in (pattern.indptr, pattern.indices,
-                                  pattern.slot_raw, graph.weights))
-    assert peak <= 1.4 * kept
+    assert pattern.slot_map is None
+    assert graph.weights is pattern.reference[1]
+    kept = pattern.indptr.nbytes + pattern.indices.nbytes + graph.weights.nbytes
+    assert kept == 4 * (pattern.n_nodes + 1) + 12 * len(pattern.indices)
+    assert peak <= {16: 22.4, 24: 18.5}[n] * len(pattern.indices)
 
 
 def test_region_sources_are_kept_on_the_structure(shell16, monkeypatch):
