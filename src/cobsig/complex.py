@@ -393,29 +393,36 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
     ascending Python ints, with the region's table (``region_facets``) kept
     in the structure cache under that set.
 
-    Every entry must hold integers (``check_ints``) and be a boundary
-    facet.  The entries of all regions are checked by tag in X, Y, A, B
-    order and then in input order, first for integers and then as one
-    table, so the first that fails is the one named.
+    Each label value must be a collection of entries, read once, and every
+    entry must hold integers (``check_ints``) and be a boundary facet.  The
+    entries of all regions are checked by tag in X, Y, A, B order and then
+    in input order, first for integers and then as one table, so the first
+    that fails is the one named.
     """
     labels = dict(labels)
     for tag in labels:
         if tag not in REGION_TAGS:
             raise MeshError(f"unknown region tag {tag!r}")
-    groups = [labels.get(tag, ()) for tag in REGION_TAGS]
-    for tag, group in zip(REGION_TAGS, groups):
+    groups = []
+    for tag in REGION_TAGS:
+        group = labels.get(tag, ())
+        try:
+            listed = list(group)  # one pass, so an iterator is read once
+        except TypeError as exc:
+            raise MeshError(f"label {tag}: {group!r} is not a collection of "
+                            f"(d-1)-simplices ({exc})") from exc
         try:
             check_ints(group if isinstance(group, np.ndarray)
-                       else itertools.chain.from_iterable(group))
+                       else itertools.chain.from_iterable(listed))
         except TypeError:
-            for entry in group:
+            for entry in listed:
                 try:
                     check_ints(entry)
                 except TypeError as exc:
                     shown = tuple(entry.tolist()) if isinstance(entry, np.ndarray) else entry
                     raise MeshError(f"label {tag}: {shown!r} is not a (d-1)-simplex "
                                     f"({exc})") from exc
-    groups = [list(group) for group in groups]
+        groups.append(listed)
     ends = np.cumsum([len(g) for g in groups])
     entries = list(itertools.chain.from_iterable(groups))
     # the entries before the first one of another size form an (n, d) table

@@ -57,6 +57,22 @@ depth of the same ball only recomputes those weights.  The graph is the
 reference ``data`` plus those weights; its full CSR matrix is built only
 when a full search asks for it.
 
+A later fill goes through the plan while at most 1/FILL_SHARE (1/4) of
+the edge rows changed; a fill past that is filled in full and still
+assembles the slot map again.  The bound lies below the crossover of the
+two: up to 0.25 of the rows the plan costs less time and memory, from 0.3
+it costs more time on shell48 and from 0.5 more of both.  Measured for a
+fresh metric whose first k rows were scaled by 1.1, as the fill and the A
+field's search (median ms of 5, ``tracemalloc`` peak MB; plan / full, at
+s = 2 on a 2-core machine):
+
+    rows changed   square64 ms     square64 MB    shell48 ms     shell48 MB
+    0.15           42 / 59         7.9 / 12.7     165 / 244      33.2 / 52.3
+    0.25           49 / 64         8.8 / 12.8     217 / 227      38.0 / 52.3
+    0.30           57 / 58        10.5 / 12.8     263 / 230      45.3 / 52.3
+    0.50           77 / 71        17.5 / 12.8     376 / 223      74.5 / 52.4
+    0.70          113 / 60        24.5 / 12.8     490 / 221     103.5 / 52.4
+
 A field on such a graph is the reference field updated by the incremental
 shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
 the plan's node set W, and the update only lowers: when an edge on which
@@ -84,6 +100,8 @@ A noise ball's own centre needs distances only out to its radius:
 ``distance_within`` stops Dijkstra at the radius plus BALL_ULPS ulp and
 leaves inf beyond.  Every prefix of a shortest path sums no higher than the
 path, so each vertex within the bound gets the full search's bits.
+``distance_to_vertex`` is the same search with no bound, kept on the
+signal, so no centre's full field is kept on the shared pattern.
 """
 
 from __future__ import annotations
@@ -126,10 +144,13 @@ FILL_BLOCK = 256
 #: map, which bounds the gathered temporary.
 SLOT_BLOCK = 2**16
 
-#: Local work pays only for a small change: a fill is local while at most
-#: 1/LOCAL_SHARE of the edge rows changed, and a field is updated on the
-#: touched subgraph while the touched rows hold at most 1/LOCAL_SHARE of the
-#: graph's entries.
+#: A later fill goes through the pattern's plan while at most 1/FILL_SHARE
+#: of the edge rows changed, below the crossover measured in the module
+#: docstring.
+FILL_SHARE = 4
+
+#: A field is updated on the touched subgraph while the touched rows hold
+#: at most 1/LOCAL_SHARE of the graph's entries.
 LOCAL_SHARE = 8
 
 #: ``distance_within(signal, p, radius)`` computes every vertex within
@@ -323,12 +344,13 @@ class _Pattern:
 
         The first fill becomes the reference and gives no plan, as does a
         fill with the reference's lengths, which shares its ``data``.  A
-        later fill that changes at most 1/LOCAL_SHARE of the rows is local:
+        later fill that changes at most 1/FILL_SHARE of the rows is local:
         it gives no ``data``, only the plan of its changed rows, whose slots
         are the only ones that differ from the reference (``_Plan.weights``).
         The pattern keeps one ``_Plan`` and replaces it only when a fill
         changes other rows.  A fill that changes more rows is filled in
-        full, with no plan, on a slot map assembled again.
+        full, with no plan, on a slot map assembled again; the bound sits
+        below the crossover of the two (module docstring).
         """
         if self.reference is None:
             self.reference = (lengths, self._full_data(lengths))
@@ -339,7 +361,7 @@ class _Pattern:
         rows = np.flatnonzero(changed)
         if len(rows) == 0:
             return ref_data, None
-        if LOCAL_SHARE * len(rows) > len(changed):
+        if FILL_SHARE * len(rows) > len(changed):
             return self._full_data(lengths), None
         if self.plan is None or not np.array_equal(self.plan.rows, rows):
             self.plan = _Plan(self, changed)
@@ -772,20 +794,13 @@ def distance_field(signal, region: str,
 
 def distance_to_vertex(signal, p: int,
                        steiner_level: int = DEFAULT_STEINER_LEVEL) -> ScalarField:
-    """Geodesic distance field from a single vertex (the noise center)."""
-    p = int(p)
-    if not 0 <= p < signal.complex.n_vertices:
-        raise GeodesyError(f"vertex index {p} out of range")
-    s = int(steiner_level)
-
-    def compute():
-        graph = _graph(signal, s)
-        dist = _field(graph, ("vfield", p), np.array([p], dtype=np.int64))[: graph.nv]
-        if np.any(np.isinf(dist)):
-            raise GeodesyError(f"complex is disconnected from vertex {p}")
-        return ScalarField(dist)
-
-    return signal.cached(("vfield", p, s), compute)
+    """Geodesic distance field from a single vertex (the noise center):
+    ``distance_within`` with an unbounded radius.  Like any ball, the field
+    is kept on the signal alone, not on the shared pattern."""
+    dist = distance_within(signal, p, np.inf, steiner_level)
+    if np.any(np.isinf(dist)):
+        raise GeodesyError(f"complex is disconnected from vertex {p}")
+    return ScalarField(dist)
 
 
 def distance_within(signal, p: int, radius: float,
@@ -796,13 +811,14 @@ def distance_within(signal, p: int, radius: float,
     The search stops at that bound (Dijkstra's ``limit``), so a noise ball
     costs in proportion to its size.  Every prefix of a vertex's shortest
     path sums no higher than the path, so a vertex within the bound gets
-    the bits of ``distance_to_vertex``.
+    the bits of the full search, which an infinite ``radius`` runs.
     """
     p = int(p)
     if not 0 <= p < signal.complex.n_vertices:
         raise GeodesyError(f"vertex index {p} out of range")
     s = int(steiner_level)
-    limit = radius + BALL_ULPS * np.spacing(radius)
+    # np.spacing(inf) is nan, and a nan limit stops the search at p
+    limit = np.inf if radius == np.inf else radius + BALL_ULPS * np.spacing(radius)
 
     def compute():
         graph = _graph(signal, s)

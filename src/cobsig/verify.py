@@ -345,11 +345,16 @@ def check_composition(left: Signal, right: Signal, corr,
     Both sides are quadrature approximations near the glue seam, so the
     first inequality allows a 2% multiplicative slack and the second must
     hold up to the same slack in the other direction.
+
+    The glued signal's energies come first, and the signal is dropped
+    before the parts' graphs are built, so its graph is never alive next
+    to theirs.
     """
     composed = compose(left, right, corr)
     e_comp = energy(composed, steiner_level)
-    e_sum = energy(left, steiner_level) + energy(right, steiner_level)
     ef_comp = fourier_energy(composed, steiner_level)
+    del composed
+    e_sum = energy(left, steiner_level) + energy(right, steiner_level)
     ef_left = fourier_energy(left, steiner_level)
     return CompositionReport(
         energy_composed=e_comp,

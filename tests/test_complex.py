@@ -169,7 +169,10 @@ def test_label_entries_must_be_integers():
             ({"B": np.array([(True, False)])},
              "label B: (True, False) is not a (d-1)-simplex (expected integers, got bool)"),
             # one facet where a list of facets belongs
-            ({"A": (0, 3)}, "label A: 0 is not a (d-1)-simplex ('int' object is not iterable)")):
+            ({"A": (0, 3)}, "label A: 0 is not a (d-1)-simplex ('int' object is not iterable)"),
+            # one vertex where a list of facets belongs
+            ({"X": 5}, "label X: 5 is not a collection of (d-1)-simplices "
+                       "('int' object is not iterable)")):
         for make in (lambda: build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels),
                      lambda: unit_square().with_labels(labels)):
             with pytest.raises(MeshError) as err:
@@ -179,6 +182,13 @@ def test_label_entries_must_be_integers():
               "A": np.array([(0, 3)], dtype=np.uint8), "B": [(np.int64(1), 2)]}
     assert build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, tables).labels == \
         unit_square().labels
+
+
+def test_label_iterators_are_read_once():
+    # an iterator of facets is read once, not emptied by the integer check
+    labels = build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS,
+                           {"X": (facet for facet in [(0, 1)])}).labels
+    assert labels["X"] == frozenset({(0, 1)})
 
 
 def test_facet_rows_match_a_linear_search(square8, shell16):

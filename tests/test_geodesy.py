@@ -570,8 +570,9 @@ def test_scalar_field_json_round_trip(square8):
 # Noise balls that change edge lengths on the region named with them: on the
 # squares the ball reaches the right edge B, on the shell it sits on the
 # outer wall Y; all avoid A and X as noise requires.  On square8 the ball
-# changes more than 1/LOCAL_SHARE of the edges, so its graphs are filled in
-# full; on square32 and shell16 they are refilled locally.
+# changes 84 of the 208 edge rows (0.40), more than 1/FILL_SHARE, so its
+# graphs are filled in full; on square32 and shell16 they are filled
+# through a plan (test_noise_cases_lie_on_both_sides_of_the_fill_bound).
 NOISE_CASES = {
     "square8": ((0.75, 0.5), 0.125, 0.375, "B"),
     "square32": ((0.875, 0.5), 0.0625, 0.1875, "B"),
@@ -619,6 +620,21 @@ def _fresh_volume_error(sig, spec):
         Signal(fresh.complex, MetricField(deformed.edges, deformed.lengths,
                                           "deformed")).simplex_volumes()
     return str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_CASES))
+def test_noise_cases_lie_on_both_sides_of_the_fill_bound(request, name):
+    sig = _copy(request.getfixturevalue(name))
+    _graph(sig, 2)
+    shares = set()
+    for _, noisy in _sweep(sig, name):
+        changed = noisy.metric.lengths != sig.metric.lengths
+        shares.add((np.count_nonzero(changed), len(changed)))
+        full = geodesy.FILL_SHARE * np.count_nonzero(changed) > len(changed)
+        assert full == (name == "square8")
+        assert (_graph(noisy, 2).plan is None) == full
+    if name == "square8":
+        assert shares == {(84, 208)}
 
 
 @pytest.mark.parametrize("name", sorted(NOISE_CASES))
@@ -722,16 +738,33 @@ def _count_searches(monkeypatch, n_nodes):
     return calls
 
 
+def _count_assemblies(monkeypatch):
+    """A list that records each later pattern whose slot map is assembled."""
+    assemble = geodesy._Pattern._assemble
+    assembled = []
+
+    def counting(pattern):
+        assembled.append(pattern)
+        return assemble(pattern)
+
+    monkeypatch.setattr(geodesy._Pattern, "_assemble", counting)
+    return assembled
+
+
 def test_field_update_settles_grows_or_falls_back(shell16, monkeypatch):
     # on the shell16 ball at eps 0.4 the X field settles on the touched
     # nodes; A lowers nodes past them and settles after one growth; the
-    # centre's own field lowers nearly everywhere, so its growth passes the
-    # cap and the full search runs
+    # centre's own field, kept on the pattern here as a region field is,
+    # lowers nearly everywhere, so its growth passes the cap and the full
+    # search runs
     sig = _copy(shell16)
     for region in ("A", "X"):
         distance_field(sig, region)
     p, noisy = next(_sweep(sig, "shell16"))
-    distance_to_vertex(sig, p)  # noise searches the centre's ball alone
+    nv = sig.complex.n_vertices
+    fields = dict(_fields(p), vertex=lambda s: geodesy._field(
+        _graph(s, 2), ("centre", p), np.array([p]))[:nv])
+    fields["vertex"](sig)  # the reference
     graph = _graph(noisy, 2)
     indptr = graph.pattern.indptr
     counts = np.diff(indptr)
@@ -740,9 +773,9 @@ def test_field_update_settles_grows_or_falls_back(shell16, monkeypatch):
     for key, want in (("X", ["sub"]), ("A", ["sub", "sub"]),
                       ("vertex", ["sub", "full"])):
         calls.clear()
-        got = _fields(p)[key](noisy)
+        got = np.asarray(fields[key](noisy))
         assert calls == want, key
-        assert got.values.tobytes() == _fields(p)[key](_fresh(noisy)).values.tobytes()
+        assert got.tobytes() == _fields(p)[key](_fresh(noisy)).values.tobytes()
 
 
 def _risen_tree_chords(graph, reference, sources):
@@ -811,13 +844,15 @@ def test_eps_sweep_updates_the_x_fields_on_the_subgraph(shell16, monkeypatch):
 
 
 def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
-    # the glue-filter set-up: its ball changes more than 1/LOCAL_SHARE of
-    # the edge rows (932 of 7,008), so the noisy graph is filled in full,
-    # with no plan, and the noisy fields are full searches
+    # the glue-filter set-up: its ball changes 932 of the 7,008 edge rows,
+    # between 1/LOCAL_SHARE and 1/FILL_SHARE, so the noisy graph is filled
+    # through a plan, with no second slot map; its touched rows hold more
+    # than 1/LOCAL_SHARE of the entries, so the noisy fields are full
+    # searches on the reference data plus the plan's weights
     sig = cs.gen_square(48)
     filt = cs.extract_filter(sig, cs.keep_by_predicate(sig, lambda q: q[0] <= 0.5 + 1e-12))
     spec = NoiseSpec(cs.vertex_at(sig, (0.75, 0.5)), 0.1, 0.2, 0.25)
-    n_nodes = _graph(sig, 2).pattern.n_nodes
+    pattern = _graph(sig, 2).pattern
     sizes = []
     search = geodesy.dijkstra
 
@@ -826,15 +861,53 @@ def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
         return search(csgraph, *args, **kwargs)
 
     monkeypatch.setattr(geodesy, "dijkstra", sizing)
-    cs.check_filter(sig, filt, spec, 2)
+    assembled = _count_assemblies(monkeypatch)
+    report = cs.check_filter(sig, filt, spec, 2)
+    assert pattern not in assembled
     deformed = apply_noise(sig, spec)
     changed = deformed.metric.lengths != sig.metric.lengths
-    assert np.count_nonzero(changed) * geodesy.LOCAL_SHARE > len(changed)
-    assert _graph(deformed, 2).plan is None
+    assert np.count_nonzero(changed) == 932 and len(changed) == 7008
+    graph = _graph(deformed, 2)
+    assert graph.plan is not None
+    assert graph.plan.nnz * geodesy.LOCAL_SHARE > len(pattern.indices)
     filter_nodes = _graph(filt, 2).pattern.n_nodes
-    assert set(sizes) == {n_nodes, filter_nodes}
+    assert set(sizes) == {pattern.n_nodes, filter_nodes}
     # the base centre field, the base and the noisy A fields
-    assert sizes.count(n_nodes) == 3
+    assert sizes.count(pattern.n_nodes) == 3
+
+    # the noisy fields and energy are those of a fresh complex's full fill
+    monkeypatch.undo()
+    fresh = _fresh(deformed)
+    for region in ("A", "X"):
+        got, want = distance_field(deformed, region), distance_field(fresh, region)
+        assert got.values.tobytes() == want.values.tobytes()
+    assert report.energy_noisy == cs.energy(fresh)
+
+
+@pytest.mark.parametrize("name", ["square16", "shell16"])
+def test_fills_below_the_fill_bound_assemble_no_map(request, name, monkeypatch):
+    # a later metric whose first k edge rows are scaled, with k between
+    # 1/LOCAL_SHARE and 1/FILL_SHARE of the rows, is filled through a plan:
+    # no slot map is assembled again, and its fields are a fresh complex's
+    sig = _copy(request.getfixturevalue(name))
+    _graph(sig, 2)
+    for region in ("A", "X"):
+        distance_field(sig, region)
+    n_rows = len(sig.metric.lengths)
+    k = n_rows // 5
+    assert geodesy.LOCAL_SHARE * k > n_rows >= geodesy.FILL_SHARE * k
+    lengths = sig.metric.lengths.copy()
+    lengths[:k] *= 1.1
+    other = Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed"))
+    assembled = _count_assemblies(monkeypatch)
+    p = sig.complex.n_vertices - 1
+    got = {key: field(other).values for key, field in _fields(p).items()}
+    assert _graph(other, 2).plan is not None
+    assert assembled == []
+    monkeypatch.undo()
+    fresh = _fresh(other)
+    for key, field in _fields(p).items():
+        assert got[key].tobytes() == field(fresh).values.tobytes(), key
 
 
 def test_eps_sweep_plans_each_ball_once(shell16, monkeypatch):
@@ -941,6 +1014,20 @@ def test_distance_within_matches_the_full_field_inside_its_bound(request, name):
         assert np.all(np.isinf(got[~within]))
         reached.append(np.count_nonzero(within))
     assert 1 <= reached[0] < reached[1] < len(full)
+
+
+@pytest.mark.parametrize("name", ["square8", "shell16"])
+def test_distance_to_vertex_is_the_unbounded_ball(request, name):
+    # every vertex's field is the full search's bits, and no centre's field
+    # is kept on the shared pattern
+    sig = _copy(request.getfixturevalue(name))
+    graph = _graph(sig, 2)
+    kept = dict(graph.pattern.fields)
+    for p in range(sig.complex.n_vertices):
+        want = dijkstra(graph.matrix, directed=True, indices=np.array([p]),
+                        min_only=True)[:graph.nv]
+        assert distance_to_vertex(sig, p).values.tobytes() == want.tobytes()
+    assert graph.pattern.fields == kept
 
 
 def test_distance_within_reaches_four_ulp_past_the_radius(square8):
@@ -1083,7 +1170,7 @@ def test_full_fills_write_the_plain_gather_in_place(make):
         factors = rng.uniform(0.9, 1.1, sig.complex.n_vertices)
         other = Signal(sig.complex, conformal_scale(sig.metric, factors))
         changed = other.metric.lengths != sig.metric.lengths
-        assert np.count_nonzero(changed) * geodesy.LOCAL_SHARE > len(changed)
+        assert np.count_nonzero(changed) * geodesy.FILL_SHARE > len(changed)
         refilled = _graph(other, s)
         assert refilled.pattern is pattern and refilled.plan is None
         assert not refilled.reference
