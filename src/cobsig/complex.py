@@ -200,10 +200,11 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     Parameters
     ----------
     vertices : (nv, n) array-like of float coordinates
-    simplices : (nt, d+1) array-like of vertex indices, d in {2, 3}
+    simplices : (nt, d+1) array-like of integer vertex indices, d in {2, 3}
     labels : mapping from region tag (X/Y/A/B) to iterable of facet index
         tuples; every labeled facet must be a boundary facet
-    signs : optional (nt,) iterable of orientation signs +-1 (default +1)
+    signs : optional (nt,) iterable of integer orientation signs +-1
+        (default +1)
 
     The cobordism invariants (region coverage, disjointness, corners,
     orientation consistency) are *not* enforced here; run ``validate``.
@@ -211,7 +212,7 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     verts = np.array(vertices, dtype=np.float64)
     if verts.ndim != 2:
         raise MeshError("vertices must be a 2d array of coordinates")
-    simp = np.array(simplices, dtype=np.int64)
+    simp = int_table(simplices, MeshError, "simplex")
     if simp.ndim != 2 or simp.shape[0] == 0:
         raise MeshError("simplices must be a nonempty 2d array of index tuples")
     d = simp.shape[1] - 1
@@ -233,7 +234,7 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     if signs is None:
         sgn = np.ones(len(simp), dtype=np.int64)
     else:
-        sgn = np.array(signs, dtype=np.int64)
+        sgn = int_table(signs, MeshError, "sign")
         if sgn.shape != (len(simp),) or not np.all(np.abs(sgn) == 1):
             raise MeshError("signs must be +-1, one per top simplex")
 
@@ -386,6 +387,38 @@ def check_ints(values) -> None:
     bad = sorted(k.__name__ for k in kinds if not issubclass(k, Integral) or issubclass(k, bool))
     if bad:
         raise TypeError("expected integers, got " + ", ".join(bad))
+
+
+def as_int(value, error, what: str) -> int:
+    """``value`` as a Python int once ``check_ints`` finds it an integer;
+    otherwise ``error`` naming it as ``what``."""
+    try:
+        check_ints([value])
+    except TypeError as exc:
+        raise error(f"{what} is {value!r}: {exc}") from exc
+    return int(value)
+
+
+def int_table(entries, error, what: str) -> np.ndarray:
+    """``entries``, integers or rows of integers, as an int64 array once
+    ``check_ints`` finds every one an integer; otherwise ``error`` naming
+    the first entry that is not, or that holds one that is not, by
+    ``what`` and position.  An array is judged by its dtype, so an integer
+    array costs no pass over its entries."""
+    if not isinstance(entries, np.ndarray):
+        entries = list(entries)  # one pass, so an iterator is read once
+    try:
+        check_ints(entries if isinstance(entries, np.ndarray) else itertools.chain.from_iterable(
+            e if np.iterable(e) else (e,) for e in entries))
+    except TypeError:
+        for k, entry in enumerate(entries):
+            try:
+                check_ints(entry if np.iterable(entry) else [entry])
+            except TypeError as exc:
+                shown = entry.tolist() if isinstance(entry, (np.ndarray, np.generic)) else entry
+                shown = tuple(shown) if isinstance(shown, list) else shown
+                raise error(f"{what} {k} is {shown!r}: {exc}") from exc
+    return np.array(entries, dtype=np.int64)
 
 
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .complex import build_complex
+from .complex import as_int, build_complex
 from .errors import MeshError
 from .signal import Signal, make_signal
 
@@ -51,7 +51,7 @@ def _grid_signal(width: float, height: float, nx: int, ny: int,
 
 def gen_square(n: int) -> Signal:
     """Unit square as an n-by-n grid of 2 n^2 triangles."""
-    if int(n) < 2:
+    if as_int(n, MeshError, "square resolution") < 2:
         raise MeshError("square resolution must be at least 2")
     return gen_rectangle(1.0, 1.0, n)
 
@@ -64,7 +64,7 @@ def gen_rectangle(width: float, height: float, n: int,
     """
     if width <= 0 or height <= 0:
         raise MeshError("rectangle dimensions must be positive")
-    n = int(n)
+    n = as_int(n, MeshError, "rectangle resolution")
     if n < 2:
         raise MeshError("rectangle resolution must be at least 2")
     nx = max(1, round(n * width))
@@ -114,7 +114,7 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
         raise MeshError("need 0 < r0 < r1")
     if height <= 0:
         raise MeshError("height must be positive")
-    res = int(res)
+    res = as_int(res, MeshError, "shell resolution")
     if res < 8:
         raise MeshError("shell resolution must be at least 8")
 

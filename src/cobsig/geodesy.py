@@ -33,14 +33,15 @@ every signal on the complex share.  Since no raw entry repeats a pair,
 the n raw pairs convert to a CSR matrix A and scipy's canonical merge
 builds the symmetric pattern as A + A^T, with the raw entry of each slot
 stored as int32 in the upper half of a float64 buffer, the slot map.  The
-pattern keeps ``indptr`` and ``indices``; the first fill writes each slot's
-weight over the slot map in ascending blocks, and a slot's 8 B cover only
-map entries already read, so the map becomes the reference ``data`` in
-place.  The graph then keeps 12 B per CSR entry, and the assembly and the
-first fill each peak near 16 B per entry.  A full fill computes the pair
-lengths from ``lengths[rows]`` through one constant coefficient table per
-face dimension and s and gathers them through the slot map; a later full
-fill assembles the map again.  The scheme is the Steiner-point
+pattern keeps ``indptr`` and ``indices``; a full fill writes each slot's
+weight over a freshly assembled slot map in ascending blocks, and a slot's
+8 B cover only map entries already read, so the map becomes the ``data``
+in place.  The pattern is built with its first fill, which makes the map
+it was assembled with the reference ``data``.  The graph then keeps 12 B
+per CSR entry, and the assembly and a full fill each peak near 16 B per
+entry.  A full fill computes the pair lengths from ``lengths[rows]``
+through one constant coefficient table per face dimension and s and
+gathers them through the slot map.  The scheme is the Steiner-point
 discretization of Lanthier, Maheshwari and Sack (Algorithmica 30, 2001) and
 of Aleksandrov, Maheshwari and Sack (JACM 52(1), 2005).
 
@@ -58,20 +59,11 @@ reference ``data`` plus those weights; its full CSR matrix is built only
 when a full search asks for it.
 
 A later fill goes through the plan while at most 1/FILL_SHARE (1/4) of
-the edge rows changed; a fill past that is filled in full and still
-assembles the slot map again.  The bound lies below the crossover of the
-two: up to 0.25 of the rows the plan costs less time and memory, from 0.3
-it costs more time on shell48 and from 0.5 more of both.  Measured for a
-fresh metric whose first k rows were scaled by 1.1, as the fill and the A
-field's search (median ms of 5, ``tracemalloc`` peak MB; plan / full, at
-s = 2 on a 2-core machine):
-
-    rows changed   square64 ms     square64 MB    shell48 ms     shell48 MB
-    0.15           42 / 59         7.9 / 12.7     165 / 244      33.2 / 52.3
-    0.25           49 / 64         8.8 / 12.8     217 / 227      38.0 / 52.3
-    0.30           57 / 58        10.5 / 12.8     263 / 230      45.3 / 52.3
-    0.50           77 / 71        17.5 / 12.8     376 / 223      74.5 / 52.4
-    0.70          113 / 60        24.5 / 12.8     490 / 221     103.5 / 52.4
+the edge rows changed; a fill past that is filled in full.  The bound lies
+below the crossover of the two, measured for the fill and the A field's
+search on square64 and shell48 (README, "Notes on the numerics"): up to
+0.25 of the rows the plan costs less time and memory, from 0.3 it costs
+more time on shell48 and from 0.5 more of both.
 
 A field on such a graph is the reference field updated by the incremental
 shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
@@ -113,7 +105,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .complex import REGION_TAGS, edge_rows, edge_slots, region_vertices
+from .complex import REGION_TAGS, as_int, edge_rows, edge_slots, region_vertices
 from .errors import GeodesyError, RegionError
 from .fields import ScalarField
 
@@ -145,8 +137,8 @@ FILL_BLOCK = 256
 SLOT_BLOCK = 2**16
 
 #: A later fill goes through the pattern's plan while at most 1/FILL_SHARE
-#: of the edge rows changed, below the crossover measured in the module
-#: docstring.
+#: of the edge rows changed, below the crossover the module docstring
+#: gives.
 FILL_SHARE = 4
 
 #: A field is updated on the touched subgraph while the touched rows hold
@@ -255,18 +247,17 @@ class _Pattern:
     every raw entry is a distinct pair, and ``_assemble`` builds the
     symmetric matrix as A + A^T from the raw pairs alone.
 
-    The pattern keeps ``indptr`` and ``indices`` (4 B per CSR entry) and,
-    until the first fill consumes it, ``slot_map``: the float64 buffer that
-    becomes the reference ``data``, whose upper half holds the raw entry of
-    each slot.  So the graph keeps 12 B per entry, plus ``indptr``, and the
-    assembly and the first fill each peak near 16 B per entry.
-
-    The first fill is the pattern's reference: its ``lengths`` and CSR
-    ``data`` are kept, and so is every field searched on it (``fields``,
-    keyed by source set).
+    The pattern is built with its reference, the fill of the first
+    signal's per-edge ``lengths``: those lengths and the CSR ``data``
+    written over the slot map just assembled are kept, and so is every
+    field searched on it (``fields``, keyed by source set).  The pattern
+    keeps ``indptr`` and ``indices`` (4 B per CSR entry), so the graph
+    keeps 12 B per entry, plus ``indptr``, and the assembly and the fill
+    each peak near 16 B per entry.
     """
 
-    def __init__(self, nv: int, edges: np.ndarray, cells: list, s: int):
+    def __init__(self, nv: int, edges: np.ndarray, cells: list, s: int,
+                 lengths: np.ndarray):
         self.nv = nv
         self.s = s
         self.edges = edges
@@ -282,8 +273,8 @@ class _Pattern:
             raise GeodesyError(
                 f"steiner level {s} needs {self.n_nodes} graph nodes and "
                 f"{2 * n} graph entries, past the int32 limit {limit}")
-        self.indptr, self.indices, self.slot_map = self._assemble()
-        self.reference = None
+        self.indptr, self.indices, slot_map = self._assemble()
+        self.reference = (lengths, self._full_data(lengths, slot_map))
         self.fields = {}
         self.plan = None
 
@@ -342,19 +333,16 @@ class _Pattern:
     def fill(self, lengths: np.ndarray):
         """CSR ``data`` for per-edge ``lengths`` and the plan of a local fill.
 
-        The first fill becomes the reference and gives no plan, as does a
-        fill with the reference's lengths, which shares its ``data``.  A
-        later fill that changes at most 1/FILL_SHARE of the rows is local:
-        it gives no ``data``, only the plan of its changed rows, whose slots
-        are the only ones that differ from the reference (``_Plan.weights``).
-        The pattern keeps one ``_Plan`` and replaces it only when a fill
-        changes other rows.  A fill that changes more rows is filled in
-        full, with no plan, on a slot map assembled again; the bound sits
-        below the crossover of the two (module docstring).
+        A fill with the reference's lengths shares its ``data`` and gives
+        no plan.  A fill that changes at most 1/FILL_SHARE of the rows is
+        local: it gives no ``data``, only the plan of its changed rows,
+        whose slots are the only ones that differ from the reference
+        (``_Plan.weights``).  The pattern keeps one ``_Plan`` and replaces
+        it only when a fill changes other rows.  A fill that changes more
+        rows is filled in full, with no plan, on a freshly assembled slot
+        map; the bound sits below the crossover of the two (module
+        docstring).
         """
-        if self.reference is None:
-            self.reference = (lengths, self._full_data(lengths))
-            return self.reference[1], None
         ref_lengths, ref_data = self.reference
         # positive finite lengths: != compares them bit for bit
         changed = lengths != ref_lengths
@@ -362,26 +350,23 @@ class _Pattern:
         if len(rows) == 0:
             return ref_data, None
         if FILL_SHARE * len(rows) > len(changed):
-            return self._full_data(lengths), None
+            return self._full_data(lengths, self._assemble()[2]), None
         if self.plan is None or not np.array_equal(self.plan.rows, rows):
             self.plan = _Plan(self, changed)
         return None, self.plan
 
-    def _full_data(self, lengths: np.ndarray) -> np.ndarray:
-        """The weight of every slot, written over the slot map.
+    def _full_data(self, lengths: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """The weight of every slot, written over the slot map ``data``.
 
         Each group's pair lengths come from its faces' edge lengths through
         ``_chord_lengths``, FILL_BLOCK faces at a time, into one raw weight
-        per raw entry (4 B per CSR entry).  The slot map is the pattern's
-        until the first fill takes it, and assembled again for every later
-        one.  Slot k's weight, written at byte 8k, covers the map entries
-        2k - N and 2k - N + 1 of N slots, both at most k: a block gathers
-        its slots' weights through the map before writing them, so no block
-        writes over a map entry still unread.  With the pattern's 4 B and
-        the map's 8 B, the fill peaks near 16 B per entry.
+        per raw entry (4 B per CSR entry).  Slot k's weight, written at byte
+        8k, covers the map entries 2k - N and 2k - N + 1 of N slots, both at
+        most k: a block gathers its slots' weights through the map before
+        writing them, so no block writes over a map entry still unread.
+        With the pattern's 4 B and the map's 8 B, the fill peaks near 16 B
+        per entry.
         """
-        data = self._assemble()[2] if self.slot_map is None else self.slot_map
-        self.slot_map = None
         w = np.empty(self.n_raw, dtype=np.float64)
         pos = 0
         for faces, face_rows in self.cells:
@@ -524,33 +509,42 @@ class _SteinerGraph:
 
 
 def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
-    """Refined graph of the whole complex (``tag`` None) or of a region.
+    """Refined graph at Steiner level ``s`` of the whole complex (``tag``
+    None) or of a region.
+
+    This is the one place that reads a Steiner level: ``s`` must be an
+    integer (``as_int``, so neither a float nor a bool) and at least 0, or
+    GeodesyError is raised before any cache is read.  The pattern keeps it
+    as a Python int, and the public queries key their caches by it.
 
     The whole complex's chord owners are its top simplices, and in 3D also
     every facet of its facet table; a region's are its own facets.  The
     pattern depends on the structure, the cell set and ``s`` alone, so it
     is kept on the complex's shared structure, keyed by the region's facet
     set: noise, relabelings and every later metric reuse it and only refill
-    the weights.
+    the weights.  The signal that first asks for it gives its reference.
     """
+    s = as_int(s, GeodesyError, "steiner_level")
+    if s < 0:
+        raise GeodesyError("steiner_level must be >= 0")
     cx = signal.complex
     facets = None if tag is None else cx.labels[tag]
+    lengths = signal.metric.lengths
 
     def pattern():
         if tag is None:
             cells = [(cx.simplices, cx.simplex_edge_rows)]
             if cx.dim == 3:
                 cells.append(_facet_cells(cx))
-            return None, _Pattern(cx.n_vertices, cx.edges(), cells, s)
+            return None, _Pattern(cx.n_vertices, cx.edges(), cells, s, lengths)
         faces, face_rows = _facet_cells(cx, tag)
         rows, local = np.unique(face_rows, return_inverse=True)
         return rows, _Pattern(cx.n_vertices, cx.edges()[rows],
-                              [(faces, local.reshape(face_rows.shape))], s)
+                              [(faces, local.reshape(face_rows.shape))], s, lengths[rows])
 
     def build():
         signal.simplex_volumes()  # raises MetricError for a degenerate metric
         rows, pat = cx.cached(("pattern", s, facets), pattern)
-        lengths = signal.metric.lengths
         return _SteinerGraph(pat, lengths if rows is None else lengths[rows])
     return signal.cached(("graph", s, facets), build)
 
@@ -772,12 +766,9 @@ def distance_field(signal, region: str,
     """
     if region not in REGION_TAGS:
         raise RegionError(f"unknown region tag {region!r}")
-    s = int(steiner_level)
-    if s < 0:
-        raise GeodesyError("steiner_level must be >= 0")
+    graph = _graph(signal, steiner_level)
 
     def compute():
-        graph = _graph(signal, s)
         sources = _region_sources(signal, graph, region)
         key = ("field", signal.complex.labels[region])
         dist = _field(graph, key, sources)[: graph.nv]
@@ -789,7 +780,7 @@ def distance_field(signal, region: str,
             )
         return ScalarField(dist)
 
-    return signal.cached(("field", signal.complex.labels[region], s), compute)
+    return signal.cached(("field", signal.complex.labels[region], graph.pattern.s), compute)
 
 
 def distance_to_vertex(signal, p: int,
@@ -813,21 +804,20 @@ def distance_within(signal, p: int, radius: float,
     path sums no higher than the path, so a vertex within the bound gets
     the bits of the full search, which an infinite ``radius`` runs.
     """
-    p = int(p)
+    p = as_int(p, GeodesyError, "vertex index")
     if not 0 <= p < signal.complex.n_vertices:
         raise GeodesyError(f"vertex index {p} out of range")
-    s = int(steiner_level)
+    graph = _graph(signal, steiner_level)
     # np.spacing(inf) is nan, and a nan limit stops the search at p
     limit = np.inf if radius == np.inf else radius + BALL_ULPS * np.spacing(radius)
 
     def compute():
-        graph = _graph(signal, s)
         dist = dijkstra(graph.matrix, directed=True, indices=[p], min_only=True,
                         limit=limit)[: graph.nv]
         dist.flags.writeable = False
         return dist
 
-    return signal.cached(("vball", p, s, limit), compute)
+    return signal.cached(("vball", p, graph.pattern.s, limit), compute)
 
 
 def diameter(signal, subset: str = "M",
@@ -848,16 +838,15 @@ def diameter(signal, subset: str = "M",
     searches, and a rotationally symmetric mesh may still need one per
     vertex.
     """
-    s = int(steiner_level)
     if subset in ("M", "all"):
         tag = None
     elif subset in REGION_TAGS:
         tag = subset
     else:
         raise RegionError(f"unknown subset {subset!r}")
+    graph = _graph(signal, steiner_level, tag)
 
     def compute():
-        graph = _graph(signal, s, tag)
         if tag is None:
             verts = np.arange(signal.complex.n_vertices, dtype=np.int64)
         else:
@@ -891,7 +880,7 @@ def diameter(signal, subset: str = "M",
             upper[i] = -np.inf
 
     facets = None if tag is None else signal.complex.labels[tag]
-    return signal.cached(("diam", s, facets), compute)
+    return signal.cached(("diam", graph.pattern.s, facets), compute)
 
 
 def _first_cut_estimate(f: np.ndarray, foot: np.ndarray, edges: np.ndarray,
@@ -931,7 +920,8 @@ def injectivity_radius(signal, region: str,
                        steiner_level: int = DEFAULT_STEINER_LEVEL) -> InjectivityEstimate:
     """Boundary injectivity radius of region A or X.
 
-    Generator-provided analytic values win when present.  Otherwise a
+    Generator-provided analytic values win when present, and then no graph
+    is built and ``steiner_level`` is not read.  Otherwise a
     first-cut-locus heuristic runs, the discrete lambda-medial-axis test of
     Chazal and Lieutier (Graphical Models 67, 2005): one multi-source search
     from the region's vertices labels every vertex with its nearest one, its
@@ -952,9 +942,9 @@ def injectivity_radius(signal, region: str,
     if hint_key in signal.hints:
         return InjectivityEstimate(float(signal.hints[hint_key]), "analytic", region)
 
-    s = int(steiner_level)
+    graph = _graph(signal, steiner_level)
+    s = graph.pattern.s
     f = distance_field(signal, region, s).values
-    graph = _graph(signal, s)
     region_ids = region_vertices(signal.complex, region)
     _, _, foot = dijkstra(graph.matrix, directed=True, indices=region_ids,
                           min_only=True, return_predecessors=True)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .complex import build_complex, edge_rows, region_vertices
+from .complex import as_int, build_complex, edge_rows, int_table, region_vertices
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
 from .fields import ScalarField
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_within
@@ -40,6 +40,7 @@ class NoiseSpec:
     epsilon: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", as_int(self.center, NoiseError, "noise centre"))
         if not 0.0 < self.delta0 < self.delta:
             raise NoiseError("need 0 < delta0 < delta")
         if not math.isfinite(self.delta):
@@ -60,9 +61,8 @@ class Correspondence:
     tolerance: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs)
-        )
+        table = int_table(self.pairs, CompositionError, "pair").tolist()
+        object.__setattr__(self, "pairs", tuple((a, b) for a, b in table))
         if self.tolerance < 0:
             raise CompositionError("tolerance must be nonnegative")
 
@@ -152,7 +152,7 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
     concern (see the filter inequality check).
     """
     cx = signal.complex
-    kept = np.unique(np.asarray(kept_simplices, dtype=np.int64))
+    kept = np.unique(int_table(kept_simplices, FilterError, "kept simplex"))
     if len(kept) == 0:
         raise FilterError("kept simplex set is empty")
     if kept.min() < 0 or kept.max() >= cx.n_simplices:

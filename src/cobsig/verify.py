@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complex import as_int
 from .energy import energy, energy_ratio, fourier_energy
 from .errors import CobsigError, FilterError
 from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_field,
@@ -396,7 +397,7 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
     and the quadrature is a plain midpoint sum.  A ``fine_resolution``
     below 1 or a size that is not positive raises ValueError.
     """
-    m = int(fine_resolution)
+    m = as_int(fine_resolution, ValueError, "fine_resolution")
     if m < 1:
         raise ValueError(f"fine_resolution must be at least 1, got {m}")
     if kind in ("square", "rectangle"):
@@ -493,7 +494,7 @@ def refinement_study(kind: str, params: dict, resolutions,
     annular shell), and even there it is not certain level-to-level because
     shortest-path staircase error is not strictly monotone.
     """
-    res_list = [int(r) for r in resolutions]
+    res_list = [as_int(r, ValueError, "resolution") for r in resolutions]
     if len(res_list) < 2:
         raise ValueError("need at least two resolutions")
     if len(set(res_list)) < len(res_list):

@@ -2,8 +2,10 @@
 
 import importlib
 import json
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +318,28 @@ def test_cli_csv_format(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_cli_csv_of_a_nested_report(tmp_path, capsys):
+    # verify-thm1 nests each input as {"value", "source"}: the CSV row
+    # flattens every leaf under its dotted path, in the report's order
+    mesh = str(tmp_path / "sq.json")
+    run(capsys, "generate", "--kind", "square", "--resolution", "4", "--out", mesh)
+    code, out, _ = run(capsys, "verify-thm1", mesh)
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run(capsys, "verify-thm1", mesh, "--format", "csv")
+    assert code == 0
+    (row,) = list(csv.DictReader(out.splitlines()))
+
+    def leaves(obj, prefix=""):
+        for k, v in obj.items():
+            if isinstance(v, dict):
+                yield from leaves(v, f"{prefix}{k}.")
+            else:
+                yield f"{prefix}{k}", str(v)
+    assert list(row.items()) == list(leaves(report))
+    assert "inputs.diam_M.source" in row
+
+
 # -- exit codes and determinism ----------------------------------------------
 
 
@@ -507,7 +531,7 @@ def test_cli_byte_identical_reports(tmp_path, capsys):
     mesh2 = str(tmp_path / "sq2.json")
     run(capsys, "generate", "--kind", "square", "--resolution", "16",
         "--out", mesh2)
-    assert open(mesh).read() == open(mesh2).read()
+    assert Path(mesh).read_text() == Path(mesh2).read_text()
 
 
 def test_load_rejects_metric_edge_mismatch(tmp_path):

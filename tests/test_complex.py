@@ -184,6 +184,29 @@ def test_label_entries_must_be_integers():
         unit_square().labels
 
 
+def test_index_tables_must_be_integers():
+    # a float simplex entry or sign would be truncated and a bool read as
+    # 0 or 1; the first offending entry is named, and integer arrays of any
+    # width are accepted by their dtype
+    for simplices, signs, message in (
+            ([(0.7, 1, 2), (0, 2, 3)], None,
+             "simplex 0 is (0.7, 1, 2): expected integers, got float"),
+            ([(0, 1, 2), (0, True, 3)], None,
+             "simplex 1 is (0, True, 3): expected integers, got bool"),
+            (np.array(UNIT_SQUARE_TRIS, dtype=float), None,
+             "simplex 0 is (0.0, 1.0, 2.0): expected integers, got float64"),
+            (UNIT_SQUARE_TRIS, [1.5, -1.9], "sign 0 is 1.5: expected integers, got float"),
+            (UNIT_SQUARE_TRIS, [1, True], "sign 1 is True: expected integers, got bool"),
+            (UNIT_SQUARE_TRIS, np.array([1.0, 1.0]),
+             "sign 0 is 1.0: expected integers, got float64")):
+        with pytest.raises(MeshError) as err:
+            build_complex(UNIT_SQUARE_VERTS, simplices, UNIT_SQUARE_LABELS, signs)
+        assert str(err.value) == message
+    cx = build_complex(UNIT_SQUARE_VERTS, np.array(UNIT_SQUARE_TRIS, dtype=np.int32),
+                       UNIT_SQUARE_LABELS, [np.int64(1), 1])
+    assert cx == unit_square()
+
+
 def test_label_iterators_are_read_once():
     # an iterator of facets is read once, not emptied by the integer check
     labels = build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS,

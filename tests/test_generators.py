@@ -26,6 +26,18 @@ def test_square_rejects_small_n():
         cs.gen_square(1)
 
 
+def test_resolutions_must_be_integers():
+    # a float resolution would be truncated to a coarser mesh
+    for make, message in (
+            (lambda: cs.gen_square(2.9), "square resolution is 2.9"),
+            (lambda: cs.gen_rectangle(1.0, 1.0, 2.5), "rectangle resolution is 2.5"),
+            (lambda: cs.gen_annular_shell(1.0, 2.0, 2.0, 8.5), "shell resolution is 8.5")):
+        with pytest.raises(MeshError) as err:
+            make()
+        assert str(err.value) == message + ": expected integers, got float"
+    assert cs.gen_square(np.int64(2)).complex.n_vertices == 9
+
+
 def test_square_hints(square16):
     h = square16.hints
     assert h["E"] == 0.5

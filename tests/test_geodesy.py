@@ -195,6 +195,44 @@ def test_disconnected_graph_raises():
     sig = Signal(cx, induced_metric(cx))
     with pytest.raises(GeodesyError, match="unreachable from region 'A'"):
         distance_field(sig, "A")
+    with pytest.raises(GeodesyError, match="^complex is disconnected from vertex 0$"):
+        distance_to_vertex(sig, 0)
+
+
+def test_vertex_index_must_be_an_integer_in_range(square8):
+    nv = square8.complex.n_vertices
+    for p in (nv, -1):
+        with pytest.raises(GeodesyError, match=f"^vertex index {p} out of range$"):
+            distance_within(square8, p, 0.5)
+    # a float vertex would be truncated to its neighbour's index
+    with pytest.raises(GeodesyError) as err:
+        distance_to_vertex(square8, 3.9)
+    assert str(err.value) == "vertex index is 3.9: expected integers, got float"
+
+
+def test_steiner_level_is_checked_before_any_cache(square8):
+    # the level is read once, by _graph, before any cache lookup: a kept
+    # level-1 result answers no True and no 1.5, and a bad level fails as a
+    # GeodesyError, not inside numpy
+    sig = Signal(square8.complex, square8.metric, hints={})
+    distance_field(sig, "A", 1)
+    diameter(sig, "M", 1)
+    queries = {
+        "distance_field": lambda s: distance_field(sig, "A", s),
+        "distance_within": lambda s: distance_within(sig, 0, 0.5, s),
+        "diameter": lambda s: diameter(sig, "M", s),
+        "injectivity_radius": lambda s: injectivity_radius(sig, "A", s),
+    }
+    for name, query in queries.items():
+        for level, message in ((-1, "steiner_level must be >= 0"),
+                               (True, "steiner_level is True: expected integers, got bool"),
+                               (1.5, "steiner_level is 1.5: expected integers, got float")):
+            with pytest.raises(GeodesyError) as err:
+                query(level)
+            assert str(err.value) == message, name
+    # a numpy integer is the same level, and finds the same kept result
+    assert distance_field(sig, "A", np.int64(1)) is distance_field(sig, "A", 1)
+    assert diameter(sig, "M", np.int32(1)) == diameter(sig, "M", 1)
 
 
 def test_simplex_violating_metric_gets_no_graph():
@@ -288,8 +326,8 @@ def test_edge_pairs_are_exact_halvings():
     edges = np.stack([np.arange(nv - 1), np.arange(1, nv)], axis=1)
     for s in range(5):
         n = 2**s
-        pattern = geodesy._Pattern(nv, edges, [], s)
-        data = pattern.fill(lengths)[0]
+        pattern = geodesy._Pattern(nv, edges, [], s, lengths)
+        data = pattern.reference[1]
         nodes, pairs, _ = _chord_template(1, s)
         # each end's numerator at the second vertex
         lo, hi = np.sort(nodes[:, 1][pairs], axis=1).T
@@ -1154,15 +1192,14 @@ def _raw_weights(pattern, lengths):
                                   lambda: cs.gen_annular_shell(1, 1.2, 1, 16)],
                          ids=["square8", "shell16"])
 def test_full_fills_write_the_plain_gather_in_place(make):
-    # the first fill writes its weights over the pattern's slot map and the
-    # pattern keeps no map after it; a later full fill assembles the map
-    # again.  Both give the plain gather over a freshly assembled map
+    # the pattern is built with its reference fill, and a later full fill
+    # writes over a freshly assembled map.  Both give the plain gather over
+    # a freshly assembled map
     sig = make()
     rng = np.random.default_rng(4)
     for s in range(4):
         graph = _graph(sig, s)
         pattern = graph.pattern
-        assert pattern.slot_map is None
         assert graph.reference and graph.plan is None
         want = _raw_weights(pattern, sig.metric.lengths)[_slot_raw(pattern)]
         assert graph.weights.tobytes() == want.tobytes()
@@ -1176,7 +1213,6 @@ def test_full_fills_write_the_plain_gather_in_place(make):
         assert not refilled.reference
         want = _raw_weights(pattern, other.metric.lengths)[_slot_raw(pattern)]
         assert refilled.weights.tobytes() == want.tobytes()
-        assert pattern.slot_map is None
         assert pattern.reference[1].tobytes() == graph.weights.tobytes()
 
 
@@ -1241,7 +1277,8 @@ def test_full_fill_does_not_depend_on_the_chord_block(request, name, monkeypatch
             lengths, data = pattern.reference
             for block in (7, 1, 10**9):
                 monkeypatch.setattr(geodesy, "FILL_BLOCK", block)
-                assert pattern._full_data(lengths).tobytes() == data.tobytes()
+                fresh = pattern._full_data(lengths, pattern._assemble()[2])
+                assert fresh.tobytes() == data.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 24])
@@ -1259,7 +1296,6 @@ def test_graph_assembly_peaks_near_the_bytes_it_keeps(n):
     finally:
         tracemalloc.stop()
     pattern = graph.pattern
-    assert pattern.slot_map is None
     assert graph.weights is pattern.reference[1]
     kept = pattern.indptr.nbytes + pattern.indices.nbytes + graph.weights.nbytes
     assert kept == 4 * (pattern.n_nodes + 1) + 12 * len(pattern.indices)
@@ -1330,9 +1366,9 @@ def test_eps_sweep_builds_one_full_pattern(monkeypatch):
     built = []
     make = geodesy._Pattern
 
-    def counting(nv, edges, cells, s):
+    def counting(nv, edges, cells, *args):
         built.append(cells[0][0].shape[1])
-        return make(nv, edges, cells, s)
+        return make(nv, edges, cells, *args)
 
     monkeypatch.setattr(geodesy, "_Pattern", counting)
     p = cs.vertex_at(sig, (0.75, 0.5))

@@ -226,3 +226,74 @@ def test_compose_rejects_near_coincidence_across_rounding_cells():
     corr = make_correspondence(lower, moved, tolerance=tol)
     with pytest.raises(CompositionError, match="coincides with the left signal"):
         compose(lower, moved, corr)
+
+
+# -- integer inputs and rarely reached refusals ------------------------------
+
+
+def test_index_inputs_must_be_integers(square8):
+    # a float would be truncated and a bool read as 0 or 1; each is refused
+    # with the module's own error, naming the first offending entry
+    n = square8.complex.n_simplices
+    for make, error, message in (
+            (lambda: NoiseSpec(40.6, 0.1, 0.2, 0.5), NoiseError,
+             "noise centre is 40.6: expected integers, got float"),
+            (lambda: NoiseSpec(True, 0.1, 0.2, 0.5), NoiseError,
+             "noise centre is True: expected integers, got bool"),
+            (lambda: extract_filter(square8, [0.7, 1.2] + list(range(2, n))), FilterError,
+             "kept simplex 0 is 0.7: expected integers, got float"),
+            (lambda: extract_filter(square8, np.arange(n, dtype=float)), FilterError,
+             "kept simplex 0 is 0.0: expected integers, got float64"),
+            (lambda: cs.Correspondence(((0.5, 1),), 1e-9), CompositionError,
+             "pair 0 is (0.5, 1): expected integers, got float"),
+            (lambda: cs.Correspondence(((0, 1), (True, 2)), 1e-9), CompositionError,
+             "pair 1 is (True, 2): expected integers, got bool")):
+        with pytest.raises(error) as err:
+            make()
+        assert str(err.value) == message
+    spec = NoiseSpec(np.int64(3), 0.1, 0.2, 0.5)
+    assert type(spec.center) is int and spec.center == 3
+    corr = cs.Correspondence(((np.int64(0), np.int32(1)),), 0.0)
+    assert corr.pairs == ((0, 1),) and all(type(v) is int for v in corr.pairs[0])
+    kept = extract_filter(square8, np.arange(n, dtype=np.int32))
+    assert kept.complex.labels == square8.complex.labels
+
+
+def test_extract_filter_rejects_empty_and_out_of_range_sets(square8):
+    n = square8.complex.n_simplices
+    for kept, message in (([], "kept simplex set is empty"),
+                          ([0, n], "kept simplex index out of range"),
+                          ([-1, 0], "kept simplex index out of range")):
+        with pytest.raises(FilterError) as err:
+            extract_filter(square8, kept)
+        assert str(err.value) == message
+
+
+def test_noise_centre_out_of_range(square8):
+    nv = square8.complex.n_vertices
+    for centre in (nv, -1):
+        with pytest.raises(NoiseError, match=f"^center vertex {centre} out of range$"):
+            bump_field(square8, NoiseSpec(centre, 0.1, 0.2, 0.5))
+
+
+def test_make_correspondence_rejects_a_many_to_one_match():
+    # with a loose tolerance the two leftmost Y vertices both find the
+    # right signal's leftmost X vertex nearest
+    lower = cs.gen_rectangle(1.0, 1.0, 4)
+    upper = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.6, 1.0))
+    with pytest.raises(CompositionError, match="^coordinate matching is not one-to-one$"):
+        make_correspondence(lower, upper, tolerance=1.0)
+
+
+def test_compose_rejects_mismatched_dimensions_and_facets():
+    with pytest.raises(CompositionError, match="^dimension mismatch between the two signals$"):
+        compose(cs.gen_square(4), cs.gen_annular_shell(1.0, 2.0, 2.0, 8),
+                cs.Correspondence((), 0.0))
+    # a bijection of the glued vertices, within its tolerance, that swaps
+    # the two ends of the interface, so Y facets map onto no X facet
+    lower, upper = stacked_pair(4)
+    pairs = list(make_correspondence(lower, upper).pairs)
+    (a, b), (c, d) = pairs[0], pairs[-1]
+    pairs[0], pairs[-1] = (a, d), (c, b)
+    with pytest.raises(CompositionError, match="^Y facets do not map onto right X facets$"):
+        compose(lower, upper, cs.Correspondence(tuple(pairs), 2.0))

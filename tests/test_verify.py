@@ -338,6 +338,15 @@ def test_refinement_study_rejects_repeated_resolutions(resolutions):
         refinement_study("square", {}, resolutions, oracle_resolution=64)
 
 
+def test_oracle_and_study_sizes_must_be_integers():
+    # a float would be truncated: the oracle to 1 cell, the study's row to
+    # a resolution it did not ask for
+    with pytest.raises(ValueError, match=r"^fine_resolution is 1\.5: expected integers, got float$"):
+        grid_oracle("square", {}, 1.5)
+    with pytest.raises(ValueError, match=r"^resolution is 2\.5: expected integers, got float$"):
+        refinement_study("square", {}, [2.5, 4], oracle_resolution=64)
+
+
 def test_refinement_scaling_between_geometries():
     # doubling the rectangle should scale E by the closed-form factor
     small = refinement_study("rectangle", {"width": 1.0, "height": 1.0},
