@@ -401,8 +401,9 @@ def as_int(value, error, what: str) -> int:
 
 def int_table(entries, error, what: str) -> np.ndarray:
     """``entries``, integers or rows of integers, as an int64 array once
-    ``check_ints`` finds every one an integer; otherwise ``error`` naming
-    the first entry that is not, or that holds one that is not, by
+    ``check_ints`` finds every one an integer and every row as long as the
+    first; otherwise ``error`` naming the first entry that is not, that
+    holds one that is not, or whose length differs from the first's, by
     ``what`` and position.  An array is judged by its dtype, so an integer
     array costs no pass over its entries."""
     if not isinstance(entries, np.ndarray):
@@ -410,15 +411,18 @@ def int_table(entries, error, what: str) -> np.ndarray:
     try:
         check_ints(entries if isinstance(entries, np.ndarray) else itertools.chain.from_iterable(
             e if np.iterable(e) else (e,) for e in entries))
-    except TypeError:
+        return np.array(entries, dtype=np.int64)
+    except (TypeError, ValueError):  # a ragged table is a ValueError to numpy
         for k, entry in enumerate(entries):
             try:
                 check_ints(entry if np.iterable(entry) else [entry])
+                if np.shape(entry) != np.shape(entries[0]):
+                    raise TypeError(f"its length differs from {what} 0's")
             except TypeError as exc:
                 shown = entry.tolist() if isinstance(entry, (np.ndarray, np.generic)) else entry
                 shown = tuple(shown) if isinstance(shown, list) else shown
                 raise error(f"{what} {k} is {shown!r}: {exc}") from exc
-    return np.array(entries, dtype=np.int64)
+        raise
 
 
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:

@@ -120,7 +120,7 @@ def load_correspondence(path) -> Correspondence:
         pairs = tuple(tuple(p) for p in data["pairs"])
         check_ints(chain.from_iterable(pairs))
         return Correspondence(pairs, float(data["tolerance"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc
 
 

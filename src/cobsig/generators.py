@@ -146,24 +146,16 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
 
     # orient every tetrahedron positively in ambient coordinates
     p = verts[tets]
-    det = np.linalg.det(p[:, 1:] - p[:, :1])
-    flip = det < 0
+    flip = np.linalg.det(p[:, 1:] - p[:, :1]) < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    if np.any(np.isclose(np.abs(det), 0.0)):
-        raise MeshError("degenerate tetrahedron in shell construction")
 
+    # a wall is where every vertex of a boundary facet shares an end of one
+    # grid index: radial 0 or nr for X or Y, height 0 or nz for A or B
     bare = build_complex(verts, tets, {})
     facets = bare.facets[bare.boundary]
-    fr = np.hypot(verts[:, 0], verts[:, 1])[facets]
-    fz = verts[facets, 2]
-    tol = 1e-9 * max(r1, height)
-    on = [np.all(np.abs(fr - r0) < tol, axis=1), np.all(np.abs(fr - r1) < tol, axis=1),
-          np.all(np.abs(fz) < tol, axis=1), np.all(np.abs(fz - height) < tol, axis=1)]
-    # the first matching wall wins, in X, Y, A, B order
-    tag = np.select(on, [0, 1, 2, 3], default=-1)
-    if np.any(tag < 0):
-        raise MeshError(f"unclassifiable boundary facet {tuple(facets[tag < 0][0].tolist())}")
-    cx = bare.with_labels({t: facets[tag == k].tolist() for k, t in enumerate("XYAB")})
+    _, jr, kz = np.unravel_index(facets, shape)
+    cx = bare.with_labels({t: facets[np.all(index == end, axis=1)] for t, index, end in
+                           (("X", jr, 0), ("Y", jr, nr), ("A", kz, 0), ("B", kz, nz))})
 
     # closed-form values for the smooth shell
     vol = math.pi * (r1 * r1 - r0 * r0) * height

@@ -100,6 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -802,11 +803,14 @@ def distance_within(signal, p: int, radius: float,
     The search stops at that bound (Dijkstra's ``limit``), so a noise ball
     costs in proportion to its size.  Every prefix of a vertex's shortest
     path sums no higher than the path, so a vertex within the bound gets
-    the bits of the full search, which an infinite ``radius`` runs.
+    the bits of the full search, which an infinite ``radius`` runs.  The
+    radius must be a number >= 0, inf included.
     """
     p = as_int(p, GeodesyError, "vertex index")
     if not 0 <= p < signal.complex.n_vertices:
         raise GeodesyError(f"vertex index {p} out of range")
+    if isinstance(radius, bool) or not (isinstance(radius, Real) and radius >= 0):
+        raise GeodesyError(f"radius must be a number >= 0, got {radius!r}")
     graph = _graph(signal, steiner_level)
     # np.spacing(inf) is nan, and a nan limit stops the search at p
     limit = np.inf if radius == np.inf else radius + BALL_ULPS * np.spacing(radius)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .complex import as_int, build_complex, edge_rows, int_table, region_vertices
+from .complex import as_int, build_complex, int_table, region_vertices
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
 from .fields import ScalarField
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_within
@@ -53,8 +54,9 @@ class NoiseSpec:
 class Correspondence:
     """Explicit vertex pairing for gluing: rows of (left vertex, right vertex).
 
-    Matched vertices must agree in coordinates within ``tolerance`` and the
-    left signal's Y facets must map exactly onto the right signal's X facets.
+    Matched vertices must agree in coordinates within ``tolerance``, a
+    finite number >= 0, and the left signal's Y facets must map exactly
+    onto the right signal's X facets.
     """
 
     pairs: tuple
@@ -63,11 +65,9 @@ class Correspondence:
     def __post_init__(self):
         table = int_table(self.pairs, CompositionError, "pair").tolist()
         object.__setattr__(self, "pairs", tuple((a, b) for a, b in table))
-        if self.tolerance < 0:
-            raise CompositionError("tolerance must be nonnegative")
-
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
+        tol = self.tolerance
+        if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol < math.inf):
+            raise CompositionError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
 def check_noise_spec(signal: Signal, spec: NoiseSpec,
@@ -242,23 +242,25 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
     if lcx.dim != rcx.dim or lcx.ambient_dim != rcx.ambient_dim:
         raise CompositionError("dimension mismatch between the two signals")
 
-    vmap = corr.as_dict()
-    ly = set(region_vertices(lcx, "Y").tolist())
-    rx = set(region_vertices(rcx, "X").tolist())
-    if set(vmap.keys()) != ly or set(vmap.values()) != rx or len(vmap) != len(ly):
+    table = np.array(corr.pairs, dtype=np.int64).reshape(-1, 2)
+    a, b = table.T
+    # an exact duplicate pair names the same gluing and is dropped
+    unique = np.unique(table, axis=0)
+    if not (np.array_equal(unique[:, 0], region_vertices(lcx, "Y"))
+            and np.array_equal(np.sort(unique[:, 1]), region_vertices(rcx, "X"))):
         raise CompositionError(
             "correspondence must biject left Y-vertices with right X-vertices"
         )
-    for a, b in vmap.items():
-        gap = float(np.linalg.norm(lcx.vertices[a] - rcx.vertices[b]))
-        if gap > corr.tolerance:
-            raise CompositionError(
-                f"glued vertices {a}<->{b} differ by {gap:.3g} "
-                f"(tolerance {corr.tolerance})"
-            )
-    inv = {b: a for a, b in vmap.items()}
+    gap = np.linalg.norm(lcx.vertices[a] - rcx.vertices[b], axis=1)
+    far = np.flatnonzero(~(gap <= corr.tolerance))
+    if len(far):
+        k = far[0]
+        raise CompositionError(
+            f"glued vertices {a[k]}<->{b[k]} differ by {gap[k]:.3g} "
+            f"(tolerance {corr.tolerance})"
+        )
     to_right = np.full(lcx.n_vertices, -1, dtype=np.int64)
-    to_right[list(vmap)] = list(vmap.values())
+    to_right[a] = b
     mapped_y = np.sort(to_right[lcx.region_facets("Y")], axis=1)
     if not np.array_equal(mapped_y[np.lexsort(mapped_y.T[::-1])], rcx.region_facets("X")):
         raise CompositionError("Y facets do not map onto right X facets")
@@ -267,9 +269,7 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
 
     # interiors must be disjoint: only glued vertices may come within tol
     tol = max(corr.tolerance, 1e-12)
-    glued = np.zeros(rcx.n_vertices, dtype=bool)
-    glued[list(inv)] = True
-    loose = np.flatnonzero(~glued)
+    loose = np.setdiff1d(np.arange(rcx.n_vertices), b)
     near = cKDTree(lcx.vertices).query_ball_point(rcx.vertices[loose], tol,
                                                   return_length=True)
     if np.any(near):
@@ -280,7 +280,7 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
 
     # merge vertex sets: left vertices keep their ids
     offset_map = np.empty(rcx.n_vertices, dtype=np.int64)
-    offset_map[list(inv)] = list(inv.values())
+    offset_map[b] = a
     offset_map[loose] = lcx.n_vertices + np.arange(len(loose))
     merged_vertices = np.vstack([lcx.vertices, rcx.vertices[loose]])
     merged_simplices = np.vstack([lcx.simplices, offset_map[rcx.simplices]])
@@ -296,17 +296,15 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
     try:
         merged = build_complex(merged_vertices, merged_simplices, labels,
                                merged_signs)
-        edges = merged.edges()
-        # left lengths win on glued edges; both sides agree within tolerance
-        # for induced metrics because the glued coordinates agree
-        left_rows = edge_rows(left.metric.edges, edges)
-        on_left = left_rows >= 0
-        lengths = np.empty(len(edges))
-        right_back = np.full(merged_vertices.shape[0], -1, dtype=np.int64)
-        right_back[offset_map] = np.arange(rcx.n_vertices)
-        lengths[on_left] = left.metric.lengths[left_rows[on_left]]
-        lengths[~on_left] = right.metric.pair_lengths(right_back[edges[~on_left]])
-        metric = MetricField._on_table(edges, lengths, "induced"
+        # both sides' edge tables in merged ids, coded u * nv + v; each
+        # merged edge takes its first row, so left lengths win on glued
+        # edges, where both sides agree within tolerance for induced metrics
+        nv = len(merged_vertices)
+        u, v = np.vstack([left.metric.edges,
+                          np.sort(offset_map[right.metric.edges], axis=1)]).T
+        _, first = np.unique(u * nv + v, return_index=True)
+        lengths = np.concatenate([left.metric.lengths, right.metric.lengths])[first]
+        metric = MetricField._on_table(merged.edges(), lengths, "induced"
                                        if left.metric.source == right.metric.source ==
                                        "induced" else "deformed")
         return make_signal(merged, metric, hints={})

@@ -582,8 +582,9 @@ def test_cli_unbuildable_mesh_exits_1(tmp_path, capsys):
     # the valid pairs with fractions that truncate back to them
     lambda good: dict(good, pairs=[[u + 0.5, v + 0.25] for u, v in good["pairs"]]),
     lambda good: dict(good, pairs=[[True, v] for _, v in good["pairs"][:1]]),
+    {"pairs": [[2**70, 0]], "tolerance": 1e-9},
 ], ids=["no-tolerance", "pairs-not-a-list", "short-pair", "text-tolerance",
-        "not-an-object", "fractional-pairs", "bool-pair"])
+        "not-an-object", "fractional-pairs", "bool-pair", "index-past-int64"])
 def test_cli_malformed_correspondence_exits_1(tmp_path, capsys, corr):
     lpath, rpath = str(tmp_path / "l.json"), str(tmp_path / "r.json")
     left = cs.gen_rectangle(1.0, 1.0, 4)
@@ -604,6 +605,32 @@ def test_cli_malformed_correspondence_exits_1(tmp_path, capsys, corr):
         assert out == ""
         assert err.startswith(f"error: malformed correspondence file {cpath}: ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+def test_cli_non_finite_or_negative_tolerance_exits_1(tmp_path, capsys, tolerance):
+    # json writes NaN and Infinity, and reads them back as floats
+    lpath, rpath = str(tmp_path / "l.json"), str(tmp_path / "r.json")
+    left = cs.gen_rectangle(1.0, 1.0, 4)
+    right = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0))
+    save_signal(left, lpath)
+    save_signal(right, rpath)
+    cpath = tmp_path / "corr.json"
+    cpath.write_text(json.dumps({"pairs": make_correspondence(left, right).pairs,
+                                 "tolerance": tolerance}))
+    code, out, err = run(capsys, "compose", "--left", lpath, "--right", rpath,
+                         "--corr", str(cpath), "--out", str(tmp_path / "g.json"))
+    assert (code, out) == (1, "")
+    assert err == f"error: tolerance must be a finite number >= 0, got {tolerance!r}\n"
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_cli_mesh_file_that_is_not_json_exits_1(tmp_path, capsys):
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text("{'vertices': []}")
+    code, out, err = run(capsys, "energy", str(mesh))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: invalid JSON in {mesh}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("keep, message", [

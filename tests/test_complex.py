@@ -186,8 +186,8 @@ def test_label_entries_must_be_integers():
 
 def test_index_tables_must_be_integers():
     # a float simplex entry or sign would be truncated and a bool read as
-    # 0 or 1; the first offending entry is named, and integer arrays of any
-    # width are accepted by their dtype
+    # 0 or 1; the first offending or ragged entry is named, and integer
+    # arrays of any width are accepted by their dtype
     for simplices, signs, message in (
             ([(0.7, 1, 2), (0, 2, 3)], None,
              "simplex 0 is (0.7, 1, 2): expected integers, got float"),
@@ -198,13 +198,36 @@ def test_index_tables_must_be_integers():
             (UNIT_SQUARE_TRIS, [1.5, -1.9], "sign 0 is 1.5: expected integers, got float"),
             (UNIT_SQUARE_TRIS, [1, True], "sign 1 is True: expected integers, got bool"),
             (UNIT_SQUARE_TRIS, np.array([1.0, 1.0]),
-             "sign 0 is 1.0: expected integers, got float64")):
+             "sign 0 is 1.0: expected integers, got float64"),
+            # numpy would refuse a ragged table with a bare ValueError
+            ([(0, 1, 2), (0, 2)], None, "simplex 1 is (0, 2): its length differs from simplex 0's"),
+            ([(0, 1, 2), 3], None, "simplex 1 is 3: its length differs from simplex 0's"),
+            (UNIT_SQUARE_TRIS, [1, (1, 1)], "sign 1 is (1, 1): its length differs from sign 0's")):
         with pytest.raises(MeshError) as err:
             build_complex(UNIT_SQUARE_VERTS, simplices, UNIT_SQUARE_LABELS, signs)
         assert str(err.value) == message
     cx = build_complex(UNIT_SQUARE_VERTS, np.array(UNIT_SQUARE_TRIS, dtype=np.int32),
                        UNIT_SQUARE_LABELS, [np.int64(1), 1])
     assert cx == unit_square()
+
+
+def test_build_rejects_misshapen_tables():
+    for verts, tris, signs, message in (
+            ([0.0, 1.0, 2.0], UNIT_SQUARE_TRIS, None,
+             "vertices must be a 2d array of coordinates"),
+            (UNIT_SQUARE_VERTS, [], None,
+             "simplices must be a nonempty 2d array of index tuples"),
+            (UNIT_SQUARE_VERTS, [0, 1, 2], None,
+             "simplices must be a nonempty 2d array of index tuples"),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], [(0, 1, 2, 3)], None,
+             "ambient dimension 2 below complex dimension 3"),
+            (UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, [1, 2],
+             "signs must be +-1, one per top simplex"),
+            (UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, [1],
+             "signs must be +-1, one per top simplex")):
+        with pytest.raises(MeshError) as err:
+            build_complex(verts, tris, {}, signs)
+        assert str(err.value) == message
 
 
 def test_label_iterators_are_read_once():

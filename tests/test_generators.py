@@ -100,6 +100,17 @@ def test_shell_parameter_validation():
         cs.gen_annular_shell(1.0, 1.2, -1.0, 16)
 
 
+def test_shell_of_any_scale_generates():
+    # walls are found by grid index and degeneracy by the relative volume
+    # floor, so a shell scaled by 1/100 is the same mesh; energy scales as
+    # length to the fourth
+    small = cs.gen_annular_shell(0.01, 0.02, 0.02, 48)
+    unit = cs.gen_annular_shell(1.0, 2.0, 2.0, 48)
+    assert small.complex.labels == unit.complex.labels
+    assert np.array_equal(small.complex.simplices, unit.complex.simplices)
+    assert cs.energy(small) == pytest.approx(1e-8 * cs.energy(unit), rel=1e-12, abs=0)
+
+
 def test_refinement_keeps_label_structure():
     for n in (4, 8):
         sig = cs.gen_square(n)

@@ -210,6 +210,17 @@ def test_vertex_index_must_be_an_integer_in_range(square8):
     assert str(err.value) == "vertex index is 3.9: expected integers, got float"
 
 
+def test_radius_must_be_a_number_at_least_zero(square8):
+    # a nan limit would stop the search at the source, a string would fail
+    # in np.spacing and a negative radius in scipy
+    for radius in (float("nan"), "0.5", -1.0, True, None):
+        with pytest.raises(GeodesyError, match="^radius must be a number >= 0, got "):
+            distance_within(square8, 0, radius)
+    assert distance_within(square8, 0, 0)[0] == 0.0
+    assert np.array_equal(distance_within(square8, 0, np.inf),
+                          distance_to_vertex(square8, 0).values)
+
+
 def test_steiner_level_is_checked_before_any_cache(square8):
     # the level is read once, by _graph, before any cache lookup: a kept
     # level-1 result answers no True and no 1.5, and a bad level fails as a

@@ -177,6 +177,30 @@ def test_flat_triangle_rejected():
         simplex_volume(m, (0, 1, 2))
 
 
+def test_needle_triangle_below_the_volume_floor_rejected():
+    # a positive squared area, but the area is below EPS_VOL * mean length^2
+    m = MetricField([(0, 1), (0, 2), (1, 2)], [1e-11, 1.0, 1.0], "induced")
+    with pytest.raises(MetricError, match=r"^simplex \(0, 1, 2\) is degenerate: volume "
+                                          r"5\.000e-12 below threshold 4\.444e-11$"):
+        simplex_volume(m, (0, 1, 2))
+    assert simplex_volume(MetricField(m.edges, [1e-9, 1.0, 1.0], "induced"),
+                          (0, 1, 2)) == pytest.approx(5e-10, rel=1e-6)
+
+
+def test_metric_edges_must_be_integers():
+    # np.int64 would truncate 1.7 to 1 and read True as 1
+    for edges, message in (([(0, 1.7), (1, 2)], "edge 0 is (0, 1.7): expected integers, got float"),
+                           ([(0, 1), (True, 2)], "edge 1 is (True, 2): expected integers, got bool"),
+                           (np.array([[0.0, 1.0]]), "edge 0 is (0.0, 1.0): expected integers, "
+                                                    "got float64"),
+                           ([(0, 1), (2,)], "edge 1 is (2,): its length differs from edge 0's")):
+        with pytest.raises(MetricError) as err:
+            MetricField(edges, [1.0] * len(edges), "deformed")
+        assert str(err.value) == message
+    m = MetricField(np.array([[1, 2], [0, 1]], dtype=np.int32), [2.0, 1.0], "deformed")
+    assert m.edges.tolist() == [[0, 1], [1, 2]] and m.lengths.tolist() == [1.0, 2.0]
+
+
 def test_lumped_interior_vertex_weight(square8):
     # a structured-grid interior vertex touches 6 triangles of area
     # 1/(2 n^2), so its share is 6 * area / 3 = 1 / n^2

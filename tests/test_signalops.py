@@ -247,7 +247,11 @@ def test_index_inputs_must_be_integers(square8):
             (lambda: cs.Correspondence(((0.5, 1),), 1e-9), CompositionError,
              "pair 0 is (0.5, 1): expected integers, got float"),
             (lambda: cs.Correspondence(((0, 1), (True, 2)), 1e-9), CompositionError,
-             "pair 1 is (True, 2): expected integers, got bool")):
+             "pair 1 is (True, 2): expected integers, got bool"),
+            (lambda: cs.Correspondence(((0, 1), (2,)), 1e-9), CompositionError,
+             "pair 1 is (2,): its length differs from pair 0's"),
+            (lambda: cs.Correspondence(((0, 1), 2), 1e-9), CompositionError,
+             "pair 1 is 2: its length differs from pair 0's")):
         with pytest.raises(error) as err:
             make()
         assert str(err.value) == message
@@ -297,3 +301,80 @@ def test_compose_rejects_mismatched_dimensions_and_facets():
     pairs[0], pairs[-1] = (a, d), (c, b)
     with pytest.raises(CompositionError, match="^Y facets do not map onto right X facets$"):
         compose(lower, upper, cs.Correspondence(tuple(pairs), 2.0))
+
+
+def test_compose_requires_a_bijection():
+    lower, upper = stacked_pair(4)
+    pairs = make_correspondence(lower, upper).pairs
+    (a, b), (c, d) = pairs[0], pairs[1]
+    interior = cs.vertex_at(lower, (0.5, 0.5))
+    for bad in (pairs[1:],                                 # a Y vertex left out
+                ((a, d),) + pairs[1:],                     # two onto one X vertex
+                ((interior, b),) + pairs[1:],              # a vertex off Y
+                pairs + ((a, d),)):                        # one Y vertex twice
+        with pytest.raises(CompositionError, match="^correspondence must biject left "
+                                                   "Y-vertices with right X-vertices$"):
+            compose(lower, upper, cs.Correspondence(bad, 1e-9))
+    # an exact duplicate pair names the same bijection
+    twice = compose(lower, upper, cs.Correspondence(pairs + (pairs[2],), 1e-9))
+    assert twice.complex == compose(lower, upper, cs.Correspondence(pairs, 1e-9)).complex
+
+
+def test_compose_wraps_a_failed_validation():
+    # the upper square's A and B swap sides, so the glued A and B meet in
+    # a corner vertex of the interface
+    lower, upper = stacked_pair(4)
+    cx = upper.complex
+    swapped = cs.make_signal(cx.with_labels(dict(cx.labels, A=cx.labels["B"],
+                                                 B=cx.labels["A"])))
+    with pytest.raises(CompositionError, match="^composed signal fails validation: "
+                                               "complex fails validation: "
+                                               "A-B-shared-corner-face$"):
+        compose(lower, swapped, make_correspondence(lower, swapped))
+
+
+def test_correspondence_tolerance_must_be_finite_and_nonnegative():
+    # a nan tolerance would pass every gap test, and an infinite one would
+    # find every right vertex coincident with the left signal
+    for tol in (float("nan"), float("inf"), -1.0, -1e-300, "1e-9", True, None):
+        with pytest.raises(CompositionError,
+                           match=r"^tolerance must be a finite number >= 0, got "):
+            cs.Correspondence(((0, 1),), tol)
+    for tol in (0.0, 0, 1e-9, np.float64(2.0)):
+        assert cs.Correspondence(((0, 1),), tol).tolerance == tol
+
+
+def test_make_correspondence_rejects_a_count_mismatch():
+    lower = cs.gen_rectangle(1.0, 1.0, 4)
+    upper = cs.gen_rectangle(1.0, 1.0, 8, origin=(0.0, 1.0))
+    with pytest.raises(CompositionError, match="^cannot match 5 Y-vertices with 9 X-vertices$"):
+        make_correspondence(lower, upper)
+
+
+def test_compose_merges_the_edge_tables_by_code():
+    # both sides deformed, differently, on the glued edges: the glued
+    # metric keeps the left lengths there and each side's lengths elsewhere
+    lower, upper = stacked_pair(4)
+    corr = make_correspondence(lower, upper)
+    left = cs.make_signal(lower.complex, cs.conformal_scale(
+        lower.metric, np.full(lower.complex.n_vertices, 0.81)))
+    right = cs.make_signal(upper.complex, cs.conformal_scale(
+        upper.metric, np.full(upper.complex.n_vertices, 1.21)))
+    glued = compose(left, right, corr)
+    edges = glued.complex.edges()
+    nv = glued.complex.n_vertices
+    # the merged codes u * nv + v, as compose forms them, are the edge table
+    to_merged = np.full(upper.complex.n_vertices, -1)
+    to_merged[[b for _, b in corr.pairs]] = [a for a, _ in corr.pairs]
+    loose = to_merged < 0
+    to_merged[loose] = lower.complex.n_vertices + np.arange(loose.sum())
+    right_edges = np.sort(to_merged[upper.metric.edges], axis=1)
+    codes = np.unique(np.concatenate([lower.metric.edges @ (nv, 1), right_edges @ (nv, 1)]))
+    assert np.array_equal(codes, edges @ (nv, 1))
+    assert glued.metric.source == "deformed"
+    ys = glued.complex.vertices[edges][..., 1]
+    below, above = ys.max(axis=1) <= 1.0, ys.min(axis=1) >= 1.0
+    ref = cs.induced_metric(glued.complex).lengths
+    assert np.allclose(glued.metric.lengths[below], 0.9 * ref[below], rtol=1e-14)
+    assert np.allclose(glued.metric.lengths[~below], 1.1 * ref[~below], rtol=1e-14)
+    assert (below & above).sum() == 4  # the glued edges

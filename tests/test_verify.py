@@ -180,6 +180,28 @@ def test_filter_overlapping_noise_rejected(square32, filter_setup):
         check_filter(square32, filt, bad)
 
 
+def test_filter_report_to_dict(square32, filter_setup):
+    filt, spec = filter_setup
+    rep = check_filter(square32, filt, spec)
+    assert rep.to_dict() == {"E_filter": rep.energy_filter, "E_signal": rep.energy_signal,
+                             "E_noisy": rep.energy_noisy, "holds": True,
+                             "slack_signal": rep.slack_signal,
+                             "slack_noisy": rep.slack_noisy}
+
+
+def test_filter_vertex_foreign_to_the_signal_rejected(square32, filter_setup):
+    _, spec = filter_setup
+    moved = cs.gen_rectangle(0.5, 1.0, 32, origin=(1e-3, 0.0))
+    with pytest.raises(FilterError, match="^filter vertex does not belong to the signal$"):
+        check_filter(square32, moved, spec)
+
+
+def test_eps_sweep_rejects_an_empty_list(square16):
+    spec = NoiseSpec(cs.vertex_at(square16, (0.75, 0.5)), 0.1, 0.2, 0.5)
+    with pytest.raises(ValueError, match="^eps list is empty$"):
+        eps_sweep(square16, spec, [])
+
+
 # -- composition inequalities ------------------------------------------------
 
 
