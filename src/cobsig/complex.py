@@ -16,7 +16,8 @@ What depends only on (simplices, signs) is the complex's topology, and one
 half of ``validate`` (non-manifold facets and inconsistent orientation), the
 canonical edge table that ``edges()`` returns, and ``simplex_edge_rows``, the
 edge-table row of every edge of every top simplex.  ``build_complex`` builds
-it once, with array operations, and every relabeling made with
+it once, with array operations, from one sort of each simplex's vertices
+and one integer code per table row, and every relabeling made with
 ``with_labels`` shares it; ``with_labels`` checks only the new labels, in a
 few whole-array passes, and ``validate`` adds only the label checks.  A
 region's facets are kept once per facet set as a lexsorted table
@@ -238,7 +239,7 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
         if sgn.shape != (len(simp),) or not np.all(np.abs(sgn) == 1):
             raise MeshError("signs must be +-1, one per top simplex")
 
-    structure = _Structure(simp, sgn)
+    structure = _Structure(simp, ordered, sgn, nv)
     clean_labels = _clean_labels(labels, d, structure)
     verts.flags.writeable = False
     simp.flags.writeable = False
@@ -257,21 +258,34 @@ class _Structure:
     edges in slot order.  ``cache`` holds what ``CobordismComplex.cached``
     derives from the structure, such as refined-graph patterns and region
     facet tables.
+
+    ``ordered`` holds each simplex's vertices sorted, the one sort that
+    ``build_complex`` makes.  The face of simplex t without its o-th
+    smallest vertex is ``ordered[t]`` less position o, ascending as cut,
+    and t induces on it its sign times (-1)**o times the parity of t's
+    vertex order.  Edge and facet rows are grouped by one stable sort of
+    one int64 code each (``_row_codes``): an edge (lo, hi) is coded
+    lo * nv + hi, below nv**2, and a triangle facet the edge row of its
+    leading pair times nv plus its last vertex, below (number of edges) *
+    nv, so neither overflows for a mesh that fits in memory.  Both codes
+    ascend with lexsorted rows, and ``facet_rows`` searches the very facet
+    codes that the grouping made.
     """
 
-    def __init__(self, simp: np.ndarray, sgn: np.ndarray):
+    def __init__(self, simp: np.ndarray, ordered: np.ndarray, sgn: np.ndarray, nv: int):
         nt, k = simp.shape
         d = k - 1
-        # row t * k + o is simplex t without its vertex at position o
+        slots = edge_slots(d)
+        self._nv = nv
+        self.edges, self._edge_codes, rows, _ = _group_rows(
+            np.sort(simp[:, slots], axis=2).reshape(-1, 2), nv)
+        # row t * k + o is simplex t without its o-th smallest vertex
         omit = np.array([[j for j in range(k) if j != o] for o in range(k)])
-        faces = simp[:, omit].reshape(-1, d)
-        inversions = sum((faces[:, i] > faces[:, j]).astype(np.int64)
-                         for i, j in edge_slots(d - 1))
-        # the orientation simplex t induces on its face o, relative to the
-        # face's sorted vertex order
-        orient = (np.repeat(sgn, k) * np.tile((-1) ** np.arange(k), nt)
-                  * (1 - 2 * (inversions % 2)))
-        facets, group, order = _group_rows(np.sort(faces, axis=1))
+        inversions = sum(simp[:, i] > simp[:, j] for i, j in slots)
+        orient = (np.repeat(sgn * (1 - 2 * (inversions % 2)), k)
+                  * np.tile((-1) ** np.arange(k), nt))
+        facets, self._codes, group, order = _group_rows(
+            ordered[:, omit].reshape(-1, d), nv, self._edge_codes)
         count = np.bincount(group, minlength=len(facets))
         # an interior facet must be induced with opposite orientations by
         # its two simplices; equal rows keep their order, so t1 < t2
@@ -286,33 +300,20 @@ class _Structure:
                                      (order[first] // k).tolist(),
                                      (order[first + 1] // k).tolist())]
 
-        slots = edge_slots(d)
-        self.edges, rows, _ = _group_rows(np.sort(simp[:, slots], axis=2).reshape(-1, 2))
         self.simplex_edge_rows = rows.reshape(nt, len(slots))
         self.facets = facets
         self.boundary = count == 1
         self.boundary_facets = frozenset(map(tuple, facets[self.boundary].tolist()))
         self.violations = tuple(bad)
         self.cache: dict = {}
-        # a row's code is the row of the first facet with its leading pair,
-        # times the vertex count, plus its last vertex: the codes ascend with
-        # ``facets`` and stay below the facet count times the vertex count;
-        # leading pairs are coded as in ``_group_rows``
-        self._base = np.int64(facets.max()) + 1
-        self._lead = facets[:, 0] * self._base + facets[:, 1]
-        self._codes = self._code(facets)
         for table in (self.edges, self.simplex_edge_rows, self.facets, self.boundary):
             table.flags.writeable = False
-
-    def _code(self, rows: np.ndarray) -> np.ndarray:
-        r = np.clip(rows, 0, self._base - 1)
-        start = np.searchsorted(self._lead, r[:, 0] * self._base + r[:, 1])
-        return start * self._base + r[:, -1]
 
     def facet_rows(self, rows: np.ndarray) -> np.ndarray:
         """Row in ``facets`` of each row of ascending vertex ids, or -1; a
         code only guides the search, equal rows decide."""
-        at = np.searchsorted(self._codes, self._code(rows)).clip(max=len(self.facets) - 1)
+        codes = _row_codes(rows, self._nv, self._edge_codes)
+        at = np.searchsorted(self._codes, codes).clip(max=len(self.facets) - 1)
         return np.where(np.all(self.facets[at] == rows, axis=1), at, -1)
 
 
@@ -327,34 +328,35 @@ def edge_slots(q: int) -> np.ndarray:
     return slots
 
 
-def _group_rows(rows: np.ndarray):
-    """Distinct rows of a nonnegative (n, 2) or (n, 3) int array by one
-    stable sort.
+def _row_codes(rows: np.ndarray, nv: int, edge_codes=None) -> np.ndarray:
+    """The code of each row of an (n, 2) or (n, 3) int array of ascending
+    vertex ids below ``nv``: lo * nv + hi for a pair, and for a triple the
+    row of its leading pair among the ascending pair codes ``edge_codes``,
+    times nv, plus its last vertex.  Codes ascend with lexsorted rows; pair
+    codes stay below nv**2, and triple codes below len(edge_codes) * nv."""
+    lead = rows[:, 0] if rows.shape[1] == 2 else np.searchsorted(
+        edge_codes, _row_codes(rows[:, :2], nv))
+    return lead * nv + rows[:, -1]
 
-    Returns the distinct rows in lexicographic order, the group of each
-    input row, and the sort order, in which equal rows keep their input
-    order.  The leading pair is sorted as one code lo * base + hi, as in
-    ``edge_rows``; with base one more than the largest entry, the codes
-    stay below base**2 and cannot overflow int64 below 3e9 vertices.
+
+def _group_rows(rows: np.ndarray, nv: int, edge_codes=None):
+    """Distinct rows of an (n, 2) or (n, 3) int array by one stable sort of
+    their codes (``_row_codes``).
+
+    Returns the distinct rows in lexicographic order, their codes, the
+    group of each input row, and the sort order, in which equal rows keep
+    their input order.
     """
-    base = rows.max(initial=0) + 1
-    code = rows[:, 0] * base
-    code += rows[:, 1]
-    if rows.shape[1] == 2:
-        order = np.argsort(code, kind="stable")
-    else:
-        order = np.lexsort((rows[:, 2], code))
-    code = code[order]
+    codes = _row_codes(rows, nv, edge_codes)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = code[1:] != code[:-1]
-    if rows.shape[1] == 3:
-        last = rows[order, 2]
-        new[1:] |= last[1:] != last[:-1]
+    new[1:] = codes[1:] != codes[:-1]
     group = np.empty(len(rows), dtype=np.int64)
     group[order] = np.cumsum(new) - 1
     # gather only the distinct rows: a sorted copy of every row would raise
     # the memory peak of loading a mesh
-    return rows[order[new]], group, order
+    return rows[order[new]], codes[new], group, order
 
 
 def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
@@ -400,29 +402,44 @@ def as_int(value, error, what: str) -> int:
 
 
 def int_table(entries, error, what: str) -> np.ndarray:
-    """``entries``, integers or rows of integers, as an int64 array once
-    ``check_ints`` finds every one an integer and every row as long as the
-    first; otherwise ``error`` naming the first entry that is not, that
-    holds one that is not, or whose length differs from the first's, by
+    """``entries``, a collection of integers or of rows of integers, as an
+    int64 array once ``check_ints`` finds every one an integer and every
+    row as long as the first; otherwise ``error`` naming the table if it is
+    no collection, else the first entry that is not, that holds one that is
+    not or one past int64, or whose length differs from the first's, by
     ``what`` and position.  An array is judged by its dtype, so an integer
     array costs no pass over its entries."""
     if not isinstance(entries, np.ndarray):
-        entries = list(entries)  # one pass, so an iterator is read once
+        try:
+            entries = list(entries)  # one pass, so an iterator is read once
+        except TypeError as exc:
+            raise error(f"the {what} table {entries!r} is not a collection ({exc})") from exc
     try:
         check_ints(entries if isinstance(entries, np.ndarray) else itertools.chain.from_iterable(
             e if np.iterable(e) else (e,) for e in entries))
         return np.array(entries, dtype=np.int64)
-    except (TypeError, ValueError):  # a ragged table is a ValueError to numpy
+    # a ragged table is a ValueError to numpy, an entry past int64 an OverflowError
+    except (TypeError, ValueError, OverflowError):
         for k, entry in enumerate(entries):
             try:
                 check_ints(entry if np.iterable(entry) else [entry])
                 if np.shape(entry) != np.shape(entries[0]):
                     raise TypeError(f"its length differs from {what} 0's")
-            except TypeError as exc:
+                np.array(entry, dtype=np.int64)
+            except (TypeError, OverflowError) as exc:
                 shown = entry.tolist() if isinstance(entry, (np.ndarray, np.generic)) else entry
                 shown = tuple(shown) if isinstance(shown, list) else shown
                 raise error(f"{what} {k} is {shown!r}: {exc}") from exc
         raise
+
+
+def pair_table(entries, error, what: str) -> np.ndarray:
+    """``entries`` as an (n, 2) int64 table of vertex pairs by ``int_table``;
+    a table of another shape is ``error``, so no row is read across two."""
+    table = int_table(entries, error, what)
+    if len(table) and table.shape[1:] != (2,):
+        raise error(f"{what}s must be vertex pairs, got a table of shape {table.shape}")
+    return table.reshape(-1, 2)
 
 
 def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:
@@ -431,10 +448,10 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
     in the structure cache under that set.
 
     Each label value must be a collection of entries, read once, and every
-    entry must hold integers (``check_ints``) and be a boundary facet.  The
-    entries of all regions are checked by tag in X, Y, A, B order and then
-    in input order, first for integers and then as one table, so the first
-    that fails is the one named.
+    entry must hold integers (``check_ints``) and be a boundary facet, which
+    an entry past int64 is not.  The entries of all regions are checked by
+    tag in X, Y, A, B order and then in input order, first for integers and
+    then as one table, so the first that fails is the one named.
     """
     labels = dict(labels)
     for tag in labels:
@@ -462,10 +479,16 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
         groups.append(listed)
     ends = np.cumsum([len(g) for g in groups])
     entries = list(itertools.chain.from_iterable(groups))
-    # the entries before the first one of another size form an (n, d) table
+    # the entries before the first one of another size, or with a vertex
+    # past int64, form an (n, d) table
     sized = np.fromiter(map(len, entries), np.int64, len(entries)) == d
     n = len(entries) if sized.all() else int(np.argmin(sized))
-    rows = np.sort(np.array(entries[:n], dtype=np.int64).reshape(n, d), axis=1)
+    try:
+        rows = np.array(entries[:n], dtype=np.int64)
+    except OverflowError:
+        n = next(i for i, e in enumerate(entries) if not all(-2**63 <= v < 2**63 for v in e))
+        rows = np.array(entries[:n], dtype=np.int64)
+    rows = np.sort(rows.reshape(n, d), axis=1)
     found = structure.facet_rows(rows)
     bad = (found < 0) | ~structure.boundary[found]
     if n < len(entries) or bad.any():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complex import CobordismComplex, build_complex, check_ints
+from .complex import CobordismComplex, build_complex, check_ints, pair_table
 from .errors import CobsigError
 from .metric import MetricField
 from .signal import Signal, make_signal
@@ -117,8 +117,8 @@ def save_correspondence(corr: Correspondence, path) -> None:
 def load_correspondence(path) -> Correspondence:
     data = read_json(path)
     try:
-        pairs = tuple(tuple(p) for p in data["pairs"])
-        check_ints(chain.from_iterable(pairs))
+        # a ValueError makes the file malformed
+        pairs = pair_table(data["pairs"], ValueError, "pair")
         return Correspondence(pairs, float(data["tolerance"]))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc

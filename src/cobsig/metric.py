@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .complex import CobordismComplex, edge_rows, edge_slots, int_table
+from .complex import CobordismComplex, edge_rows, edge_slots, pair_table
 from .errors import MetricError, RegionError
 from .fields import ScalarField
 
@@ -40,7 +40,7 @@ class MetricField:
     """
 
     def __init__(self, edges, lengths, source: str):
-        e = int_table(edges, MetricError, "edge").reshape(-1, 2)
+        e = pair_table(edges, MetricError, "edge")
         if np.any(e[:, 0] >= e[:, 1]):
             raise MetricError("edges must be canonical (u, v) pairs with u < v")
         ln = np.array(lengths, dtype=np.float64)

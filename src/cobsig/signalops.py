@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .complex import as_int, build_complex, int_table, region_vertices
+from .complex import as_int, build_complex, int_table, pair_table, region_vertices
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
 from .fields import ScalarField
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_within
@@ -63,8 +63,8 @@ class Correspondence:
     tolerance: float
 
     def __post_init__(self):
-        table = int_table(self.pairs, CompositionError, "pair").tolist()
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in table))
+        table = pair_table(self.pairs, CompositionError, "pair").tolist()
+        object.__setattr__(self, "pairs", tuple(map(tuple, table)))
         tol = self.tolerance
         if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol < math.inf):
             raise CompositionError(f"tolerance must be a finite number >= 0, got {tol!r}")
@@ -152,7 +152,11 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
     concern (see the filter inequality check).
     """
     cx = signal.complex
-    kept = np.unique(int_table(kept_simplices, FilterError, "kept simplex"))
+    kept = int_table(kept_simplices, FilterError, "kept simplex")
+    if kept.ndim != 1:
+        raise FilterError(f"kept simplices must be a flat list of indices, got a table "
+                          f"of shape {kept.shape}")
+    kept = np.unique(kept)
     if len(kept) == 0:
         raise FilterError("kept simplex set is empty")
     if kept.min() < 0 or kept.max() >= cx.n_simplices:
@@ -267,10 +271,10 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
 
     from scipy.spatial import cKDTree  # imported on use, as in make_correspondence
 
-    # interiors must be disjoint: only glued vertices may come within tol
-    tol = max(corr.tolerance, 1e-12)
+    # interiors must be disjoint: only glued vertices may come within the
+    # tolerance, which counts exact coincidences even at 0
     loose = np.setdiff1d(np.arange(rcx.n_vertices), b)
-    near = cKDTree(lcx.vertices).query_ball_point(rcx.vertices[loose], tol,
+    near = cKDTree(lcx.vertices).query_ball_point(rcx.vertices[loose], corr.tolerance,
                                                   return_length=True)
     if np.any(near):
         raise CompositionError(

@@ -563,7 +563,11 @@ def test_cli_unbuildable_mesh_exits_1(tmp_path, capsys):
     bad_label["labels"]["A"] = [[0, 8]]  # not a facet of the complex
     short_metric = signal_to_dict(cs.gen_square(2), include_metric=True)
     short_metric["metric"] = short_metric["metric"][:-1]  # the labels validate
+    big_label = signal_to_dict(cs.gen_square(2))
+    big_label["labels"]["A"] = [[0, 2**70]]  # past int64
     for data, message in ((bad_label, "label A: (0, 8) is not a facet of the complex"),
+                          (big_label, "label A: (0, 1180591620717411303424) is not a "
+                                      "(d-1)-simplex"),
                           (short_metric, "metric edge set does not match the complex")):
         mesh = tmp_path / "broken.json"
         mesh.write_text(json.dumps(data))

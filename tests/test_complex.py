@@ -1,10 +1,12 @@
 """Complex construction, validation, regions, and serialization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import cobsig as cs
-from cobsig.complex import _group_rows, build_complex, region_vertices, validate
+from cobsig.complex import _group_rows, _row_codes, build_complex, region_vertices, validate
 from cobsig.errors import MeshError, RegionError
 
 STRUCTURAL = ("nonmanifold-facet", "inconsistent-orientation")
@@ -172,7 +174,10 @@ def test_label_entries_must_be_integers():
             ({"A": (0, 3)}, "label A: 0 is not a (d-1)-simplex ('int' object is not iterable)"),
             # one vertex where a list of facets belongs
             ({"X": 5}, "label X: 5 is not a collection of (d-1)-simplices "
-                       "('int' object is not iterable)")):
+                       "('int' object is not iterable)"),
+            # numpy would raise a bare OverflowError past int64
+            ({"X": [(0, 1)], "Y": [(2, 3), (0, 2**70)]},
+             "label Y: (0, 1180591620717411303424) is not a (d-1)-simplex")):
         for make in (lambda: build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels),
                      lambda: unit_square().with_labels(labels)):
             with pytest.raises(MeshError) as err:
@@ -202,7 +207,16 @@ def test_index_tables_must_be_integers():
             # numpy would refuse a ragged table with a bare ValueError
             ([(0, 1, 2), (0, 2)], None, "simplex 1 is (0, 2): its length differs from simplex 0's"),
             ([(0, 1, 2), 3], None, "simplex 1 is 3: its length differs from simplex 0's"),
-            (UNIT_SQUARE_TRIS, [1, (1, 1)], "sign 1 is (1, 1): its length differs from sign 0's")):
+            (UNIT_SQUARE_TRIS, [1, (1, 1)], "sign 1 is (1, 1): its length differs from sign 0's"),
+            # numpy would raise a bare OverflowError past int64, and Python a
+            # bare TypeError on a table that is no collection
+            ([(0, 1, 2), (0, 2, 2**70)], None, "simplex 1 is (0, 2, 1180591620717411303424): "
+                                                "Python int too large to convert to C long"),
+            (UNIT_SQUARE_TRIS, [1, -2**70], "sign 1 is -1180591620717411303424: "
+                                            "Python int too large to convert to C long"),
+            (5, None, "the simplex table 5 is not a collection ('int' object is not iterable)"),
+            (UNIT_SQUARE_TRIS, 5, "the sign table 5 is not a collection "
+                                  "('int' object is not iterable)")):
         with pytest.raises(MeshError) as err:
             build_complex(UNIT_SQUARE_VERTS, simplices, UNIT_SQUARE_LABELS, signs)
         assert str(err.value) == message
@@ -238,8 +252,8 @@ def test_label_iterators_are_read_once():
 
 
 def test_facet_rows_match_a_linear_search(square8, shell16):
-    # facets, near misses, vertices out of range and rows whose code would
-    # collide with a facet's if the last vertex were not clipped
+    # facets, near misses, vertices out of range and rows whose code
+    # collides with a facet's: a code only guides the search
     rng = np.random.default_rng(0)
     for sig in (square8, shell16):
         cx = sig.complex
@@ -509,11 +523,21 @@ def test_structure_matches_reference_loop(square16, shell16):
     cases = []
     for sig in (square16, shell16):
         cx = sig.complex
+        k = cx.dim + 1
         for seed in range(4):
             signs = cx.signs.copy()
             rng = np.random.default_rng(seed)
             signs[rng.choice(cx.n_simplices, size=5 * seed, replace=False)] *= -1
             cases.append((cx.vertices, cx.simplices, cx.labels, signs))
+            # each simplex's vertices shuffled, with and without the sign
+            # flip that the shuffle's parity needs: orientation comes from
+            # the parity of each simplex's sort
+            perm = rng.permuted(np.tile(np.arange(k), (cx.n_simplices, 1)), axis=1)
+            parity = np.prod([np.where(perm[:, i] > perm[:, j], -1, 1)
+                              for i, j in itertools.combinations(range(k), 2)], axis=0)
+            shuffled = np.take_along_axis(cx.simplices, perm, axis=1)
+            cases.append((cx.vertices, shuffled, cx.labels, signs))
+            cases.append((cx.vertices, shuffled, cx.labels, signs * parity))
     # square16 with a fin on an interior edge: a non-manifold facet, and
     # the fin's other edges join the boundary
     cx = square16.complex
@@ -522,13 +546,18 @@ def test_structure_matches_reference_loop(square16, shell16):
     simp = np.vstack([cx.simplices, [(u, v, cx.n_vertices)]])
     cases.append((verts, simp, {}, np.ones(len(simp), dtype=np.int64)))
 
+    twisted = []
     for verts, simp, labels, signs in cases:
         built = build_complex(verts, simp, labels, signs)
         boundary, bad = _reference_structure(simp, signs)
         assert built.boundary_facets == boundary
         got = [v for v in validate(built).violations if v[0] in STRUCTURAL]
         assert got == bad
+        twisted.append(bool(bad))
     assert any(name == "nonmanifold-facet" for name, _ in bad)
+    # each mesh gives three cases per seed; seed 0 flips no sign, so its
+    # shuffle is twisted unless the parity's flip undoes it
+    assert twisted[0:3] == twisted[12:15] == [False, True, False]
 
 
 def _lexsort_group_rows(rows):
@@ -550,11 +579,17 @@ def test_group_rows_matches_the_lexsort_reference(k, high):
     distinct = rng.integers(0, high, size=(200, k), endpoint=True)
     distinct[0] = high
     rows = distinct[rng.integers(0, len(distinct), size=1000)]
-    got, want = _group_rows(rows), _lexsort_group_rows(rows)
-    for g, w in zip(got, want):
+    nv = high + 1
+    # a triple is coded by the row of its leading pair among the pair codes
+    pair_codes = _group_rows(rows[:, :2], nv)[1]
+    got_rows, codes, group, order = _group_rows(rows, nv, pair_codes)
+    for g, w in zip((got_rows, group, order), _lexsort_group_rows(rows)):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
-    assert len(got[0]) < len(rows)
+    assert len(got_rows) < len(rows)
+    # the grouping's codes ascend strictly and are the distinct rows' codes
+    assert np.all(np.diff(codes) > 0)
+    assert np.array_equal(codes, _row_codes(got_rows, nv, pair_codes))
 
 
 def _label_violations_by_loop(cx):

@@ -20,7 +20,7 @@ from cobsig.geodesy import (_chord_lengths, _chord_template, _n_pairs,
                             _first_cut_estimate, _graph, diameter,
                             distance_field, distance_to_vertex,
                             distance_within, injectivity_radius)
-from cobsig.metric import MetricField, conformal_scale, induced_metric
+from cobsig.metric import MetricField, conformal_scale, induced_metric, lumped_vertex_volume
 from cobsig.signal import Signal
 from cobsig.errors import FilterError, NoiseError
 from cobsig.signalops import NoiseSpec, apply_noise, bump_field, check_noise_spec
@@ -114,7 +114,10 @@ def _gram_condition(sig, s):
     there are none, as on a sub-edge."""
     cx, sq = sig.complex, sig.metric.lengths ** 2
     kappa = 1.0
-    for q, rows in ((2, geodesy._facet_cells(cx)[1]), (3, cx.simplex_edge_rows)):
+    cells = [(cx.dim, cx.simplex_edge_rows)]
+    if cx.dim == 3:
+        cells.append((2, geodesy._facet_cells(cx)[1]))
+    for q, rows in cells:
         coef = _chord_template(q, s)[2]
         if coef.size:
             kappa = max(kappa, np.max((sq[rows] @ np.abs(coef)) / (sq[rows] @ coef)))
@@ -146,6 +149,62 @@ def test_straight_3d_distance_against_the_segment(n):
         over = (got - want) / want
         assert over.max() == pytest.approx(pinned_max, rel=0.01), s
         assert np.median(over) == pytest.approx(pinned_median, rel=0.01), s
+
+
+def jittered(signal, a, seed):
+    """``signal``, a unit square ``gen_square(n)`` or a shell
+    ``gen_annular_shell(r0, r1, h, n)``, with every interior vertex moved by
+    a uniform offset of up to ``a`` grid steps in each coordinate; boundary
+    vertices, labels, simplices and signs are kept.  The step is 1/n on the
+    square and the arc step 2 pi r / n at the mean radius r on the shell.
+    On the square the distance to A is still x, and on the shell, whose
+    walls stay vertical, still z; neither is exact along mesh edges."""
+    cx = signal.complex
+    n = signal.hints["resolution"]
+    if cx.dim == 2:
+        step = 1.0 / n
+    else:
+        radius = np.hypot(cx.vertices[:, 0], cx.vertices[:, 1])
+        step = math.pi * (radius.min() + radius.max()) / n
+    inner = np.setdiff1d(np.arange(cx.n_vertices), cx.facets[cx.boundary])
+    moved = cx.vertices.copy()
+    moved[inner] += np.random.default_rng(seed).uniform(
+        -a * step, a * step, size=(len(inner), cx.ambient_dim))
+    labels = {tag: cx.region_facets(tag) for tag in "XYAB"}
+    return cs.make_signal(cs.build_complex(moved, cx.simplices, labels, cx.signs))
+
+
+# E's relative error against the same lumped weights times x (square16) or
+# z (shell24), both jittered at a = 0.3 with seed 1, per Steiner level s = 0-3
+JITTERED_ENERGY_ERROR = {
+    "square16": (2.397e-2, 1.632e-2, 5.559e-3, 2.270e-3),
+    "shell24": (2.868e-2, 1.877e-2, 8.480e-3, 5.579e-3),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(JITTERED_ENERGY_ERROR))
+def test_jittered_energy_against_the_coordinate(mesh):
+    # off the grid the distance to A runs along Steiner chords, so the
+    # error falls with s; the pinned values see one chord dropped from the
+    # triangle template, which neither the decrease nor the bound does
+    base = cs.gen_square(16) if mesh == "square16" else cs.gen_annular_shell(1.0, 2.0, 2.0, 24)
+    sig = jittered(base, 0.3, seed=1)
+    want = sig.complex.vertices[:, 0 if sig.dim == 2 else 2]
+    reference = float(np.dot(lumped_vertex_volume(sig).values, want))
+    eps = np.finfo(np.float64).eps
+    errors = []
+    for s in range(4):
+        got = distance_field(sig, "A", s).values
+        # every graph edge is a straight segment in the domain, and A is
+        # where the coordinate is 0, so every path is at least the
+        # coordinate long; rounding is bounded as for straight 3D segments
+        kappa = _gram_condition(sig, s)
+        n_nodes = _graph(sig, s).pattern.n_nodes
+        assert np.all(got >= want * (1.0 - (8 * kappa + n_nodes) * eps)), s
+        errors.append(cs.energy(sig, s) / reference - 1.0)
+    assert all(coarse > fine for coarse, fine in zip(errors, errors[1:]))
+    assert errors[2] < 1e-2
+    assert errors == pytest.approx(JITTERED_ENERGY_ERROR[mesh], rel=0.01)
 
 
 def test_lipschitz_along_edges(square8, shell16):

@@ -193,10 +193,18 @@ def test_metric_edges_must_be_integers():
                            ([(0, 1), (True, 2)], "edge 1 is (True, 2): expected integers, got bool"),
                            (np.array([[0.0, 1.0]]), "edge 0 is (0.0, 1.0): expected integers, "
                                                     "got float64"),
-                           ([(0, 1), (2,)], "edge 1 is (2,): its length differs from edge 0's")):
+                           ([(0, 1), (2,)], "edge 1 is (2,): its length differs from edge 0's"),
+                           ([(0, 2**70)], "edge 0 is (0, 1180591620717411303424): Python int too large to convert to C long")):
         with pytest.raises(MetricError) as err:
             MetricField(edges, [1.0] * len(edges), "deformed")
         assert str(err.value) == message
+    # a table of another width was read two entries at a time
+    for edges, lengths, shape in (([(0, 1, 2), (3, 4, 5)], [1.0] * 3, (2, 3)),
+                                  ([0, 1, 2, 3], [1.0] * 2, (4,))):
+        with pytest.raises(MetricError) as err:
+            MetricField(edges, lengths, "deformed")
+        assert str(err.value) == f"edges must be vertex pairs, got a table of shape {shape}"
+    assert MetricField([], [], "deformed").edges.shape == (0, 2)
     m = MetricField(np.array([[1, 2], [0, 1]], dtype=np.int32), [2.0, 1.0], "deformed")
     assert m.edges.tolist() == [[0, 1], [1, 2]] and m.lengths.tolist() == [1.0, 2.0]
 

@@ -228,6 +228,28 @@ def test_compose_rejects_near_coincidence_across_rounding_cells():
         compose(lower, moved, corr)
 
 
+def test_compose_has_no_absolute_coincidence_floor():
+    # squares of side 1e-12 matched at 1e-21 glue as unit squares do: a
+    # fixed floor of 1e-12 found their vertices, 2.5e-13 apart,
+    # coincident with the left signal outside the glued region
+    lower, upper = stacked_pair(4)
+    unit = compose(lower, upper, make_correspondence(lower, upper))
+    tiny_lower = cs.gen_rectangle(1e-12, 1e-12, 4 * 10**12)
+    tiny_upper = cs.gen_rectangle(1e-12, 1e-12, 4 * 10**12, origin=(0.0, 1e-12))
+    tiny = compose(tiny_lower, tiny_upper,
+                   make_correspondence(tiny_lower, tiny_upper, tolerance=1e-21))
+    assert np.array_equal(tiny.complex.simplices, unit.complex.simplices)
+    assert tiny.complex.labels == unit.complex.labels
+    assert cs.energy(tiny) == pytest.approx(1e-36 * cs.energy(unit), rel=1e-13)
+    # at tolerance 0 an exact coincidence outside the glued region is refused
+    cx = upper.complex
+    verts = cx.vertices.copy()
+    verts[cs.vertex_at(upper, (1.0, 2.0))] = lower.complex.vertices[cs.vertex_at(lower, (0.5, 0.5))]
+    moved = cs.make_signal(cs.build_complex(verts, cx.simplices, cx.labels, cx.signs))
+    with pytest.raises(CompositionError, match="^right vertex 24 coincides with the left signal"):
+        compose(lower, moved, make_correspondence(lower, moved, tolerance=0.0))
+
+
 # -- integer inputs and rarely reached refusals ------------------------------
 
 
@@ -251,7 +273,21 @@ def test_index_inputs_must_be_integers(square8):
             (lambda: cs.Correspondence(((0, 1), (2,)), 1e-9), CompositionError,
              "pair 1 is (2,): its length differs from pair 0's"),
             (lambda: cs.Correspondence(((0, 1), 2), 1e-9), CompositionError,
-             "pair 1 is 2: its length differs from pair 0's")):
+             "pair 1 is 2: its length differs from pair 0's"),
+            # numpy would raise a bare OverflowError past int64, and Python a
+            # bare TypeError on a table that is no collection
+            (lambda: cs.Correspondence(((2**70, 0),), 1e-9), CompositionError,
+             "pair 0 is (1180591620717411303424, 0): Python int too large to convert to C long"),
+            (lambda: extract_filter(square8, [2**70]), FilterError,
+             "kept simplex 0 is 1180591620717411303424: Python int too large to convert to C long"),
+            (lambda: cs.Correspondence(5, 1e-9), CompositionError,
+             "the pair table 5 is not a collection ('int' object is not iterable)"),
+            # a table of another width: unpacked with a bare ValueError, or
+            # read as a set of simplices
+            (lambda: cs.Correspondence(((0, 1, 2),), 1e-9), CompositionError,
+             "pairs must be vertex pairs, got a table of shape (1, 3)"),
+            (lambda: extract_filter(square8, [list(range(n))]), FilterError,
+             f"kept simplices must be a flat list of indices, got a table of shape (1, {n})")):
         with pytest.raises(error) as err:
             make()
         assert str(err.value) == message
