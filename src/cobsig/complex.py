@@ -30,10 +30,11 @@ the one order of a simplex's edges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, repeat
 from numbers import Integral
+from operator import length_hint
 
 import numpy as np
 
@@ -232,18 +233,14 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
         k = int(np.argmax(repeats))
         raise MeshError(f"simplex {k} repeats a vertex: {tuple(simp[k].tolist())}")
 
-    if signs is None:
-        sgn = np.ones(len(simp), dtype=np.int64)
-    else:
-        sgn = int_table(signs, MeshError, "sign")
-        if sgn.shape != (len(simp),) or not np.all(np.abs(sgn) == 1):
-            raise MeshError("signs must be +-1, one per top simplex")
+    sgn = int_table(np.ones(len(simp), np.int64) if signs is None else signs, MeshError, "sign")
+    if sgn.shape != (len(simp),) or not np.all(np.abs(sgn) == 1):
+        raise MeshError("signs must be +-1, one per top simplex")
 
     structure = _Structure(simp, ordered, sgn, nv)
     clean_labels = _clean_labels(labels, d, structure)
-    verts.flags.writeable = False
-    simp.flags.writeable = False
-    sgn.flags.writeable = False
+    for table in (verts, simp, sgn):
+        table.flags.writeable = False
     return CobordismComplex(verts, simp, sgn, clean_labels, structure)
 
 
@@ -381,56 +378,78 @@ def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
 
 
 def check_ints(values) -> None:
-    """Raise TypeError unless every item of ``values``, an iterable or an
-    array, is an integer.  A float or a bool is none: np.int64 would
-    truncate the one and read the other as 0 or 1, so an index table would
-    be built silently wrong.  An array is judged by its dtype."""
-    kinds = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
-    bad = sorted(k.__name__ for k in kinds if not issubclass(k, Integral) or issubclass(k, bool))
+    """Raise TypeError unless every item of the sequence ``values`` is an
+    integer, and OverflowError if one lies past int64.  A float or a bool
+    is none: np.int64 would truncate the one and read the other as 0 or 1,
+    so an index table would be built silently wrong, and numpy would wrap
+    an unsigned integer past int64 to a negative one."""
+    bad = sorted({type(v).__name__ for v in values
+                  if not isinstance(v, Integral) or isinstance(v, bool)})
     if bad:
         raise TypeError("expected integers, got " + ", ".join(bad))
+    np.array(values, dtype=np.int64)  # an OverflowError past int64, unsigned or not
 
 
 def as_int(value, error, what: str) -> int:
-    """``value`` as a Python int once ``check_ints`` finds it an integer;
-    otherwise ``error`` naming it as ``what``."""
+    """``value`` as a Python int once ``check_ints`` finds it an integer
+    within int64; otherwise ``error`` naming it as ``what``."""
     try:
         check_ints([value])
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise error(f"{what} is {value!r}: {exc}") from exc
     return int(value)
 
 
+def _listed(entries, error, what: str) -> list:
+    """``entries`` as a list, read in one pass so an iterator is read once;
+    ``error`` naming the ``what`` table if it is no collection."""
+    try:
+        return list(entries)
+    except TypeError as exc:
+        raise error(f"the {what} table {entries!r} is not a collection ({exc})") from exc
+
+
+def _shown(entry):
+    """``entry`` as a message shows it: numpy values as Python ones, and a
+    row, at any depth, as a tuple."""
+    shown = entry.tolist() if isinstance(entry, (np.ndarray, np.generic)) else entry
+    return tuple(map(_shown, shown)) if isinstance(shown, (list, tuple)) else shown
+
+
 def int_table(entries, error, what: str) -> np.ndarray:
     """``entries``, a collection of integers or of rows of integers, as an
-    int64 array once ``check_ints`` finds every one an integer and every
-    row as long as the first; otherwise ``error`` naming the table if it is
-    no collection, else the first entry that is not, that holds one that is
-    not or one past int64, or whose length differs from the first's, by
-    ``what`` and position.  An array is judged by its dtype, so an integer
-    array costs no pass over its entries."""
-    if not isinstance(entries, np.ndarray):
-        try:
-            entries = list(entries)  # one pass, so an iterator is read once
-        except TypeError as exc:
-            raise error(f"the {what} table {entries!r} is not a collection ({exc})") from exc
+    int64 array.  This is the one reader of index input from outside the
+    package.  It raises ``error`` naming the table if it is no collection,
+    else the first entry, by ``what`` and position, that is no integer or
+    holds one that is not (``check_ints``: a float, a bool, one past int64),
+    or whose length differs from the first's.
+
+    The common case costs one type scan and one conversion: an integer
+    array is judged by its dtype, and a list by the types of its entries,
+    or of its rows' entries when its first entry is a row, where int64
+    holds every value of the type.  Any other input, a uint64 array or
+    value included, is judged entry by entry."""
+    if not isinstance(entries, np.ndarray) or not entries.ndim:
+        entries = _listed(entries, error, what)
     try:
-        check_ints(entries if isinstance(entries, np.ndarray) else itertools.chain.from_iterable(
-            e if np.iterable(e) else (e,) for e in entries))
-        return np.array(entries, dtype=np.int64)
-    # a ragged table is a ValueError to numpy, an entry past int64 an OverflowError
+        kinds = {entries.dtype.type} if isinstance(entries, np.ndarray) else set(map(type, (
+            chain.from_iterable(entries) if entries and np.iterable(entries[0]) else entries)))
+        # numpy would wrap a uint64 value past int64 to a negative one
+        if all(np.can_cast(k, np.int64) and not issubclass(k, (bool, np.bool_)) for k in kinds):
+            return np.array(entries, dtype=np.int64)
+    # a scalar among rows is a TypeError to the scan, a ragged table a
+    # ValueError to numpy and an entry past int64 an OverflowError
     except (TypeError, ValueError, OverflowError):
-        for k, entry in enumerate(entries):
-            try:
-                check_ints(entry if np.iterable(entry) else [entry])
-                if np.shape(entry) != np.shape(entries[0]):
-                    raise TypeError(f"its length differs from {what} 0's")
-                np.array(entry, dtype=np.int64)
-            except (TypeError, OverflowError) as exc:
-                shown = entry.tolist() if isinstance(entry, (np.ndarray, np.generic)) else entry
-                shown = tuple(shown) if isinstance(shown, list) else shown
-                raise error(f"{what} {k} is {shown!r}: {exc}") from exc
-        raise
+        pass
+    for k, entry in enumerate(entries):
+        try:
+            check_ints(list(entry) if np.iterable(entry) else [entry])
+            if np.shape(entry) != np.shape(entries[0]):
+                raise TypeError(f"its length differs from {what} 0's")
+            np.array(entry, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{what} {k} is {_shown(entry)!r}: {exc}") from exc
+    return np.array(entries, dtype=np.int64)
 
 
 def pair_table(entries, error, what: str) -> np.ndarray:
@@ -447,63 +466,39 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
     ascending Python ints, with the region's table (``region_facets``) kept
     in the structure cache under that set.
 
-    Each label value must be a collection of entries, read once, and every
-    entry must hold integers (``check_ints``) and be a boundary facet, which
-    an entry past int64 is not.  The entries of all regions are checked by
-    tag in X, Y, A, B order and then in input order, first for integers and
-    then as one table, so the first that fails is the one named.
+    Each label value is a collection of entries, read once.  Tag by tag in
+    X, Y, A, B order, the entries before the first that is no row of d
+    values are read by ``int_table``, which names one that is not integers;
+    then the first of them in input order that is no boundary facet, which
+    a row that repeats a vertex is not, or else the first entry of another
+    width, is named.  A tag other than these four is named after them.
     """
     labels = dict(labels)
-    for tag in labels:
-        if tag not in REGION_TAGS:
-            raise MeshError(f"unknown region tag {tag!r}")
-    groups = []
-    for tag in REGION_TAGS:
-        group = labels.get(tag, ())
-        try:
-            listed = list(group)  # one pass, so an iterator is read once
-        except TypeError as exc:
-            raise MeshError(f"label {tag}: {group!r} is not a collection of "
-                            f"(d-1)-simplices ({exc})") from exc
-        try:
-            check_ints(group if isinstance(group, np.ndarray)
-                       else itertools.chain.from_iterable(listed))
-        except TypeError:
-            for entry in listed:
-                try:
-                    check_ints(entry)
-                except TypeError as exc:
-                    shown = tuple(entry.tolist()) if isinstance(entry, np.ndarray) else entry
-                    raise MeshError(f"label {tag}: {shown!r} is not a (d-1)-simplex "
-                                    f"({exc})") from exc
-        groups.append(listed)
-    ends = np.cumsum([len(g) for g in groups])
-    entries = list(itertools.chain.from_iterable(groups))
-    # the entries before the first one of another size, or with a vertex
-    # past int64, form an (n, d) table
-    sized = np.fromiter(map(len, entries), np.int64, len(entries)) == d
-    n = len(entries) if sized.all() else int(np.argmin(sized))
-    try:
-        rows = np.array(entries[:n], dtype=np.int64)
-    except OverflowError:
-        n = next(i for i, e in enumerate(entries) if not all(-2**63 <= v < 2**63 for v in e))
-        rows = np.array(entries[:n], dtype=np.int64)
-    rows = np.sort(rows.reshape(n, d), axis=1)
-    found = structure.facet_rows(rows)
-    bad = (found < 0) | ~structure.boundary[found]
-    if n < len(entries) or bad.any():
-        i = int(np.argmax(bad)) if bad.any() else n
-        tag = REGION_TAGS[np.searchsorted(ends, i, side="right")]
-        ft = tuple(sorted(map(int, entries[i])))
-        what = ("a (d-1)-simplex" if i == n or len(set(ft)) < d
-                else "a facet of the complex" if found[i] < 0 else "a boundary facet")
-        raise MeshError(f"label {tag}: {ft} is not {what}")
     clean: dict[str, frozenset] = {}
-    for tag, part in zip(REGION_TAGS, np.split(found, ends[:-1])):
-        table = structure.facets[np.unique(part)]
+    for tag in REGION_TAGS:
+        what = f"label {tag} entry"
+        group = labels.pop(tag, ())
+        if not isinstance(group, np.ndarray) or not group.ndim:
+            group = _listed(group, MeshError, what)
+        # the length of an entry that has none counts as -1
+        widths = np.fromiter(map(length_hint, group, repeat(-1)), np.int64, len(group))
+        n = int(np.argmin(np.append(widths == d, False)))
+        rows = np.sort(int_table(group[:n], MeshError, what).reshape(-1, d), axis=1)
+        found = structure.facet_rows(rows)
+        bad = np.append((found < 0) | ~structure.boundary[found], n < len(group))
+        if bad.any():
+            i = int(np.argmax(bad))
+            ft = _shown(rows[i] if i < n else group[n])
+            ft = tuple(sorted(ft)) if isinstance(ft, tuple) and {*map(type, ft)} <= {int} else ft
+            fault = ("a (d-1)-simplex" if i == n or len(set(ft)) < d
+                     else "a facet of the complex" if found[i] < 0 else "a boundary facet")
+            raise MeshError(f"label {tag}: {ft!r} is not {fault}")
+        table = structure.facets[np.unique(found)]
         table.flags.writeable = False
         clean[tag] = frozenset(map(tuple, table.tolist()))
         structure.cache.setdefault(("facets", clean[tag]), table)
+    if labels:
+        raise MeshError(f"unknown region tag {next(iter(labels))!r}")
     return clean
 
 
@@ -525,7 +520,7 @@ def _validate(cx: CobordismComplex) -> ValidationReport:
     bad += [("unlabeled-boundary-facet", str(f))
             for f in cx.boundary_facets.difference(*labels.values())]
     multiple = frozenset().union(*(labels[a] & labels[b]
-                                   for a, b in itertools.combinations(REGION_TAGS, 2)))
+                                   for a, b in combinations(REGION_TAGS, 2)))
     bad += [("multiply-labeled-facet",
              f"{f} in {sorted(tag for tag in REGION_TAGS if f in labels[tag])}")
             for f in multiple]

@@ -8,20 +8,24 @@ Numbers are written in full double precision, so a save/load round trip is
 the identity on the data model.  Mesh files are written on one line, which
 keeps ``json.dumps`` on its C encoder.  Every index field -- simplex
 "verts" and "sign", label facets, metric "edge", correspondence "pairs",
-keep "simplices" and keep "axis" -- must hold JSON integers; a float or a bool there makes
-the file malformed.  "dim" and "ambient_dim" may be absent; when present they
-must equal the simplices' width less one and the vertices' width.
+keep "simplices" and keep "axis" -- must hold JSON integers within int64;
+a float, a bool or a larger integer there makes the file malformed.  Each
+field is read once, by ``complex.int_table`` (``as_int`` for the axis),
+and the error names the first offending entry.  Labels are read by
+``build_complex`` alone, as for any caller, so a bad label names its entry
+without the "malformed mesh data" prefix.  "dim" and "ambient_dim" may be
+absent; when present they must equal the simplices' width less one and the
+vertices' width.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .complex import CobordismComplex, build_complex, check_ints, pair_table
+from .complex import CobordismComplex, as_int, build_complex, int_table, pair_table
 from .errors import CobsigError
 from .metric import MetricField
 from .signal import Signal, make_signal
@@ -45,13 +49,11 @@ def signal_to_dict(signal: Signal, include_metric: bool | None = None) -> dict:
 def complex_from_dict(data: dict) -> CobordismComplex:
     try:
         verts = np.array(data["vertices"], dtype=np.float64)
-        rows = [s["verts"] for s in data["simplices"]]
-        signs = [s.get("sign", 1) for s in data["simplices"]]
-        labels = data.get("labels", {})
-        check_ints(chain(chain.from_iterable(rows), signs,
-                         *(chain.from_iterable(f) for f in labels.values())))
-        simp = np.array(rows, dtype=np.int64)
-        signs = np.array(signs, dtype=np.int64)
+        # a ValueError makes the data malformed; the labels are read by
+        # build_complex alone
+        simp = int_table([s["verts"] for s in data["simplices"]], ValueError, "simplex")
+        signs = int_table([s.get("sign", 1) for s in data["simplices"]], ValueError, "sign")
+        labels = dict(data.get("labels", {}))
         if verts.ndim == simp.ndim == 2:
             for field, want in (("dim", simp.shape[1] - 1), ("ambient_dim", verts.shape[1])):
                 if data.get(field, want) != want:
@@ -71,9 +73,7 @@ def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
     metric = None  # the induced metric
     try:
         if "metric" in data:
-            rows = [m["edge"] for m in data["metric"]]
-            check_ints(chain.from_iterable(rows))
-            edges = np.array(rows, dtype=np.int64)
+            edges = pair_table([m["edge"] for m in data["metric"]], ValueError, "metric edge")
             edges.sort(axis=1)
             lengths = np.array([m["length"] for m in data["metric"]])
             metric = MetricField(edges, lengths, "deformed")
@@ -136,13 +136,11 @@ def kept_simplices_from_spec(signal: Signal, spec: dict) -> np.ndarray:
     cx = signal.complex
     try:
         if "simplices" in spec:
-            kept = spec["simplices"]
-            if not isinstance(kept, list):
-                raise TypeError("'simplices' must be a list of simplex indices")
-            check_ints(kept)
-            return np.array(kept, dtype=np.int64)
-        check_ints([spec["axis"]])
-        axis = int(spec["axis"])
+            kept = int_table(spec["simplices"], ValueError, "kept simplex")
+            if not isinstance(spec["simplices"], list) or kept.ndim != 1:
+                raise ValueError("'simplices' must be a list of simplex indices")
+            return kept
+        axis = as_int(spec["axis"], ValueError, "keep axis")
         lo = float(spec.get("min", -np.inf))
         hi = float(spec.get("max", np.inf))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

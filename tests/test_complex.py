@@ -7,7 +7,10 @@ import pytest
 
 import cobsig as cs
 from cobsig.complex import _group_rows, _row_codes, build_complex, region_vertices, validate
-from cobsig.errors import MeshError, RegionError
+from cobsig.errors import (CompositionError, FilterError, MeshError, MetricError, NoiseError,
+                           RegionError)
+from cobsig.metric import MetricField
+from cobsig.signalops import NoiseSpec, extract_filter
 
 STRUCTURAL = ("nonmanifold-facet", "inconsistent-orientation")
 
@@ -161,23 +164,23 @@ def test_label_entries_must_be_integers():
     with pytest.raises(MeshError) as err:
         build_complex([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)],
                       {"X": [(0.5, 1.9)], "A": [(True, 2)]})
-    assert str(err.value) == ("label X: (0.5, 1.9) is not a (d-1)-simplex "
-                              "(expected integers, got float)")
+    assert str(err.value) == "label X entry 0 is (0.5, 1.9): expected integers, got float"
     for labels, message in (
             ({"X": [(0, 1)], "A": [(0, 3), (True, 2)]},
-             "label A: (True, 2) is not a (d-1)-simplex (expected integers, got bool)"),
+             "label A entry 1 is (True, 2): expected integers, got bool"),
             ({"B": np.array([(1.0, 2.0)])},
-             "label B: (1.0, 2.0) is not a (d-1)-simplex (expected integers, got float64)"),
+             "label B entry 0 is (1.0, 2.0): expected integers, got float64"),
             ({"B": np.array([(True, False)])},
-             "label B: (True, False) is not a (d-1)-simplex (expected integers, got bool)"),
+             "label B entry 0 is (True, False): expected integers, got bool"),
             # one facet where a list of facets belongs
-            ({"A": (0, 3)}, "label A: 0 is not a (d-1)-simplex ('int' object is not iterable)"),
+            ({"A": (0, 3)}, "label A: 0 is not a (d-1)-simplex"),
             # one vertex where a list of facets belongs
-            ({"X": 5}, "label X: 5 is not a collection of (d-1)-simplices "
+            ({"X": 5}, "the label X entry table 5 is not a collection "
                        "('int' object is not iterable)"),
             # numpy would raise a bare OverflowError past int64
             ({"X": [(0, 1)], "Y": [(2, 3), (0, 2**70)]},
-             "label Y: (0, 1180591620717411303424) is not a (d-1)-simplex")):
+             "label Y entry 1 is (0, 1180591620717411303424): "
+             "Python int too large to convert to C long")):
         for make in (lambda: build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels),
                      lambda: unit_square().with_labels(labels)):
             with pytest.raises(MeshError) as err:
@@ -223,6 +226,75 @@ def test_index_tables_must_be_integers():
     cx = build_complex(UNIT_SQUARE_VERTS, np.array(UNIT_SQUARE_TRIS, dtype=np.int32),
                        UNIT_SQUARE_LABELS, [np.int64(1), 1])
     assert cx == unit_square()
+
+
+BIG = 2**64 - 1  # past int64, so an unsigned cast to int64 would wrap it to -1
+
+
+def _uint64_array(values):
+    return np.array(values, dtype=np.uint64)
+
+
+def _uint64_scalars(values):
+    """``values``, nested lists of ints, with each int as a numpy uint64."""
+    return [_uint64_scalars(v) for v in values] if isinstance(values, list) else np.uint64(values)
+
+
+def _facets(sig, tag):
+    return sig.complex.region_facets(tag).tolist()
+
+
+#: Every entry point that reads an index table: how it is called on square8
+#: with a table, the table's values in range and with one entry past int64,
+#: its error, and the message that names that entry.
+UNSIGNED_ENTRY_POINTS = {
+    "build_complex-simplices": (
+        lambda sig, t: build_complex(sig.complex.vertices, t, {}),
+        lambda sig: sig.complex.simplices.tolist(), [[0, 1, 2], [0, 2, BIG]],
+        MeshError, "simplex 1 is (0, 2, 18446744073709551615)"),
+    "build_complex-signs": (
+        lambda sig, t: build_complex(sig.complex.vertices, sig.complex.simplices, {}, t),
+        lambda sig: [1] * sig.complex.n_simplices, [1, BIG] + [1] * 126,
+        MeshError, "sign 1 is 18446744073709551615"),
+    "build_complex-labels": (
+        lambda sig, t: build_complex(sig.complex.vertices, sig.complex.simplices, {"A": t}),
+        lambda sig: _facets(sig, "A"), [[0, 9], [BIG, 0]],
+        MeshError, "label A entry 1 is (18446744073709551615, 0)"),
+    "with_labels": (
+        lambda sig, t: sig.complex.with_labels({"X": _facets(sig, "X"), "B": t}),
+        lambda sig: _facets(sig, "B"), [[BIG, 0]],
+        MeshError, "label B entry 0 is (18446744073709551615, 0)"),
+    "MetricField": (
+        lambda sig, t: MetricField(t, sig.metric.lengths, "deformed").edges.tolist(),
+        lambda sig: sig.metric.edges.tolist(), [[0, BIG]],
+        MetricError, "edge 0 is (0, 18446744073709551615)"),
+    "Correspondence": (
+        lambda sig, t: cs.Correspondence(t, 1e-9),
+        lambda sig: [[0, 1], [2, 3]], [[0, 1], [0, BIG]],
+        CompositionError, "pair 1 is (0, 18446744073709551615)"),
+    "extract_filter": (
+        lambda sig, t: extract_filter(sig, t).complex,
+        lambda sig: list(range(sig.complex.n_simplices)), [0, BIG],
+        FilterError, "kept simplex 1 is 18446744073709551615"),
+    # a centre is one value: the 0-d array's item or the scalar itself
+    "NoiseSpec-centre": (
+        lambda sig, t: NoiseSpec(t[()], 0.1, 0.2, 0.5),
+        lambda sig: 40, BIG, NoiseError, "noise centre is np.uint64(18446744073709551615)"),
+}
+
+
+@pytest.mark.parametrize("make", [_uint64_array, _uint64_scalars], ids=["array", "scalars"])
+@pytest.mark.parametrize("entry_point", list(UNSIGNED_ENTRY_POINTS))
+def test_unsigned_entries_past_int64_are_refused(square8, entry_point, make):
+    # numpy casts an unsigned value past int64 to a negative one without a
+    # word; every index reader refuses it with its module's error, naming
+    # the entry, and reads an unsigned table in range as its int64 twin
+    call, good, bad, error, named = UNSIGNED_ENTRY_POINTS[entry_point]
+    with pytest.raises(error) as err:
+        call(square8, make(bad))
+    assert str(err.value) == named + ": Python int too large to convert to C long"
+    values = good(square8)
+    assert call(square8, make(values)) == call(square8, np.array(values, dtype=np.int64))
 
 
 def test_build_rejects_misshapen_tables():
