@@ -473,7 +473,11 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
     a row that repeats a vertex is not, or else the first entry of another
     width, is named.  A tag other than these four is named after them.
     """
-    labels = dict(labels)
+    try:
+        labels = dict(labels)
+    except (TypeError, ValueError) as exc:
+        raise MeshError("labels must be a mapping from region tag to facets, not "
+                        f"{type(labels).__name__} ({exc})") from exc
     clean: dict[str, frozenset] = {}
     for tag in REGION_TAGS:
         what = f"label {tag} entry"

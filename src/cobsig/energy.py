@@ -7,11 +7,12 @@ distance to X instead.  Both integrals use lumped vertex quadrature by
 default; the barycentric form is kept as a cross-check (the two sums are
 rearrangements of each other).
 
-The transform changes only the labels: the relabeled signal shares its
-source's complex structure (checked once, when the complex was built),
-metric and cache.  Region fields are cached by facet set, so the source's
-distance-to-X field is the transformed signal's distance-to-A field, found
-without any search or copy.
+The transform changes only the labels: it hands ``with_labels`` the
+source's region tables (``region_facets``), which are int64 already, and
+the relabeled signal shares its source's complex structure (checked once,
+when the complex was built), metric and cache.  Region fields are cached
+by facet set, so the source's distance-to-X field is the transformed
+signal's distance-to-A field, found without any search or copy.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def fourier_relabel(signal: Signal) -> Signal:
     """
     cx = signal.complex
     relabeled = cx.with_labels(
-        {new: cx.labels[old] for new, old in FOURIER_PERMUTATION.items()}
+        {new: cx.region_facets(old) for new, old in FOURIER_PERMUTATION.items()}
     )
     try:
         require_valid(relabeled)

@@ -4,6 +4,12 @@ Structured grids only: axis-aligned geodesics are exact on them and the
 construction is deterministic.  Every generated signal validates, and its
 ``hints`` carry closed-form energies, volumes, diameters, and boundary
 injectivity radii for the smooth geometry it approximates.
+
+Both generators number their vertices in C order over an index grid and
+label their walls by grid index (``_grid_complex``), never by float
+coordinates: the labels reach ``with_labels`` as int64 facet tables, so
+they cost no type scan and a shell of any scale gets the same labels.  The
+shell splits each cell into the six path tetrahedra of ``_KUHN``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,23 @@ from .errors import MeshError
 from .signal import Signal, make_signal
 
 
+def _grid_complex(verts, simplices, shape, xy_axis: int, ab_axis: int):
+    """The complex of a structured grid with its walls labeled.
+
+    Vertices are numbered in C order over the index grid ``shape``.  A wall
+    is the boundary facets whose vertices all share one end index along one
+    axis: X and Y are the low and high ends along ``xy_axis``, A and B along
+    ``ab_axis``.
+    """
+    bare = build_complex(verts, simplices, {})
+    facets = bare.facets[bare.boundary]
+    index = np.unravel_index(facets, shape)
+    ends = {"X": (xy_axis, 0), "Y": (xy_axis, shape[xy_axis] - 1),
+            "A": (ab_axis, 0), "B": (ab_axis, shape[ab_axis] - 1)}
+    return bare.with_labels({tag: facets[np.all(index[axis] == end, axis=1)]
+                             for tag, (axis, end) in ends.items()})
+
+
 def _grid_signal(width: float, height: float, nx: int, ny: int,
                  origin=(0.0, 0.0), hints=None) -> Signal:
     """Axis-aligned rectangle triangulated as an nx-by-ny grid.
@@ -28,25 +51,14 @@ def _grid_signal(width: float, height: float, nx: int, ny: int,
     x0, y0 = float(origin[0]), float(origin[1])
     xs = x0 + width * np.arange(nx + 1) / nx
     ys = y0 + height * np.arange(ny + 1) / ny
-
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
     verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
-    # per cell, row by row: (v00, v10, v11) and (v00, v11, v01)
+    # per cell, row by row: (v00, v10, v11) and (v00, v11, v01), vertex
+    # (ix, iy) numbered iy * (nx + 1) + ix
     iy, ix = np.divmod(np.arange(nx * ny), nx)
-    v00 = vid(ix, iy)
-    v11 = vid(ix + 1, iy + 1)
+    v00 = iy * (nx + 1) + ix
+    v11 = v00 + nx + 2
     tris = np.stack([v00, v00 + 1, v11, v00, v11, v11 - 1], axis=1).reshape(-1, 3)
-
-    labels = {
-        "X": [(vid(i, 0), vid(i + 1, 0)) for i in range(nx)],
-        "Y": [(vid(i, ny), vid(i + 1, ny)) for i in range(nx)],
-        "A": [(vid(0, j), vid(0, j + 1)) for j in range(ny)],
-        "B": [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)],
-    }
-    cx = build_complex(verts, tris, labels)
-    return make_signal(cx, hints=hints)
+    return make_signal(_grid_complex(verts, tris, (ny + 1, nx + 1), 0, 1), hints=hints)
 
 
 def gen_square(n: int) -> Signal:
@@ -85,21 +97,15 @@ def gen_rectangle(width: float, height: float, n: int,
     return _grid_signal(width, height, nx, ny, origin=origin, hints=hints)
 
 
-def _kuhn_tets():
-    """The six path tetrahedra of a unit cube, as corner index triples."""
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    tets = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        c = (0, 0, 0)
-        path = [c]
-        for axis in perm:
-            c = tuple(c[k] + axes[axis][k] for k in range(3))
-            path.append(c)
-        tets.append(tuple(path))
-    return tets
-
-
-_KUHN = _kuhn_tets()
+#: The six path tetrahedra of a unit cube as corner offsets, one per order
+#: of the axes in which the path from (0, 0, 0) to (1, 1, 1) steps:
+#: xyz, xzy, yxz, yzx, zxy, zyx.
+_KUHN = np.array([[(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+                  [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)],
+                  [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)],
+                  [(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)],
+                  [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)],
+                  [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]])
 
 
 def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
@@ -141,7 +147,7 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
     # per cell (it, jr, kz), its six path tetrahedra in _KUHN order
     cell = np.stack(np.meshgrid(np.arange(nt), np.arange(nr), np.arange(nz),
                                 indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
-    corner = cell + np.array(_KUHN)
+    corner = cell + _KUHN
     tets = vid(corner[..., 0], corner[..., 1], corner[..., 2]).reshape(-1, 4)
 
     # orient every tetrahedron positively in ambient coordinates
@@ -149,13 +155,7 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
     flip = np.linalg.det(p[:, 1:] - p[:, :1]) < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
 
-    # a wall is where every vertex of a boundary facet shares an end of one
-    # grid index: radial 0 or nr for X or Y, height 0 or nz for A or B
-    bare = build_complex(verts, tets, {})
-    facets = bare.facets[bare.boundary]
-    _, jr, kz = np.unravel_index(facets, shape)
-    cx = bare.with_labels({t: facets[np.all(index == end, axis=1)] for t, index, end in
-                           (("X", jr, 0), ("Y", jr, nr), ("A", kz, 0), ("B", kz, nz))})
+    cx = _grid_complex(verts, tets, shape, 1, 2)
 
     # closed-form values for the smooth shell
     vol = math.pi * (r1 * r1 - r0 * r0) * height
@@ -202,6 +202,7 @@ def vertex_at(signal: Signal, coords, tol: float = 1e-9) -> int:
     target = np.asarray(coords, dtype=np.float64)
     d = np.linalg.norm(signal.complex.vertices - target, axis=1)
     k = int(np.argmin(d))
-    if d[k] > tol:
-        raise MeshError(f"no vertex within {tol} of {tuple(target)}")
+    # written so that a NaN distance or tolerance is refused too
+    if not d[k] <= tol:
+        raise MeshError(f"no vertex within {tol} of {tuple(target.tolist())}")
     return k

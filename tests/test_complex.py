@@ -7,8 +7,9 @@ import pytest
 
 import cobsig as cs
 from cobsig.complex import _group_rows, _row_codes, build_complex, region_vertices, validate
-from cobsig.errors import (CompositionError, FilterError, MeshError, MetricError, NoiseError,
+from cobsig.errors import (CobsigError, CompositionError, FilterError, MeshError, MetricError, NoiseError,
                            RegionError)
+from cobsig.fileio import complex_from_dict
 from cobsig.metric import MetricField
 from cobsig.signalops import NoiseSpec, extract_filter
 
@@ -190,6 +191,31 @@ def test_label_entries_must_be_integers():
               "A": np.array([(0, 3)], dtype=np.uint8), "B": [(np.int64(1), 2)]}
     assert build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, tables).labels == \
         unit_square().labels
+
+
+def test_labels_must_be_a_mapping():
+    # Python's dict() would raise a bare TypeError or ValueError; whatever
+    # it reads, a mapping or a sequence of (tag, facets) pairs, is accepted
+    for labels, fault in ((3, "int ('int' object is not iterable)"),
+                          (None, "NoneType ('NoneType' object is not iterable)"),
+                          ([1, 2], "list (cannot convert dictionary update sequence "
+                                   "element #0 to a sequence)"),
+                          (["XA", "Y"], "list (dictionary update sequence element #1 "
+                                        "has length 1; 2 is required)")):
+        for make in (lambda: build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels),
+                     lambda: unit_square().with_labels(labels)):
+            with pytest.raises(MeshError) as err:
+                make()
+            assert str(err.value) == ("labels must be a mapping from region tag to "
+                                      f"facets, not {fault}")
+    pairs = list(UNIT_SQUARE_LABELS.items())
+    assert build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, pairs).labels == \
+        unit_square().labels
+    assert unit_square().with_labels(iter(pairs)).labels == unit_square().labels
+    # a mesh file's labels stay malformed mesh data
+    data = dict(unit_square().to_dict(), labels=[1, 2])
+    with pytest.raises(CobsigError, match="^malformed mesh data: cannot convert"):
+        complex_from_dict(data)
 
 
 def test_index_tables_must_be_integers():

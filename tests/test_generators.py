@@ -136,6 +136,41 @@ def test_vertex_at(square8):
         cs.vertex_at(square8, (0.5 + 0.01, 0.5))
 
 
+def test_vertex_at_refuses_nan(square8):
+    # a NaN distance or tolerance compares False with anything; the target
+    # is shown as plain floats
+    for coords, tol, message in (((math.nan, 0.0), 1e-9, "no vertex within 1e-09 of (nan, 0.0)"),
+                                 ((5.0, 5.0), math.nan, "no vertex within nan of (5.0, 5.0)"),
+                                 (np.array([5.0, 5.0]), 1e-9,
+                                  "no vertex within 1e-09 of (5.0, 5.0)")):
+        with pytest.raises(MeshError) as err:
+            cs.vertex_at(square8, coords, tol=tol)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make, walls", [
+    (lambda: cs.gen_square(8), {"X": (1, 0.0), "Y": (1, 1.0), "A": (0, 0.0), "B": (0, 1.0)}),
+    (lambda: cs.gen_rectangle(0.3, 1.7, 7, origin=(0.5, -1.0)),
+     {"X": (1, -1.0), "Y": (1, -1.0 + 1.7), "A": (0, 0.5), "B": (0, 0.5 + 0.3)}),
+    (lambda: cs.gen_annular_shell(1.0, 1.2, 1.0, 16),
+     {"X": ("r", 1.0), "Y": ("r", 1.2), "A": (2, 0.0), "B": (2, 1.0)}),
+    (lambda: cs.gen_annular_shell(1.0, 2.0, 2.0, 24),
+     {"X": ("r", 1.0), "Y": ("r", 2.0), "A": (2, 0.0), "B": (2, 2.0)}),
+], ids=["square8", "rectangle-shifted", "thin-shell16", "thick-shell24"])
+def test_walls_match_their_closed_form_locus(make, walls):
+    # each tag's facets are exactly the boundary facets whose vertices all
+    # lie on its wall, found from coordinates alone: y = y0 or y0 + h and
+    # x = x0 or x0 + w; r = r0 or r1 and z = 0 or h
+    cx = make().complex
+    v = cx.vertices
+    boundary = cx.facets[cx.boundary]
+    for tag, (axis, value) in walls.items():
+        coord = np.hypot(v[:, 0], v[:, 1]) if axis == "r" else v[:, axis]
+        on_wall = np.all(np.abs(coord[boundary] - value) <= 1e-9, axis=1)
+        assert cx.labels[tag] == set(map(tuple, boundary[on_wall].tolist())), tag
+        assert len(cx.labels[tag]) > 0, tag
+
+
 def test_shell_orientation_positive(shell16):
     cx = shell16.complex
     p = cx.vertices[cx.simplices]
