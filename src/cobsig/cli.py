@@ -411,10 +411,7 @@ def dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CobsigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return OPERATION_ERROR
-    except ValueError as exc:
+    except (CobsigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OPERATION_ERROR
     except MemoryError as exc:

@@ -198,9 +198,20 @@ def generate(kind: str, params: dict, resolution: int) -> Signal:
 
 
 def vertex_at(signal: Signal, coords, tol: float = 1e-9) -> int:
-    """Index of the vertex at the given coordinates (within tolerance)."""
-    target = np.asarray(coords, dtype=np.float64)
-    d = np.linalg.norm(signal.complex.vertices - target, axis=1)
+    """Index of the vertex at the given coordinates (within tolerance).
+
+    The target must be one point with the mesh's ``ambient_dim``
+    coordinates; any other target raises MeshError naming it, rather than
+    being broadcast against the vertices.
+    """
+    cx = signal.complex
+    try:
+        target = np.asarray(coords, dtype=np.float64)
+    except (TypeError, ValueError):
+        target = None
+    if np.shape(target) != (cx.ambient_dim,):
+        raise MeshError(f"target {coords!r} is not one point with {cx.ambient_dim} coordinates")
+    d = np.linalg.norm(cx.vertices - target, axis=1)
     k = int(np.argmin(d))
     # written so that a NaN distance or tolerance is refused too
     if not d[k] <= tol:

@@ -113,15 +113,15 @@ def conformal_scale(metric: MetricField, factor) -> MetricField:
                                  "deformed")
 
 
-def _cayley_menger_vol2(sq: np.ndarray, q: int) -> np.ndarray:
-    """Squared q-volumes from an (m, q+1, q+1) matrix of squared lengths."""
-    m = sq.shape[0]
-    B = np.ones((m, q + 2, q + 2), dtype=np.float64)
-    B[:, 0, 0] = 0.0
-    B[:, 1:, 1:] = sq
-    det = np.linalg.det(B)
+def _cayley_menger_vol2(lengths: np.ndarray, q: int) -> np.ndarray:
+    """Squared q-volumes from each q-simplex's edge lengths in slot order,
+    whose squares fill the bordered (m, q+2, q+2) Cayley-Menger matrix."""
+    B = np.zeros((len(lengths), q + 2, q + 2), dtype=np.float64)
+    B[:, 0, 1:] = B[:, 1:, 0] = 1.0
+    i, j = (edge_slots(q) + 1).T
+    B[:, i, j] = B[:, j, i] = lengths * lengths
     coeff = (-1.0) ** (q + 1) / (2.0**q * math.factorial(q) ** 2)
-    return coeff * det
+    return coeff * np.linalg.det(B)
 
 
 def simplex_volumes(metric: MetricField, simplices) -> np.ndarray:
@@ -139,22 +139,12 @@ def simplex_volumes(metric: MetricField, simplices) -> np.ndarray:
     return slot_volumes(metric.pair_lengths(simp[:, edge_slots(simp.shape[1] - 1)]), simp)
 
 
-def squared_lengths(lengths: np.ndarray, q: int) -> np.ndarray:
-    """Symmetric (m, q+1, q+1) squared lengths from each q-simplex's edge
-    lengths in slot order."""
-    sq = np.zeros((len(lengths), q + 1, q + 1), dtype=np.float64)
-    for k, (i, j) in enumerate(edge_slots(q).tolist()):
-        sq[:, i, j] = lengths[:, k] * lengths[:, k]
-        sq[:, j, i] = sq[:, i, j]
-    return sq
-
-
 def slot_volumes(lengths: np.ndarray, simp: np.ndarray) -> np.ndarray:
     """Cayley-Menger volumes from each simplex's edge lengths in slot order,
     as ``simplex_volumes`` checks them; ``simp`` names the simplices in
     errors."""
     q = simp.shape[1] - 1
-    vol2 = _cayley_menger_vol2(squared_lengths(lengths, q), q)
+    vol2 = _cayley_menger_vol2(lengths, q)
     if np.any(vol2 <= 0.0):
         k = int(np.argmin(vol2))
         raise MetricError(

@@ -72,13 +72,6 @@ class BoundReport:
         }
 
 
-def _diam_input(signal: Signal, subset: str, steiner_level: int):
-    key = "diam_M" if subset == "M" else f"diam_{subset}"
-    if key in signal.hints:
-        return float(signal.hints[key]), "analytic"
-    return diameter(signal, subset, steiner_level), "computed"
-
-
 def check_thm1_bounds(signal: Signal,
                       steiner_level: int = DEFAULT_STEINER_LEVEL) -> BoundReport:
     """Check lower <= E(F(M))/E(M) <= upper with
@@ -88,39 +81,28 @@ def check_thm1_bounds(signal: Signal,
 
     Volumes and energies are always measured on the mesh; diameters and
     injectivity radii use generator hints when present (tagged analytic)
-    and mesh estimates otherwise.
+    and mesh estimates otherwise.  ``inputs`` maps each input's name to
+    its value and source, in the order they are evaluated.
     """
     e = energy(signal, steiner_level)
     if e <= 0.0:
         raise CobsigError("energy is zero; ratio bound undefined")
-    ef = fourier_energy(signal, steiner_level)
-    ratio = ef / e
-
-    vol_m = total_volume(signal)
-    vol_a = region_volume(signal, "A")
-    vol_x = region_volume(signal, "X")
-    diam_m, src_m = _diam_input(signal, "M", steiner_level)
-    diam_a, src_a = _diam_input(signal, "A", steiner_level)
-    diam_x, src_x = _diam_input(signal, "X", steiner_level)
-    i_a = injectivity_radius(signal, "A", steiner_level)
-    i_x = injectivity_radius(signal, "X", steiner_level)
-
-    diam_sum = diam_m + diam_a + diam_x
-    upper = 1.0 + 4.0 * vol_m * diam_sum / (i_a.value**2 * vol_a)
-    lower = 1.0 / (1.0 + 4.0 * vol_m * diam_sum / (i_x.value**2 * vol_x))
-
-    inputs = {
-        "E": (e, "computed"),
-        "EF": (ef, "computed"),
-        "vol_M": (vol_m, "computed"),
-        "vol_A": (vol_a, "computed"),
-        "vol_X": (vol_x, "computed"),
-        "diam_M": (diam_m, src_m),
-        "diam_A": (diam_a, src_a),
-        "diam_X": (diam_x, src_x),
-        "i_A": (i_a.value, i_a.method),
-        "i_X": (i_x.value, i_x.method),
-    }
+    measured = {"E": e, "EF": fourier_energy(signal, steiner_level),
+                "vol_M": total_volume(signal), "vol_A": region_volume(signal, "A"),
+                "vol_X": region_volume(signal, "X")}
+    inputs = {name: (value, "computed") for name, value in measured.items()}
+    for subset in "MAX":
+        key = f"diam_{subset}"
+        inputs[key] = ((float(signal.hints[key]), "analytic") if key in signal.hints
+                       else (diameter(signal, subset, steiner_level), "computed"))
+    for tag in "AX":
+        radius = injectivity_radius(signal, tag, steiner_level)
+        inputs[f"i_{tag}"] = (radius.value, radius.method)
+    v = {name: value for name, (value, _) in inputs.items()}
+    ratio = v["EF"] / v["E"]
+    spread = 4.0 * v["vol_M"] * (v["diam_M"] + v["diam_A"] + v["diam_X"])
+    upper = 1.0 + spread / (v["i_A"]**2 * v["vol_A"])
+    lower = 1.0 / (1.0 + spread / (v["i_X"]**2 * v["vol_X"]))
     return BoundReport(
         ratio=ratio,
         lower_bound=lower,

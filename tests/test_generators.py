@@ -148,6 +148,15 @@ def test_vertex_at_refuses_nan(square8):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("coords", [(0.5,), 0.5, (0.5, 0.5, 0.0), [[0.5, 0.5]], "ab", None])
+def test_vertex_at_refuses_a_target_that_is_not_one_point(square8, coords):
+    # a short target used to be broadcast onto vertex (0.5, 0.5) and a long
+    # one to fail inside numpy
+    with pytest.raises(MeshError) as err:
+        cs.vertex_at(square8, coords)
+    assert str(err.value) == f"target {coords!r} is not one point with 2 coordinates"
+
+
 @pytest.mark.parametrize("make, walls", [
     (lambda: cs.gen_square(8), {"X": (1, 0.0), "Y": (1, 1.0), "A": (0, 0.0), "B": (0, 1.0)}),
     (lambda: cs.gen_rectangle(0.3, 1.7, 7, origin=(0.5, -1.0)),

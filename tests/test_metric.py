@@ -1,5 +1,6 @@
 """Metric construction, Cayley-Menger volumes, conformal scaling, lumping."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 import cobsig as cs
 from cobsig.errors import MetricError
 from cobsig.fields import ScalarField
+from cobsig.complex import edge_slots
 from cobsig.metric import (MetricField, conformal_scale, induced_metric,
                            lumped_vertex_volume, region_volume,
-                           simplex_volume, simplex_volumes, total_volume)
+                           simplex_volume, simplex_volumes, slot_volumes,
+                           total_volume)
 
 
 def right_triangle_metric():
@@ -215,3 +218,25 @@ def test_lumped_interior_vertex_weight(square8):
     w = lumped_vertex_volume(square8)
     v = cs.vertex_at(square8, (0.5, 0.5))
     assert w.values[v] == pytest.approx(1.0 / 64.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, simplices", [
+    ("square8", lambda cx: cx.simplices),
+    ("shell16", lambda cx: cx.simplices),
+    ("shell16", lambda cx: cx.facets),
+], ids=["square8-triangles", "shell16-tetrahedra", "shell16-facets"])
+def test_slot_volumes_match_an_explicit_cayley_menger_matrix(request, name, simplices):
+    # the bordered matrix [[0, 1...], [1..., l_ij^2]] built pair by pair,
+    # with no slot table, gives the same bits
+    sig = request.getfixturevalue(name)
+    simp = simplices(sig.complex)
+    q = simp.shape[1] - 1
+    B = np.ones((len(simp), q + 2, q + 2))
+    B[:, range(q + 2), range(q + 2)] = 0.0
+    for a, b in itertools.combinations(range(q + 1), 2):
+        ln = sig.metric.pair_lengths(simp[:, [a, b]])
+        B[:, a + 1, b + 1] = B[:, b + 1, a + 1] = ln * ln
+    coeff = (-1.0) ** (q + 1) / (2.0**q * math.factorial(q) ** 2)
+    expected = np.sqrt(coeff * np.linalg.det(B))
+    lengths = sig.metric.pair_lengths(simp[:, edge_slots(q)])
+    assert np.array_equal(slot_volumes(lengths, simp), expected)

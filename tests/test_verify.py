@@ -48,6 +48,22 @@ def test_thm1_heuristic_inputs_still_hold(square16):
     assert rep.inputs["diam_M"][1] == "computed"
 
 
+THM1_KEYS = ["E", "EF", "vol_M", "vol_A", "vol_X", "diam_M", "diam_A", "diam_X",
+             "i_A", "i_X"]
+
+
+@pytest.mark.parametrize("hinted, sources", [
+    (True, ["computed"] * 5 + ["analytic"] * 5),
+    (False, ["computed"] * 8 + ["heuristic"] * 2),
+], ids=["hinted", "hint-free"])
+def test_thm1_inputs_are_named_in_order_with_their_sources(square8, hinted, sources):
+    sig = square8 if hinted else Signal(square8.complex, square8.metric, hints={})
+    rep = check_thm1_bounds(sig)
+    assert list(rep.inputs) == THM1_KEYS
+    assert [source for _, source in rep.inputs.values()] == sources
+    assert list(rep.to_dict()["inputs"]) == THM1_KEYS
+
+
 def test_thm1_without_hints_computes_diam_m_once(square8, monkeypatch):
     # one diam(M) computation is a fixed sequence of single-source searches
     # on the full graph, none from the same vertex twice; the check must

@@ -19,10 +19,12 @@ shell16 (r 1 to 1.2, height 1) and shell24 and shell48 (r 1 to 2, height
 and the reloaded complex its structure tables, label sets, region tables
 and validation report; the Steiner graph at level 2 (CSR indptr, indices
 and data, read through ``geodesy._graph``) and the distance fields to A
-and X; and the exit code, report and stderr of the CLI's ``energy`` and
-``verify-thm1`` on the saved file.  Two more runs are digested: a
-``verify-thm1`` of square8 saved without hints, and a ``sweep-eps`` on
-shell24.  The ladder takes a few seconds per tree.
+and X; the top-simplex volumes, the lumped vertex weights and the
+volumes of A and X; and the exit code, report and stderr of the CLI's
+``energy`` and ``verify-thm1`` on the saved file.  Three more runs are
+digested: a ``verify-thm1`` of square8 and of the thin shell16 saved
+without hints, and a ``sweep-eps`` on shell24.  The ladder takes a few
+seconds per tree.
 """
 
 from __future__ import annotations
@@ -109,17 +111,22 @@ def ladder_digests(src: Path) -> dict:
                     out[f"{name}/{source}/{key}"] = value
             m = _graph(sig, 2).matrix
             out[f"{name}/graph"] = digest(m.indptr, m.indices, m.data)
+            out[f"{name}/volumes"] = digest(sig.simplex_volumes())
+            out[f"{name}/lumped"] = digest(cs.lumped_vertex_volume(sig).values)
             for tag in ("A", "X"):
                 out[f"{name}/field-{tag}"] = digest(cs.distance_field(sig, tag, 2).values)
+                out[f"{name}/volume-{tag}"] = digest(cs.region_volume(sig, tag))
             for cmd in ("energy", "verify-thm1"):
                 out[f"{name}/{cmd}"] = run_cli(cli, [cmd, path], tmp / f"{name}-{cmd}.out")
 
-        sig = cs.gen_square(8)
-        sig.hints.clear()
-        path = tmp / "square8-nohints.json"
-        fileio.save_signal(sig, path)
-        out["square8-nohints/verify-thm1"] = run_cli(cli, ["verify-thm1", path],
-                                                     tmp / "nohints.out")
+        for name in ("square8", "thin-shell16"):
+            gen, args, kwargs = LADDER[name]
+            sig = getattr(cs, gen)(*args, **kwargs)
+            sig.hints.clear()
+            path = tmp / f"{name}-nohints.json"
+            fileio.save_signal(sig, path)
+            out[f"{name}-nohints/verify-thm1"] = run_cli(cli, ["verify-thm1", path],
+                                                         tmp / f"{name}-nohints.out")
 
         name, at, options = SWEEP
         centre = cs.vertex_at(fileio.load_signal(tmp / f"{name}.json"), at)
