@@ -205,7 +205,7 @@ def cmd_noise(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     sig = fileio.load_signal(args.path)
-    kept = fileio.kept_simplices_from_spec(sig, fileio.load_keep_spec(args.keep))
+    kept = fileio.load_kept_simplices(sig, args.keep)
     return _emit_mesh(extract_filter(sig, kept), args)
 
 

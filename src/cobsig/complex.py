@@ -201,7 +201,7 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
 
     Parameters
     ----------
-    vertices : (nv, n) array-like of float coordinates
+    vertices : (nv, n) array-like of finite float coordinates
     simplices : (nt, d+1) array-like of integer vertex indices, d in {2, 3}
     labels : mapping from region tag (X/Y/A/B) to iterable of facet index
         tuples; every labeled facet must be a boundary facet
@@ -211,9 +211,16 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     The cobordism invariants (region coverage, disjointness, corners,
     orientation consistency) are *not* enforced here; run ``validate``.
     """
-    verts = np.array(vertices, dtype=np.float64)
+    try:
+        verts = np.array(vertices, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshError(f"vertices are not one table of floats: {exc}") from exc
     if verts.ndim != 2:
         raise MeshError("vertices must be a 2d array of coordinates")
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if len(bad):
+        raise MeshError(f"vertex {bad[0]} has a non-finite coordinate: "
+                        f"{tuple(verts[bad[0]].tolist())}")
     simp = int_table(simplices, MeshError, "simplex")
     if simp.ndim != 2 or simp.shape[0] == 0:
         raise MeshError("simplices must be a nonempty 2d array of index tuples")

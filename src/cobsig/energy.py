@@ -28,18 +28,11 @@ from .signal import Signal, require_valid, swap_hints
 FOURIER_PERMUTATION = {"X": "A", "Y": "B", "A": "X", "B": "Y"}
 
 
-def _lumped(signal: Signal) -> np.ndarray:
-    return signal.cached(("lumped",), lambda: lumped_vertex_volume(signal)).values
-
-
-def _integrate(values: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(values, weights))
-
-
 def energy(signal: Signal, steiner_level: int = DEFAULT_STEINER_LEVEL) -> float:
     """Integral of the distance-to-A field against the lumped volume weights."""
     f = distance_field(signal, "A", steiner_level).values
-    return _integrate(f, _lumped(signal))
+    weights = signal.cached(("lumped",), lambda: lumped_vertex_volume(signal)).values
+    return float(np.dot(f, weights))
 
 
 def energy_barycentric(signal: Signal,

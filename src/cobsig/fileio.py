@@ -32,11 +32,11 @@ from .signal import Signal, make_signal
 from .signalops import Correspondence
 
 
-def signal_to_dict(signal: Signal, include_metric: bool | None = None) -> dict:
+def signal_to_dict(signal: Signal) -> dict:
+    """Mesh data of ``signal``; the metric is written unless it is the
+    induced one."""
     out = signal.complex.to_dict()
-    if include_metric is None:
-        include_metric = signal.metric.source != "induced"
-    if include_metric:
+    if signal.metric.source != "induced":
         out["metric"] = [
             {"edge": e, "length": l}
             for e, l in zip(signal.metric.edges.tolist(), signal.metric.lengths.tolist())
@@ -124,15 +124,13 @@ def load_correspondence(path) -> Correspondence:
         raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc
 
 
-def load_keep_spec(path) -> dict:
-    """Keep-predicate file: {"simplices": [...]} or {"axis": k, "min"/"max": v}."""
-    data = read_json(path)
-    if not isinstance(data, dict) or ("simplices" not in data and "axis" not in data):
+def load_kept_simplices(signal: Signal, path) -> np.ndarray:
+    """The indices of ``signal``'s top simplices that a keep-predicate file
+    keeps: {"simplices": [...]} lists them, and {"axis": k, "min"/"max": v}
+    keeps each simplex whose vertices all lie within the bounds on axis k."""
+    spec = read_json(path)
+    if not isinstance(spec, dict) or ("simplices" not in spec and "axis" not in spec):
         raise CobsigError("keep file needs either 'simplices' or 'axis'")
-    return data
-
-
-def kept_simplices_from_spec(signal: Signal, spec: dict) -> np.ndarray:
     cx = signal.complex
     try:
         if "simplices" in spec:

@@ -53,17 +53,19 @@ later fill compares its lengths with the reference's bit for bit.  The rows
 that changed key the pattern's one plan (``_Plan``): the touched nodes, the
 CSR slots of the pairs of every face holding a changed edge, found by
 matching their node-pair keys against the touched rows' sorted keys, and
-those faces.  The plan is built once per set of changed rows, so every
-depth of the same ball only recomputes those weights.  The graph is the
-reference ``data`` plus those weights; its full CSR matrix is built only
-when a full search asks for it.
+those faces.  The pattern keeps one plan and replaces it only when a fill
+changes other rows, so every depth of the same ball only recomputes those
+weights.  The graph is the reference ``data`` plus those weights; its full
+CSR matrix is built only when a full search asks for it.
 
-A later fill goes through the plan while at most 1/FILL_SHARE (1/4) of
-the edge rows changed; a fill past that is filled in full.  The bound lies
-below the crossover of the two, measured for the fill and the A field's
-search on square64 and shell48 (README, "Notes on the numerics"): up to
-0.25 of the rows the plan costs less time and memory, from 0.3 it costs
-more time on shell48 and from 0.5 more of both.
+Each graph decides its own fill (``_SteinerGraph``), with three outcomes:
+the reference bits when no length changed; a local fill through the plan
+while at most 1/FILL_SHARE (1/4) of the edge rows changed; and past that a
+full refill, which leaves the reference and the plan as they were.  The
+bound lies below the crossover of the two, measured for the fill and the A
+field's search on square64 and shell48 (README, "Notes on the numerics"):
+up to 0.25 of the rows the plan costs less time and memory, from 0.3 it
+costs more time on shell48 and from 0.5 more of both.
 
 A field on such a graph is the reference field updated by the incremental
 shortest-path scheme of Ramalingam and Reps (J. Algorithms 21(2), 1996), on
@@ -331,31 +333,6 @@ class _Pattern:
         return np.concatenate([faces, inner.reshape(len(faces), -1)], axis=1,
                               dtype=np.int32)
 
-    def fill(self, lengths: np.ndarray):
-        """CSR ``data`` for per-edge ``lengths`` and the plan of a local fill.
-
-        A fill with the reference's lengths shares its ``data`` and gives
-        no plan.  A fill that changes at most 1/FILL_SHARE of the rows is
-        local: it gives no ``data``, only the plan of its changed rows,
-        whose slots are the only ones that differ from the reference
-        (``_Plan.weights``).  The pattern keeps one ``_Plan`` and replaces
-        it only when a fill changes other rows.  A fill that changes more
-        rows is filled in full, with no plan, on a freshly assembled slot
-        map; the bound sits below the crossover of the two (module
-        docstring).
-        """
-        ref_lengths, ref_data = self.reference
-        # positive finite lengths: != compares them bit for bit
-        changed = lengths != ref_lengths
-        rows = np.flatnonzero(changed)
-        if len(rows) == 0:
-            return ref_data, None
-        if FILL_SHARE * len(rows) > len(changed):
-            return self._full_data(lengths, self._assemble()[2]), None
-        if self.plan is None or not np.array_equal(self.plan.rows, rows):
-            self.plan = _Plan(self, changed)
-        return None, self.plan
-
     def _full_data(self, lengths: np.ndarray, data: np.ndarray) -> np.ndarray:
         """The weight of every slot, written over the slot map ``data``.
 
@@ -395,12 +372,13 @@ class _Plan:
     hit face's raw entry, as a key row * n_nodes + column, is matched
     against the keys of the touched rows' slots, which CSR order sorts.
     ``slots`` is a (2, P) array: the slots (i, j) and (j, i) of the P pairs
-    of the hit faces, group after group, in the order ``weights`` computes
-    them.  ``nnz`` counts the touched rows' entries.
+    of the hit faces, group after group, in the order a local fill
+    computes their weights (``_SteinerGraph``).  ``nnz`` counts the touched
+    rows' entries.
 
     ``inside`` is the node set W of the field updates on graphs filled
     through this plan.  It starts as the touched nodes and only grows;
-    ``sub`` caches W's subgraph until it does.
+    ``sub`` caches W's subgraph (``_solve_inside``) until it does.
     """
 
     def __init__(self, pattern: _Pattern, changed: np.ndarray):
@@ -424,33 +402,6 @@ class _Plan:
         self.inside = np.zeros(pattern.n_nodes, dtype=bool)
         self.inside[self.touched] = True
         self.sub = None
-
-    def weights(self, pattern: _Pattern, lengths: np.ndarray) -> np.ndarray:
-        """The weights of the pairs behind ``slots`` for per-edge
-        ``lengths``, one per column of ``slots``.
-
-        Only the pairs of faces holding a changed row are computed; every
-        other raw entry has the same inputs as in the reference, so its
-        reference weight is what a full fill computes.
-        """
-        return np.concatenate([
-            _chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
-            for (faces, face_rows), hit in zip(pattern.cells, self.hits)])
-
-    def subgraph(self, pattern: _Pattern):
-        """W's subgraph (``_subgraph``) with the reference weights, built
-        once per W; each update writes only its weights of ``slots``.
-
-        Every other slot an update reads keeps its reference weight on
-        every graph of this plan.  A rewritten slot joins two touched
-        nodes, and W holds the touched nodes, so it is an inner slot of W.
-        A slot leaving W has one end outside W, and the rows ``_grow``
-        walks belong to nodes outside W, so none of them is rewritten.
-        """
-        if self.sub is None:
-            self.sub = _subgraph(pattern.indptr, pattern.indices, pattern.reference[1],
-                                 self.inside, self.slots)
-        return self.sub
 
 
 def _chord_lengths(face_lengths: np.ndarray, q: int, s: int) -> np.ndarray:
@@ -481,11 +432,22 @@ def _row_slots(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 class _SteinerGraph:
     """A refined graph: a shared pattern weighted by one metric.
 
-    ``reference`` is True when the weights are the pattern's reference
-    bits.  After a local fill ``plan`` is the pattern's plan for the
-    changed rows and ``weights`` holds the weight of each pair behind its
-    ``slots``; every other slot keeps its reference weight.  Otherwise ``plan`` is None and
-    ``weights`` is the whole CSR ``data``.  ``matrix`` is built on first
+    The graph decides its fill by comparing its per-edge ``lengths`` with
+    the pattern's reference bit for bit, with one of three outcomes:
+
+    - no row changed: ``reference`` is True and ``weights`` is the
+      reference ``data`` itself, shared;
+    - at most 1/FILL_SHARE of the rows changed: a local fill.  ``plan`` is
+      the pattern's one ``_Plan``, built anew only when a fill changes
+      other rows, and ``weights`` holds the weight of each pair behind its
+      ``slots``: only the pairs of faces holding a changed row are
+      computed, since every other raw entry has the reference's inputs and
+      so its reference weight;
+    - more rows changed: a full refill on a freshly assembled slot map, and
+      ``weights`` is the whole CSR ``data``.  The bound sits below the
+      crossover of the two (module docstring).
+
+    ``plan`` is None except after a local fill.  ``matrix`` is built on first
     use, so a locally filled graph whose fields all settle on W's subgraph
     never builds it.
     """
@@ -493,9 +455,21 @@ class _SteinerGraph:
     def __init__(self, pattern: _Pattern, lengths: np.ndarray):
         self.pattern = pattern
         self.nv = pattern.nv
-        data, self.plan = pattern.fill(lengths)
-        self.reference = data is pattern.reference[1]
-        self.weights = data if self.plan is None else self.plan.weights(pattern, lengths)
+        self.plan = None
+        ref_lengths, self.weights = pattern.reference
+        # positive finite lengths: != compares them bit for bit
+        changed = lengths != ref_lengths
+        rows = np.flatnonzero(changed)
+        self.reference = len(rows) == 0
+        if FILL_SHARE * len(rows) > len(changed):
+            self.weights = pattern._full_data(lengths, pattern._assemble()[2])
+        elif not self.reference:
+            if pattern.plan is None or not np.array_equal(pattern.plan.rows, rows):
+                pattern.plan = _Plan(pattern, changed)
+            self.plan = pattern.plan
+            self.weights = np.concatenate([
+                _chord_lengths(lengths[face_rows[hit]], faces.shape[1] - 1, pattern.s)
+                for (faces, face_rows), hit in zip(pattern.cells, self.plan.hits)])
 
     @cached_property
     def matrix(self) -> csr_matrix:
@@ -623,10 +597,8 @@ def _update_field(graph: _SteinerGraph, d_old: np.ndarray,
     heads = np.searchsorted(indptr, risen, side="right") - 1
     if np.any(d_old[indices[risen]] + w_old[risen] == d_old[heads]):
         return None
-    is_source = np.zeros(pattern.n_nodes, dtype=bool)
-    is_source[sources] = True
     for attempt in range(2):
-        nodes, dist_in, low, low_at = _solve_inside(graph, d_old, is_source)
+        nodes, dist_in, low, low_at = _solve_inside(graph, d_old, sources)
         if len(low) == 0:
             dist = d_old.copy()
             dist[nodes] = dist_in
@@ -680,24 +652,33 @@ def _subgraph(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
             np.searchsorted(in_slots, slots), sub)
 
 
-def _solve_inside(graph: _SteinerGraph, d_old, is_source):
+def _solve_inside(graph: _SteinerGraph, d_old, sources):
     """Search the subgraph on the plan's node set W with the old distances
     outside held fixed.
 
     A super-source joins each W node with a boundary edge at weight
     min fl(d_old(x) + w) over its outside neighbours x, the float sum a full
-    search forms at that edge; W's sources start at 0.  W's subgraph is
-    built once per W (``_Plan.subgraph``) and only takes this graph's
-    weights of the plan's slots and the seeds.  Returns W, its distances,
-    and the outside ends of boundary edges that would lower an old
-    distance, with the values they would give.
+    search forms at that edge; W's nodes among ``sources`` start at 0.  W's
+    subgraph (``_subgraph``) is built with the reference weights once per W
+    and kept on the plan, and each search writes into it only this graph's
+    weights of the plan's slots and the seeds.  Every other slot it reads
+    keeps its reference weight on every graph of the plan: a rewritten slot
+    joins two touched nodes, which W holds, so it is an inner slot of W; a
+    slot leaving W has one end outside W, and the rows ``_grow`` walks
+    belong to nodes outside W, so none of them is rewritten.  Returns W,
+    its distances, and the outside ends of boundary edges that would lower
+    an old distance, with the values they would give.
     """
-    nodes, b_row, b_col, b_w, firsts, at, sub = graph.plan.subgraph(graph.pattern)
+    plan, pattern = graph.plan, graph.pattern
+    if plan.sub is None:
+        plan.sub = _subgraph(pattern.indptr, pattern.indices, pattern.reference[1],
+                             plan.inside, plan.slots)
+    nodes, b_row, b_col, b_w, firsts, at, sub = plan.sub
     k = len(nodes)
     sub.data[at] = graph.weights
     if len(firsts):
         np.minimum.reduceat(d_old[b_col] + b_w, firsts, out=sub.data[sub.indptr[k]:])
-    starts = np.append(np.flatnonzero(is_source[nodes]), k)
+    starts = np.append(np.flatnonzero(np.isin(nodes, sources)), k)
     dist_in = dijkstra(sub, directed=True, indices=starts, min_only=True)[:k]
     exit_val = dist_in[b_row] + b_w
     low = exit_val < d_old[b_col]
@@ -842,7 +823,7 @@ def diameter(signal, subset: str = "M",
     searches, and a rotationally symmetric mesh may still need one per
     vertex.
     """
-    if subset in ("M", "all"):
+    if subset == "M":
         tag = None
     elif subset in REGION_TAGS:
         tag = subset

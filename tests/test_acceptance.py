@@ -213,7 +213,7 @@ def test_criterion_8_refinement_study():
     # exactly, so each level's oracle error is rounding alone, bounded by
     # n_v * eps * E with n_v = (n+1)^2 vertices and eps = 2u the machine
     # epsilon.  E is the dot product of n_v nonnegative terms
-    # (energy._integrate), whose error is at most gamma_{n_v} * E, with
+    # (in energy.energy), whose error is at most gamma_{n_v} * E, with
     # gamma_k = k*u / (1 - k*u) (Higham, Accuracy and Stability of
     # Numerical Algorithms, sec. 3.1): half the budget.  The other half
     # covers the inputs: a field value is a path sum of at most 4n

@@ -534,10 +534,17 @@ def test_cli_byte_identical_reports(tmp_path, capsys):
     assert Path(mesh).read_text() == Path(mesh2).read_text()
 
 
+def _square2_with_metric():
+    """gen_square(2)'s mesh data with its metric written out: a conformal
+    factor of 1 gives the induced lengths bit for bit, tagged "deformed"."""
+    sig = cs.gen_square(2)
+    metric = cs.conformal_scale(sig.metric, np.ones(sig.complex.n_vertices))
+    return signal_to_dict(cs.Signal(sig.complex, metric, sig.hints))
+
+
 def test_load_rejects_metric_edge_mismatch(tmp_path):
     from cobsig.errors import CobsigError
-    from cobsig.fileio import signal_to_dict
-    data = signal_to_dict(cs.gen_square(2), include_metric=True)
+    data = _square2_with_metric()
     data["metric"] = data["metric"][:-1]  # drop one edge
     path = tmp_path / "bad_metric.json"
     path.write_text(json.dumps(data))
@@ -547,8 +554,7 @@ def test_load_rejects_metric_edge_mismatch(tmp_path):
 
 def test_load_rejects_duplicated_metric_edge(tmp_path):
     from cobsig.errors import CobsigError
-    from cobsig.fileio import signal_to_dict
-    data = signal_to_dict(cs.gen_square(2), include_metric=True)
+    data = _square2_with_metric()
     # every complex edge is listed, one of them twice with another length
     data["metric"].append({"edge": data["metric"][0]["edge"], "length": 5.0})
     path = tmp_path / "dup_metric.json"
@@ -561,7 +567,7 @@ def test_cli_unbuildable_mesh_exits_1(tmp_path, capsys):
     from cobsig.fileio import signal_to_dict
     bad_label = signal_to_dict(cs.gen_square(2))
     bad_label["labels"]["A"] = [[0, 8]]  # not a facet of the complex
-    short_metric = signal_to_dict(cs.gen_square(2), include_metric=True)
+    short_metric = _square2_with_metric()
     short_metric["metric"] = short_metric["metric"][:-1]  # the labels validate
     big_label = signal_to_dict(cs.gen_square(2))
     big_label["labels"]["A"] = [[0, 2**70]]  # past int64
@@ -687,13 +693,17 @@ def _first(items, **changes):
                                               *d["labels"]["A"][1:]]),
      "label A entry 0 is (0.3, 3.3): expected integers, got float"),
     ("metric", lambda d: _first(
-        signal_to_dict(cs.gen_square(2), include_metric=True)["metric"],
+        _square2_with_metric()["metric"],
         edge=[0.5, 1]), "malformed mesh data: metric edge 0 is (0.5, 1): expected integers"),
     ("simplices", lambda d: _first(d["simplices"], verts=[2**70] * 3),
      "malformed mesh data: simplex 0 is (1180591620717411303424, "),
+    # build_complex refuses it, so the error has no "malformed" prefix
+    ("vertices", lambda d: [*d["vertices"][:4], [0.5, float("nan")], *d["vertices"][5:]],
+     "vertex 4 has a non-finite coordinate: (0.5, nan)"),
 ], ids=["metric-entry-without-length", "hints-not-an-object",
         "facets-not-a-list", "fractional-verts", "bool-sign",
-        "fractional-facet", "fractional-metric-edge", "index-past-int64"])
+        "fractional-facet", "fractional-metric-edge", "index-past-int64",
+        "nan-vertex"])
 def test_cli_malformed_mesh_exits_1(tmp_path, capsys, field, value, message):
     data = signal_to_dict(cs.gen_square(2))
     data[field] = value(data) if callable(value) else value

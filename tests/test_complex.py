@@ -342,6 +342,23 @@ def test_build_rejects_misshapen_tables():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("verts, message", [
+    ("ab", "vertices are not one table of floats: could not convert string to float: 'ab'"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 2.0]],
+     "vertices are not one table of floats: setting an array element with a sequence"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, float("nan")]],
+     "vertex 2 has a non-finite coordinate: (0.0, nan)"),
+    ([[0.0, 0.0], [-float("inf"), 0.0], [0.0, 1.0]],
+     "vertex 1 has a non-finite coordinate: (-inf, 0.0)"),
+], ids=["string", "ragged", "nan", "inf"])
+def test_build_refuses_vertices_that_are_not_finite_floats(verts, message):
+    # numpy's own ValueError and a NaN that built a complex both become
+    # MeshError, naming the problem
+    with pytest.raises(MeshError) as err:
+        build_complex(verts, [(0, 1, 2)], {})
+    assert str(err.value).startswith(message)
+
+
 def test_label_iterators_are_read_once():
     # an iterator of facets is read once, not emptied by the integer check
     labels = build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS,

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import cobsig as cs
 from cobsig import geodesy
-from cobsig.complex import edge_slots, region_vertices
+from cobsig.complex import edge_rows, edge_slots, region_vertices
 from cobsig.energy import FOURIER_PERMUTATION
 from cobsig.errors import GeodesyError, MetricError, RegionError
 from cobsig.fileio import signal_from_dict, signal_to_dict
@@ -444,8 +444,11 @@ def test_diameter_cylinder_wall(shell32):
 
 
 def test_diameter_unknown_subset(square8):
-    with pytest.raises(RegionError):
-        diameter(square8, "W")
+    # "M" is the whole complex's one name; "all" is no subset
+    for subset in ("W", "all"):
+        with pytest.raises(RegionError) as err:
+            diameter(square8, subset)
+        assert str(err.value) == f"unknown subset {subset!r}"
 
 
 def test_distance_scaling_under_dyadic_conformal_factor(square8):
@@ -699,7 +702,7 @@ def _copy(sig):
 
 def _fresh(noisy):
     """A deformed signal on a complex loaded afresh, with no reference."""
-    return signal_from_dict(signal_to_dict(noisy, include_metric=True))
+    return signal_from_dict(signal_to_dict(noisy))
 
 
 def _sweep(sig, name):
@@ -751,14 +754,30 @@ def test_noise_refills_the_shared_pattern(request, name, whole):
     sig = _copy(request.getfixturevalue(name))
     tag = None if whole else NOISE_CASES[name][3]
     base = _graph(sig, 2, tag)
-    reference = base.pattern.reference
+    pattern, reference = base.pattern, base.pattern.reference
+    ref_data = reference[1].copy()
+    assert base.reference and base.plan is None
+    # a fill that changes one of the pattern's rows leaves a plan on it
+    rows = edge_rows(sig.complex.edges(), pattern.edges)
+    lengths = sig.metric.lengths.copy()
+    lengths[rows[0]] *= 1.001
+    planned = _graph(Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed")),
+                     2, tag).plan
+    assert planned is not None and planned is pattern.plan
     refilled = 0
     for _, noisy in _sweep(sig, name):
         graph = _graph(noisy, 2, tag)
-        assert graph.pattern is base.pattern
+        assert graph.pattern is pattern
         # every refill starts from the first fill, which stays the reference
         assert graph.pattern.reference is reference
+        assert reference[1].tobytes() == ref_data.tobytes()
         assert not graph.reference
+        # a local fill takes the pattern's plan; a full refill leaves it
+        changed = noisy.metric.lengths[rows] != sig.metric.lengths[rows]
+        if geodesy.FILL_SHARE * np.count_nonzero(changed) > len(changed):
+            assert graph.plan is None and pattern.plan is planned
+        else:
+            assert graph.plan is pattern.plan is not None
         assert graph.matrix.indptr is base.matrix.indptr
         assert np.shares_memory(graph.matrix.indices, base.matrix.indices)
         assert not np.array_equal(graph.matrix.data, base.matrix.data)

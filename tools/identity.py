@@ -23,8 +23,18 @@ and X; the top-simplex volumes, the lumped vertex weights and the
 volumes of A and X; and the exit code, report and stderr of the CLI's
 ``energy`` and ``verify-thm1`` on the saved file.  Three more runs are
 digested: a ``verify-thm1`` of square8 and of the thin shell16 saved
-without hints, and a ``sweep-eps`` on shell24.  The ladder takes a few
-seconds per tree.
+without hints, and a ``sweep-eps`` on shell24.
+
+Noisy signals are digested on each of the graph's three fill paths
+(``geodesy._SteinerGraph``), which NOISE names by the share of edge rows
+its ball changes: square8's ball (0.40) is filled in full, square32's
+(0.10) through the plan with fields updated on a subgraph, square48's
+(0.13) through the plan with full searches, and the shell24 sweep's ball
+(0.04) through the plan.  After the reference fields to A and X, each ball
+is taken at every eps of NOISE_EPS, and the digests cover the noisy fields
+to A and X, then the CSR ``data`` of the noisy graph at level 2.  No
+perfbench workload takes the full-refill branch, so these digests are
+what compares it.  The whole run takes a few seconds per tree.
 """
 
 from __future__ import annotations
@@ -54,6 +64,17 @@ LADDER = {
 #: sweep-eps on shell24 about the outer-wall vertex at angle 0, height 0.8
 SWEEP = ("shell24", (2.0, 0.0, 0.8), ["--delta0", "0.2", "--delta", "0.7",
                                       "--eps", "0.4,0.2,0.1,0.05"])
+
+
+#: noise balls: name -> (instance, centre, delta0, delta); square8's and
+#: square32's are the tests' NOISE_CASES, square48's glue-filter's
+NOISE = {
+    "square8": (("gen_square", (8,), {}), (0.75, 0.5), 0.125, 0.375),
+    "square32": (("gen_square", (32,), {}), (0.875, 0.5), 0.0625, 0.1875),
+    "square48": (("gen_square", (48,), {}), (0.75, 0.5), 0.1, 0.2),
+    "shell24": (LADDER["shell24"], SWEEP[1], 0.2, 0.7),
+}
+NOISE_EPS = (0.4, 0.1, 0.05)
 
 
 def digest(*parts) -> str:
@@ -133,6 +154,18 @@ def ladder_digests(src: Path) -> dict:
         out[f"{name}/sweep-eps"] = run_cli(
             cli, ["sweep-eps", tmp / f"{name}.json", "--center-vertex", centre, *options],
             tmp / "sweep.out")
+
+    for name, ((gen, args, kwargs), at, delta0, delta) in NOISE.items():
+        sig = getattr(cs, gen)(*args, **kwargs)
+        for tag in ("A", "X"):
+            cs.distance_field(sig, tag, 2)  # the reference fields
+        centre = cs.vertex_at(sig, at)
+        for eps in NOISE_EPS:
+            noisy = cs.apply_noise(sig, cs.NoiseSpec(centre, delta0, delta, eps))
+            for tag in ("A", "X"):
+                out[f"noise-{name}/{eps}/field-{tag}"] = digest(
+                    cs.distance_field(noisy, tag, 2).values)
+            out[f"noise-{name}/{eps}/graph-data"] = digest(_graph(noisy, 2).matrix.data)
     return out
 
 
