@@ -12,27 +12,30 @@ invariants live in ``validate`` so that deliberately broken instances can be
 constructed and inspected.
 
 What depends only on (simplices, signs) is the complex's topology, and one
-``_Structure`` owns it: the facet table, the boundary facets, the structural
-half of ``validate`` (non-manifold facets and inconsistent orientation), the
-canonical edge table that ``edges()`` returns, and ``simplex_edge_rows``, the
-edge-table row of every edge of every top simplex.  ``build_complex`` builds
-it once, with array operations, from one sort of each simplex's vertices
-and one integer code per table row, and every relabeling made with
-``with_labels`` shares it; ``with_labels`` checks only the new labels, in a
-few whole-array passes, and ``validate`` adds only the label checks.  A
-region's facets are kept once per facet set as a lexsorted table
-(``region_facets``), which every other module reads instead of converting
-the label set.  Other modules index these tables and derive no topology of
-their own; ``edge_rows`` is the one lookup from vertex pairs to edge rows,
-``facet_rows`` the one from vertex tuples to facet rows, and ``edge_slots``
-the one order of a simplex's edges.
+``_Structure`` owns it: the facet table and its boundary mask, the
+structural half of ``validate`` (non-manifold facets and inconsistent
+orientation), the canonical edge table that ``edges()`` returns, and
+``simplex_edge_rows``, the edge-table row of every edge of every top
+simplex.  ``build_complex`` builds it once, with array operations, from one
+sort of each simplex's vertices and one integer code per table row, and
+every relabeling made with ``with_labels`` shares it; ``with_labels``
+checks only the new labels, in a few whole-array passes, and ``validate``
+adds only the label checks, on facet rows.  A region has one form, its
+read-only lexsorted facet table (``region_facets``), interned on the
+structure by the table's bytes: every relabeling with the same facets gets
+the same table, and every cache of a region is keyed by the region's facet
+table, as its bytes.  ``labels``, the frozensets of facet tuples, is a view
+derived from the tables on first access.  Other modules index these tables
+and derive no topology of their own; ``edge_rows`` is the one lookup from
+vertex pairs to edge rows, ``facet_rows`` the one from vertex tuples to
+facet rows, and ``edge_slots`` the one order of a simplex's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, repeat
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from numbers import Integral
 from operator import length_hint
 
@@ -56,28 +59,32 @@ class CobordismComplex:
     simplices : (nt, d+1) int array, read-only
     signs : (nt,) int array of +-1, read-only
     labels : dict mapping region tag to frozenset of facet tuples
+        A view of the region tables (``region_facets``), built on first
+        access.
     facets : (nf, d) int array, read-only
         Every distinct facet once, vertices ascending, rows lexsorted.
     boundary : (nf,) bool array, read-only
         Which rows of ``facets`` have one simplex.
-    boundary_facets : frozenset of the facet tuples with one simplex
     simplex_edge_rows : (nt, d(d+1)/2) int array, read-only
         Row in ``edges()`` of each simplex's edges, in slot order
         (``edge_slots``).
     """
 
-    def __init__(self, vertices, simplices, signs, labels, structure):
+    def __init__(self, vertices, simplices, signs, regions, structure):
         self.vertices = vertices
         self.simplices = simplices
         self.signs = signs
-        self.labels = labels
+        self._regions = regions
         self._structure = structure
         self.facets = structure.facets
         self.boundary = structure.boundary
-        self.boundary_facets = structure.boundary_facets
         self.simplex_edge_rows = structure.simplex_edge_rows
 
     # -- basic queries ----------------------------------------------------
+
+    @cached_property
+    def labels(self) -> dict[str, frozenset]:
+        return {tag: frozenset(_tuples(table)) for tag, table in self._regions.items()}
 
     @property
     def dim(self) -> int:
@@ -107,12 +114,12 @@ class CobordismComplex:
 
     def region_facets(self, tag: str) -> np.ndarray:
         """The facets of region ``tag`` as a read-only (k, d) int64 table,
-        vertices ascending, rows lexsorted.  It is kept on the structure
-        under the region's facet set (``_clean_labels``), so every
-        relabeling with that set shares it."""
+        vertices ascending, rows lexsorted.  It is interned on the
+        structure by its bytes (``_clean_labels``), so every relabeling
+        with these facets shares it."""
         if tag not in REGION_TAGS:
             raise RegionError(f"unknown region tag {tag!r}")
-        return self._structure.cache[("facets", self.labels[tag])]
+        return self._regions[tag]
 
     def corner_table(self, tag_a: str, tag_b: str) -> np.ndarray:
         """(d-2)-faces shared between facets of two regions, as a lexsorted
@@ -123,13 +130,10 @@ class CobordismComplex:
         rows = [edge_rows(self.edges(), f[:, edge_slots(2)]) for f in faces]
         return self.edges()[np.intersect1d(*rows)]
 
-    def corner_faces(self, tag_a: str, tag_b: str) -> frozenset:
-        """(d-2)-faces shared between facets of two regions."""
-        return frozenset(map(tuple, self.corner_table(tag_a, tag_b).tolist()))
-
     def cached(self, key, compute):
-        """Memoize a value fixed by the structure (and any facet set in the
-        key); every relabeling and every signal on this complex shares it."""
+        """Memoize a value fixed by the structure (and any region table's
+        bytes in the key); every relabeling and every signal on this complex
+        shares it."""
         cache = self._structure.cache
         if key not in cache:
             cache[key] = compute()
@@ -164,7 +168,8 @@ class CobordismComplex:
             np.array_equal(self.vertices, other.vertices)
             and np.array_equal(self.simplices, other.simplices)
             and np.array_equal(self.signs, other.signs)
-            and self.labels == other.labels
+            and all(np.array_equal(self.region_facets(tag), other.region_facets(tag))
+                    for tag in REGION_TAGS)
         )
 
     def __hash__(self):
@@ -212,6 +217,9 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     orientation consistency) are *not* enforced here; run ``validate``.
     """
     try:
+        # the cast would drop an imaginary part and read a bool as 0 or 1
+        if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "bc":
+            raise TypeError(f"their dtype is {vertices.dtype}")
         verts = np.array(vertices, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"vertices are not one table of floats: {exc}") from exc
@@ -245,23 +253,23 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
         raise MeshError("signs must be +-1, one per top simplex")
 
     structure = _Structure(simp, ordered, sgn, nv)
-    clean_labels = _clean_labels(labels, d, structure)
+    regions = _clean_labels(labels, d, structure)
     for table in (verts, simp, sgn):
         table.flags.writeable = False
-    return CobordismComplex(verts, simp, sgn, clean_labels, structure)
+    return CobordismComplex(verts, simp, sgn, regions, structure)
 
 
 class _Structure:
     """The topology of a complex, fixed by its simplices and signs alone.
 
     ``facets`` is the lexsorted table of distinct facets, ``boundary`` marks
-    its rows with one incident simplex, ``boundary_facets`` is the set of
-    those, and ``violations`` holds the label-independent findings of
-    ``validate``.  ``edges`` is the lexsorted table of distinct edges, and
-    ``simplex_edge_rows`` holds, per top simplex, the row of each of its
-    edges in slot order.  ``cache`` holds what ``CobordismComplex.cached``
-    derives from the structure, such as refined-graph patterns and region
-    facet tables.
+    its rows with one incident simplex, and ``violations`` holds the
+    label-independent findings of ``validate``.  ``edges`` is the lexsorted
+    table of distinct edges, and ``simplex_edge_rows`` holds, per top
+    simplex, the row of each of its edges in slot order.  ``cache`` holds
+    each region's facet table under the table's bytes, and what
+    ``CobordismComplex.cached`` derives from the structure, such as
+    refined-graph patterns, keyed by those bytes where a region fixes it.
 
     ``ordered`` holds each simplex's vertices sorted, the one sort that
     ``build_complex`` makes.  The face of simplex t without its o-th
@@ -307,7 +315,6 @@ class _Structure:
         self.simplex_edge_rows = rows.reshape(nt, len(slots))
         self.facets = facets
         self.boundary = count == 1
-        self.boundary_facets = frozenset(map(tuple, facets[self.boundary].tolist()))
         self.violations = tuple(bad)
         self.cache: dict = {}
         for table in (self.edges, self.simplex_edge_rows, self.facets, self.boundary):
@@ -468,10 +475,10 @@ def pair_table(entries, error, what: str) -> np.ndarray:
     return table.reshape(-1, 2)
 
 
-def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]:
-    """Canonical labels: per region, the set of its facets as tuples of
-    ascending Python ints, with the region's table (``region_facets``) kept
-    in the structure cache under that set.
+def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, np.ndarray]:
+    """Canonical labels: per region, its read-only lexsorted int64 facet
+    table (``region_facets``), interned in the structure cache by the
+    table's bytes, so equal facets give the same table object.
 
     Each label value is a collection of entries, read once.  Tag by tag in
     X, Y, A, B order, the entries before the first that is no row of d
@@ -485,14 +492,17 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
     except (TypeError, ValueError) as exc:
         raise MeshError("labels must be a mapping from region tag to facets, not "
                         f"{type(labels).__name__} ({exc})") from exc
-    clean: dict[str, frozenset] = {}
+    clean: dict[str, np.ndarray] = {}
     for tag in REGION_TAGS:
         what = f"label {tag} entry"
         group = labels.pop(tag, ())
         if not isinstance(group, np.ndarray) or not group.ndim:
             group = _listed(group, MeshError, what)
-        # the length of an entry that has none counts as -1
-        widths = np.fromiter(map(length_hint, group, repeat(-1)), np.int64, len(group))
+        # the length of an entry that has none counts as -1; each row of an
+        # array of two or more dimensions has the array's row length
+        widths = (np.full(len(group), group.shape[1])
+                  if isinstance(group, np.ndarray) and group.ndim > 1
+                  else np.fromiter(map(length_hint, group, repeat(-1)), np.int64, len(group)))
         n = int(np.argmin(np.append(widths == d, False)))
         rows = np.sort(int_table(group[:n], MeshError, what).reshape(-1, d), axis=1)
         found = structure.facet_rows(rows)
@@ -506,8 +516,7 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
             raise MeshError(f"label {tag}: {ft!r} is not {fault}")
         table = structure.facets[np.unique(found)]
         table.flags.writeable = False
-        clean[tag] = frozenset(map(tuple, table.tolist()))
-        structure.cache.setdefault(("facets", clean[tag]), table)
+        clean[tag] = structure.cache.setdefault(table.tobytes(), table)
     if labels:
         raise MeshError(f"unknown region tag {next(iter(labels))!r}")
     return clean
@@ -516,39 +525,41 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, frozenset]
 def validate(cx: CobordismComplex) -> ValidationReport:
     """Check every cobordism invariant; violations are data, not errors.
 
-    The report depends only on the structure and the labels, so it is
-    computed once per labeling and kept in the structure cache.
+    The report depends only on the structure and the region tables, so it
+    is computed once per labeling and kept in the structure cache.
     """
-    key = ("validate",) + tuple(cx.labels[tag] for tag in REGION_TAGS)
+    key = ("validate",) + tuple(cx.region_facets(tag).tobytes() for tag in REGION_TAGS)
     return cx.cached(key, lambda: _validate(cx))
+
+
+def _tuples(table: np.ndarray) -> list:
+    """The rows of an int table as tuples of Python ints, in table order."""
+    return list(map(tuple, table.tolist()))
 
 
 def _validate(cx: CobordismComplex) -> ValidationReport:
     bad: list[tuple[str, str]] = list(cx._structure.violations)
 
-    # every labeled facet is a boundary facet (``_clean_labels``)
-    labels = cx.labels
+    # every labeled facet is a boundary facet (``_clean_labels``); the rows
+    # of a lexsorted region table are distinct and ascend, as do its tuples
+    rows = {tag: cx.facet_rows(cx.region_facets(tag)) for tag in REGION_TAGS}
+    count = np.bincount(np.concatenate(list(rows.values())), minlength=len(cx.facets))
     bad += [("unlabeled-boundary-facet", str(f))
-            for f in cx.boundary_facets.difference(*labels.values())]
-    multiple = frozenset().union(*(labels[a] & labels[b]
-                                   for a, b in combinations(REGION_TAGS, 2)))
-    bad += [("multiply-labeled-facet",
-             f"{f} in {sorted(tag for tag in REGION_TAGS if f in labels[tag])}")
-            for f in multiple]
+            for f in _tuples(cx.facets[cx.boundary & (count == 0)])]
+    multiple = np.flatnonzero(count > 1)
+    held = {tag: np.isin(multiple, rows[tag], assume_unique=True) for tag in sorted(REGION_TAGS)}
+    bad += [("multiply-labeled-facet", f"{f} in {[tag for tag in held if held[tag][i]]}")
+            for i, f in enumerate(_tuples(cx.facets[multiple]))]
+    bad += [("empty-region", tag) for tag in REGION_TAGS if not len(rows[tag])]
 
-    for tag in REGION_TAGS:
-        if not labels[tag]:
-            bad.append(("empty-region", tag))
+    # what two regions may not share, each as a lexsorted table; a facet in
+    # two regions is among the multiply-labeled ones
+    shared = {f"{a}-{b}-shared-facet": cx.facets[multiple[held[a] & held[b]]]
+              for a, b in ("XY", "AB")}
+    shared["A-B-shared-corner-face"] = cx.corner_table("A", "B")
+    bad += [(name, str(_tuples(table))) for name, table in shared.items() if len(table)]
 
-    if labels["X"] & labels["Y"]:
-        bad.append(("X-Y-shared-facet", str(sorted(labels["X"] & labels["Y"]))))
-    if labels["A"] & labels["B"]:
-        bad.append(("A-B-shared-facet", str(sorted(labels["A"] & labels["B"]))))
-    shared_corner = cx.corner_faces("A", "B")
-    if shared_corner:
-        bad.append(("A-B-shared-corner-face", str(sorted(shared_corner))))
-
-    if labels["A"] and labels["X"] and not cx.corner_faces("A", "X"):
+    if len(rows["A"]) and len(rows["X"]) and not len(cx.corner_table("A", "X")):
         bad.append(("A-X-corner-empty", "no shared (d-2)-face between A and X"))
 
     bad.sort()

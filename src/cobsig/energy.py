@@ -11,8 +11,9 @@ The transform changes only the labels: it hands ``with_labels`` the
 source's region tables (``region_facets``), which are int64 already, and
 the relabeled signal shares its source's complex structure (checked once,
 when the complex was built), metric and cache.  Region fields are cached
-by facet set, so the source's distance-to-X field is the transformed
-signal's distance-to-A field, found without any search or copy.
+by the region's facet table, so the source's distance-to-X field is the
+transformed signal's distance-to-A field, found without any search or
+copy.
 """
 
 from __future__ import annotations

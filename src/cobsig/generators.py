@@ -40,27 +40,6 @@ def _grid_complex(verts, simplices, shape, xy_axis: int, ab_axis: int):
                              for tag, (axis, end) in ends.items()})
 
 
-def _grid_signal(width: float, height: float, nx: int, ny: int,
-                 origin=(0.0, 0.0), hints=None) -> Signal:
-    """Axis-aligned rectangle triangulated as an nx-by-ny grid.
-
-    Labels: X bottom, Y top, A left, B right.  All triangles are
-    counterclockwise with the cell diagonal running lower-left to
-    upper-right.
-    """
-    x0, y0 = float(origin[0]), float(origin[1])
-    xs = x0 + width * np.arange(nx + 1) / nx
-    ys = y0 + height * np.arange(ny + 1) / ny
-    verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
-    # per cell, row by row: (v00, v10, v11) and (v00, v11, v01), vertex
-    # (ix, iy) numbered iy * (nx + 1) + ix
-    iy, ix = np.divmod(np.arange(nx * ny), nx)
-    v00 = iy * (nx + 1) + ix
-    v11 = v00 + nx + 2
-    tris = np.stack([v00, v00 + 1, v11, v00, v11, v11 - 1], axis=1).reshape(-1, 3)
-    return make_signal(_grid_complex(verts, tris, (ny + 1, nx + 1), 0, 1), hints=hints)
-
-
 def gen_square(n: int) -> Signal:
     """Unit square as an n-by-n grid of 2 n^2 triangles."""
     if as_int(n, MeshError, "square resolution") < 2:
@@ -72,7 +51,10 @@ def gen_rectangle(width: float, height: float, n: int,
                   origin=(0.0, 0.0)) -> Signal:
     """Axis-aligned rectangle; resolution n counts subdivisions per unit length.
 
-    Used as composition ground truth; hints are translation invariant.
+    The rectangle is triangulated as an nx-by-ny grid.  Labels: X bottom,
+    Y top, A left, B right.  All triangles are counterclockwise with the
+    cell diagonal running lower-left to upper-right.  Used as composition
+    ground truth; hints are translation invariant.
     """
     if width <= 0 or height <= 0:
         raise MeshError("rectangle dimensions must be positive")
@@ -94,7 +76,17 @@ def gen_rectangle(width: float, height: float, n: int,
         "vol_X": width,
         "resolution": float(n),
     }
-    return _grid_signal(width, height, nx, ny, origin=origin, hints=hints)
+    x0, y0 = float(origin[0]), float(origin[1])
+    xs = x0 + width * np.arange(nx + 1) / nx
+    ys = y0 + height * np.arange(ny + 1) / ny
+    verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    # per cell, row by row: (v00, v10, v11) and (v00, v11, v01), vertex
+    # (ix, iy) numbered iy * (nx + 1) + ix
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    v00 = iy * (nx + 1) + ix
+    v11 = v00 + nx + 2
+    tris = np.stack([v00, v00 + 1, v11, v00, v11, v11 - 1], axis=1).reshape(-1, 3)
+    return make_signal(_grid_complex(verts, tris, (ny + 1, nx + 1), 0, 1), hints=hints)
 
 
 #: The six path tetrahedra of a unit cube as corner offsets, one per order

@@ -113,7 +113,6 @@ from .errors import GeodesyError, RegionError
 from .fields import ScalarField
 
 __all__ = [
-    "ScalarField",
     "InjectivityEstimate",
     "distance_field",
     "distance_to_vertex",
@@ -496,14 +495,15 @@ def _graph(signal, s: int, tag: str | None = None) -> _SteinerGraph:
     every facet of its facet table; a region's are its own facets.  The
     pattern depends on the structure, the cell set and ``s`` alone, so it
     is kept on the complex's shared structure, keyed by the region's facet
-    set: noise, relabelings and every later metric reuse it and only refill
-    the weights.  The signal that first asks for it gives its reference.
+    table (its bytes): noise, relabelings and every later metric reuse it
+    and only refill the weights.  The signal that first asks for it gives
+    its reference.
     """
     s = as_int(s, GeodesyError, "steiner_level")
     if s < 0:
         raise GeodesyError("steiner_level must be >= 0")
     cx = signal.complex
-    facets = None if tag is None else cx.labels[tag]
+    facets = None if tag is None else cx.region_facets(tag).tobytes()
     lengths = signal.metric.lengths
 
     def pattern():
@@ -536,8 +536,8 @@ def _facet_cells(cx, tag: str | None = None):
 def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
     """Vertex and refinement nodes lying on the closed region subcomplex --
     the template nodes of its edges, sorted -- as a read-only array kept on
-    the structure, keyed by the region's facets and s: every signal on the
-    complex, noisy or relabeled, shares it."""
+    the structure, keyed by the region's facet table and s: every signal on
+    the complex, noisy or relabeled, shares it."""
     cx = signal.complex
 
     def compute():
@@ -546,7 +546,7 @@ def _region_sources(signal, graph: _SteinerGraph, tag: str) -> np.ndarray:
         sources = np.unique(pattern._face_nodes(pattern.edges[rows], rows[:, None]))
         sources.flags.writeable = False
         return sources
-    return cx.cached(("sources", graph.pattern.s, cx.labels[tag]), compute)
+    return cx.cached(("sources", graph.pattern.s, cx.region_facets(tag).tobytes()), compute)
 
 
 def _field(graph: _SteinerGraph, key, sources: np.ndarray) -> np.ndarray:
@@ -749,11 +749,11 @@ def distance_field(signal, region: str,
     if region not in REGION_TAGS:
         raise RegionError(f"unknown region tag {region!r}")
     graph = _graph(signal, steiner_level)
+    facets = signal.complex.region_facets(region).tobytes()
 
     def compute():
         sources = _region_sources(signal, graph, region)
-        key = ("field", signal.complex.labels[region])
-        dist = _field(graph, key, sources)[: graph.nv]
+        dist = _field(graph, ("field", facets), sources)[: graph.nv]
         if np.any(np.isinf(dist)):
             k = int(np.argwhere(np.isinf(dist)).ravel()[0])
             raise GeodesyError(
@@ -762,7 +762,7 @@ def distance_field(signal, region: str,
             )
         return ScalarField(dist)
 
-    return signal.cached(("field", signal.complex.labels[region], graph.pattern.s), compute)
+    return signal.cached(("field", facets, graph.pattern.s), compute)
 
 
 def distance_to_vertex(signal, p: int,
@@ -864,7 +864,7 @@ def diameter(signal, subset: str = "M",
             np.minimum(upper, ecc + row, out=upper)
             upper[i] = -np.inf
 
-    facets = None if tag is None else signal.complex.labels[tag]
+    facets = None if tag is None else signal.complex.region_facets(tag).tobytes()
     return signal.cached(("diam", graph.pattern.s, facets), compute)
 
 

@@ -5,10 +5,10 @@ metric's edges are its complex's edge table, so lengths can be gathered
 through the structure's edge rows.  Signals are immutable; derived
 artifacts (volumes, refined graphs, distance fields, diameters, quadrature
 weights) are memoized through ``Signal.cached`` on a private cache keyed by
-what they depend on: the metric alone, or the metric and a region's facet
-set, never a region tag.  A relabeling of the same geometry and metric
-therefore shares its source's cache as is, and each region field is found
-under its facets whatever the region is called.
+what they depend on: the metric alone, or the metric and the region's facet
+table (its bytes), never a region tag.  A relabeling of the same geometry
+and metric therefore shares its source's cache as is, and each region field
+is found under its facet table whatever the region is called.
 """
 
 from __future__ import annotations

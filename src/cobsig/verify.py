@@ -502,14 +502,14 @@ def refinement_study(kind: str, params: dict, resolutions,
         rows.append(row)
         prev_e, prev_ef = e, ef
 
-    def order(r_first, r_last, key):
+    def order(key):
         lo = max(rows[0][key], 1e-18)
         hi = max(rows[-1][key], 1e-18)
-        return float(np.log(lo / hi) / np.log(r_last / r_first))
+        return float(np.log(lo / hi) / np.log(res_list[-1] / res_list[0]))
 
     return ConvergenceReport(
         rows=tuple(rows),
         oracle=oracle,
-        observed_order_E=order(res_list[0], res_list[-1], "err_E"),
-        observed_order_EF=order(res_list[0], res_list[-1], "err_EF"),
+        observed_order_E=order("err_E"),
+        observed_order_EF=order("err_EF"),
     )

@@ -41,7 +41,7 @@ def test_unit_square_builds_and_validates():
 def test_boundary_facet_count_structured_grid(square16):
     # 4 sides, n facets per side
     cx = square16.complex
-    assert len(cx.boundary_facets) == 4 * 16
+    assert len(cx.facets[cx.boundary]) == 4 * 16
     for tag in "XYAB":
         assert len(cx.labels[tag]) == 16
 
@@ -50,7 +50,7 @@ def test_grid_4x4_facets_per_region():
     sig = cs.gen_square(4)
     cx = sig.complex
     assert cx.n_simplices == 32
-    assert len(cx.boundary_facets) == 16
+    assert len(cx.facets[cx.boundary]) == 16
     for tag in "XYAB":
         assert len(cx.labels[tag]) == 4
 
@@ -350,10 +350,15 @@ def test_build_rejects_misshapen_tables():
      "vertex 2 has a non-finite coordinate: (0.0, nan)"),
     ([[0.0, 0.0], [-float("inf"), 0.0], [0.0, 1.0]],
      "vertex 1 has a non-finite coordinate: (-inf, 0.0)"),
-], ids=["string", "ragged", "nan", "inf"])
+    (np.array([[0, 0], [1, 0], [0, 1 + 2j]]),
+     "vertices are not one table of floats: their dtype is complex128"),
+    (np.array([[False, False], [True, False], [False, True]]),
+     "vertices are not one table of floats: their dtype is bool"),
+], ids=["string", "ragged", "nan", "inf", "complex", "bool"])
 def test_build_refuses_vertices_that_are_not_finite_floats(verts, message):
-    # numpy's own ValueError and a NaN that built a complex both become
-    # MeshError, naming the problem
+    # numpy's own ValueError, a NaN that built a complex, and the float
+    # cast of a complex or bool array, which would drop the imaginary parts
+    # or read the bools as 0 and 1, all become MeshError, naming the problem
     with pytest.raises(MeshError) as err:
         build_complex(verts, [(0, 1, 2)], {})
     assert str(err.value).startswith(message)
@@ -388,6 +393,7 @@ def _clean_labels_by_loop(cx, labels):
     """Label cleaning by the per-facet loop that the array passes replaced;
     kept as the reference they must match: the cleaned sets, or the error."""
     facets = set(map(tuple, cx.facets.tolist()))
+    boundary = set(map(tuple, cx.facets[cx.boundary].tolist()))
     clean = {}
     for tag in "XYAB":
         clean[tag] = set()
@@ -395,7 +401,7 @@ def _clean_labels_by_loop(cx, labels):
             ft = tuple(sorted(int(v) for v in f))
             if len(ft) != cx.dim or len(set(ft)) != cx.dim:
                 return f"label {tag}: {ft} is not a (d-1)-simplex"
-            if ft not in cx.boundary_facets:
+            if ft not in boundary:
                 what = "boundary facet" if ft in facets else "facet of the complex"
                 return f"label {tag}: {ft} is not a {what}"
             clean[tag].add(ft)
@@ -406,7 +412,7 @@ def test_label_cleaning_matches_the_reference_loop(square8, shell16):
     rng = np.random.default_rng(1)
     for sig in (square8, shell16):
         cx = sig.complex
-        boundary = sorted(cx.boundary_facets)
+        boundary = list(map(tuple, cx.facets[cx.boundary].tolist()))
         interior = cx.facets[~cx.boundary].tolist()
         outcomes = set()
         for trial in range(60):
@@ -442,7 +448,7 @@ def test_corner_faces_match_the_combinations_loop(square8, shell16):
         for a, b in itertools.product("XYAB", repeat=2):
             faces = [{c for f in cx.labels[t] for c in itertools.combinations(f, k)}
                      for t in (a, b)]
-            assert cx.corner_faces(a, b) == faces[0] & faces[1]
+            assert set(map(tuple, cx.corner_table(a, b).tolist())) == faces[0] & faces[1]
 
 
 def test_region_facets_are_the_sorted_label_sets(square8, shell16):
@@ -452,6 +458,8 @@ def test_region_facets_are_the_sorted_label_sets(square8, shell16):
             table = cx.region_facets(tag)
             assert table.dtype == np.int64 and not table.flags.writeable
             assert list(map(tuple, table.tolist())) == sorted(cx.labels[tag])
+            # a relabeling with the same facets, in any order, gets the same table
+            assert cx.with_labels({tag: table[::-1]}).region_facets(tag) is table
         assert cx.with_labels({}).region_facets("B").shape == (0, cx.dim)
     with pytest.raises(RegionError):
         square8.complex.region_facets("Q")
@@ -528,7 +536,7 @@ def test_region_vertices_unknown_tag(square8):
 def test_corner_strata_nonempty_all_pairs(square8):
     cx = square8.complex
     for a, b in (("A", "X"), ("A", "Y"), ("B", "X"), ("B", "Y")):
-        assert cx.corner_faces(a, b)
+        assert len(cx.corner_table(a, b))
 
 
 def test_labeled_sets_partition_boundary(square16, shell16):
@@ -539,8 +547,9 @@ def test_labeled_sets_partition_boundary(square16, shell16):
         for tag in "XYAB":
             union |= cx.labels[tag]
             total += len(cx.labels[tag])
-        assert union == set(cx.boundary_facets)
-        assert total == len(cx.boundary_facets)
+        boundary = set(map(tuple, cx.facets[cx.boundary].tolist()))
+        assert union == boundary
+        assert total == len(boundary)
 
 
 def test_corner_vertices_lie_on_both_regions(shell16):
@@ -586,7 +595,7 @@ def test_nonmanifold_facet_reported():
     cx = build_complex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0)],
                        [(0, 1, 2), (1, 0, 3), (0, 1, 4)], {})
     assert ("nonmanifold-facet", "(0, 1) borders 3 simplices") in validate(cx).violations
-    assert (0, 1) not in cx.boundary_facets
+    assert [0, 1] not in cx.facets[cx.boundary].tolist()
 
 
 def _reference_structure(simp, sgn):
@@ -665,7 +674,7 @@ def test_structure_matches_reference_loop(square16, shell16):
     for verts, simp, labels, signs in cases:
         built = build_complex(verts, simp, labels, signs)
         boundary, bad = _reference_structure(simp, signs)
-        assert built.boundary_facets == boundary
+        assert set(map(tuple, built.facets[built.boundary].tolist())) == boundary
         got = [v for v in validate(built).violations if v[0] in STRUCTURAL]
         assert got == bad
         twisted.append(bool(bad))
@@ -712,31 +721,47 @@ def _label_violations_by_loop(cx):
     for tag in "XYAB":
         for f in cx.labels[tag]:
             labeled.setdefault(f, []).append(tag)
+    boundary = set(map(tuple, cx.facets[cx.boundary].tolist()))
     bad = []
-    for f in sorted(cx.boundary_facets):
+    for f in sorted(boundary):
         tags = labeled.get(f, [])
         if not tags:
             bad.append(("unlabeled-boundary-facet", str(f)))
         elif len(tags) > 1:
             bad.append(("multiply-labeled-facet", f"{f} in {sorted(tags)}"))
     for f in sorted(labeled):
-        if f not in cx.boundary_facets:
+        if f not in boundary:
             bad.append(("interior-facet-labeled", str(f)))
+    for tag in "XYAB":
+        if not cx.labels[tag]:
+            bad.append(("empty-region", tag))
+    for a, b in ("XY", "AB"):
+        shared = sorted(cx.labels[a] & cx.labels[b])
+        if shared:
+            bad.append((f"{a}-{b}-shared-facet", str(shared)))
     return sorted(bad)
 
 
 def test_label_checks_match_the_reference_loop(square8, shell16):
     kinds = ("unlabeled-boundary-facet", "multiply-labeled-facet",
-             "interior-facet-labeled")
+             "interior-facet-labeled", "empty-region", "X-Y-shared-facet",
+             "A-B-shared-facet")
     for sig in (square8, shell16):
         cx = sig.complex
         x, y, a, b = (sorted(cx.labels[tag]) for tag in "XYAB")
-        # two facets of B unlabeled, one A facet in X as well, one Y facet
-        # in X, A and B
-        labels = {"X": x + a[:1] + y[:1], "Y": y, "A": a + y[:1], "B": b[2:] + y[:1]}
-        relabeled = cx.with_labels(labels)
-        got = [v for v in validate(relabeled).violations if v[0] in kinds]
-        want = _label_violations_by_loop(relabeled)
-        assert got == want
-        assert {name for name, _ in got} == set(kinds[:2])
-        assert f"{y[0]} in ['A', 'B', 'X', 'Y']" in {item for _, item in got}
+        found = set()
+        # two facets of B unlabeled, one A facet in X as well, one Y facet in
+        # X, A and B; two X facets in Y as well, and B empty; one B facet in
+        # A as well; every boundary facet in X, the other regions empty
+        for k, labels in enumerate((
+                {"X": x + a[:1] + y[:1], "Y": y, "A": a + y[:1], "B": b[2:] + y[:1]},
+                {"X": x, "Y": y + x[-2:], "A": a},
+                {"X": x, "Y": y, "A": a + b[1:2], "B": b},
+                {"X": x + y + a + b})):
+            relabeled = cx.with_labels(labels)
+            got = [v for v in validate(relabeled).violations if v[0] in kinds]
+            assert got == _label_violations_by_loop(relabeled)
+            found |= {name for name, _ in got}
+            if k == 0:
+                assert f"{y[0]} in ['A', 'B', 'X', 'Y']" in {item for _, item in got}
+        assert found == set(kinds) - {"interior-facet-labeled"}

@@ -165,7 +165,7 @@ def test_relabel_rejects_touching_new_A_B():
     sig = cs.gen_square(2)
     cx = sig.complex
     by_mid = {}
-    for f in cx.boundary_facets:
+    for f in map(tuple, cx.facets[cx.boundary].tolist()):
         mid = tuple(np.round(cx.vertices[list(f)].mean(axis=0), 6))
         by_mid[mid] = f
     labels = {

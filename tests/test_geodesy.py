@@ -958,7 +958,8 @@ def test_eps_sweep_updates_the_x_fields_on_the_subgraph(shell16, monkeypatch):
     def recording(graph, key, sources):
         before = len(calls)
         out = field(graph, key, sources)
-        fields.append((key[0], key[1] == sig.complex.labels["X"], calls[before:]))
+        fields.append((key[0], key[1] == sig.complex.region_facets("X").tobytes(),
+                       calls[before:]))
         return out
 
     monkeypatch.setattr(geodesy, "_field", recording)
@@ -1082,7 +1083,7 @@ def test_eps_sweep_plans_each_ball_once(shell16, monkeypatch):
     monkeypatch.setattr(verify, "apply_noise", noting)
     monkeypatch.setattr(verify, "distance_field", fielding)
     got = eps_sweep(sig, spec, sweep)
-    a, x = sig.complex.labels["A"], sig.complex.labels["X"]
+    a, x = (sig.complex.region_facets(tag).tobytes() for tag in "AX")
     assert grows == [(min(sweep), a)]
     assert len(built) <= 2
     noisy = [(eps, key, c) for eps, key, c in fields if eps is not None]

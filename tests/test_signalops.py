@@ -151,7 +151,7 @@ def test_compose_stacked_squares():
     ys = cx.vertices[:, 1]
     assert ys.min() == 0.0 and ys.max() == 2.0
     # interface facets became interior
-    assert len(cx.boundary_facets) == 8 * 6
+    assert len(cx.facets[cx.boundary]) == 8 * 6
     assert cs.total_volume(glued) == pytest.approx(
         cs.total_volume(lower) + cs.total_volume(upper), rel=1e-12
     )

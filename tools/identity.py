@@ -25,6 +25,13 @@ volumes of A and X; and the exit code, report and stderr of the CLI's
 digested: a ``verify-thm1`` of square8 and of the thin shell16 saved
 without hints, and a ``sweep-eps`` on shell24.
 
+On square8 and the thin shell16, the region code is digested too: the
+``validate`` report of one deliberately broken labeling per kind of label
+violation (BROKEN), each built from the generated complex's region tables
+through ``with_labels``; the CSR arrays of the level-2 graphs of A and X;
+and, with the hints cleared, ``diameter`` of M, A and X and
+``injectivity_radius`` of A and X.
+
 Noisy signals are digested on each of the graph's three fill paths
 (``geodesy._SteinerGraph``), which NOISE names by the share of edge rows
 its ball changes: square8's ball (0.40) is filled in full, square32's
@@ -43,11 +50,14 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,6 +86,10 @@ NOISE = {
 }
 NOISE_EPS = (0.4, 0.1, 0.05)
 
+#: the label violation each broken labeling makes, among others
+BROKEN = ("unlabeled-boundary-facet", "multiply-labeled-facet", "X-Y-shared-facet",
+          "A-B-shared-facet", "A-B-shared-corner-face", "empty-region", "A-X-corner-empty")
+
 
 def digest(*parts) -> str:
     """One SHA-256 over arrays (dtype, shape and bytes), bytes and JSON."""
@@ -99,6 +113,48 @@ def complex_digests(cs, cx) -> dict:
         "regions": digest(*(cx.region_facets(tag) for tag in tags)),
         "validate": digest(cs.validate(cx).to_dict()),
     }
+
+
+def broken_labelings(cs, cx) -> dict:
+    """One labeling per name in BROKEN, made from ``cx``'s region tables.
+
+    An X facet in A or in Y, or a B facet in A, makes a facet that two
+    regions share; the X facets with a (d-2)-face on the A-X corner, moved
+    to B, make a corner that A and B share; A without its facets on that
+    corner shares none with X.  Dropping a facet of B, or all of B, leaves
+    facets unlabeled.
+    """
+    x, y, a, b = (cx.region_facets(tag) for tag in ("X", "Y", "A", "B"))
+    corner = set(map(tuple, cx.corner_table("A", "X").tolist()))
+    x_at, a_at = (np.array([any(face in corner for face in itertools.combinations(f, cx.dim - 1))
+                            for f in table.tolist()], dtype=bool) for table in (x, a))
+    return dict(zip(BROKEN, (
+        {"X": x, "Y": y, "A": a, "B": b[1:]},
+        {"X": x, "Y": y, "A": np.vstack([a, x[:1]]), "B": b},
+        {"X": np.vstack([x, y[:1]]), "Y": y, "A": a, "B": b},
+        {"X": x, "Y": y, "A": np.vstack([a, b[:1]]), "B": b},
+        {"X": x[~x_at], "Y": y, "A": a, "B": np.vstack([b, x[x_at]])},
+        {"X": x, "Y": y, "A": a},
+        {"X": x, "Y": y, "A": a[~a_at], "B": b},
+    )))
+
+
+def region_digests(cs, graph, sig) -> dict:
+    """Digests of the region code on the hint-free ``sig``: the broken
+    labelings' reports, the A and X graphs, the diameters and the
+    injectivity radii."""
+    out = {}
+    for kind, labels in broken_labelings(cs, sig.complex).items():
+        out[f"broken-{kind}"] = digest(cs.validate(sig.complex.with_labels(labels)).to_dict())
+    for tag in ("A", "X"):
+        m = graph(sig, 2, tag).matrix
+        out[f"graph-{tag}"] = digest(m.indptr, m.indices, m.data)
+    for subset in ("M", "A", "X"):
+        out[f"diameter-{subset}"] = digest(cs.diameter(sig, subset, 2))
+    for tag in ("A", "X"):
+        est = cs.injectivity_radius(sig, tag, 2)
+        out[f"injectivity-{tag}"] = digest([est.value, est.method, est.region])
+    return out
 
 
 def run_cli(cli, argv, report: Path) -> str:
@@ -148,6 +204,8 @@ def ladder_digests(src: Path) -> dict:
             fileio.save_signal(sig, path)
             out[f"{name}-nohints/verify-thm1"] = run_cli(cli, ["verify-thm1", path],
                                                          tmp / f"{name}-nohints.out")
+            for key, value in region_digests(cs, _graph, sig).items():
+                out[f"{name}/{key}"] = value
 
         name, at, options = SWEEP
         centre = cs.vertex_at(fileio.load_signal(tmp / f"{name}.json"), at)
