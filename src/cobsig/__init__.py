@@ -9,8 +9,7 @@ numerical checks of the energy inequalities.
 
 from .complex import (CobordismComplex, ValidationReport, build_complex,
                       region_vertices, validate)
-from .energy import (energy, energy_barycentric, energy_ratio, fourier_energy,
-                     fourier_relabel)
+from .energy import energy, energy_ratio, fourier_energy, fourier_relabel
 from .errors import (CobsigError, CompositionError, FilterError, GeodesyError,
                      MeshError, MetricError, NoiseError, RegionError)
 from .fields import ScalarField
@@ -19,8 +18,8 @@ from .generators import gen_annular_shell, gen_rectangle, gen_square, vertex_at
 from .geodesy import (InjectivityEstimate, diameter, distance_field,
                       distance_to_vertex, injectivity_radius)
 from .metric import (MetricField, conformal_scale, induced_metric,
-                     lumped_vertex_volume, region_volume, simplex_volume,
-                     simplex_volumes, total_volume)
+                     lumped_vertex_volume, region_volume, simplex_volumes,
+                     total_volume)
 from .signal import Signal, make_signal
 from .signalops import (Correspondence, NoiseSpec, apply_noise, bump_field,
                         compose, extract_filter, keep_by_predicate,
@@ -35,13 +34,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CobordismComplex", "ValidationReport", "build_complex", "validate",
     "region_vertices",
-    "MetricField", "induced_metric", "conformal_scale", "simplex_volume",
-    "simplex_volumes", "lumped_vertex_volume", "total_volume", "region_volume",
+    "MetricField", "induced_metric", "conformal_scale", "simplex_volumes",
+    "lumped_vertex_volume", "total_volume", "region_volume",
     "ScalarField", "InjectivityEstimate", "distance_field",
     "distance_to_vertex", "diameter", "injectivity_radius",
     "Signal", "make_signal",
-    "energy", "energy_barycentric", "fourier_relabel", "fourier_energy",
-    "energy_ratio",
+    "energy", "fourier_relabel", "fourier_energy", "energy_ratio",
     "NoiseSpec", "Correspondence", "bump_field", "apply_noise",
     "extract_filter", "keep_by_predicate", "compose", "make_correspondence",
     "gen_square", "gen_rectangle", "gen_annular_shell", "vertex_at",

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from numbers import Integral
+from numbers import Integral, Real
 from operator import length_hint
 
 import numpy as np
@@ -206,8 +206,10 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
 
     Parameters
     ----------
-    vertices : (nv, n) array-like of finite float coordinates
-    simplices : (nt, d+1) array-like of integer vertex indices, d in {2, 3}
+    vertices : (nv, n) array-like of finite real coordinates, read by
+        ``float_table``
+    simplices : (nt, d+1) array-like of integer vertex indices, d in {2, 3},
+        that use every vertex
     labels : mapping from region tag (X/Y/A/B) to iterable of facet index
         tuples; every labeled facet must be a boundary facet
     signs : optional (nt,) iterable of integer orientation signs +-1
@@ -216,19 +218,8 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     The cobordism invariants (region coverage, disjointness, corners,
     orientation consistency) are *not* enforced here; run ``validate``.
     """
-    try:
-        # the cast would drop an imaginary part and read a bool as 0 or 1
-        if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "bc":
-            raise TypeError(f"their dtype is {vertices.dtype}")
-        verts = np.array(vertices, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MeshError(f"vertices are not one table of floats: {exc}") from exc
-    if verts.ndim != 2:
-        raise MeshError("vertices must be a 2d array of coordinates")
-    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
-    if len(bad):
-        raise MeshError(f"vertex {bad[0]} has a non-finite coordinate: "
-                        f"{tuple(verts[bad[0]].tolist())}")
+    # a copy of its own, made read-only below
+    verts = float_table(vertices, MeshError, "vertex", (None, None)).copy()
     simp = int_table(simplices, MeshError, "simplex")
     if simp.ndim != 2 or simp.shape[0] == 0:
         raise MeshError("simplices must be a nonempty 2d array of index tuples")
@@ -242,6 +233,9 @@ def build_complex(vertices, simplices, labels, signs=None) -> CobordismComplex:
     nv = verts.shape[0]
     if simp.min() < 0 or simp.max() >= nv:
         raise MeshError("simplex vertex index out of range")
+    unused = np.bincount(simp.ravel(), minlength=nv) == 0
+    if np.any(unused):
+        raise MeshError(f"vertex {int(np.argmax(unused))} is in no simplex")
     ordered = np.sort(simp, axis=1)
     repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
     if np.any(repeats):
@@ -391,36 +385,42 @@ def edge_rows(edges: np.ndarray, pairs) -> np.ndarray:
     return np.where(table[rows] == codes, rows, -1)
 
 
-def check_ints(values) -> None:
-    """Raise TypeError unless every item of the sequence ``values`` is an
-    integer, and OverflowError if one lies past int64.  A float or a bool
-    is none: np.int64 would truncate the one and read the other as 0 or 1,
-    so an index table would be built silently wrong, and numpy would wrap
-    an unsigned integer past int64 to a negative one."""
+_NOUNS = {Integral: "integers", Real: "real numbers"}
+
+
+def _check(values, number, dtype) -> None:
+    """Raise TypeError unless every item of the sequence ``values`` is a
+    ``number`` (Integral or Real) and no bool, OverflowError if one lies
+    past ``dtype``, and ValueError if one is not finite.  Otherwise a cast
+    would build a table silently wrong: np.int64 truncates a float and
+    wraps an unsigned integer past int64 to a negative one, float64 drops
+    an imaginary part, and both read a bool as 0 or 1."""
     bad = sorted({type(v).__name__ for v in values
-                  if not isinstance(v, Integral) or isinstance(v, bool)})
+                  if not isinstance(v, number) or isinstance(v, bool)})
     if bad:
-        raise TypeError("expected integers, got " + ", ".join(bad))
-    np.array(values, dtype=np.int64)  # an OverflowError past int64, unsigned or not
+        raise TypeError(f"expected {_NOUNS[number]}, got " + ", ".join(bad))
+    if not np.isfinite(np.array(values, dtype=dtype)).all():
+        raise ValueError("expected finite numbers")
 
 
 def as_int(value, error, what: str) -> int:
-    """``value`` as a Python int once ``check_ints`` finds it an integer
-    within int64; otherwise ``error`` naming it as ``what``."""
+    """``value`` as a Python int once ``_check`` finds it an integer within
+    int64; otherwise ``error`` naming it as ``what``."""
+    return int(_scalar(value, error, what, Integral, np.int64))
+
+
+def as_float(value, error, what: str) -> float:
+    """``value`` as a Python float once ``_check`` finds it a finite real
+    number; otherwise ``error`` naming it as ``what``."""
+    return float(_scalar(value, error, what, Real, np.float64))
+
+
+def _scalar(value, error, what: str, number, dtype):
     try:
-        check_ints([value])
-    except (TypeError, OverflowError) as exc:
+        _check([value], number, dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} is {value!r}: {exc}") from exc
-    return int(value)
-
-
-def _listed(entries, error, what: str) -> list:
-    """``entries`` as a list, read in one pass so an iterator is read once;
-    ``error`` naming the ``what`` table if it is no collection."""
-    try:
-        return list(entries)
-    except TypeError as exc:
-        raise error(f"the {what} table {entries!r} is not a collection ({exc})") from exc
+    return value
 
 
 def _shown(entry):
@@ -430,40 +430,81 @@ def _shown(entry):
     return tuple(map(_shown, shown)) if isinstance(shown, (list, tuple)) else shown
 
 
-def int_table(entries, error, what: str) -> np.ndarray:
-    """``entries``, a collection of integers or of rows of integers, as an
-    int64 array.  This is the one reader of index input from outside the
-    package.  It raises ``error`` naming the table if it is no collection,
-    else the first entry, by ``what`` and position, that is no integer or
-    holds one that is not (``check_ints``: a float, a bool, one past int64),
-    or whose length differs from the first's.
+def _entries(entries, error, what: str):
+    """``entries`` as the table readers scan them: an array as is, anything
+    else as a list read in one pass, so an iterator is read once; ``error``
+    naming the ``what`` table if it is no collection."""
+    if isinstance(entries, np.ndarray) and entries.ndim:
+        return entries
+    try:
+        return list(entries)
+    except TypeError as exc:
+        raise error(f"the {what} table {entries!r} is not a collection ({exc})") from exc
 
-    The common case costs one type scan and one conversion: an integer
-    array is judged by its dtype, and a list by the types of its entries,
-    or of its rows' entries when its first entry is a row, where int64
-    holds every value of the type.  Any other input, a uint64 array or
-    value included, is judged entry by entry."""
-    if not isinstance(entries, np.ndarray) or not entries.ndim:
-        entries = _listed(entries, error, what)
+
+def _table(entries, error, what: str, number, dtype, convert) -> np.ndarray:
+    """``entries``, a collection of ``number``s or of rows of them, as
+    ``convert(entries, dtype=dtype)`` makes it a table, or ``error`` as
+    ``int_table`` and ``float_table`` say.
+
+    The common case costs one type scan, one conversion and, for reals,
+    one finiteness test: a numpy array is judged by its dtype, and a list by the types of
+    its entries, or of its rows' entries when its first entry is a row,
+    where ``dtype`` holds every value of the type.  Any other input, a
+    uint64 array or value in an int table included, is judged entry by
+    entry (``_check``, and its length against the first entry's).  A row of
+    an array is an array, so an object array of lists is no table."""
+    entries = _entries(entries, error, what)
     try:
         kinds = {entries.dtype.type} if isinstance(entries, np.ndarray) else set(map(type, (
             chain.from_iterable(entries) if entries and np.iterable(entries[0]) else entries)))
-        # numpy would wrap a uint64 value past int64 to a negative one
-        if all(np.can_cast(k, np.int64) and not issubclass(k, (bool, np.bool_)) for k in kinds):
-            return np.array(entries, dtype=np.int64)
+        if all(issubclass(k, number) and not issubclass(k, bool) and np.can_cast(k, dtype)
+               for k in kinds):
+            table = convert(entries, dtype=dtype)
+            if number is Integral or np.isfinite(table).all():
+                return table
     # a scalar among rows is a TypeError to the scan, a ragged table a
-    # ValueError to numpy and an entry past int64 an OverflowError
+    # ValueError to numpy and an entry past the dtype an OverflowError
     except (TypeError, ValueError, OverflowError):
         pass
+    listed = not isinstance(entries, np.ndarray)
     for k, entry in enumerate(entries):
+        row = isinstance(entry, np.ndarray) or listed and np.iterable(entry)
         try:
-            check_ints(list(entry) if np.iterable(entry) else [entry])
+            _check(list(entry) if row else [entry], number, dtype)
             if np.shape(entry) != np.shape(entries[0]):
                 raise TypeError(f"its length differs from {what} 0's")
-            np.array(entry, dtype=np.int64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise error(f"{what} {k} is {_shown(entry)!r}: {exc}") from exc
-    return np.array(entries, dtype=np.int64)
+    return convert(entries, dtype=dtype)
+
+
+def int_table(entries, error, what: str) -> np.ndarray:
+    """``entries``, a collection of integers or of rows of integers, as a
+    new int64 array.  This is the one reader of index input from outside
+    the package.  It raises ``error`` naming the table if it is no
+    collection, else the first entry, by ``what`` and position, that is no
+    integer or holds one that is not (a float, a bool, one past int64), or
+    whose length differs from the first's (``_table``)."""
+    return _table(entries, error, what, Integral, np.int64, np.array)
+
+
+def float_table(entries, error, what: str, shape=None) -> np.ndarray:
+    """``entries``, a collection of real numbers or of rows of them, as a
+    float64 array, which is ``entries`` itself when that is one.  This is
+    the one reader of real-valued input from outside the package, as
+    ``int_table`` is of index input.  It raises ``error`` naming the table
+    if it is no collection, else the first entry, by ``what`` and position,
+    that is no real number or holds one that is not (a bool, a complex
+    number, a string, an object, a value that is not finite), or whose
+    length differs from the first's (``_table``); then a table whose shape
+    is not ``shape``, where None stands for any length."""
+    table = _table(entries, error, what, Real, np.float64, np.asarray)
+    if shape is not None and (table.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, table.shape))):
+        raise error(f"the {what} table has shape {table.shape}, "
+                    f"not {str(tuple(shape)).replace('None', 'any')}")
+    return table
 
 
 def pair_table(entries, error, what: str) -> np.ndarray:
@@ -495,9 +536,7 @@ def _clean_labels(labels, d: int, structure: _Structure) -> dict[str, np.ndarray
     clean: dict[str, np.ndarray] = {}
     for tag in REGION_TAGS:
         what = f"label {tag} entry"
-        group = labels.pop(tag, ())
-        if not isinstance(group, np.ndarray) or not group.ndim:
-            group = _listed(group, MeshError, what)
+        group = _entries(labels.pop(tag, ()), MeshError, what)
         # the length of an entry that has none counts as -1; each row of an
         # array of two or more dimensions has the array's row length
         widths = (np.full(len(group), group.shape[1])

@@ -3,9 +3,7 @@
 The energy of a signal integrates the distance to region A against the
 metric volume; the transform exchanges the roles of the region pairs
 (X, Y) and (A, B) on the same geometry, so its energy integrates the
-distance to X instead.  Both integrals use lumped vertex quadrature by
-default; the barycentric form is kept as a cross-check (the two sums are
-rearrangements of each other).
+distance to X instead.  Both integrals use lumped vertex quadrature.
 
 The transform changes only the labels: it hands ``with_labels`` the
 source's region tables (``region_facets``), which are int64 already, and
@@ -34,16 +32,6 @@ def energy(signal: Signal, steiner_level: int = DEFAULT_STEINER_LEVEL) -> float:
     f = distance_field(signal, "A", steiner_level).values
     weights = signal.cached(("lumped",), lambda: lumped_vertex_volume(signal)).values
     return float(np.dot(f, weights))
-
-
-def energy_barycentric(signal: Signal,
-                       steiner_level: int = DEFAULT_STEINER_LEVEL) -> float:
-    """Energy with per-simplex averaging instead of lumped weights."""
-    f = distance_field(signal, "A", steiner_level).values
-    cx = signal.complex
-    vols = signal.simplex_volumes()
-    means = f[cx.simplices].mean(axis=1)
-    return float(np.dot(vols, means))
 
 
 def fourier_relabel(signal: Signal) -> Signal:

@@ -6,23 +6,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complex import float_table
+
 
 @dataclass(frozen=True)
 class ScalarField:
     """One real value per vertex, ordered by vertex index.
 
     Distance fields carry length units and are nonnegative; bump factors are
-    dimensionless.  Values must be finite everywhere.
+    dimensionless.  Values must be finite everywhere; they are read by
+    ``float_table``, which shares a float64 array rather than copying it.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = float_table(self.values, ValueError, "field value", (None,))
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("scalar field contains non-finite values")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -11,11 +11,17 @@ keeps ``json.dumps`` on its C encoder.  Every index field -- simplex
 keep "simplices" and keep "axis" -- must hold JSON integers within int64;
 a float, a bool or a larger integer there makes the file malformed.  Each
 field is read once, by ``complex.int_table`` (``as_int`` for the axis),
-and the error names the first offending entry.  Labels are read by
-``build_complex`` alone, as for any caller, so a bad label names its entry
-without the "malformed mesh data" prefix.  "dim" and "ambient_dim" may be
-absent; when present they must equal the simplices' width less one and the
-vertices' width.
+and the error names the first offending entry.  Every real-valued field --
+"vertices", metric "length", each "hints" value, correspondence
+"tolerance", keep "min" and "max" -- must hold finite JSON numbers; a
+string, a bool, a list or a NaN there makes the file malformed.  Each is
+read once, by ``complex.float_table`` (``as_float`` for a single value),
+and the error names the first offending entry or the hint by its key.
+Labels and vertices are read by ``build_complex`` alone, and hint values
+by ``Signal``, as for any caller, so a bad one names its entry without
+the "malformed" prefix.
+"dim" and "ambient_dim" may be absent; when present they must equal the
+simplices' width less one and the vertices' width.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .complex import CobordismComplex, as_int, build_complex, int_table, pair_table
+from .complex import (CobordismComplex, as_float, as_int, build_complex, float_table,
+                      int_table, pair_table)
 from .errors import CobsigError
 from .metric import MetricField
 from .signal import Signal, make_signal
@@ -42,26 +49,26 @@ def signal_to_dict(signal: Signal) -> dict:
             for e, l in zip(signal.metric.edges.tolist(), signal.metric.lengths.tolist())
         ]
     if signal.hints:
-        out["hints"] = {k: float(v) for k, v in sorted(signal.hints.items())}
+        out["hints"] = dict(sorted(signal.hints.items()))
     return out
 
 
 def complex_from_dict(data: dict) -> CobordismComplex:
     try:
-        verts = np.array(data["vertices"], dtype=np.float64)
-        # a ValueError makes the data malformed; the labels are read by
-        # build_complex alone
+        # a ValueError makes the data malformed; the vertices and the labels
+        # are read by build_complex alone
+        verts = data["vertices"]
         simp = int_table([s["verts"] for s in data["simplices"]], ValueError, "simplex")
         signs = int_table([s.get("sign", 1) for s in data["simplices"]], ValueError, "sign")
         labels = dict(data.get("labels", {}))
-        if verts.ndim == simp.ndim == 2:
-            for field, want in (("dim", simp.shape[1] - 1), ("ambient_dim", verts.shape[1])):
-                if data.get(field, want) != want:
-                    raise ValueError(f"{field} {data[field]!r} does not match the "
-                                     f"arrays, which give {want}")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc
-    return build_complex(verts, simp, labels, signs)
+    cx = build_complex(verts, simp, labels, signs)
+    for field, want in (("dim", cx.dim), ("ambient_dim", cx.ambient_dim)):
+        if data.get(field, want) != want:
+            raise CobsigError(f"malformed mesh data: {field} {data[field]!r} does not "
+                              f"match the arrays, which give {want}")
+    return cx
 
 
 def signal_from_dict(data: dict) -> Signal:
@@ -75,9 +82,10 @@ def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
         if "metric" in data:
             edges = pair_table([m["edge"] for m in data["metric"]], ValueError, "metric edge")
             edges.sort(axis=1)
-            lengths = np.array([m["length"] for m in data["metric"]])
+            lengths = float_table([m["length"] for m in data["metric"]], ValueError,
+                                  "metric length", (len(edges),))
             metric = MetricField(edges, lengths, "deformed")
-        hints = {k: float(v) for k, v in data.get("hints", {}).items()}
+        hints = dict(data.get("hints", {}))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc
     return make_signal(cx, metric, hints)
@@ -119,7 +127,7 @@ def load_correspondence(path) -> Correspondence:
     try:
         # a ValueError makes the file malformed
         pairs = pair_table(data["pairs"], ValueError, "pair")
-        return Correspondence(pairs, float(data["tolerance"]))
+        return Correspondence(pairs, as_float(data["tolerance"], ValueError, "tolerance"))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed correspondence file {path}: {exc!r}") from exc
 
@@ -139,8 +147,8 @@ def load_kept_simplices(signal: Signal, path) -> np.ndarray:
                 raise ValueError("'simplices' must be a list of simplex indices")
             return kept
         axis = as_int(spec["axis"], ValueError, "keep axis")
-        lo = float(spec.get("min", -np.inf))
-        hi = float(spec.get("max", np.inf))
+        lo, hi = (as_float(spec[key], ValueError, f"keep {key}") if key in spec else bound
+                  for key, bound in (("min", -np.inf), ("max", np.inf)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed keep file: {exc!r}") from exc
     if not 0 <= axis < cx.ambient_dim:

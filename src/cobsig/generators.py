@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .complex import as_int, build_complex
+from .complex import as_float, as_int, build_complex, float_table
 from .errors import MeshError
 from .signal import Signal, make_signal
 
@@ -54,8 +54,11 @@ def gen_rectangle(width: float, height: float, n: int,
     The rectangle is triangulated as an nx-by-ny grid.  Labels: X bottom,
     Y top, A left, B right.  All triangles are counterclockwise with the
     cell diagonal running lower-left to upper-right.  Used as composition
-    ground truth; hints are translation invariant.
+    ground truth; hints are translation invariant.  The sizes and the two
+    origin coordinates must be finite real numbers.
     """
+    width = as_float(width, MeshError, "rectangle width")
+    height = as_float(height, MeshError, "rectangle height")
     if width <= 0 or height <= 0:
         raise MeshError("rectangle dimensions must be positive")
     n = as_int(n, MeshError, "rectangle resolution")
@@ -76,7 +79,7 @@ def gen_rectangle(width: float, height: float, n: int,
         "vol_X": width,
         "resolution": float(n),
     }
-    x0, y0 = float(origin[0]), float(origin[1])
+    x0, y0 = float_table(origin, MeshError, "rectangle origin coordinate", (2,)).tolist()
     xs = x0 + width * np.arange(nx + 1) / nx
     ys = y0 + height * np.arange(ny + 1) / ny
     verts = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
@@ -106,8 +109,11 @@ def gen_annular_shell(r0: float, r1: float, height: float, res: int) -> Signal:
     ``res`` segments run around the axis; radial and vertical subdivisions
     are proportional to the arc step.  Labels: X inner wall, Y outer wall,
     A bottom annulus, B top annulus.  Cells split into six path tetrahedra
-    each, oriented positively in the ambient space.
+    each, oriented positively in the ambient space.  The sizes must be
+    finite real numbers.
     """
+    r0, r1, height = (as_float(value, MeshError, f"shell {name}")
+                      for value, name in ((r0, "r0"), (r1, "r1"), (height, "height")))
     if not 0 < r0 < r1:
         raise MeshError("need 0 < r0 < r1")
     if height <= 0:
@@ -192,20 +198,16 @@ def generate(kind: str, params: dict, resolution: int) -> Signal:
 def vertex_at(signal: Signal, coords, tol: float = 1e-9) -> int:
     """Index of the vertex at the given coordinates (within tolerance).
 
-    The target must be one point with the mesh's ``ambient_dim``
-    coordinates; any other target raises MeshError naming it, rather than
-    being broadcast against the vertices.
+    The target must be one point with the mesh's ``ambient_dim`` finite
+    coordinates, and the tolerance a finite number (``float_table`` and
+    ``as_float``); any other raises MeshError naming it, rather than being
+    broadcast against the vertices.
     """
     cx = signal.complex
-    try:
-        target = np.asarray(coords, dtype=np.float64)
-    except (TypeError, ValueError):
-        target = None
-    if np.shape(target) != (cx.ambient_dim,):
-        raise MeshError(f"target {coords!r} is not one point with {cx.ambient_dim} coordinates")
+    target = float_table(coords, MeshError, "target coordinate", (cx.ambient_dim,))
+    tol = as_float(tol, MeshError, "tolerance")
     d = np.linalg.norm(cx.vertices - target, axis=1)
     k = int(np.argmin(d))
-    # written so that a NaN distance or tolerance is refused too
-    if not d[k] <= tol:
+    if d[k] > tol:
         raise MeshError(f"no vertex within {tol} of {tuple(target.tolist())}")
     return k

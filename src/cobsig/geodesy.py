@@ -925,7 +925,7 @@ def injectivity_radius(signal, region: str,
         raise RegionError(f"injectivity radius defined for A or X, got {region!r}")
     hint_key = f"i_{region}"
     if hint_key in signal.hints:
-        return InjectivityEstimate(float(signal.hints[hint_key]), "analytic", region)
+        return InjectivityEstimate(signal.hints[hint_key], "analytic", region)
 
     graph = _graph(signal, steiner_level)
     s = graph.pattern.s

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .complex import CobordismComplex, edge_rows, edge_slots, pair_table
+from .complex import CobordismComplex, edge_rows, edge_slots, float_table, pair_table
 from .errors import MetricError, RegionError
 from .fields import ScalarField
 
@@ -43,9 +43,7 @@ class MetricField:
         e = pair_table(edges, MetricError, "edge")
         if np.any(e[:, 0] >= e[:, 1]):
             raise MetricError("edges must be canonical (u, v) pairs with u < v")
-        ln = np.array(lengths, dtype=np.float64)
-        if len(ln) != len(e):
-            raise MetricError("one length per edge required")
+        ln = float_table(lengths, MetricError, "length", (len(e),))
         order = np.lexsort((e[:, 1], e[:, 0]))
         e = e[order]
         e.flags.writeable = False
@@ -103,11 +101,15 @@ def conformal_scale(metric: MetricField, factor) -> MetricField:
 
     Each edge (u, v) is rescaled by sqrt((a(u) + a(v)) / 2), i.e. the factor
     is sampled at the edge midpoint by the arithmetic mean of its endpoint
-    values.  A factor identically 1 returns bit-identical lengths.
+    values.  A factor identically 1 returns bit-identical lengths.  It
+    holds one value per vertex: every vertex of a complex lies on an edge
+    (``build_complex``), so the largest edge vertex is the last vertex.
     """
-    a = np.asarray(getattr(factor, "values", factor), dtype=np.float64)
-    if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
-        raise MetricError("conformal factor must be positive and finite")
+    nv = int(metric.edges.max(initial=-1)) + 1
+    a = float_table(getattr(factor, "values", factor), MetricError, "conformal factor", (nv,))
+    if np.any(a <= 0.0):
+        k = int(np.argmin(a))
+        raise MetricError(f"conformal factor {k} is {float(a[k])!r}: it must be positive")
     mean = (a[metric.edges[:, 0]] + a[metric.edges[:, 1]]) / 2.0
     return MetricField._on_table(metric.edges, metric.lengths * np.sqrt(mean),
                                  "deformed")
@@ -164,11 +166,6 @@ def slot_volumes(lengths: np.ndarray, simp: np.ndarray) -> np.ndarray:
             f"below threshold {floor[k]:.3e}"
         )
     return vol
-
-
-def simplex_volume(metric: MetricField, simplex) -> float:
-    """Volume of one simplex given as a tuple of vertex indices."""
-    return float(simplex_volumes(metric, np.asarray(simplex)[None, :])[0])
 
 
 def lumped_vertex_volume(signal) -> ScalarField:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex import CobordismComplex, validate
+from .complex import CobordismComplex, as_float, validate
 from .errors import CobsigError, MetricError
 from .metric import MetricField, induced_metric, slot_volumes
 
@@ -39,7 +39,9 @@ class Signal:
     """A validated complex plus a nondegenerate metric and optional hints.
 
     ``hints`` carries generator-provided ground-truth values (energies,
-    diameters, injectivity radii, resolution) keyed by name.
+    diameters, injectivity radii, resolution) keyed by name; each is read
+    as a float by ``as_float``, so a hint that is no finite real number is
+    a CobsigError naming it.
     """
 
     complex: CobordismComplex
@@ -51,6 +53,7 @@ class Signal:
         # the metric's lengths are read through the structure's edge rows
         if not np.array_equal(self.metric.edges, self.complex.edges()):
             raise MetricError("metric edge set does not match the complex")
+        self.hints = {k: as_float(v, CobsigError, f"hint {k}") for k, v in dict(self.hints).items()}
 
     @property
     def dim(self) -> int:
@@ -93,13 +96,14 @@ def make_signal(cx: CobordismComplex, metric: MetricField | None = None,
                 hints: dict | None = None) -> Signal:
     """Validate and assemble a signal.
 
-    Raises CobsigError when the complex fails validation, and MetricError
-    when any top simplex is degenerate under the metric.
+    Raises CobsigError when the complex fails validation or a hint is no
+    finite real number (``Signal``), and MetricError when any top simplex
+    is degenerate under the metric.
     """
     require_valid(cx)
     if metric is None:
         metric = induced_metric(cx)
-    sig = Signal(cx, metric, dict(hints or {}))
+    sig = Signal(cx, metric, hints or {})
     sig.simplex_volumes()  # force the nondegeneracy check
     return sig
 

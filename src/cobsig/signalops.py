@@ -10,15 +10,14 @@ correspondence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .complex import as_int, build_complex, int_table, pair_table, region_vertices
+from .complex import (as_float, as_int, build_complex, int_table, pair_table,
+                      region_vertices)
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
 from .fields import ScalarField
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_within
@@ -42,10 +41,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_int(self.center, NoiseError, "noise centre"))
+        for name in ("delta0", "delta", "epsilon"):
+            object.__setattr__(self, name, as_float(getattr(self, name), NoiseError, name))
         if not 0.0 < self.delta0 < self.delta:
             raise NoiseError("need 0 < delta0 < delta")
-        if not math.isfinite(self.delta):
-            raise NoiseError("delta must be finite")
         if not 0.0 < self.epsilon < 1.0:
             raise NoiseError("epsilon must lie in (0, 1)")
 
@@ -65,9 +64,10 @@ class Correspondence:
     def __post_init__(self):
         table = pair_table(self.pairs, CompositionError, "pair").tolist()
         object.__setattr__(self, "pairs", tuple(map(tuple, table)))
-        tol = self.tolerance
-        if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol < math.inf):
+        tol = as_float(self.tolerance, CompositionError, "tolerance")
+        if tol < 0:
             raise CompositionError(f"tolerance must be a finite number >= 0, got {tol!r}")
+        object.__setattr__(self, "tolerance", tol)
 
 
 def check_noise_spec(signal: Signal, spec: NoiseSpec,
@@ -212,14 +212,14 @@ def make_correspondence(left: Signal, right: Signal,
     """Pair left Y-vertices with right X-vertices by matching coordinates.
 
     This is an explicit construction step the caller opts into; composition
-    itself never guesses a matching.
+    itself never guesses a matching.  The tolerance is read by ``as_float``
+    before any gap is compared with it.
     """
+    tolerance = as_float(tolerance, CompositionError, "tolerance")
     ly = region_vertices(left.complex, "Y")
     rx = region_vertices(right.complex, "X")
     if len(ly) != len(rx):
-        raise CompositionError(
-            f"cannot match {len(ly)} Y-vertices with {len(rx)} X-vertices"
-        )
+        raise CompositionError(f"cannot match {len(ly)} Y-vertices with {len(rx)} X-vertices")
     from scipy.spatial import cKDTree  # imported on use: it adds 6 MB to every process
 
     gap, nearest = cKDTree(right.complex.vertices[rx]).query(left.complex.vertices[ly])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import as_int
+from .complex import as_int, float_table
 from .energy import energy, energy_ratio, fourier_energy
 from .errors import CobsigError, FilterError
 from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_field,
@@ -93,7 +93,7 @@ def check_thm1_bounds(signal: Signal,
     inputs = {name: (value, "computed") for name, value in measured.items()}
     for subset in "MAX":
         key = f"diam_{subset}"
-        inputs[key] = ((float(signal.hints[key]), "analytic") if key in signal.hints
+        inputs[key] = ((signal.hints[key], "analytic") if key in signal.hints
                        else (diameter(signal, subset, steiner_level), "computed"))
     for tag in "AX":
         radius = injectivity_radius(signal, tag, steiner_level)
@@ -174,13 +174,14 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
     order.  The centre's distances are searched out to delta alone
     (``distance_within``).
     """
-    eps_arr = np.asarray(list(eps_list), dtype=np.float64)
+    eps_arr = float_table(eps_list, ValueError, "eps", (None,))
     if len(eps_arr) == 0:
         raise ValueError("eps list is empty")
-    if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
-        raise ValueError("eps values must lie in (0, 1)")
-    if len(eps_arr) > 1 and np.any(np.diff(eps_arr) >= 0):
+    if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("eps values must be strictly descending")
+    # each spec refuses an eps outside (0, 1) before any search
+    specs = [NoiseSpec(spec_base.center, spec_base.delta0, spec_base.delta, eps)
+             for eps in eps_arr.tolist()]
 
     d = signal.dim
     expo = d / 2.0  # (k + 2) / 2 with d = k + 2
@@ -191,9 +192,7 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
 
     # deformed in the given order, so a metric error names the first eps
     # that breaks a simplex; fields go smallest eps first
-    noisy = [apply_noise(signal, NoiseSpec(spec_base.center, spec_base.delta0,
-                                           spec_base.delta, float(eps)),
-                         steiner_level) for eps in eps_arr]
+    noisy = [apply_noise(signal, spec, steiner_level) for spec in specs]
     rows = []
     while noisy:
         eps = eps_arr[len(noisy) - 1]

@@ -631,7 +631,11 @@ def test_cli_non_finite_or_negative_tolerance_exits_1(tmp_path, capsys, toleranc
     code, out, err = run(capsys, "compose", "--left", lpath, "--right", rpath,
                          "--corr", str(cpath), "--out", str(tmp_path / "g.json"))
     assert (code, out) == (1, "")
-    assert err == f"error: tolerance must be a finite number >= 0, got {tolerance!r}\n"
+    # the file's reader refuses a value that is not finite, and the
+    # correspondence one below 0
+    assert err == (f"error: tolerance must be a finite number >= 0, got {tolerance!r}\n"
+                   if tolerance < 0 else f"error: malformed correspondence file {cpath}: "
+                   f"ValueError('tolerance is {tolerance!r}: expected finite numbers')\n")
     assert not (tmp_path / "g.json").exists()
 
 
@@ -699,7 +703,7 @@ def _first(items, **changes):
      "malformed mesh data: simplex 0 is (1180591620717411303424, "),
     # build_complex refuses it, so the error has no "malformed" prefix
     ("vertices", lambda d: [*d["vertices"][:4], [0.5, float("nan")], *d["vertices"][5:]],
-     "vertex 4 has a non-finite coordinate: (0.5, nan)"),
+     "vertex 4 is (0.5, nan): expected finite numbers"),
 ], ids=["metric-entry-without-length", "hints-not-an-object",
         "facets-not-a-list", "fractional-verts", "bool-sign",
         "fractional-facet", "fractional-metric-edge", "index-past-int64",

@@ -181,7 +181,11 @@ def test_label_entries_must_be_integers():
             # numpy would raise a bare OverflowError past int64
             ({"X": [(0, 1)], "Y": [(2, 3), (0, 2**70)]},
              "label Y entry 1 is (0, 1180591620717411303424): "
-             "Python int too large to convert to C long")):
+             "Python int too large to convert to C long"),
+            # a row of an array is an array, and numpy would raise a bare
+            # TypeError on an object array of lists
+            ({"A": np.array([[0, 3], [1, 2, 3]], dtype=object)},
+             "label A entry 0 is (0, 3): expected integers, got list")):
         for make in (lambda: build_complex(UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, labels),
                      lambda: unit_square().with_labels(labels)):
             with pytest.raises(MeshError) as err:
@@ -218,6 +222,14 @@ def test_labels_must_be_a_mapping():
         complex_from_dict(data)
 
 
+def _object_rows(rows):
+    """``rows`` as a 1-D numpy object array whose entries are lists."""
+    table = np.empty(len(rows), dtype=object)
+    for k, row in enumerate(rows):
+        table[k] = list(row)
+    return table
+
+
 def test_index_tables_must_be_integers():
     # a float simplex entry or sign would be truncated and a bool read as
     # 0 or 1; the first offending or ragged entry is named, and integer
@@ -245,7 +257,10 @@ def test_index_tables_must_be_integers():
                                             "Python int too large to convert to C long"),
             (5, None, "the simplex table 5 is not a collection ('int' object is not iterable)"),
             (UNIT_SQUARE_TRIS, 5, "the sign table 5 is not a collection "
-                                  "('int' object is not iterable)")):
+                                  "('int' object is not iterable)"),
+            # a row of an array is an array, not a list in an object array
+            (_object_rows(UNIT_SQUARE_TRIS), None,
+             "simplex 0 is (0, 1, 2): expected integers, got list")):
         with pytest.raises(MeshError) as err:
             build_complex(UNIT_SQUARE_VERTS, simplices, UNIT_SQUARE_LABELS, signs)
         assert str(err.value) == message
@@ -326,7 +341,7 @@ def test_unsigned_entries_past_int64_are_refused(square8, entry_point, make):
 def test_build_rejects_misshapen_tables():
     for verts, tris, signs, message in (
             ([0.0, 1.0, 2.0], UNIT_SQUARE_TRIS, None,
-             "vertices must be a 2d array of coordinates"),
+             "the vertex table has shape (3,), not (any, any)"),
             (UNIT_SQUARE_VERTS, [], None,
              "simplices must be a nonempty 2d array of index tuples"),
             (UNIT_SQUARE_VERTS, [0, 1, 2], None,
@@ -336,32 +351,39 @@ def test_build_rejects_misshapen_tables():
             (UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, [1, 2],
              "signs must be +-1, one per top simplex"),
             (UNIT_SQUARE_VERTS, UNIT_SQUARE_TRIS, [1],
-             "signs must be +-1, one per top simplex")):
+             "signs must be +-1, one per top simplex"),
+            # a per-vertex table, such as a conformal factor, has one value
+            # per vertex of an edge
+            (UNIT_SQUARE_VERTS + [(5.0, 5.0)], UNIT_SQUARE_TRIS, None,
+             "vertex 4 is in no simplex"),
+            ([(5.0, 5.0)] + UNIT_SQUARE_VERTS,
+             [(a + 1, b + 1, c + 1) for a, b, c in UNIT_SQUARE_TRIS], None,
+             "vertex 0 is in no simplex")):
         with pytest.raises(MeshError) as err:
             build_complex(verts, tris, {}, signs)
         assert str(err.value) == message
 
 
 @pytest.mark.parametrize("verts, message", [
-    ("ab", "vertices are not one table of floats: could not convert string to float: 'ab'"),
+    ("ab", "vertex 0 is 'a': expected real numbers, got str"),
     ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 2.0]],
-     "vertices are not one table of floats: setting an array element with a sequence"),
+     "vertex 2 is (0.0, 1.0, 2.0): its length differs from vertex 0's"),
     ([[0.0, 0.0], [1.0, 0.0], [0.0, float("nan")]],
-     "vertex 2 has a non-finite coordinate: (0.0, nan)"),
+     "vertex 2 is (0.0, nan): expected finite numbers"),
     ([[0.0, 0.0], [-float("inf"), 0.0], [0.0, 1.0]],
-     "vertex 1 has a non-finite coordinate: (-inf, 0.0)"),
+     "vertex 1 is (-inf, 0.0): expected finite numbers"),
     (np.array([[0, 0], [1, 0], [0, 1 + 2j]]),
-     "vertices are not one table of floats: their dtype is complex128"),
+     "vertex 0 is (0j, 0j): expected real numbers, got complex128"),
     (np.array([[False, False], [True, False], [False, True]]),
-     "vertices are not one table of floats: their dtype is bool"),
+     "vertex 0 is (False, False): expected real numbers, got bool"),
 ], ids=["string", "ragged", "nan", "inf", "complex", "bool"])
 def test_build_refuses_vertices_that_are_not_finite_floats(verts, message):
     # numpy's own ValueError, a NaN that built a complex, and the float
     # cast of a complex or bool array, which would drop the imaginary parts
-    # or read the bools as 0 and 1, all become MeshError, naming the problem
+    # or read the bools as 0 and 1, all become MeshError, naming the entry
     with pytest.raises(MeshError) as err:
         build_complex(verts, [(0, 1, 2)], {})
-    assert str(err.value).startswith(message)
+    assert str(err.value) == message
 
 
 def test_label_iterators_are_read_once():

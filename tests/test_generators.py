@@ -138,10 +138,13 @@ def test_vertex_at(square8):
 
 
 def test_vertex_at_refuses_nan(square8):
-    # a NaN distance or tolerance compares False with anything; the target
-    # is shown as plain floats
-    for coords, tol, message in (((math.nan, 0.0), 1e-9, "no vertex within 1e-09 of (nan, 0.0)"),
-                                 ((5.0, 5.0), math.nan, "no vertex within nan of (5.0, 5.0)"),
+    # a NaN distance or tolerance compares False with anything, so the
+    # readers refuse a NaN target or tolerance; a target is shown as plain
+    # floats
+    for coords, tol, message in (((math.nan, 0.0), 1e-9,
+                                  "target coordinate 0 is nan: expected finite numbers"),
+                                 ((5.0, 5.0), math.nan,
+                                  "tolerance is nan: expected finite numbers"),
                                  (np.array([5.0, 5.0]), 1e-9,
                                   "no vertex within 1e-09 of (5.0, 5.0)")):
         with pytest.raises(MeshError) as err:
@@ -149,13 +152,22 @@ def test_vertex_at_refuses_nan(square8):
         assert str(err.value) == message
 
 
-@pytest.mark.parametrize("coords", [(0.5,), 0.5, (0.5, 0.5, 0.0), [[0.5, 0.5]], "ab", None])
-def test_vertex_at_refuses_a_target_that_is_not_one_point(square8, coords):
+@pytest.mark.parametrize("coords, message", [
+    ((0.5,), "the target coordinate table has shape (1,), not (2,)"),
+    (0.5, "the target coordinate table 0.5 is not a collection "
+          "('float' object is not iterable)"),
+    ((0.5, 0.5, 0.0), "the target coordinate table has shape (3,), not (2,)"),
+    ([[0.5, 0.5]], "the target coordinate table has shape (1, 2), not (2,)"),
+    ("ab", "target coordinate 0 is 'a': expected real numbers, got str"),
+    (None, "the target coordinate table None is not a collection "
+           "('NoneType' object is not iterable)"),
+], ids=["coords0", "0.5", "coords2", "coords3", "ab", "None"])
+def test_vertex_at_refuses_a_target_that_is_not_one_point(square8, coords, message):
     # a short target used to be broadcast onto vertex (0.5, 0.5) and a long
     # one to fail inside numpy
     with pytest.raises(MeshError) as err:
         cs.vertex_at(square8, coords)
-    assert str(err.value) == f"target {coords!r} is not one point with 2 coordinates"
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("make, walls", [

@@ -13,8 +13,7 @@ from cobsig.fields import ScalarField
 from cobsig.complex import edge_slots
 from cobsig.metric import (MetricField, conformal_scale, induced_metric,
                            lumped_vertex_volume, region_volume,
-                           simplex_volume, simplex_volumes, slot_volumes,
-                           total_volume)
+                           simplex_volumes, slot_volumes, total_volume)
 
 
 def right_triangle_metric():
@@ -25,13 +24,13 @@ def right_triangle_metric():
 
 def test_unit_right_triangle_area():
     m = right_triangle_metric()
-    assert simplex_volume(m, (0, 1, 2)) == pytest.approx(0.5, rel=1e-14)
+    assert simplex_volumes(m, [(0, 1, 2)])[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_regular_tetrahedron_volume():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     m = MetricField(edges, [1.0] * 6, "induced")
-    assert simplex_volume(m, (0, 1, 2, 3)) == pytest.approx(
+    assert simplex_volumes(m, [(0, 1, 2, 3)])[0] == pytest.approx(
         1.0 / (6.0 * math.sqrt(2.0)), rel=1e-13
     )
 
@@ -39,7 +38,7 @@ def test_regular_tetrahedron_volume():
 def test_triangle_inequality_violation_rejected():
     m = MetricField([(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 3.0], "induced")
     with pytest.raises(MetricError):
-        simplex_volume(m, (0, 1, 2))
+        simplex_volumes(m, [(0, 1, 2)])[0]
 
 
 def test_nonpositive_length_rejected():
@@ -88,8 +87,8 @@ def test_conformal_rejects_nonpositive_factor(square8):
 def test_constant_conformal_homogeneity_triangle(c):
     m = right_triangle_metric()
     scaled = conformal_scale(m, np.full(3, c))
-    v0 = simplex_volume(m, (0, 1, 2))
-    v1 = simplex_volume(scaled, (0, 1, 2))
+    v0 = simplex_volumes(m, [(0, 1, 2)])[0]
+    v1 = simplex_volumes(scaled, [(0, 1, 2)])[0]
     assert v1 == pytest.approx(c * v0, rel=1e-12)
 
 
@@ -177,7 +176,7 @@ def test_flat_triangle_rejected():
     # exactly degenerate: the three points are collinear
     m = MetricField([(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 2.0], "induced")
     with pytest.raises(MetricError):
-        simplex_volume(m, (0, 1, 2))
+        simplex_volumes(m, [(0, 1, 2)])[0]
 
 
 def test_needle_triangle_below_the_volume_floor_rejected():
@@ -185,9 +184,9 @@ def test_needle_triangle_below_the_volume_floor_rejected():
     m = MetricField([(0, 1), (0, 2), (1, 2)], [1e-11, 1.0, 1.0], "induced")
     with pytest.raises(MetricError, match=r"^simplex \(0, 1, 2\) is degenerate: volume "
                                           r"5\.000e-12 below threshold 4\.444e-11$"):
-        simplex_volume(m, (0, 1, 2))
-    assert simplex_volume(MetricField(m.edges, [1e-9, 1.0, 1.0], "induced"),
-                          (0, 1, 2)) == pytest.approx(5e-10, rel=1e-6)
+        simplex_volumes(m, [(0, 1, 2)])[0]
+    assert simplex_volumes(MetricField(m.edges, [1e-9, 1.0, 1.0], "induced"),
+                           [(0, 1, 2)])[0] == pytest.approx(5e-10, rel=1e-6)
 
 
 def test_metric_edges_must_be_integers():

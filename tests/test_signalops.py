@@ -372,10 +372,16 @@ def test_compose_wraps_a_failed_validation():
 def test_correspondence_tolerance_must_be_finite_and_nonnegative():
     # a nan tolerance would pass every gap test, and an infinite one would
     # find every right vertex coincident with the left signal
-    for tol in (float("nan"), float("inf"), -1.0, -1e-300, "1e-9", True, None):
-        with pytest.raises(CompositionError,
-                           match=r"^tolerance must be a finite number >= 0, got "):
+    for tol, message in ((float("nan"), "tolerance is nan: expected finite numbers"),
+                         (float("inf"), "tolerance is inf: expected finite numbers"),
+                         (-1.0, "tolerance must be a finite number >= 0, got -1.0"),
+                         (-1e-300, "tolerance must be a finite number >= 0, got -1e-300"),
+                         ("1e-9", "tolerance is '1e-9': expected real numbers, got str"),
+                         (True, "tolerance is True: expected real numbers, got bool"),
+                         (None, "tolerance is None: expected real numbers, got NoneType")):
+        with pytest.raises(CompositionError) as err:
             cs.Correspondence(((0, 1),), tol)
+        assert str(err.value) == message
     for tol in (0.0, 0, 1e-9, np.float64(2.0)):
         assert cs.Correspondence(((0, 1),), tol).tolerance == tol
 
