@@ -12,7 +12,6 @@ from .complex import (CobordismComplex, ValidationReport, build_complex,
 from .energy import energy, energy_ratio, fourier_energy, fourier_relabel
 from .errors import (CobsigError, CompositionError, FilterError, GeodesyError,
                      MeshError, MetricError, NoiseError, RegionError)
-from .fields import ScalarField
 from .fileio import load_signal, save_signal
 from .generators import gen_annular_shell, gen_rectangle, gen_square, vertex_at
 from .geodesy import (InjectivityEstimate, diameter, distance_field,
@@ -36,8 +35,8 @@ __all__ = [
     "region_vertices",
     "MetricField", "induced_metric", "conformal_scale", "simplex_volumes",
     "lumped_vertex_volume", "total_volume", "region_volume",
-    "ScalarField", "InjectivityEstimate", "distance_field",
-    "distance_to_vertex", "diameter", "injectivity_radius",
+    "InjectivityEstimate", "distance_field", "distance_to_vertex", "diameter",
+    "injectivity_radius",
     "Signal", "make_signal",
     "energy", "fourier_relabel", "fourier_energy", "energy_ratio",
     "NoiseSpec", "Correspondence", "bump_field", "apply_noise",

@@ -29,8 +29,8 @@ FOURIER_PERMUTATION = {"X": "A", "Y": "B", "A": "X", "B": "Y"}
 
 def energy(signal: Signal, steiner_level: int = DEFAULT_STEINER_LEVEL) -> float:
     """Integral of the distance-to-A field against the lumped volume weights."""
-    f = distance_field(signal, "A", steiner_level).values
-    weights = signal.cached(("lumped",), lambda: lumped_vertex_volume(signal)).values
+    f = distance_field(signal, "A", steiner_level)
+    weights = signal.cached(("lumped",), lambda: lumped_vertex_volume(signal))
     return float(np.dot(f, weights))
 
 

@@ -110,7 +110,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .complex import REGION_TAGS, as_int, edge_rows, edge_slots, region_vertices
 from .errors import GeodesyError, RegionError
-from .fields import ScalarField
 
 __all__ = [
     "InjectivityEstimate",
@@ -738,8 +737,9 @@ def _distances_to_vertices(graph: _SteinerGraph, sources: np.ndarray,
 
 
 def distance_field(signal, region: str,
-                   steiner_level: int = DEFAULT_STEINER_LEVEL) -> ScalarField:
-    """Per-vertex geodesic distance to a closed labeled region.
+                   steiner_level: int = DEFAULT_STEINER_LEVEL) -> np.ndarray:
+    """Per-vertex geodesic distance to a closed labeled region, as a
+    read-only float64 array.
 
     Multi-source shortest paths on the refined skeleton; the whole region
     subcomplex (vertices and its refinement nodes) is the source set, so the
@@ -760,20 +760,22 @@ def distance_field(signal, region: str,
                 f"vertex {k} unreachable from region {region!r}; "
                 "the complex must be connected"
             )
-        return ScalarField(dist)
+        dist.flags.writeable = False
+        return dist
 
     return signal.cached(("field", facets, graph.pattern.s), compute)
 
 
 def distance_to_vertex(signal, p: int,
-                       steiner_level: int = DEFAULT_STEINER_LEVEL) -> ScalarField:
+                       steiner_level: int = DEFAULT_STEINER_LEVEL) -> np.ndarray:
     """Geodesic distance field from a single vertex (the noise center):
-    ``distance_within`` with an unbounded radius.  Like any ball, the field
-    is kept on the signal alone, not on the shared pattern."""
+    ``distance_within`` with an unbounded radius, its read-only array as it
+    is.  Like any ball, the field is kept on the signal alone, not on the
+    shared pattern."""
     dist = distance_within(signal, p, np.inf, steiner_level)
     if np.any(np.isinf(dist)):
         raise GeodesyError(f"complex is disconnected from vertex {p}")
-    return ScalarField(dist)
+    return dist
 
 
 def distance_within(signal, p: int, radius: float,
@@ -929,7 +931,7 @@ def injectivity_radius(signal, region: str,
 
     graph = _graph(signal, steiner_level)
     s = graph.pattern.s
-    f = distance_field(signal, region, s).values
+    f = distance_field(signal, region, s)
     region_ids = region_vertices(signal.complex, region)
     _, _, foot = dijkstra(graph.matrix, directed=True, indices=region_ids,
                           min_only=True, return_predecessors=True)

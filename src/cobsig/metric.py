@@ -24,7 +24,6 @@ import numpy as np
 
 from .complex import CobordismComplex, edge_rows, edge_slots, float_table, pair_table
 from .errors import MetricError, RegionError
-from .fields import ScalarField
 
 #: Simplex volumes below EPS_VOL * (mean edge length)^d are rejected.
 EPS_VOL = 1e-10
@@ -97,7 +96,8 @@ def induced_metric(cx: CobordismComplex) -> MetricField:
 
 
 def conformal_scale(metric: MetricField, factor) -> MetricField:
-    """Deform a metric by a positive per-vertex conformal factor.
+    """Deform a metric by a positive per-vertex conformal factor, a
+    sequence or array of real numbers read by ``float_table``.
 
     Each edge (u, v) is rescaled by sqrt((a(u) + a(v)) / 2), i.e. the factor
     is sampled at the edge midpoint by the arithmetic mean of its endpoint
@@ -106,7 +106,7 @@ def conformal_scale(metric: MetricField, factor) -> MetricField:
     (``build_complex``), so the largest edge vertex is the last vertex.
     """
     nv = int(metric.edges.max(initial=-1)) + 1
-    a = float_table(getattr(factor, "values", factor), MetricError, "conformal factor", (nv,))
+    a = float_table(factor, MetricError, "conformal factor", (nv,))
     if np.any(a <= 0.0):
         k = int(np.argmin(a))
         raise MetricError(f"conformal factor {k} is {float(a[k])!r}: it must be positive")
@@ -168,10 +168,11 @@ def slot_volumes(lengths: np.ndarray, simp: np.ndarray) -> np.ndarray:
     return vol
 
 
-def lumped_vertex_volume(signal) -> ScalarField:
+def lumped_vertex_volume(signal) -> np.ndarray:
     """Quadrature weights: each vertex gets 1/(d+1) of incident simplex volumes.
 
-    The weights partition the total volume exactly (up to float summation).
+    The weights, a read-only float64 array, partition the total volume
+    exactly (up to float summation).
     """
     cx = signal.complex
     vols = signal.simplex_volumes()
@@ -180,7 +181,8 @@ def lumped_vertex_volume(signal) -> ScalarField:
     share = vols / (d + 1)
     for col in range(d + 1):
         np.add.at(w, cx.simplices[:, col], share)
-    return ScalarField(w)
+    w.flags.writeable = False
+    return w
 
 
 def total_volume(signal) -> float:

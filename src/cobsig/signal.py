@@ -39,9 +39,11 @@ class Signal:
     """A validated complex plus a nondegenerate metric and optional hints.
 
     ``hints`` carries generator-provided ground-truth values (energies,
-    diameters, injectivity radii, resolution) keyed by name; each is read
-    as a float by ``as_float``, so a hint that is no finite real number is
-    a CobsigError naming it.
+    diameters, injectivity radii, resolution) keyed by name: a mapping, or
+    (name, value) pairs, with str names, so that a save and load keeps
+    them.  Each value is read as a float by ``as_float``.  Hints of another
+    kind, a name that is no str or a value that is no finite real number
+    raise CobsigError naming the fault.
     """
 
     complex: CobordismComplex
@@ -53,7 +55,15 @@ class Signal:
         # the metric's lengths are read through the structure's edge rows
         if not np.array_equal(self.metric.edges, self.complex.edges()):
             raise MetricError("metric edge set does not match the complex")
-        self.hints = {k: as_float(v, CobsigError, f"hint {k}") for k, v in dict(self.hints).items()}
+        try:
+            hints = dict(self.hints)
+        except (TypeError, ValueError) as exc:
+            raise CobsigError("hints must be a mapping from names to numbers, not "
+                              f"{type(self.hints).__name__} ({exc})") from exc
+        for k in hints:
+            if not isinstance(k, str):
+                raise CobsigError(f"hint name {k!r} is not a str")
+        self.hints = {k: as_float(v, CobsigError, f"hint {k}") for k, v in hints.items()}
 
     @property
     def dim(self) -> int:

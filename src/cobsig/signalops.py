@@ -19,7 +19,6 @@ from scipy.sparse.csgraph import connected_components
 from .complex import (as_float, as_int, build_complex, int_table, pair_table,
                       region_vertices)
 from .errors import CobsigError, CompositionError, FilterError, NoiseError
-from .fields import ScalarField
 from .geodesy import DEFAULT_STEINER_LEVEL, distance_within
 from .metric import MetricField, conformal_scale
 from .signal import Signal, make_signal
@@ -97,9 +96,10 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def bump_field(signal: Signal, spec: NoiseSpec,
-               steiner_level: int = DEFAULT_STEINER_LEVEL) -> ScalarField:
-    """Conformal bump factor: epsilon inside the closed delta0-ball, 1 outside
-    the open delta-ball, and a quintic-smoothstep blend in between.
+               steiner_level: int = DEFAULT_STEINER_LEVEL) -> np.ndarray:
+    """Conformal bump factor, as a read-only float64 array: epsilon inside
+    the closed delta0-ball, 1 outside the open delta-ball, and a
+    quintic-smoothstep blend in between.
 
     The plateaus are exact by construction, so edges whose endpoints both
     carry factor 1 are bit-identical after deformation.
@@ -108,7 +108,8 @@ def bump_field(signal: Signal, spec: NoiseSpec,
     t = (rho - spec.delta0) / (spec.delta - spec.delta0)
     blend = spec.epsilon + (1.0 - spec.epsilon) * _smoothstep(np.clip(t, 0.0, 1.0))
     a = np.where(t <= 0.0, spec.epsilon, np.where(t >= 1.0, 1.0, blend))
-    return ScalarField(a)
+    a.flags.writeable = False
+    return a
 
 
 def apply_noise(signal: Signal, spec: NoiseSpec,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import as_int, float_table
+from .complex import as_float, as_int, float_table
 from .energy import energy, energy_ratio, fourier_energy
 from .errors import CobsigError, FilterError
 from .geodesy import (DEFAULT_STEINER_LEVEL, diameter, distance_field,
@@ -197,9 +197,9 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
     while noisy:
         eps = eps_arr[len(noisy) - 1]
         deformed = noisy.pop()
-        f_x = distance_field(deformed, "X", steiner_level).values
-        f_a = distance_field(deformed, "A", steiner_level).values
-        w_def = lumped_vertex_volume(deformed).values
+        f_x = distance_field(deformed, "X", steiner_level)
+        f_a = distance_field(deformed, "A", steiner_level)
+        w_def = lumped_vertex_volume(deformed)
 
         e_def = float(np.dot(f_a, w_def))
         ef_def = float(np.dot(f_x, w_def))
@@ -376,14 +376,21 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
     strictly sub-additive composition).  This function deliberately shares
     no code with the mesh pipeline: distances are closed-form expressions
     and the quadrature is a plain midpoint sum.  A ``fine_resolution``
-    below 1 or a size that is not positive raises ValueError.
+    below 1, or a size that is missing, no finite real number (``as_float``)
+    or not positive, raises ValueError.
     """
     m = as_int(fine_resolution, ValueError, "fine_resolution")
     if m < 1:
         raise ValueError(f"fine_resolution must be at least 1, got {m}")
+
+    def size(name, default=None):
+        if default is None and name not in params:
+            raise ValueError(f"the {kind} oracle needs {name!r}")
+        return as_float(params.get(name, default), ValueError, name)
+
     if kind in ("square", "rectangle"):
-        w = float(params.get("width", 1.0))
-        h = float(params.get("height", 1.0))
+        w = size("width", 1.0)
+        h = size("height", 1.0)
         X, Y, cell = _midpoint_grid(w, h, m)
         return {
             "E": float(np.sum(X) * cell),
@@ -396,9 +403,9 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
             "diam_X": w,
         }
     if kind == "rectangle_split_A":
-        w = float(params.get("width", 1.0))
-        h = float(params.get("height", 2.0))
-        split = float(params.get("split", h / 2.0))
+        w = size("width", 1.0)
+        h = size("height", 2.0)
+        split = size("split", h / 2.0)
         X, Y, cell = _midpoint_grid(w, h, m)
         # distance inside the convex rectangle to each closed A piece:
         # left edge of the lower part, right edge of the upper part
@@ -409,9 +416,7 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
             "vol_M": w * h,
         }
     if kind == "annular_shell":
-        r0 = float(params["r0"])
-        r1 = float(params["r1"])
-        h = float(params["height"])
+        r0, r1, h = size("r0"), size("r1"), size("height")
         if not (0 < r0 < r1 and h > 0):
             raise ValueError(f"need 0 < r0 < r1 and a positive height, got {r0}, {r1}, {h}")
         nr = m

@@ -141,7 +141,7 @@ def test_criterion_7_property_suite(square16, shell16):
     # 1-Lipschitz along edges (exact up to IEEE rounding of the relaxations)
     for sig in (square16, shell16):
         for region in ("A", "X"):
-            f = distance_field(sig, region, 2).values
+            f = distance_field(sig, region, 2)
             m = sig.metric
             gaps = np.abs(f[m.edges[:, 0]] - f[m.edges[:, 1]])
             if not np.all(gaps <= m.lengths * (1.0 + 1e-12) + 1e-15):
@@ -149,9 +149,9 @@ def test_criterion_7_property_suite(square16, shell16):
 
     # refinement monotonicity is exact by construction
     for sig in (square16, shell16):
-        f0 = distance_field(sig, "A", 0).values
-        f1 = distance_field(sig, "A", 1).values
-        f2 = distance_field(sig, "A", 2).values
+        f0 = distance_field(sig, "A", 0)
+        f1 = distance_field(sig, "A", 1)
+        f2 = distance_field(sig, "A", 2)
         if not (np.all(f1 <= f0) and np.all(f2 <= f1)):
             failures.append("steiner-monotone")
 
@@ -167,8 +167,8 @@ def test_criterion_7_property_suite(square16, shell16):
             scaled = Signal(sig.complex,
                             conformal_scale(sig.metric,
                                             np.full(sig.complex.n_vertices, c)))
-            f0 = distance_field(sig, "A", 2).values
-            f1 = distance_field(scaled, "A", 2).values
+            f0 = distance_field(sig, "A", 2)
+            f1 = distance_field(scaled, "A", 2)
             nz = f0 > 0
             if not np.allclose(f1[nz] / f0[nz], math.sqrt(c), rtol=1e-6):
                 failures.append(f"distance-scaling:c={c}")
@@ -183,7 +183,7 @@ def test_criterion_7_property_suite(square16, shell16):
 
     # lumped partition of the total volume at 1e-12 relative
     for sig in (square16, shell16):
-        w = lumped_vertex_volume(sig).values
+        w = lumped_vertex_volume(sig)
         tot = total_volume(sig)
         if abs(float(np.sum(w)) - tot) > 1e-12 * tot:
             failures.append("lumped-partition")
@@ -192,7 +192,7 @@ def test_criterion_7_property_suite(square16, shell16):
     p = cs.vertex_at(square16, (0.75, 0.5))
     spec = NoiseSpec(p, 0.1, 0.2, 0.25)
     noisy = apply_noise(square16, spec)
-    rho = cs.distance_to_vertex(square16, p).values
+    rho = cs.distance_to_vertex(square16, p)
     m0 = square16.metric
     outside = (rho[m0.edges[:, 0]] >= spec.delta) & (
         rho[m0.edges[:, 1]] >= spec.delta

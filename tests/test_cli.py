@@ -805,3 +805,30 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
     # declaration order is the order of the usage line and --help
     assert [list(v) for v in surface.values()] == [list(v) for v in CLI_SURFACE.values()]
+
+
+#: The names the package exports, in ``cobsig.__all__`` order.
+PYTHON_SURFACE = [
+    "CobordismComplex", "ValidationReport", "build_complex", "validate",
+    "region_vertices",
+    "MetricField", "induced_metric", "conformal_scale", "simplex_volumes",
+    "lumped_vertex_volume", "total_volume", "region_volume",
+    "InjectivityEstimate", "distance_field", "distance_to_vertex", "diameter",
+    "injectivity_radius",
+    "Signal", "make_signal",
+    "energy", "fourier_relabel", "fourier_energy", "energy_ratio",
+    "NoiseSpec", "Correspondence", "bump_field", "apply_noise",
+    "extract_filter", "keep_by_predicate", "compose", "make_correspondence",
+    "gen_square", "gen_rectangle", "gen_annular_shell", "vertex_at",
+    "BoundReport", "ExpansionReport", "ConvergenceReport", "FilterReport",
+    "CompositionReport", "check_thm1_bounds", "eps_sweep", "check_filter",
+    "check_composition", "grid_oracle", "refinement_study",
+    "load_signal", "save_signal",
+    "CobsigError", "MeshError", "MetricError", "RegionError", "GeodesyError",
+    "NoiseError", "FilterError", "CompositionError",
+]
+
+
+def test_python_surface_is_pinned():
+    assert cs.__all__ == PYTHON_SURFACE
+    assert all(hasattr(cs, name) for name in cs.__all__)

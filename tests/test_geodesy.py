@@ -31,7 +31,7 @@ from cobsig.verify import check_filter, eps_sweep
 def test_square_distance_to_left_edge_is_x(square16):
     for s in (0, 1, 2):
         f = distance_field(square16, "A", s)
-        assert np.allclose(f.values, square16.complex.vertices[:, 0], atol=1e-13)
+        assert np.allclose(f, square16.complex.vertices[:, 0], atol=1e-13)
 
 
 def test_zero_set_matches_region(square8):
@@ -39,22 +39,38 @@ def test_zero_set_matches_region(square8):
     ids = set(cs.region_vertices(square8.complex, "A").tolist())
     for v in range(square8.complex.n_vertices):
         if v in ids:
-            assert f.values[v] == 0.0
+            assert f[v] == 0.0
         else:
-            assert f.values[v] > 0.0
+            assert f[v] > 0.0
 
 
 def test_field_converts_to_an_array_as_numpy_asks(square8):
     f = distance_field(square8, "A")
     shared = np.asarray(f)
-    assert np.shares_memory(shared, f.values) and not shared.flags.writeable
+    assert np.shares_memory(shared, f) and not shared.flags.writeable
     copied = np.array(f, copy=True)
-    assert not np.shares_memory(copied, f.values) and copied.flags.writeable
+    assert not np.shares_memory(copied, f) and copied.flags.writeable
     copied += 1.0
-    assert np.array_equal(shared, f.values)
+    assert np.array_equal(shared, f)
     assert np.array(f, dtype=np.float32).dtype == np.float32
     with pytest.raises(ValueError):
         np.array(f, dtype=np.float32, copy=False)
+
+
+@pytest.mark.parametrize("field", [
+    lambda sig, p: distance_field(sig, "A"),
+    lambda sig, p: distance_to_vertex(sig, p),
+    lambda sig, p: distance_within(sig, p, 0.25),
+    lambda sig, p: bump_field(sig, NoiseSpec(p, 0.125, 0.375, 0.25)),
+    lambda sig, p: lumped_vertex_volume(sig),
+], ids=["distance_field", "distance_to_vertex", "distance_within", "bump_field",
+        "lumped_vertex_volume"])
+def test_fields_are_read_only_float64_arrays(square8, field):
+    f = field(square8, cs.vertex_at(square8, (0.5, 0.5)))
+    assert type(f) is np.ndarray and f.dtype == np.float64
+    assert f.shape == (square8.complex.n_vertices,)
+    with pytest.raises(ValueError):
+        f[0] = 1.0
 
 
 # the largest relative overestimate of the corner distance on a square
@@ -73,7 +89,7 @@ def test_corner_distance_against_hypot(n):
     far = want > 0
     eps = np.finfo(np.float64).eps
     for s, pinned in enumerate(CORNER_OVERESTIMATE):
-        got = distance_to_vertex(sig, corner, s).values
+        got = distance_to_vertex(sig, corner, s)
         # every graph edge is a straight segment in the square, so every
         # path is at least hypot long.  Each weight is within 8 eps of its
         # segment's length (a norm of dyadic coordinates, or the square root
@@ -136,7 +152,7 @@ def test_straight_3d_distance_against_the_segment(n):
     want = np.linalg.norm(xyz[far] - xyz[p], axis=1)
     eps = np.finfo(np.float64).eps
     for s, (pinned_max, pinned_median) in enumerate(zip(*SEGMENT_OVERESTIMATE[n])):
-        got = distance_to_vertex(sig, p, s).values[far]
+        got = distance_to_vertex(sig, p, s)[far]
         # every graph edge is a straight segment in the shell, so every
         # path is at least |v - p| long.  A weight is the square root of
         # sum_k c_k l_k^2 with exact c_k and lengths within 3 eps, so its
@@ -190,11 +206,11 @@ def test_jittered_energy_against_the_coordinate(mesh):
     base = cs.gen_square(16) if mesh == "square16" else cs.gen_annular_shell(1.0, 2.0, 2.0, 24)
     sig = jittered(base, 0.3, seed=1)
     want = sig.complex.vertices[:, 0 if sig.dim == 2 else 2]
-    reference = float(np.dot(lumped_vertex_volume(sig).values, want))
+    reference = float(np.dot(lumped_vertex_volume(sig), want))
     eps = np.finfo(np.float64).eps
     errors = []
     for s in range(4):
-        got = distance_field(sig, "A", s).values
+        got = distance_field(sig, "A", s)
         # every graph edge is a straight segment in the domain, and A is
         # where the coordinate is 0, so every path is at least the
         # coordinate long; rounding is bounded as for straight 3D segments
@@ -210,7 +226,7 @@ def test_jittered_energy_against_the_coordinate(mesh):
 def test_lipschitz_along_edges(square8, shell16):
     for sig in (square8, shell16):
         for region in ("A", "X"):
-            f = distance_field(sig, region).values
+            f = distance_field(sig, region)
             m = sig.metric
             gaps = np.abs(f[m.edges[:, 0]] - f[m.edges[:, 1]])
             assert np.all(gaps <= m.lengths * (1.0 + 1e-12) + 1e-15)
@@ -219,9 +235,9 @@ def test_lipschitz_along_edges(square8, shell16):
 def test_steiner_monotone_refinement(square8, shell16):
     for sig in (square8, shell16):
         for region in ("A", "X"):
-            f0 = distance_field(sig, region, 0).values
-            f1 = distance_field(sig, region, 1).values
-            f2 = distance_field(sig, region, 2).values
+            f0 = distance_field(sig, region, 0)
+            f1 = distance_field(sig, region, 1)
+            f2 = distance_field(sig, region, 2)
             assert np.all(f1 <= f0)
             assert np.all(f2 <= f1)
 
@@ -230,7 +246,7 @@ def test_shell_distance_to_inner_wall(shell32):
     f = distance_field(shell32, "X", 2)
     v = shell32.complex.vertices
     radial = np.hypot(v[:, 0], v[:, 1]) - 1.0
-    err = np.abs(f.values - radial)
+    err = np.abs(f - radial)
     assert np.max(err) <= 0.03 * 0.2  # 3% of the shell thickness
 
 
@@ -242,9 +258,9 @@ def test_distance_field_unknown_region(square8):
 def test_distance_to_vertex_zero_at_center(square8):
     p = cs.vertex_at(square8, (0.5, 0.5))
     f = distance_to_vertex(square8, p)
-    assert f.values[p] == 0.0
+    assert f[p] == 0.0
     q = cs.vertex_at(square8, (0.5, 0.75))
-    assert f.values[q] == pytest.approx(0.25, rel=1e-12)
+    assert f[q] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_disconnected_graph_raises():
@@ -277,7 +293,7 @@ def test_radius_must_be_a_number_at_least_zero(square8):
             distance_within(square8, 0, radius)
     assert distance_within(square8, 0, 0)[0] == 0.0
     assert np.array_equal(distance_within(square8, 0, np.inf),
-                          distance_to_vertex(square8, 0).values)
+                          distance_to_vertex(square8, 0))
 
 
 def test_steiner_level_is_checked_before_any_cache(square8):
@@ -457,8 +473,8 @@ def test_distance_scaling_under_dyadic_conformal_factor(square8):
         scaled = Signal(square8.complex,
                         conformal_scale(square8.metric,
                                         np.full(square8.complex.n_vertices, c)))
-        f0 = distance_field(square8, "A", 2).values
-        f1 = distance_field(scaled, "A", 2).values
+        f0 = distance_field(square8, "A", 2)
+        f1 = distance_field(scaled, "A", 2)
         assert np.allclose(f1, math.sqrt(c) * f0, rtol=1e-12, atol=1e-15)
 
 
@@ -496,7 +512,7 @@ def test_injectivity_without_hints_matches_analytic(name):
     for region in ("A", "X"):
         est = injectivity_radius(stripped, region)
         assert est.method == "heuristic"
-        assert est.value == distance_field(stripped, region).values.max()
+        assert est.value == distance_field(stripped, region).max()
         assert est.value == pytest.approx(sig.hints[f"i_{region}"], rel=1e-12)
 
 
@@ -665,7 +681,7 @@ def test_injectivity_without_hints_searches_the_full_graph_once(square64, monkey
 @given(n=st.integers(min_value=2, max_value=6))
 def test_distance_field_nonnegative_and_finite(n):
     sig = cs.gen_square(n)
-    f = distance_field(sig, "A", 1).values
+    f = distance_field(sig, "A", 1)
     assert np.all(f >= 0.0)
     assert np.all(np.isfinite(f))
 
@@ -847,7 +863,7 @@ def test_field_update_matches_a_fresh_search(request, name, monkeypatch):
     for p, noisy in _sweep(sig, name):
         fresh = _fresh(noisy)
         for field in _fields(p).values():
-            assert field(noisy).values.tobytes() == field(fresh).values.tobytes()
+            assert field(noisy).tobytes() == field(fresh).tobytes()
     assert bool(updates) == (name != "square8")
 
 
@@ -902,7 +918,7 @@ def test_field_update_settles_grows_or_falls_back(shell16, monkeypatch):
         calls.clear()
         got = np.asarray(fields[key](noisy))
         assert calls == want, key
-        assert got.tobytes() == _fields(p)[key](_fresh(noisy)).values.tobytes()
+        assert got.tobytes() == _fields(p)[key](_fresh(noisy)).tobytes()
 
 
 def _risen_tree_chords(graph, reference, sources):
@@ -943,7 +959,7 @@ def test_field_update_from_a_noisy_reference(shell16, monkeypatch):
         calls.clear()
         got = field(target)
         assert calls == ["full"], key
-        assert got.values.tobytes() == field(sig).values.tobytes()
+        assert got.tobytes() == field(sig).tobytes()
 
 
 def test_eps_sweep_updates_the_x_fields_on_the_subgraph(shell16, monkeypatch):
@@ -1008,7 +1024,7 @@ def test_check_filter_searches_the_noisy_field_in_full(monkeypatch):
     fresh = _fresh(deformed)
     for region in ("A", "X"):
         got, want = distance_field(deformed, region), distance_field(fresh, region)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert got.tobytes() == want.tobytes()
     assert report.energy_noisy == cs.energy(fresh)
 
 
@@ -1029,13 +1045,13 @@ def test_fills_below_the_fill_bound_assemble_no_map(request, name, monkeypatch):
     other = Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed"))
     assembled = _count_assemblies(monkeypatch)
     p = sig.complex.n_vertices - 1
-    got = {key: field(other).values for key, field in _fields(p).items()}
+    got = {key: field(other) for key, field in _fields(p).items()}
     assert _graph(other, 2).plan is not None
     assert assembled == []
     monkeypatch.undo()
     fresh = _fresh(other)
     for key, field in _fields(p).items():
-        assert got[key].tobytes() == field(fresh).values.tobytes(), key
+        assert got[key].tobytes() == field(fresh).tobytes(), key
 
 
 def test_eps_sweep_plans_each_ball_once(shell16, monkeypatch):
@@ -1133,7 +1149,7 @@ def test_distance_within_matches_the_full_field_inside_its_bound(request, name):
     sig = request.getfixturevalue(name)
     centre, _, delta, _ = NOISE_CASES[name]
     p = cs.vertex_at(sig, centre, tol=1e-6)
-    full = distance_to_vertex(sig, p).values
+    full = distance_to_vertex(sig, p)
     reached = []
     for radius in (delta, 0.5):
         got = distance_within(sig, p, radius)
@@ -1154,7 +1170,7 @@ def test_distance_to_vertex_is_the_unbounded_ball(request, name):
     for p in range(sig.complex.n_vertices):
         want = dijkstra(graph.matrix, directed=True, indices=np.array([p]),
                         min_only=True)[:graph.nv]
-        assert distance_to_vertex(sig, p).values.tobytes() == want.tobytes()
+        assert distance_to_vertex(sig, p).tobytes() == want.tobytes()
     assert graph.pattern.fields == kept
 
 
@@ -1171,7 +1187,7 @@ def test_ball_errors_keep_the_full_field_distances(square32):
     # a ball that reaches A and one that reaches a filter name the nearest
     # distance of the full centre field
     p = cs.vertex_at(square32, (0.125, 0.5))
-    rho = distance_to_vertex(square32, p).values
+    rho = distance_to_vertex(square32, p)
     closest = rho[region_vertices(square32.complex, "A")].min()
     with pytest.raises(NoiseError) as err:
         check_noise_spec(_copy(square32), NoiseSpec(p, 0.1, 0.2, 0.25))
@@ -1181,7 +1197,7 @@ def test_ball_errors_keep_the_full_field_distances(square32):
     filt = cs.extract_filter(square32, cs.keep_by_predicate(
         square32, lambda q: q[0] <= 0.5 + 1e-12))
     p = cs.vertex_at(square32, (0.625, 0.5))
-    rho = distance_to_vertex(square32, p).values
+    rho = distance_to_vertex(square32, p)
     coords = {tuple(q): i for i, q in enumerate(square32.complex.vertices)}
     hit = next(i for i in (coords[tuple(q)] for q in filt.complex.vertices)
                if rho[i] < 0.2)

@@ -1,8 +1,9 @@
 """Every real-valued input is read by ``complex.float_table`` or ``as_float``.
 
-Each probe hands one entry point a value that is no finite real number, or
-a table of the wrong shape, and expects that module's error naming the
-entry: no bare numpy or Python error, no warning, and no silent cast.
+Each probe hands one entry point a value that is no finite real number, a
+table of the wrong shape, or hints that are no mapping from str names, and
+expects that module's error naming the entry: no bare numpy or Python
+error, no warning, and no silent cast.
 """
 
 import json
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 import cobsig as cs
+from cobsig.complex import float_table
 from cobsig.errors import CobsigError, CompositionError, MeshError, MetricError, NoiseError
-from cobsig.fields import ScalarField
 from cobsig.fileio import (load_correspondence, load_kept_simplices, signal_from_dict,
                            signal_to_dict)
 
@@ -74,6 +75,10 @@ def _file(load, data):
     return call
 
 
+def _hints(hints):
+    return lambda tmp: cs.make_signal(_square2().complex, hints=hints)
+
+
 def _keep(value):
     return _file(lambda path: load_kept_simplices(_square2(), path), {"axis": 0, "max": value})
 
@@ -91,8 +96,8 @@ PROBES = {
                         "length 0 is (0.5+0j): expected real numbers, got complex128"),
     "lengths-text": (_metric_field(lambda s: [str(x) for x in _lengths(s)]), MetricError,
                      "length 0 is '0.5': expected real numbers, got str"),
-    "field-complex": (lambda tmp: ScalarField(np.array([1.0, 2j])), ValueError,
-                      "field value 0 is (1+0j): expected real numbers, got complex128"),
+    "factor-complex": (_factor(lambda nv: np.ones(nv) + 0j), MetricError,
+                       "conformal factor 0 is (1+0j): expected real numbers, got complex128"),
     "factor-short": (_factor(lambda nv: np.ones(nv - 1)), MetricError,
                      "the conformal factor table has shape (8,), not (9,)"),
     "factor-long": (_factor(lambda nv: np.ones(nv + 1)), MetricError,
@@ -135,6 +140,14 @@ PROBES = {
     "signal-hint-text": (lambda tmp: cs.Signal(_square2().complex, _square2().metric,
                                                 {"i_A": "2"}),
                          CobsigError, "hint i_A is '2': expected real numbers, got str"),
+    "hints-list": (_hints([1, 2]), CobsigError, "hints must be a mapping from names to "
+                   "numbers, not list (cannot convert dictionary update sequence"),
+    "hints-int": (_hints(5), CobsigError, "hints must be a mapping from names to numbers, "
+                  "not int ('int' object is not iterable)"),
+    "hints-text": (_hints("ab"), CobsigError, "hints must be a mapping from names to "
+                   "numbers, not str (dictionary update sequence element #0 has length 1"),
+    "hint-name-int": (_hints({1: 2.0}), CobsigError, "hint name 1 is not a str"),
+    "hint-names-mixed": (_hints({"a": 1.0, 1: 2.0}), CobsigError, "hint name 1 is not a str"),
     "keep-max-text": (_keep("0.5"), CobsigError,
                       "keep max is '0.5': expected real numbers, got str"),
     "keep-max-bool": (_keep(True), CobsigError,
@@ -163,6 +176,16 @@ PROBES = {
                   "the rectangle origin coordinate table has shape (3,), not (2,)"),
     "shell-inf": (lambda tmp: cs.gen_annular_shell(1, math.inf, 2, 8), MeshError,
                   "shell r1 is inf: expected finite numbers"),
+    "oracle-width-text": (lambda tmp: cs.grid_oracle("square", {"width": "2"}, 8), ValueError,
+                          "width is '2': expected real numbers, got str"),
+    "oracle-height-bool": (lambda tmp: cs.grid_oracle("square", {"height": True}, 8),
+                           ValueError, "height is True: expected real numbers, got bool"),
+    "oracle-width-inf": (lambda tmp: cs.grid_oracle("square", {"width": math.inf}, 8),
+                         ValueError, "width is inf: expected finite numbers"),
+    "oracle-split-nan": (lambda tmp: cs.grid_oracle("rectangle_split_A", {"split": math.nan}, 8),
+                         ValueError, "split is nan: expected finite numbers"),
+    "oracle-shell-missing": (lambda tmp: cs.grid_oracle("annular_shell", {"r0": 1, "r1": 2}, 8),
+                             ValueError, "the annular_shell oracle needs 'height'"),
 }
 
 
@@ -178,8 +201,8 @@ def test_float_table_keeps_valid_input_and_its_copies():
     sig = _square2()
     # a float64 array is shared, a list or an int array is converted
     values = np.linspace(1.0, 2.0, sig.complex.n_vertices)
-    assert ScalarField(values).values is values
-    assert ScalarField([1, 2.5, np.float32(3)]).values.tolist() == [1.0, 2.5, 3.0]
+    assert float_table(values, ValueError, "value") is values
+    assert float_table([1, 2.5, np.float32(3)], ValueError, "value").tolist() == [1.0, 2.5, 3.0]
     # build_complex and MetricField keep a copy of their own
     verts = np.array(sig.complex.vertices)
     assert cs.build_complex(verts, sig.complex.simplices, {}).vertices is not verts

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import cobsig as cs
 from cobsig.errors import MetricError
-from cobsig.fields import ScalarField
 from cobsig.complex import edge_slots
 from cobsig.metric import (MetricField, conformal_scale, induced_metric,
                            lumped_vertex_volume, region_volume,
@@ -69,7 +68,7 @@ def test_induced_metric_coincident_vertices_error():
 
 
 def test_conformal_identity_is_bit_exact(square8):
-    ones = ScalarField(np.ones(square8.complex.n_vertices))
+    ones = np.ones(square8.complex.n_vertices)
     scaled = conformal_scale(square8.metric, ones)
     assert np.array_equal(scaled.lengths, square8.metric.lengths)
     assert scaled.source == "deformed"
@@ -104,13 +103,13 @@ def test_dyadic_conformal_volume_scaling_3d(shell16, c):
 def test_lumped_partition_square(square16):
     w = lumped_vertex_volume(square16)
     total = total_volume(square16)
-    assert abs(float(np.sum(w.values)) - total) <= 1e-12 * total
+    assert abs(float(np.sum(w)) - total) <= 1e-12 * total
 
 
 def test_lumped_partition_shell(shell16):
     w = lumped_vertex_volume(shell16)
     total = total_volume(shell16)
-    assert abs(float(np.sum(w.values)) - total) <= 1e-12 * total
+    assert abs(float(np.sum(w)) - total) <= 1e-12 * total
 
 
 def test_lumped_single_triangle_equal_split():
@@ -121,7 +120,7 @@ def test_lumped_single_triangle_equal_split():
     )
     sig = cs.Signal(cx, induced_metric(cx))
     w = lumped_vertex_volume(sig)
-    assert np.allclose(w.values, 0.5 / 3.0, rtol=1e-14)
+    assert np.allclose(w, 0.5 / 3.0, rtol=1e-14)
 
 
 def test_total_volume_square_exact(square32):
@@ -216,7 +215,7 @@ def test_lumped_interior_vertex_weight(square8):
     # 1/(2 n^2), so its share is 6 * area / 3 = 1 / n^2
     w = lumped_vertex_volume(square8)
     v = cs.vertex_at(square8, (0.5, 0.5))
-    assert w.values[v] == pytest.approx(1.0 / 64.0, rel=1e-12)
+    assert w[v] == pytest.approx(1.0 / 64.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("name, simplices", [

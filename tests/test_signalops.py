@@ -40,8 +40,8 @@ def test_noise_spec_ball_avoidance(square16):
 def test_bump_plateaus_and_midpoint(square8):
     p = cs.vertex_at(square8, (0.5, 0.5))
     spec = NoiseSpec(p, 0.125, 0.375, 0.25)
-    a = bump_field(square8, spec).values
-    rho = distance_to_vertex(square8, p).values
+    a = bump_field(square8, spec)
+    rho = distance_to_vertex(square8, p)
     assert np.all(a[rho <= 0.125] == 0.25)
     assert np.all(a[rho >= 0.375] == 1.0)
     mid = cs.vertex_at(square8, (0.75, 0.5))  # rho = 0.25, t = 0.5
@@ -51,15 +51,15 @@ def test_bump_plateaus_and_midpoint(square8):
 
 
 def test_bump_monotone_in_distance(square16, noise_spec):
-    a = bump_field(square16, noise_spec).values
-    rho = distance_to_vertex(square16, noise_spec.center).values
+    a = bump_field(square16, noise_spec)
+    rho = distance_to_vertex(square16, noise_spec.center)
     order = np.argsort(rho)
     assert np.all(np.diff(a[order]) >= -1e-15)
 
 
 def test_noise_locality_bit_exact(square16, noise_spec):
     noisy = apply_noise(square16, noise_spec)
-    rho = distance_to_vertex(square16, noise_spec.center).values
+    rho = distance_to_vertex(square16, noise_spec.center)
     m0, m1 = square16.metric, noisy.metric
     assert np.array_equal(m0.edges, m1.edges)
     outside = (rho[m0.edges[:, 0]] >= noise_spec.delta) & (
@@ -73,7 +73,7 @@ def test_noise_locality_bit_exact(square16, noise_spec):
 def test_noise_inner_ball_scaling(square16, noise_spec):
     # epsilon = 0.25: edges inside the closed delta0-ball scale by exactly 0.5
     noisy = apply_noise(square16, noise_spec)
-    rho = distance_to_vertex(square16, noise_spec.center).values
+    rho = distance_to_vertex(square16, noise_spec.center)
     m0, m1 = square16.metric, noisy.metric
     inner = (rho[m0.edges[:, 0]] <= noise_spec.delta0) & (
         rho[m0.edges[:, 1]] <= noise_spec.delta0

@@ -189,9 +189,9 @@ def ladder_digests(src: Path) -> dict:
             m = _graph(sig, 2).matrix
             out[f"{name}/graph"] = digest(m.indptr, m.indices, m.data)
             out[f"{name}/volumes"] = digest(sig.simplex_volumes())
-            out[f"{name}/lumped"] = digest(cs.lumped_vertex_volume(sig).values)
+            out[f"{name}/lumped"] = digest(np.asarray(cs.lumped_vertex_volume(sig)))
             for tag in ("A", "X"):
-                out[f"{name}/field-{tag}"] = digest(cs.distance_field(sig, tag, 2).values)
+                out[f"{name}/field-{tag}"] = digest(np.asarray(cs.distance_field(sig, tag, 2)))
                 out[f"{name}/volume-{tag}"] = digest(cs.region_volume(sig, tag))
             for cmd in ("energy", "verify-thm1"):
                 out[f"{name}/{cmd}"] = run_cli(cli, [cmd, path], tmp / f"{name}-{cmd}.out")
@@ -222,7 +222,7 @@ def ladder_digests(src: Path) -> dict:
             noisy = cs.apply_noise(sig, cs.NoiseSpec(centre, delta0, delta, eps))
             for tag in ("A", "X"):
                 out[f"noise-{name}/{eps}/field-{tag}"] = digest(
-                    cs.distance_field(noisy, tag, 2).values)
+                    np.asarray(cs.distance_field(noisy, tag, 2)))
             out[f"noise-{name}/{eps}/graph-data"] = digest(_graph(noisy, 2).matrix.data)
     return out
 
