@@ -24,7 +24,7 @@ import numpy as np
 from . import fileio
 from .complex import ValidationReport, validate
 from .energy import energy, fourier_energy, fourier_relabel, ratio_of
-from .errors import CobsigError
+from .errors import CobsigError, NoiseError
 from .generators import generate
 from .geodesy import BALL_ULPS, DEFAULT_STEINER_LEVEL, distance_within
 from .signalops import NoiseSpec, apply_noise, compose, extract_filter
@@ -37,13 +37,6 @@ OPERATION_ERROR = 1
 
 class UsageError(Exception):
     pass
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Reject parameter values that are bad only together."""
-    delta0, delta = getattr(args, "delta0", None), getattr(args, "delta", None)
-    if delta0 is not None and delta is not None and not 0 < delta0 < delta:
-        raise UsageError("need 0 < delta0 < delta")
 
 
 def _emit(payload, args) -> None:
@@ -197,9 +190,18 @@ def cmd_fourier(args: argparse.Namespace) -> int:
     return 0
 
 
+def _noise_spec(args: argparse.Namespace, epsilon: float) -> NoiseSpec:
+    """The noise ball of the arguments, read before the mesh is loaded; radii
+    that are bad only together are a usage error."""
+    try:
+        return NoiseSpec(args.center_vertex, args.delta0, args.delta, epsilon)
+    except NoiseError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_noise(args: argparse.Namespace) -> int:
+    spec = _noise_spec(args, args.epsilon)
     sig = fileio.load_signal(args.path)
-    spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, args.epsilon)
     return _emit_mesh(apply_noise(sig, spec, args.steiner_level), args)
 
 
@@ -226,8 +228,8 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_eps(args: argparse.Namespace) -> int:
+    spec = _noise_spec(args, 0.5)
     sig = fileio.load_signal(args.path)
-    spec = NoiseSpec(args.center_vertex, args.delta0, args.delta, 0.5)
     report = eps_sweep(sig, spec, args.eps, args.steiner_level)
     _emit(report.to_dict(), args)
     # the sweep has cached these distances, exact out to BALL_ULPS ulp past
@@ -406,7 +408,6 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        _check_args(args)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,14 @@
 Mesh file layout: {"dim", "ambient_dim", "vertices", "simplices"
 (objects with "verts" and "sign"), "labels" (X/Y/A/B to facet arrays)},
 plus an optional "metric" array of {"edge": [u, v], "length": l} entries
-(absent means the ambient-induced metric) and an optional "hints" object.
-Numbers are written in full double precision, so a save/load round trip is
-the identity on the data model.  Mesh files are written on one line, which
-keeps ``json.dumps`` on its C encoder.  Every index field -- simplex
-"verts" and "sign", label facets, metric "edge", correspondence "pairs",
-keep "simplices" and keep "axis" -- must hold JSON integers within int64;
+and an optional "hints" object.  The metric is written exactly when its
+lengths differ, bit for bit, from the lengths the vertices induce; absent,
+it means the ambient-induced metric.  Numbers are written in full double
+precision, so a save/load round trip is the identity on the data model.
+Mesh files are written on one line, which keeps ``json.dumps`` on its C
+encoder.  Every index field -- simplex "verts" and "sign", label facets,
+metric "edge", correspondence "pairs", keep "simplices" and keep "axis" --
+must hold JSON integers within int64;
 a float, a bool or a larger integer there makes the file malformed.  Each
 field is read once, by ``complex.int_table`` (``as_int`` for the axis),
 and the error names the first offending entry.  Every real-valued field --
@@ -19,7 +21,7 @@ read once, by ``complex.float_table`` (``as_float`` for a single value),
 and the error names the first offending entry or the hint by its key.
 Labels and vertices are read by ``build_complex`` alone, and hint values
 by ``Signal``, as for any caller, so a bad one names its entry without
-the "malformed" prefix.
+the "malformed" prefix; the writer reads the hints again in the same way.
 "dim" and "ambient_dim" may be absent; when present they must equal the
 simplices' width less one and the vertices' width.
 """
@@ -34,22 +36,25 @@ import numpy as np
 from .complex import (CobordismComplex, as_float, as_int, build_complex, float_table,
                       int_table, pair_table)
 from .errors import CobsigError
-from .metric import MetricField
-from .signal import Signal, make_signal
+from .metric import MetricField, _induced_lengths
+from .signal import Signal, _read_hints, make_signal
 from .signalops import Correspondence
 
 
 def signal_to_dict(signal: Signal) -> dict:
-    """Mesh data of ``signal``; the metric is written unless it is the
-    induced one."""
+    """Mesh data of ``signal``.  The metric is written exactly when its
+    lengths differ, bit for bit, from those the vertices induce, so a load
+    gives back the same lengths.  The hints are read again as ``Signal``
+    reads them, and a hint changed in place since to no str name or no
+    finite number is a CobsigError naming it."""
     out = signal.complex.to_dict()
-    if signal.metric.source != "induced":
-        out["metric"] = [
-            {"edge": e, "length": l}
-            for e, l in zip(signal.metric.edges.tolist(), signal.metric.lengths.tolist())
-        ]
-    if signal.hints:
-        out["hints"] = dict(sorted(signal.hints.items()))
+    metric = signal.metric
+    if not np.array_equal(metric.lengths, _induced_lengths(signal.complex)):
+        out["metric"] = [{"edge": e, "length": l}
+                         for e, l in zip(metric.edges.tolist(), metric.lengths.tolist())]
+    hints = _read_hints(signal.hints)
+    if hints:
+        out["hints"] = dict(sorted(hints.items()))
     return out
 
 
@@ -84,7 +89,7 @@ def signal_on_complex(cx: CobordismComplex, data: dict) -> Signal:
             edges.sort(axis=1)
             lengths = float_table([m["length"] for m in data["metric"]], ValueError,
                                   "metric length", (len(edges),))
-            metric = MetricField(edges, lengths, "deformed")
+            metric = MetricField(edges, lengths)
         hints = dict(data.get("hints", {}))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CobsigError(f"malformed mesh data: {exc}") from exc

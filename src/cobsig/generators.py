@@ -182,8 +182,14 @@ def generate(kind: str, params: dict, resolution: int) -> Signal:
     """The canonical instance ``kind`` at ``resolution``.
 
     ``params`` holds the shape: "width" and "height" of a rectangle (1.0
-    when absent), "r0", "r1" and "height" of an annular shell.
+    when absent), "r0", "r1" and "height" of an annular shell.  It is read
+    once, by ``dict``; params that are no mapping raise ValueError.
     """
+    try:
+        params = dict(params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("generator params must be a mapping from names to sizes, not "
+                         f"{type(params).__name__} ({exc})") from exc
     if kind == "square":
         return gen_square(resolution)
     if kind == "rectangle":

@@ -32,13 +32,14 @@ EPS_VOL = 1e-10
 class MetricField:
     """Positive lengths over a fixed edge set.
 
-    Rows of ``edges`` are canonical (u < v) and lexsorted; ``source`` is
-    "induced" for ambient-Euclidean metrics and "deformed" after conformal
-    scaling.  The constructor canonicalises any edge order, as read from a
-    file; metrics built on a complex's edge table share it as is.
+    Rows of ``edges`` are canonical (u < v) and lexsorted.  The
+    constructor canonicalises any edge order, as read from a file; metrics
+    built on a complex's edge table share it as is.  A metric carries no
+    record of how it was made: whether its lengths are the induced ones is
+    read from the lengths themselves (``fileio.signal_to_dict``).
     """
 
-    def __init__(self, edges, lengths, source: str):
+    def __init__(self, edges, lengths):
         e = pair_table(edges, MetricError, "edge")
         if np.any(e[:, 0] >= e[:, 1]):
             raise MetricError("edges must be canonical (u, v) pairs with u < v")
@@ -46,17 +47,17 @@ class MetricField:
         order = np.lexsort((e[:, 1], e[:, 0]))
         e = e[order]
         e.flags.writeable = False
-        self._set(e, ln[order], source)
+        self._set(e, ln[order])
 
     @classmethod
-    def _on_table(cls, edges: np.ndarray, lengths: np.ndarray, source: str):
+    def _on_table(cls, edges: np.ndarray, lengths: np.ndarray):
         """A metric on an edge table that is already canonical, such as a
         complex's: the table is shared, not copied or sorted again."""
         metric = cls.__new__(cls)
-        metric._set(edges, lengths, source)
+        metric._set(edges, lengths)
         return metric
 
-    def _set(self, edges, lengths, source):
+    def _set(self, edges, lengths):
         if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0.0):
             k = int(np.argmin(lengths))
             raise MetricError(
@@ -66,7 +67,6 @@ class MetricField:
         lengths.flags.writeable = False
         self.edges = edges
         self.lengths = lengths
-        self.source = source
 
     def length(self, u: int, v: int) -> float:
         return float(self.pair_lengths(np.array([[u, v]], dtype=np.int64))[0])
@@ -82,17 +82,24 @@ class MetricField:
         return self.lengths[rows]
 
 
-def induced_metric(cx: CobordismComplex) -> MetricField:
-    """Edge lengths induced by the ambient Euclidean embedding."""
+def _induced_lengths(cx: CobordismComplex) -> np.ndarray:
+    """The ambient Euclidean length of each row of ``cx.edges()``, 0 where
+    two vertices coincide."""
     edges = cx.edges()
     diff = cx.vertices[edges[:, 0]] - cx.vertices[edges[:, 1]]
-    lengths = np.sqrt(np.sum(diff * diff, axis=1))
+    return np.sqrt(np.sum(diff * diff, axis=1))
+
+
+def induced_metric(cx: CobordismComplex) -> MetricField:
+    """Edge lengths induced by the ambient Euclidean embedding; an edge
+    whose vertices coincide is a MetricError."""
+    edges, lengths = cx.edges(), _induced_lengths(cx)
     if np.any(lengths <= 0.0):
         k = int(np.argmin(lengths))
         raise MetricError(
             f"coincident vertices on edge {tuple(edges[k].tolist())}: zero length"
         )
-    return MetricField._on_table(edges, lengths, "induced")
+    return MetricField._on_table(edges, lengths)
 
 
 def conformal_scale(metric: MetricField, factor) -> MetricField:
@@ -111,8 +118,7 @@ def conformal_scale(metric: MetricField, factor) -> MetricField:
         k = int(np.argmin(a))
         raise MetricError(f"conformal factor {k} is {float(a[k])!r}: it must be positive")
     mean = (a[metric.edges[:, 0]] + a[metric.edges[:, 1]]) / 2.0
-    return MetricField._on_table(metric.edges, metric.lengths * np.sqrt(mean),
-                                 "deformed")
+    return MetricField._on_table(metric.edges, metric.lengths * np.sqrt(mean))
 
 
 def _cayley_menger_vol2(lengths: np.ndarray, q: int) -> np.ndarray:

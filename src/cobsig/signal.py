@@ -55,15 +55,7 @@ class Signal:
         # the metric's lengths are read through the structure's edge rows
         if not np.array_equal(self.metric.edges, self.complex.edges()):
             raise MetricError("metric edge set does not match the complex")
-        try:
-            hints = dict(self.hints)
-        except (TypeError, ValueError) as exc:
-            raise CobsigError("hints must be a mapping from names to numbers, not "
-                              f"{type(self.hints).__name__} ({exc})") from exc
-        for k in hints:
-            if not isinstance(k, str):
-                raise CobsigError(f"hint name {k!r} is not a str")
-        self.hints = {k: as_float(v, CobsigError, f"hint {k}") for k, v in hints.items()}
+        self.hints = _read_hints(self.hints)
 
     @property
     def dim(self) -> int:
@@ -100,6 +92,21 @@ class Signal:
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
+
+
+def _read_hints(hints) -> dict:
+    """``hints`` as a new dict of str names to floats, read as ``Signal``
+    documents; the file writer reads a signal's hints again, as they may
+    have been changed in place since."""
+    try:
+        hints = dict(hints)
+    except (TypeError, ValueError) as exc:
+        raise CobsigError("hints must be a mapping from names to numbers, not "
+                          f"{type(hints).__name__} ({exc})") from exc
+    for k in hints:
+        if not isinstance(k, str):
+            raise CobsigError(f"hint name {k!r} is not a str")
+    return {k: as_float(v, CobsigError, f"hint {k}") for k, v in hints.items()}
 
 
 def make_signal(cx: CobordismComplex, metric: MetricField | None = None,

@@ -190,10 +190,8 @@ def extract_filter(signal: Signal, kept_simplices) -> Signal:
     try:
         sub_cx = bare.with_labels({t: sub_facets[tag == k] for k, t in enumerate("AXYB")})
         sub_edges = sub_cx.edges()
-        sub_metric = MetricField._on_table(
-            sub_edges, signal.metric.pair_lengths(used[sub_edges]),
-            signal.metric.source,
-        )
+        sub_metric = MetricField._on_table(sub_edges,
+                                           signal.metric.pair_lengths(used[sub_edges]))
         out = make_signal(sub_cx, sub_metric, hints={})
     except CobsigError as exc:
         raise FilterError(f"filter boundary fails validation: {exc}") from exc
@@ -303,15 +301,15 @@ def compose(left: Signal, right: Signal, corr: Correspondence) -> Signal:
                                merged_signs)
         # both sides' edge tables in merged ids, coded u * nv + v; each
         # merged edge takes its first row, so left lengths win on glued
-        # edges, where both sides agree within tolerance for induced metrics
+        # edges, where both sides agree within tolerance for induced metrics;
+        # a right edge across the seam keeps its own length, which differs
+        # from the glued vertices' distance by up to the tolerance
         nv = len(merged_vertices)
         u, v = np.vstack([left.metric.edges,
                           np.sort(offset_map[right.metric.edges], axis=1)]).T
         _, first = np.unique(u * nv + v, return_index=True)
         lengths = np.concatenate([left.metric.lengths, right.metric.lengths])[first]
-        metric = MetricField._on_table(merged.edges(), lengths, "induced"
-                                       if left.metric.source == right.metric.source ==
-                                       "induced" else "deformed")
+        metric = MetricField._on_table(merged.edges(), lengths)
         return make_signal(merged, metric, hints={})
     except CobsigError as exc:
         raise CompositionError(f"composed signal fails validation: {exc}") from exc

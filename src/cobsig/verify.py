@@ -20,7 +20,7 @@ Four families of checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,33 @@ from .generators import generate
 #: quadrature approximations; refinement shrinks the need for it.
 QUADRATURE_SLACK = 0.02
 
+#: JSON keys of the report fields whose key is not the field's name.
+_JSON_KEYS = {"energy_filter": "E_filter", "energy_signal": "E_signal",
+              "energy_noisy": "E_noisy", "energy_composed": "E_composed",
+              "energy_sum": "E_sum", "fourier_composed": "EF_composed",
+              "fourier_left": "EF_left"}
+
+
+def _plain(value):
+    """A report value as its payload holds it: a tuple as a list of its
+    entries so read, and a dict copied."""
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return dict(value) if isinstance(value, dict) else value
+
+
+class _Report:
+    """The JSON payload shared by the reports below."""
+
+    def to_dict(self) -> dict:
+        """The fields in declaration order under their JSON keys, read by
+        ``_plain``; then a derived ``holds`` where the report has one."""
+        out = {_JSON_KEYS.get(f.name, f.name): _plain(getattr(self, f.name))
+               for f in fields(self)}
+        if hasattr(self, "holds"):
+            out.setdefault("holds", self.holds)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Two-sided ratio bound
@@ -45,7 +72,7 @@ QUADRATURE_SLACK = 0.02
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """Measured ratio, the two bounds, and every input with its provenance."""
 
     ratio: float
@@ -60,16 +87,10 @@ class BoundReport:
         return self.holds_lower and self.holds_upper
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "inputs": {k: {"value": v, "source": s}
-                       for k, (v, s) in self.inputs.items()},
-            "holds_lower": self.holds_lower,
-            "holds_upper": self.holds_upper,
-            "holds": self.holds,
-        }
+        # each input as a {"value", "source"} object
+        out = super().to_dict()
+        out["inputs"] = {k: {"value": v, "source": s} for k, (v, s) in self.inputs.items()}
+        return out
 
 
 def check_thm1_bounds(signal: Signal,
@@ -119,7 +140,7 @@ def check_thm1_bounds(signal: Signal,
 
 
 @dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(_Report):
     """Per-epsilon comparison of measured and predicted energy ratios.
 
     Each row carries the modulation integrals beta, gamma, the first-order
@@ -134,14 +155,6 @@ class ExpansionReport:
     residual_order: float
     residual_order_fixed: float
     base_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "residual_order": self.residual_order,
-            "residual_order_fixed": self.residual_order_fixed,
-            "base_ratio": self.base_ratio,
-        }
 
 
 def _loglog_slope(eps: np.ndarray, res: np.ndarray) -> float:
@@ -243,23 +256,13 @@ def eps_sweep(signal: Signal, spec_base: NoiseSpec, eps_list,
 
 
 @dataclass(frozen=True)
-class FilterReport:
+class FilterReport(_Report):
     energy_filter: float
     energy_signal: float
     energy_noisy: float
     holds: bool
     slack_signal: float
     slack_noisy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "E_filter": self.energy_filter,
-            "E_signal": self.energy_signal,
-            "E_noisy": self.energy_noisy,
-            "holds": self.holds,
-            "slack_signal": self.slack_signal,
-            "slack_noisy": self.slack_noisy,
-        }
 
 
 def check_filter(signal: Signal, filt: Signal, spec: NoiseSpec,
@@ -296,7 +299,7 @@ def check_filter(signal: Signal, filt: Signal, spec: NoiseSpec,
 
 
 @dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(_Report):
     energy_composed: float
     energy_sum: float
     fourier_composed: float
@@ -307,17 +310,6 @@ class CompositionReport:
     @property
     def holds(self) -> bool:
         return self.holds_energy and self.holds_fourier
-
-    def to_dict(self) -> dict:
-        return {
-            "E_composed": self.energy_composed,
-            "E_sum": self.energy_sum,
-            "EF_composed": self.fourier_composed,
-            "EF_left": self.fourier_left,
-            "holds_energy": self.holds_energy,
-            "holds_fourier": self.holds_fourier,
-            "holds": self.holds,
-        }
 
 
 def check_composition(left: Signal, right: Signal, corr,
@@ -377,11 +369,17 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
     no code with the mesh pipeline: distances are closed-form expressions
     and the quadrature is a plain midpoint sum.  A ``fine_resolution``
     below 1, or a size that is missing, no finite real number (``as_float``)
-    or not positive, raises ValueError.
+    or not positive, raises ValueError, as do ``params`` that are no
+    mapping (read once, by ``dict``).
     """
     m = as_int(fine_resolution, ValueError, "fine_resolution")
     if m < 1:
         raise ValueError(f"fine_resolution must be at least 1, got {m}")
+    try:
+        params = dict(params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("oracle params must be a mapping from names to sizes, not "
+                         f"{type(params).__name__} ({exc})") from exc
 
     def size(name, default=None):
         if default is None and name not in params:
@@ -449,21 +447,13 @@ def grid_oracle(kind: str, params: dict, fine_resolution: int = 1024) -> dict:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Report):
     """Energies per resolution with relative changes and oracle errors."""
 
     rows: tuple
     oracle: dict
     observed_order_E: float
     observed_order_EF: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [dict(r) for r in self.rows],
-            "oracle": dict(self.oracle),
-            "observed_order_E": self.observed_order_E,
-            "observed_order_EF": self.observed_order_EF,
-        }
 
 
 def refinement_study(kind: str, params: dict, resolutions,

@@ -46,7 +46,7 @@ def test_deformed_metric_round_trip(tmp_path, square8):
     save_signal(noisy, path)
     back = load_signal(path)
     assert np.array_equal(back.metric.lengths, noisy.metric.lengths)
-    assert back.metric.source == "deformed"
+    assert '"metric"' in path.read_text()
 
 
 def test_correspondence_round_trip(tmp_path):
@@ -71,7 +71,7 @@ def _per_element_text(signal) -> str:
         "labels": {tag: sorted(list(map(int, f)) for f in cx.labels[tag])
                    for tag in "XYAB"},
     }
-    if signal.metric.source != "induced":
+    if not np.array_equal(signal.metric.lengths, cs.induced_metric(cx).lengths):
         out["metric"] = [{"edge": [int(u), int(v)], "length": float(l)}
                          for (u, v), l in zip(signal.metric.edges,
                                               signal.metric.lengths)]
@@ -111,7 +111,53 @@ def test_saved_text_matches_the_per_element_writer(tmp_path, make):
     save_signal(sig, path)
     text = path.read_text()
     assert text == _per_element_text(sig)
-    assert ('"metric"' in text) == (sig.metric.source != "induced")
+    # only the noise changes a length: the glued and the filtered signals
+    # keep the lengths their vertices induce, and are written without them
+    assert ('"metric"' in text) == (make is _noisy_square)
+
+
+def _glued_near_seam():
+    # the upper rectangle's X wall lies 1e-12 above the lower one's Y wall:
+    # the right edges across the seam keep their own lengths, which the
+    # glued vertices do not induce
+    lower = cs.gen_rectangle(1.0, 1.0, 4)
+    upper = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0 + 1e-12))
+    return cs.compose(lower, upper, make_correspondence(lower, upper, 1e-9))
+
+
+def _conformal_by_one():
+    sig = cs.gen_square(8)
+    return cs.make_signal(sig.complex, cs.conformal_scale(sig.metric,
+                                                          np.ones(sig.complex.n_vertices)))
+
+
+def _coincident_vertices():
+    # the centre of gen_square(2) moved onto a corner: the vertices induce a
+    # zero length, and the metric is the square's
+    sig = cs.gen_square(2)
+    cx = sig.complex
+    verts = np.array(cx.vertices)
+    verts[4] = verts[0]
+    moved = cs.build_complex(verts, cx.simplices, {t: cx.region_facets(t) for t in "XYAB"},
+                             cx.signs)
+    return cs.make_signal(moved, cs.MetricField(sig.metric.edges, sig.metric.lengths))
+
+
+@pytest.mark.parametrize("make, has_metric", [
+    (_glued_near_seam, True),
+    (_noisy_square, True),
+    (_left_half_filter, False),
+    (_conformal_by_one, False),
+    (_coincident_vertices, True),
+], ids=["compose-near-seam", "noisy", "filter", "conformal-one", "coincident"])
+def test_saved_metric_is_written_exactly_when_it_is_not_induced(tmp_path, make, has_metric):
+    sig = make()
+    path = tmp_path / "mesh.json"
+    save_signal(sig, path)
+    back = load_signal(path)
+    assert back.metric.lengths.tobytes() == sig.metric.lengths.tobytes()
+    assert cs.energy(back).hex() == cs.energy(sig).hex()
+    assert ("metric" in json.loads(path.read_text())) == has_metric
 
 
 # -- subcommands -------------------------------------------------------------
@@ -535,11 +581,13 @@ def test_cli_byte_identical_reports(tmp_path, capsys):
 
 
 def _square2_with_metric():
-    """gen_square(2)'s mesh data with its metric written out: a conformal
-    factor of 1 gives the induced lengths bit for bit, tagged "deformed"."""
+    """gen_square(2)'s mesh data with its induced metric written out, as
+    the writer leaves it out."""
     sig = cs.gen_square(2)
-    metric = cs.conformal_scale(sig.metric, np.ones(sig.complex.n_vertices))
-    return signal_to_dict(cs.Signal(sig.complex, metric, sig.hints))
+    data = signal_to_dict(sig)
+    data["metric"] = [{"edge": e, "length": l}
+                      for e, l in zip(sig.metric.edges.tolist(), sig.metric.lengths.tolist())]
+    return data
 
 
 def test_load_rejects_metric_edge_mismatch(tmp_path):

@@ -306,7 +306,7 @@ UNSIGNED_ENTRY_POINTS = {
         lambda sig: _facets(sig, "B"), [[BIG, 0]],
         MeshError, "label B entry 0 is (18446744073709551615, 0)"),
     "MetricField": (
-        lambda sig, t: MetricField(t, sig.metric.lengths, "deformed").edges.tolist(),
+        lambda sig, t: MetricField(t, sig.metric.lengths).edges.tolist(),
         lambda sig: sig.metric.edges.tolist(), [[0, BIG]],
         MetricError, "edge 0 is (0, 18446744073709551615)"),
     "Correspondence": (

@@ -326,7 +326,7 @@ def test_simplex_violating_metric_gets_no_graph():
     sig = cs.gen_square(4)
     lengths = sig.metric.lengths.copy()
     lengths[np.argmax(lengths)] *= 3.0
-    bad = Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed"))
+    bad = Signal(sig.complex, MetricField(sig.metric.edges, lengths))
     with pytest.raises(MetricError, match="simplex inequalities"):
         distance_field(bad, "A")
 
@@ -744,8 +744,8 @@ def _fresh_volume_error(sig, spec):
     deformed = conformal_scale(sig.metric, bump_field(sig, spec))
     fresh = _copy(sig)
     with pytest.raises(MetricError) as err:
-        Signal(fresh.complex, MetricField(deformed.edges, deformed.lengths,
-                                          "deformed")).simplex_volumes()
+        Signal(fresh.complex,
+               MetricField(deformed.edges, deformed.lengths)).simplex_volumes()
     return str(err.value)
 
 
@@ -777,7 +777,7 @@ def test_noise_refills_the_shared_pattern(request, name, whole):
     rows = edge_rows(sig.complex.edges(), pattern.edges)
     lengths = sig.metric.lengths.copy()
     lengths[rows[0]] *= 1.001
-    planned = _graph(Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed")),
+    planned = _graph(Signal(sig.complex, MetricField(sig.metric.edges, lengths)),
                      2, tag).plan
     assert planned is not None and planned is pattern.plan
     refilled = 0
@@ -947,8 +947,7 @@ def test_field_update_from_a_noisy_reference(shell16, monkeypatch):
     for field in _fields(p).values():
         field(ref)
     reference = _graph(ref, 2)
-    target = Signal(ref.complex, MetricField(sig.metric.edges, sig.metric.lengths,
-                                             "induced"))
+    target = Signal(ref.complex, MetricField(sig.metric.edges, sig.metric.lengths))
     graph = _graph(target, 2)
     assert graph.plan is not None
     calls = _count_searches(monkeypatch, graph.pattern.n_nodes)
@@ -1042,7 +1041,7 @@ def test_fills_below_the_fill_bound_assemble_no_map(request, name, monkeypatch):
     assert geodesy.LOCAL_SHARE * k > n_rows >= geodesy.FILL_SHARE * k
     lengths = sig.metric.lengths.copy()
     lengths[:k] *= 1.1
-    other = Signal(sig.complex, MetricField(sig.metric.edges, lengths, "deformed"))
+    other = Signal(sig.complex, MetricField(sig.metric.edges, lengths))
     assembled = _count_assemblies(monkeypatch)
     p = sig.complex.n_vertices - 1
     got = {key: field(other) for key, field in _fields(p).items()}

@@ -1,7 +1,8 @@
 """Every real-valued input is read by ``complex.float_table`` or ``as_float``.
 
 Each probe hands one entry point a value that is no finite real number, a
-table of the wrong shape, or hints that are no mapping from str names, and
+table of the wrong shape, hints that are no mapping from str names (also
+when set in place before a save), or shape params that are no mapping, and
 expects that module's error naming the entry: no bare numpy or Python
 error, no warning, and no silent cast.
 """
@@ -15,8 +16,9 @@ import pytest
 import cobsig as cs
 from cobsig.complex import float_table
 from cobsig.errors import CobsigError, CompositionError, MeshError, MetricError, NoiseError
-from cobsig.fileio import (load_correspondence, load_kept_simplices, signal_from_dict,
-                           signal_to_dict)
+from cobsig.fileio import (load_correspondence, load_kept_simplices, save_signal,
+                           signal_from_dict, signal_to_dict)
+from cobsig.generators import generate
 
 
 def _square2():
@@ -29,7 +31,7 @@ def _lengths(sig):
 
 def _metric_field(lengths):
     sig = _square2()
-    return lambda tmp: cs.MetricField(sig.metric.edges, lengths(sig), "deformed")
+    return lambda tmp: cs.MetricField(sig.metric.edges, lengths(sig))
 
 
 def _factor(values):
@@ -52,6 +54,15 @@ def _mesh(change):
     def call(tmp):
         change(data)
         return signal_from_dict(json.loads(json.dumps(data)))
+    return call
+
+
+def _saved_hint(name, value):
+    """Save gen_square(2) after one of its hints is set in place."""
+    def call(tmp):
+        sig = _square2()
+        sig.hints[name] = value
+        save_signal(sig, tmp / "mesh.json")
     return call
 
 
@@ -186,6 +197,22 @@ PROBES = {
                          ValueError, "split is nan: expected finite numbers"),
     "oracle-shell-missing": (lambda tmp: cs.grid_oracle("annular_shell", {"r0": 1, "r1": 2}, 8),
                              ValueError, "the annular_shell oracle needs 'height'"),
+    "oracle-params-none": (lambda tmp: cs.grid_oracle("square", None, 8), ValueError,
+                           "oracle params must be a mapping from names to sizes, not NoneType"),
+    "oracle-shell-params-none": (lambda tmp: cs.grid_oracle("annular_shell", None, 8),
+                                 ValueError, "oracle params must be a mapping from names to "
+                                             "sizes, not NoneType"),
+    "oracle-shell-params-list": (lambda tmp: cs.grid_oracle("annular_shell", [1, 2], 8),
+                                 ValueError, "oracle params must be a mapping from names to "
+                                             "sizes, not list"),
+    "generate-params-none": (lambda tmp: generate("annular_shell", None, 8), ValueError,
+                             "generator params must be a mapping from names to sizes, "
+                             "not NoneType"),
+    "generate-params-list": (lambda tmp: generate("rectangle", [1, 2], 8), ValueError,
+                             "generator params must be a mapping from names to sizes, not list"),
+    "saved-hint-name": (_saved_hint(1, 2.0), CobsigError, "hint name 1 is not a str"),
+    "saved-hint-text": (_saved_hint("E", "0.5"), CobsigError,
+                        "hint E is '0.5': expected real numbers, got str"),
 }
 
 
@@ -208,7 +235,7 @@ def test_float_table_keeps_valid_input_and_its_copies():
     assert cs.build_complex(verts, sig.complex.simplices, {}).vertices is not verts
     assert verts.flags.writeable
     lengths = np.array(sig.metric.lengths)
-    metric = cs.MetricField(sig.metric.edges, lengths, "deformed")
+    metric = cs.MetricField(sig.metric.edges, lengths)
     assert not np.shares_memory(metric.lengths, lengths) and lengths.flags.writeable
     # Python and numpy ints are real numbers
     spec = cs.NoiseSpec(4, np.int64(1), 2, 0.5)

@@ -18,7 +18,7 @@ from cobsig.metric import (MetricField, conformal_scale, induced_metric,
 def right_triangle_metric():
     edges = [(0, 1), (0, 2), (1, 2)]
     lengths = [1.0, 1.0, math.sqrt(2.0)]
-    return MetricField(edges, lengths, "induced")
+    return MetricField(edges, lengths)
 
 
 def test_unit_right_triangle_area():
@@ -28,24 +28,24 @@ def test_unit_right_triangle_area():
 
 def test_regular_tetrahedron_volume():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    m = MetricField(edges, [1.0] * 6, "induced")
+    m = MetricField(edges, [1.0] * 6)
     assert simplex_volumes(m, [(0, 1, 2, 3)])[0] == pytest.approx(
         1.0 / (6.0 * math.sqrt(2.0)), rel=1e-13
     )
 
 
 def test_triangle_inequality_violation_rejected():
-    m = MetricField([(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 3.0], "induced")
+    m = MetricField([(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 3.0])
     with pytest.raises(MetricError):
         simplex_volumes(m, [(0, 1, 2)])[0]
 
 
 def test_nonpositive_length_rejected():
     with pytest.raises(MetricError):
-        MetricField([(0, 1)], [0.0], "induced")
+        MetricField([(0, 1)], [0.0])
     # messages print plain numbers, not numpy reprs
     with pytest.raises(MetricError) as err:
-        MetricField([(1, 2), (0, 1)], [1.0, -0.5], "induced")
+        MetricField([(1, 2), (0, 1)], [1.0, -0.5])
     assert str(err.value) == "nonpositive length -0.5 on edge (0, 1)"
 
 
@@ -71,7 +71,7 @@ def test_conformal_identity_is_bit_exact(square8):
     ones = np.ones(square8.complex.n_vertices)
     scaled = conformal_scale(square8.metric, ones)
     assert np.array_equal(scaled.lengths, square8.metric.lengths)
-    assert scaled.source == "deformed"
+    assert scaled.edges is square8.metric.edges
 
 
 def test_conformal_rejects_nonpositive_factor(square8):
@@ -153,9 +153,9 @@ def test_missing_edge_raises(square8):
 
 def test_signal_rejects_metric_on_another_edge_set(square8):
     cx, m = square8.complex, square8.metric
-    fewer = MetricField(m.edges[1:], m.lengths[1:], "deformed")
+    fewer = MetricField(m.edges[1:], m.lengths[1:])
     more = MetricField(np.vstack([m.edges, [(0, cx.n_vertices - 1)]]),
-                       np.append(m.lengths, 2.0), "deformed")
+                       np.append(m.lengths, 2.0))
     for metric in (fewer, more):
         with pytest.raises(MetricError, match="metric edge set does not match"):
             cs.Signal(cx, metric)
@@ -173,18 +173,18 @@ def test_shell_radial_edge_length(shell16):
 
 def test_flat_triangle_rejected():
     # exactly degenerate: the three points are collinear
-    m = MetricField([(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 2.0], "induced")
+    m = MetricField([(0, 1), (0, 2), (1, 2)], [1.0, 1.0, 2.0])
     with pytest.raises(MetricError):
         simplex_volumes(m, [(0, 1, 2)])[0]
 
 
 def test_needle_triangle_below_the_volume_floor_rejected():
     # a positive squared area, but the area is below EPS_VOL * mean length^2
-    m = MetricField([(0, 1), (0, 2), (1, 2)], [1e-11, 1.0, 1.0], "induced")
+    m = MetricField([(0, 1), (0, 2), (1, 2)], [1e-11, 1.0, 1.0])
     with pytest.raises(MetricError, match=r"^simplex \(0, 1, 2\) is degenerate: volume "
                                           r"5\.000e-12 below threshold 4\.444e-11$"):
         simplex_volumes(m, [(0, 1, 2)])[0]
-    assert simplex_volumes(MetricField(m.edges, [1e-9, 1.0, 1.0], "induced"),
+    assert simplex_volumes(MetricField(m.edges, [1e-9, 1.0, 1.0]),
                            [(0, 1, 2)])[0] == pytest.approx(5e-10, rel=1e-6)
 
 
@@ -197,16 +197,16 @@ def test_metric_edges_must_be_integers():
                            ([(0, 1), (2,)], "edge 1 is (2,): its length differs from edge 0's"),
                            ([(0, 2**70)], "edge 0 is (0, 1180591620717411303424): Python int too large to convert to C long")):
         with pytest.raises(MetricError) as err:
-            MetricField(edges, [1.0] * len(edges), "deformed")
+            MetricField(edges, [1.0] * len(edges))
         assert str(err.value) == message
     # a table of another width was read two entries at a time
     for edges, lengths, shape in (([(0, 1, 2), (3, 4, 5)], [1.0] * 3, (2, 3)),
                                   ([0, 1, 2, 3], [1.0] * 2, (4,))):
         with pytest.raises(MetricError) as err:
-            MetricField(edges, lengths, "deformed")
+            MetricField(edges, lengths)
         assert str(err.value) == f"edges must be vertex pairs, got a table of shape {shape}"
-    assert MetricField([], [], "deformed").edges.shape == (0, 2)
-    m = MetricField(np.array([[1, 2], [0, 1]], dtype=np.int32), [2.0, 1.0], "deformed")
+    assert MetricField([], []).edges.shape == (0, 2)
+    m = MetricField(np.array([[1, 2], [0, 1]], dtype=np.int32), [2.0, 1.0])
     assert m.edges.tolist() == [[0, 1], [1, 2]] and m.lengths.tolist() == [1.0, 2.0]
 
 

@@ -394,3 +394,68 @@ def test_refinement_scaling_between_geometries():
     # E scales like w^2 h: factor 8
     assert big.rows[-1]["E"] == pytest.approx(8.0 * small.rows[-1]["E"],
                                               rel=0.03)
+
+
+# -- report payloads ---------------------------------------------------------
+
+
+def _containers(obj) -> list:
+    """Every dict and list in ``obj``, itself included, at any depth."""
+    if isinstance(obj, dict):
+        return [obj] + [c for v in obj.values() for c in _containers(v)]
+    if isinstance(obj, (list, tuple)):
+        return [obj] + [c for v in obj for c in _containers(v)]
+    return []
+
+
+def _payload_cases():
+    sq = cs.gen_square(8)
+    spec = NoiseSpec(cs.vertex_at(sq, (0.75, 0.5)), 0.1, 0.2, 0.25)
+    lower = cs.gen_rectangle(1.0, 1.0, 4)
+    upper = cs.gen_rectangle(1.0, 1.0, 4, origin=(0.0, 1.0))
+    left_half = keep_by_predicate(sq, lambda p: p[0] <= 0.5 + 1e-12)
+    return {
+        "thm1": lambda: check_thm1_bounds(sq),
+        "sweep": lambda: eps_sweep(sq, spec, [0.4, 0.2]),
+        "filter": lambda: check_filter(sq, extract_filter(sq, left_half), spec),
+        "composition": lambda: check_composition(lower, upper,
+                                                 make_correspondence(lower, upper)),
+        "refinement": lambda: refinement_study("square", {}, [4, 8], oracle_resolution=64),
+    }
+
+
+_INPUT_COLUMNS = ",".join(f"inputs.{k}.value,inputs.{k}.source" for k in THM1_KEYS)
+
+#: Each report's payload keys, in order, and the header of its CSV.
+PAYLOADS = {
+    "thm1": (["ratio", "lower_bound", "upper_bound", "inputs", "holds_lower",
+              "holds_upper", "holds"],
+             f"ratio,lower_bound,upper_bound,{_INPUT_COLUMNS},holds_lower,holds_upper,holds"),
+    "sweep": (["rows", "residual_order", "residual_order_fixed", "base_ratio"],
+              "eps,measured_ratio,beta,gamma,C,predicted,residual,predicted_fixed,"
+              "residual_fixed"),
+    "filter": (["E_filter", "E_signal", "E_noisy", "holds", "slack_signal", "slack_noisy"],
+               "E_filter,E_signal,E_noisy,holds,slack_signal,slack_noisy"),
+    "composition": (["E_composed", "E_sum", "EF_composed", "EF_left", "holds_energy",
+                     "holds_fourier", "holds"],
+                    "E_composed,E_sum,EF_composed,EF_left,holds_energy,holds_fourier,holds"),
+    "refinement": (["rows", "oracle", "observed_order_E", "observed_order_EF"],
+                   "resolution,steiner_level,E,EF,err_E,err_EF,rel_change_E,rel_change_EF"),
+}
+
+
+@pytest.mark.parametrize("case", list(PAYLOADS))
+def test_report_payloads_are_pinned_and_fresh(case):
+    from cobsig.cli import _to_csv
+    report = _payload_cases()[case]()
+    keys, header = PAYLOADS[case]
+    first, second = report.to_dict(), report.to_dict()
+    assert list(first) == keys
+    assert first == second
+    # lists rather than tuples, and no container shared with another call
+    # or with the report itself
+    assert not any(isinstance(c, tuple) for c in _containers(first))
+    ours = {id(c) for c in _containers(first)}
+    assert ours.isdisjoint(id(c) for c in _containers(second))
+    assert ours.isdisjoint(id(c) for c in _containers(vars(report)))
+    assert _to_csv(first).splitlines()[0] == header
